@@ -90,6 +90,14 @@ class Candidate:
             self._product = apply_edits(self._reactants, self.edits)
         return self._product
 
+    def edited_atoms(self) -> list[int]:
+        """Atoms of the product components that hold an edited atom, ascending.
+
+        Every other component is a reactant component left untouched."""
+        comp = self.product.component
+        edited = {comp[a] for a in self.edits.atoms()}
+        return [i for i, c in enumerate(comp) if c in edited]
+
     def __repr__(self) -> str:
         return f"Candidate({list(self.edits)}, score={self.score})"
 

@@ -29,7 +29,6 @@ __all__ = [
     "atom_features",
     "atom_feature_matrix",
     "bond_features",
-    "bond_feature_matrix",
     "induced_subgraph",
     "make_graph",
     "parse_smiles",
@@ -682,12 +681,6 @@ def atom_feature_matrix(g: MolGraph, include_charge: bool = False) -> np.ndarray
     if g.n_atoms == 0:
         return np.zeros((0, dim))
     return np.stack([atom_features(g, i, include_charge) for i in range(g.n_atoms)])
-
-
-def bond_feature_matrix(g: MolGraph) -> np.ndarray:
-    if g.n_bonds == 0:
-        return np.zeros((0, BOND_FEATURE_DIM))
-    return np.stack([bond_features(g, i) for i in range(g.n_bonds)])
 
 
 def induced_subgraph(g: MolGraph, atom_indices: Sequence[int]) -> MolGraph:

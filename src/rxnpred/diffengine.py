@@ -17,7 +17,8 @@ decimal floats (``repr`` round-trip precision), row-major.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +38,7 @@ __all__ = [
     "matmul",
     "matvec",
     "mul",
+    "no_grad",
     "relu",
     "reshape",
     "scale",
@@ -100,8 +102,23 @@ def constant(values) -> DTensor:
     return DTensor(arr.copy())
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Inside the block, operations record no backward graph: results are
+    plain constants, so intermediates are freed as soon as they go unused."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _track(values: np.ndarray, parents: tuple, bwd: Callable) -> DTensor:
-    if any(p.requires_grad or p._parents for p in parents):
+    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
         return DTensor(values, parents=parents, bwd=bwd)
     return DTensor(values)
 
@@ -288,18 +305,14 @@ def gather_rows(a: DTensor, indices: Sequence[int] | np.ndarray) -> DTensor:
     return _track(a.values[idx].reshape(len(idx), a.shape[1]), (a,), bwd)
 
 
-def _sorted_colsum(block: np.ndarray) -> np.ndarray:
-    # Value-sorted per column, so the sum is invariant to row order.
-    if block.shape[0] <= 1:
-        return block.sum(axis=0)
-    return np.sort(block, axis=0).sum(axis=0)
-
-
 def segment_sum(a: DTensor, segments: Sequence[int] | np.ndarray, n_segments: int) -> DTensor:
     """Sum rows of ``a`` into ``n_segments`` buckets given per-row segment ids.
 
     Empty segments yield zero rows. Addends are value-sorted per column, so
-    the result does not depend on the order rows arrive in.
+    the result does not depend on the order rows arrive in. Segments of equal
+    size are sorted and summed together as one (segments, size, cols) block,
+    which runs numpy's reduction exactly as :func:`sum_rows` does on each
+    segment alone (sequential per column, pairwise for a single column).
     """
     seg = np.asarray(segments, dtype=np.intp)
     if seg.shape != (a.shape[0],):
@@ -308,15 +321,14 @@ def segment_sum(a: DTensor, segments: Sequence[int] | np.ndarray, n_segments: in
     if seg.size and (seg.min() < 0 or seg.max() >= n_segments):
         raise ShapeError(f"segment_sum: segment id out of range [0, {n_segments})")
     out = np.zeros((n_segments, a.shape[1]))
-    order = np.argsort(seg, kind="stable")
-    sorted_seg = seg[order]
-    bounds = np.flatnonzero(np.diff(sorted_seg)) + 1
-    starts = np.concatenate([[0], bounds])
-    ends = np.concatenate([bounds, [seg.size]])
-    vals = a.values
-    for s, e in zip(starts, ends):
-        if s < e:
-            out[sorted_seg[s]] = _sorted_colsum(vals[order[s:e]])
+    if seg.size:
+        order = np.argsort(seg, kind="stable")
+        counts = np.bincount(seg, minlength=n_segments)
+        starts = np.cumsum(counts) - counts
+        for size in np.unique(counts[counts > 0]):
+            ids = np.flatnonzero(counts == size)
+            rows = order[starts[ids][:, None] + np.arange(size)]
+            out[ids] = np.sort(a.values[rows], axis=1).sum(axis=1)
 
     def bwd(g: np.ndarray) -> None:
         if _need(a):
@@ -327,7 +339,7 @@ def segment_sum(a: DTensor, segments: Sequence[int] | np.ndarray, n_segments: in
 
 def sum_rows(a: DTensor) -> DTensor:
     """Column sums as a (1, cols) row; row-order invariant (value-sorted)."""
-    out = _sorted_colsum(a.values).reshape(1, -1)
+    out = np.sort(a.values, axis=0).sum(axis=0, keepdims=True)
 
     def bwd(g: np.ndarray) -> None:
         if _need(a):
@@ -352,19 +364,20 @@ def dot(a: DTensor, b: DTensor) -> DTensor:
 
 
 def stack_rows(tensors: Sequence[DTensor]) -> DTensor:
-    """Stack (1, c) tensors into an (n, c) tensor."""
+    """Stack (r_i, c) tensors, usually single rows, into a (sum r_i, c) tensor."""
     if not tensors:
         raise ShapeError("stack_rows: empty input")
     cols = tensors[0].shape[1]
     for t in tensors:
-        if t.shape != (1, cols):
-            raise ShapeError(f"stack_rows: expected (1, {cols}), got {t.shape}")
+        if t.shape[1] != cols:
+            raise ShapeError(f"stack_rows: expected {cols} columns, got {t.shape}")
     out = np.concatenate([t.values for t in tensors], axis=0)
+    ends = np.cumsum([t.shape[0] for t in tensors])
 
     def bwd(g: np.ndarray) -> None:
-        for i, t in enumerate(tensors):
+        for t, end in zip(tensors, ends):
             if _need(t):
-                t.accumulate(g[i:i + 1])
+                t.accumulate(g[end - t.shape[0]:end])
 
     return _track(out, tuple(tensors), bwd)
 
@@ -527,17 +540,29 @@ class ParamStore:
             try:
                 name, rows_s, cols_s = lines[i].split()
                 rows, cols = int(rows_s), int(cols_s)
+                if rows < 0 or cols < 0:
+                    raise ValueError("negative tensor shape")
             except ValueError as exc:
                 raise ValueError(f"{path}:{i + 1}: bad tensor header {lines[i]!r}") from exc
+            if i + rows >= len(lines):
+                raise ValueError(f"{path}:{len(lines) + 1}: truncated, tensor {name!r} "
+                                 f"has {len(lines) - 1 - i} of {rows} rows")
             data = np.empty((rows, cols))
-            for r in range(rows):
-                i += 1
-                row = lines[i].split()
+            for r, line in enumerate(lines[i + 1:i + 1 + rows]):
+                row = line.split()
                 if len(row) != cols:
-                    raise ValueError(f"{path}:{i + 1}: expected {cols} values, got {len(row)}")
-                data[r] = [float(x) for x in row]
+                    raise ValueError(f"{path}:{i + 2 + r}: expected {cols} values, "
+                                     f"got {len(row)}")
+                try:
+                    data[r] = [float(x) for x in row]
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{i + 2 + r}: bad value in {line!r}") from exc
+            finite = np.isfinite(data).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"{path}:{i + 2 + int(np.argmin(finite))}: non-finite "
+                                 f"value in tensor {name!r}")
             store.params[name] = DTensor(data, requires_grad=True)
-            i += 1
+            i += rows + 1
         return store
 
 

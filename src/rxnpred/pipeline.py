@@ -378,10 +378,7 @@ def _build_instances(records: list[ReactionRecord], center: CenterModel | None,
 
 
 def _instance_scores(model: RankerModel, inst: _RankingInstance) -> de.DTensor:
-    c_r = model.embed_reactants(inst.record.reactants)
-    return de.stack_rows([
-        model.score_candidate(inst.record.reactants, cand, reactant_embedding=c_r)
-        for cand in inst.candidates])
+    return model.score_candidates(inst.record.reactants, inst.candidates)
 
 
 def _ranker_p1(model: RankerModel, instances: list[_RankingInstance]) -> float:
@@ -394,11 +391,12 @@ def _ranker_p1(model: RankerModel, instances: list[_RankingInstance]) -> float:
     if not instances:
         return 0.0
     hits = 0
-    for inst in instances:
-        values = _instance_scores(model, inst).values[:, 0]
-        best = int(np.argmax(values))  # argmax takes the earliest on ties
-        hits += int(best == inst.true_index
-                    or _product_matches(inst.record, inst.candidates[best]))
+    with de.no_grad():
+        for inst in instances:
+            values = _instance_scores(model, inst).values[:, 0]
+            best = int(np.argmax(values))  # argmax takes the earliest on ties
+            hits += int(best == inst.true_index
+                        or _product_matches(inst.record, inst.candidates[best]))
     return hits / len(instances)
 
 
@@ -518,18 +516,12 @@ def predict(reactants_smiles: str, center: CenterModel, ranker: RankerModel,
     ranked = rank_candidates(g, result.candidates, ranker)
     products = []
     for cand in ranked[:top_n]:
-        keep = [i for i in range(cand.product.n_atoms)
-                if cand.product.component[i] in _edited_components(cand.product, cand.edits)]
-        smiles = write_smiles(induced_subgraph(cand.product, keep))
+        smiles = write_smiles(induced_subgraph(cand.product, cand.edited_atoms()))
         edits = [(_map_of(g, e.u), _map_of(g, e.v), e.bond_type.name.lower())
                  for e in cand.edits]
         products.append(PredictedProduct(smiles, float(cand.score), edits))
     return PredictResult(reactants_smiles, pairs, len(result.candidates),
                          result.truncated, products)
-
-
-def _edited_components(product: MolGraph, edits: EditSet) -> set[int]:
-    return {product.component[a] for a in edits.atoms()}
 
 
 def _map_of(g: MolGraph, idx: int) -> int:

@@ -6,7 +6,9 @@ sum-pools those differences through a small head. The difference-network
 scorer instead runs a second, separately parameterized relabeling network
 over the candidate's graph with the difference vectors as node features
 (gated messages, so an all-zero difference graph scores exactly zero),
-capturing interactions between neighboring changes.
+capturing interactions between neighboring changes. All candidates of one
+reaction are scored together, over the union of their edited components
+(:meth:`RankerModel.score_candidates`).
 """
 
 from __future__ import annotations
@@ -20,10 +22,14 @@ from . import diffengine as de
 from .candgen import Candidate
 from .chemgraph import ATOM_FEATURE_DIM, CHARGE_SLOTS, MolGraph
 from .diffengine import DTensor, ParamStore
-from .wln import WLNParams, embed_from_features, graph_inputs
+from .wln import WLNParams, embed_from_features, graph_inputs, union_inputs
 
-__all__ = ["RankerModel", "difference_vectors", "rank_candidates", "rank_loss",
-           "score_sumpool", "score_wldn"]
+__all__ = ["MAX_UNION_CANDIDATES", "RankerModel", "difference_vectors",
+           "rank_candidates", "rank_loss", "score_sumpool"]
+
+# Candidates per union pass. Bounds the arrays of one pass, so that peak
+# memory under no_grad stays near the per-candidate path's.
+MAX_UNION_CANDIDATES = 32
 
 
 @dataclass
@@ -80,56 +86,66 @@ class RankerModel:
     def _act(self, t: DTensor) -> DTensor:
         return de.relu(t) if self.activation == "relu" else de.tanh(t)
 
-    def embed_reactants(self, reactants: MolGraph) -> DTensor:
-        gi = graph_inputs(reactants, self.include_charge)
-        return embed_from_features(gi, gi.features, self.wln)
-
     def score_candidate(self, reactants: MolGraph, candidate: Candidate,
-                        reactant_embedding: DTensor | None = None,
                         variant: str | None = None) -> DTensor:
         """Differentiable score of one candidate, shape (1, 1)."""
+        return self.score_candidates(reactants, [candidate], variant)
+
+    def score_candidates(self, reactants: MolGraph, candidates: Sequence[Candidate],
+                         variant: str | None = None) -> DTensor:
+        """Differentiable scores of all candidates of one reaction, shape (n, 1).
+
+        The reactants are embedded once. Each pass then embeds the disjoint
+        union of up to :data:`MAX_UNION_CANDIDATES` candidates' edited
+        components (:meth:`Candidate.edited_atoms`) and pools per candidate
+        with :func:`~rxnpred.diffengine.segment_sum`. Scores are bitwise equal
+        to the full-graph :func:`difference_vectors` / :func:`score_sumpool`
+        route: an untouched component's product rows equal its reactant
+        rows, so their differences are ``+0.0``; the gated difference network
+        maps zero rows to zero rows; and a sorted column sum, which starts at
+        ``+0.0``, is unchanged by zero addends. (The last step needs
+        ``hidden >= 2``: numpy sums a single column pairwise.)
+        """
         variant = variant or self.variant
-        d = difference_vectors(reactants, candidate, self.wln,
-                               include_charge=self.include_charge,
-                               reactant_embedding=reactant_embedding)
+        gi_r = graph_inputs(reactants, self.include_charge)
+        c_r = embed_from_features(gi_r, gi_r.features, self.wln)
+        chunks = [self._score_union(c_r, candidates[i:i + MAX_UNION_CANDIDATES], variant)
+                  for i in range(0, len(candidates), MAX_UNION_CANDIDATES)]
+        return chunks[0] if len(chunks) == 1 else de.stack_rows(chunks)
+
+    def _score_union(self, c_r: DTensor, candidates: Sequence[Candidate],
+                     variant: str) -> DTensor:
+        atoms = [cand.edited_atoms() for cand in candidates]
+        gi = union_inputs([(cand.product, a) for cand, a in zip(candidates, atoms)],
+                          self.include_charge)
+        owner = np.repeat(np.arange(len(candidates)), [len(a) for a in atoms])
+        rows = [i for a in atoms for i in a]
+        d = de.sub(embed_from_features(gi, gi.features, self.wln), de.gather_rows(c_r, rows))
         if variant == "wln":
-            return score_sumpool(d, self.store["sum.M"], self.store["sum.u"],
-                                 self._act)
-        gi = graph_inputs(candidate.product, self.include_charge)
-        d_final = embed_from_features(gi, d, self.diff_wln)
-        return score_sumpool(d_final, self.store["wldn.M"], self.store["wldn.u"],
-                             self._act)
+            m, u = self.store["sum.M"], self.store["sum.u"]
+        else:
+            d = embed_from_features(gi, d, self.diff_wln)
+            m, u = self.store["wldn.M"], self.store["wldn.u"]
+        return de.matmul(self._act(de.matmul(de.segment_sum(d, owner, len(candidates)), m)), u)
 
 
 def difference_vectors(reactants: MolGraph, candidate: Candidate, wln: WLNParams,
-                       include_charge: bool = False,
-                       reactant_embedding: DTensor | None = None) -> DTensor:
+                       include_charge: bool = False) -> DTensor:
     """Per-atom difference vectors (candidate minus reactant embedding).
 
     Candidate product graphs keep the reactant atom indexing, so the
     subtraction is row-aligned. Atoms whose neighborhood the edits never
     touch come out exactly zero.
     """
-    if reactant_embedding is None:
-        gi_r = graph_inputs(reactants, include_charge)
-        reactant_embedding = embed_from_features(gi_r, gi_r.features, wln)
+    gi_r = graph_inputs(reactants, include_charge)
+    c_r = embed_from_features(gi_r, gi_r.features, wln)
     gi_p = graph_inputs(candidate.product, include_charge)
-    c_p = embed_from_features(gi_p, gi_p.features, wln)
-    return de.sub(c_p, reactant_embedding)
+    return de.sub(embed_from_features(gi_p, gi_p.features, wln), c_r)
 
 
 def score_sumpool(d: DTensor, m: DTensor, u: DTensor, act=de.relu) -> DTensor:
     """Head ``u' tau(M sum_v d_v)`` over per-atom difference vectors."""
     return de.matmul(act(de.matmul(de.sum_rows(d), m)), u)
-
-
-def score_wldn(reactants: MolGraph, candidate: Candidate, model: RankerModel,
-               reactant_embedding: DTensor | None = None) -> DTensor:
-    """Difference-network score of one candidate (regardless of the model's
-    configured default variant)."""
-    return model.score_candidate(reactants, candidate,
-                                 reactant_embedding=reactant_embedding,
-                                 variant="wldn")
 
 
 def rank_loss(scores: Sequence[DTensor] | DTensor, true_index: int) -> DTensor:
@@ -147,12 +163,13 @@ def rank_candidates(reactants: MolGraph, candidates: Sequence[Candidate],
                     model: RankerModel, variant: str | None = None) -> list[Candidate]:
     """Candidates sorted by descending score; ties keep enumeration order.
 
-    Scores are attached to the returned candidates.
+    Scores are attached to the returned candidates. Scoring records no
+    backward graph.
     """
     if not candidates:
         raise ValueError("rank_candidates needs a nonempty candidate list")
-    c_r = model.embed_reactants(reactants)
-    for cand in candidates:
-        cand.score = model.score_candidate(reactants, cand, reactant_embedding=c_r,
-                                           variant=variant).item()
+    with de.no_grad():
+        scores = model.score_candidates(reactants, candidates, variant).values[:, 0]
+    for cand, score in zip(candidates, scores):
+        cand.score = float(score)
     return sorted(candidates, key=lambda c: -c.score)

@@ -16,18 +16,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffengine as de
-from .candgen import BondEdit, EditSet, GenConfig, connectivity_ok, valence_ok
+from .candgen import (BondEdit, Candidate, EditSet, GenConfig, connectivity_ok,
+                      enumerate_candidates, valence_ok)
 from .center import CenterModel, center_loss
 from .chemgraph import (BondType, MolGraph, apply_edits, atom_feature_matrix,
                         bond_features)
-from .datagen import random_molecule, random_reaction_line
+from .datagen import (higher_order_fixture_lines, random_molecule, random_reaction_line,
+                      reagent_fixture_lines, toy_reaction_lines)
 from .pipeline import parse_reaction_line
-from .ranker import RankerModel, rank_loss
+from .ranker import RankerModel, difference_vectors, rank_loss, score_sumpool
 from .wliso import brute_force_isomorphic, wl_equivalent
-from .wln import WLNParams, embed_atoms
+from .wln import WLNParams, embed_atoms, embed_from_features, graph_inputs
 
-__all__ = ["CheckResult", "brute_force_enumerate", "gradient_suite",
-           "naive_atom_vectors", "run_selfcheck", "wl_soundness_suite"]
+__all__ = ["CheckResult", "batched_ranker_suite", "brute_force_enumerate",
+           "gradient_suite", "naive_atom_vectors", "reference_score", "run_selfcheck",
+           "wl_soundness_suite"]
 
 
 @dataclass
@@ -171,7 +174,6 @@ def _small_instance(seed: int, max_atoms: int = 10):
 def _ranking_instance(seed: int, min_candidates: int = 3):
     """A small record whose enumerated candidate pool is big enough that the
     ranking loss actually depends on the scores."""
-    from .candgen import Candidate, enumerate_candidates
     for attempt in range(50):
         rec = _small_instance(seed + 101 * attempt)
         pairs = list(rec.true_edits.pairs)
@@ -211,17 +213,59 @@ def gradient_suite(h: float = 1e-5, tol: float = 1e-4, seed: int = 5,
         model = RankerModel.create(variant, hidden=hidden, depth=2, seed=seed)
 
         def loss_fn(_store, model=model):
-            c_r = model.embed_reactants(rec.reactants)
-            scores = de.stack_rows([
-                model.score_candidate(rec.reactants, c, reactant_embedding=c_r)
-                for c in cands])
-            return rank_loss(scores, true_idx)
+            return rank_loss(model.score_candidates(rec.reactants, cands), true_idx)
 
         err = de.grad_check(loss_fn, model.store, h=h,
                             rng=np.random.default_rng(seed + 2))
         out.append(CheckResult(f"grad-ranker-{variant}", err < tol,
                                f"max rel err {err:.2e}"))
     return out
+
+
+def reference_score(model: RankerModel, reactants: MolGraph, candidate: Candidate,
+                    variant: str) -> de.DTensor:
+    """One candidate's (1, 1) score through full-graph embeddings: both
+    networks run over the whole reactant and product graphs, untouched
+    components included."""
+    d = difference_vectors(reactants, candidate, model.wln, model.include_charge)
+    if variant == "wln":
+        return score_sumpool(d, model.store["sum.M"], model.store["sum.u"], model._act)
+    gi = graph_inputs(candidate.product, model.include_charge)
+    d = embed_from_features(gi, d, model.diff_wln)
+    return score_sumpool(d, model.store["wldn.M"], model.store["wldn.u"], model._act)
+
+
+def batched_ranker_suite(seed: int = 13, hidden: int = 8) -> CheckResult:
+    """Batched, component-local scores equal the full-graph reference bitwise.
+
+    Runs on the reagent, higher-order and toy fixtures from ``datagen``, whose
+    reagents and second reactants leave untouched components behind, with an
+    empty-edit candidate added to each list.
+    """
+    lines = (reagent_fixture_lines(2, seed=seed) + higher_order_fixture_lines(4, seed=seed)
+             + toy_reaction_lines(6, seed=seed))
+    mismatches = scored = 0
+    for variant in ("wln", "wldn"):
+        model = RankerModel.create(variant, hidden=hidden, depth=2, seed=seed)
+        for line in lines:
+            rec = parse_reaction_line(line)
+            g = rec.reactants
+            # the true pairs plus every bond at an edited atom: lists long
+            # enough to span more than one union pass
+            pairs = sorted(set(rec.true_edits.pairs) | {
+                (min(a, b), max(a, b)) for a in rec.true_edits.atoms()
+                for b in g.neighbors(a)})
+            cands = [Candidate(EditSet.of([]), g)] + enumerate_candidates(
+                g, pairs, GenConfig(k=max(3, len(pairs)), max_changes=2,
+                                    max_candidates=60)).candidates
+            batched = model.score_candidates(g, cands).values[:, 0]
+            for cand, score in zip(cands, batched):
+                ref = reference_score(model, g, cand, variant).values[0, 0]
+                mismatches += int(ref.tobytes() != score.tobytes())
+                scored += 1
+    return CheckResult("ranker-batched", mismatches == 0,
+                       f"{mismatches} of {scored} batched scores differ from the "
+                       f"full-graph reference")
 
 
 def comparison_form_suite(seed: int = 3, tol: float = 1e-10,
@@ -242,7 +286,6 @@ def comparison_form_suite(seed: int = 3, tol: float = 1e-10,
 
 def enumeration_suite(n_instances: int = 20, seed: int = 9) -> CheckResult:
     """Pruned enumeration equals generate-then-filter on small instances."""
-    from .candgen import enumerate_candidates
     rng = np.random.default_rng(seed)
     mismatches = 0
     done = 0
@@ -269,4 +312,5 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
     results.append(comparison_form_suite(seed=seed + 3))
     results.append(enumeration_suite(seed=seed + 9))
     results.extend(gradient_suite(seed=seed + 5))
+    results.append(batched_ranker_suite(seed=seed + 13))
     return results

@@ -20,16 +20,17 @@ already equals the hidden size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import diffengine as de
-from .chemgraph import (BOND_FEATURE_DIM, MolGraph, atom_feature_matrix,
-                        bond_feature_matrix)
+from .chemgraph import (ATOM_FEATURE_DIM, BOND_FEATURE_DIM, CHARGE_SLOTS, MolGraph,
+                        atom_features, bond_features)
 from .diffengine import DTensor, ParamStore
 
 __all__ = ["GraphInputs", "WLNParams", "embed_atoms", "embed_from_features",
-           "embed_graph", "graph_inputs"]
+           "embed_graph", "graph_inputs", "union_inputs"]
 
 _ACTIVATIONS = {"relu": de.relu, "tanh": de.tanh}
 
@@ -126,18 +127,36 @@ class GraphInputs:
 
 
 def graph_inputs(g: MolGraph, include_charge: bool = False) -> GraphInputs:
-    bond_feats = bond_feature_matrix(g)
-    src = np.empty(2 * g.n_bonds, dtype=np.intp)
-    dst = np.empty(2 * g.n_bonds, dtype=np.intp)
-    edge_feats = np.empty((2 * g.n_bonds, BOND_FEATURE_DIM))
-    for bi, bond in enumerate(g.bonds):
-        src[2 * bi], dst[2 * bi] = bond.u, bond.v
-        src[2 * bi + 1], dst[2 * bi + 1] = bond.v, bond.u
-        edge_feats[2 * bi] = bond_feats[bi]
-        edge_feats[2 * bi + 1] = bond_feats[bi]
-    return GraphInputs(g.n_atoms, src, dst,
-                       de.constant(atom_feature_matrix(g, include_charge)),
-                       de.constant(edge_feats))
+    return union_inputs([(g, range(g.n_atoms))], include_charge)
+
+
+def union_inputs(parts: Iterable[tuple[MolGraph, Sequence[int]]],
+                 include_charge: bool = False) -> GraphInputs:
+    """Inputs for the disjoint union of ``(graph, atoms)`` parts.
+
+    Each part contributes the listed atoms of its graph, in order, numbered
+    after the previous parts' atoms. The atoms must form whole connected
+    components, so no bond leaves a part; messages never cross parts and
+    every atom embeds exactly as it would in its own graph.
+    """
+    feats: list[np.ndarray] = []
+    src: list[int] = []
+    dst: list[int] = []
+    edge_feats: list[np.ndarray] = []
+    for g, atoms in parts:
+        local = {a: len(feats) + i for i, a in enumerate(atoms)}
+        feats.extend(atom_features(g, a, include_charge) for a in atoms)
+        for bi, bond in enumerate(g.bonds):
+            if bond.u in local:
+                u, v = local[bond.u], local[bond.v]
+                src += (u, v)
+                dst += (v, u)
+                edge_feats += [bond_features(g, bi)] * 2
+    atom_dim = ATOM_FEATURE_DIM + (CHARGE_SLOTS if include_charge else 0)
+    return GraphInputs(
+        len(feats), np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
+        de.constant(np.array(feats).reshape(len(feats), atom_dim)),
+        de.constant(np.array(edge_feats).reshape(len(src), BOND_FEATURE_DIM)))
 
 
 def embed_from_features(gi: GraphInputs, x: DTensor, p: WLNParams) -> DTensor:

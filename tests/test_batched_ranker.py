@@ -1,0 +1,119 @@
+"""Property tests: batched, component-local candidate scores equal the
+full-graph per-candidate reference bitwise, and their loss gradients match."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from helpers import permute_graph
+from rxnpred import diffengine as de
+from rxnpred.candgen import Candidate, EditSet, GenConfig, enumerate_candidates
+from rxnpred.chemgraph import BondType, make_graph
+from rxnpred.datagen import random_molecule
+from rxnpred.ranker import MAX_UNION_CANDIDATES, RankerModel, rank_candidates, rank_loss
+from rxnpred.selfcheck import batched_ranker_suite, reference_score
+
+VARIANTS = ("wln", "wldn")
+
+
+def merge(graphs):
+    atoms, bonds, offset = [], [], 0
+    for g in graphs:
+        atoms += g.atoms
+        bonds += [(b.u + offset, b.v + offset, b.bond_type) for b in g.bonds]
+        offset += g.n_atoms
+    return make_graph(atoms, bonds)
+
+
+@st.composite
+def instances(draw):
+    """Reactants with spectator components and a candidate list holding an
+    empty edit, a component-splitting bond deletion and enumerated edits,
+    possibly repeated past one union pass, under a random atom permutation."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    core = random_molecule(rng, n_atoms=draw(st.integers(3, 9)), allow_curated=False)
+    spectators = [random_molecule(rng) for _ in range(draw(st.integers(0, 3)))]
+    g = merge([core] + spectators)
+    n = g.n_atoms
+    all_pairs = [(u, v) for u in range(core.n_atoms) for v in range(u + 1, n)]
+    picks = draw(st.lists(st.sampled_from(all_pairs), min_size=1, max_size=4, unique=True))
+    bridges = [b for b in g.bonds if not b.in_ring]
+    assume(bridges)
+    bridge = bridges[0]
+    edit_sets = [EditSet.of([]), EditSet.of([(bridge.u, bridge.v, BondType.NONE)])]
+    edit_sets += enumerate_candidates(g, picks, GenConfig(k=4, max_changes=2,
+                                                          max_candidates=40)).edit_sets()
+    edit_sets *= draw(st.sampled_from([1, 1, MAX_UNION_CANDIDATES // 2 + 1]))
+    perm = [int(i) for i in draw(st.permutations(range(n)))]
+    pg = permute_graph(g, perm)
+    cands = [Candidate(EditSet.of([(perm[e.u], perm[e.v], e.bond_type) for e in es]), pg)
+             for es in edit_sets]
+    model_args = dict(hidden=draw(st.integers(2, 8)), depth=draw(st.integers(1, 3)),
+                      seed=draw(st.integers(0, 1000)),
+                      include_charge=draw(st.booleans()),
+                      activation=draw(st.sampled_from(["relu", "tanh"])))
+    return pg, cands, model_args
+
+
+def bits(values):
+    return np.ascontiguousarray(values).tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(instances())
+def test_batched_scores_equal_full_graph_reference(instance):
+    g, cands, model_args = instance
+    split = cands[1].product
+    assert split.n_components == g.n_components + 1
+    for variant in VARIANTS:
+        model = RankerModel.create(variant, **model_args)
+        reference = np.array([reference_score(model, g, c, variant).item() for c in cands])
+        batched = model.score_candidates(g, cands).values[:, 0]
+        assert bits(batched) == bits(reference)
+        assert model.score_candidate(g, cands[0]).item() == 0.0
+        with de.no_grad():
+            assert bits(model.score_candidates(g, cands).values[:, 0]) == bits(reference)
+
+
+def gradients(model, loss):
+    model.store.zero_grads()
+    de.backward(loss)
+    return {name: model.store[name].grad for name in model.store.names()}
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(instances(), st.integers(0, 10 ** 6))
+def test_batched_loss_gradients_match_per_candidate(instance, pick):
+    g, cands, model_args = instance
+    target = pick % len(cands)
+    for variant in VARIANTS:
+        model = RankerModel.create(variant, **model_args)
+        batched = gradients(model, rank_loss(model.score_candidates(g, cands), target))
+        reference = gradients(model, rank_loss(
+            de.stack_rows([reference_score(model, g, c, variant) for c in cands]), target))
+        for name, ref in reference.items():
+            got = batched[name]
+            assert (got is None) == (ref is None), name
+            if ref is not None:
+                scale = max(np.abs(ref).max(), np.abs(got).max())
+                assert np.abs(got - ref).max() <= 1e-12 * scale, name
+
+
+def test_rank_candidates_keeps_no_graph_and_matches_training_scores():
+    g = merge([random_molecule(np.random.default_rng(s), n_atoms=6, allow_curated=False)
+               for s in (1, 2)])
+    pairs = [(b.u, b.v) for b in g.bonds][:4]
+    cands = enumerate_candidates(g, pairs, GenConfig(k=4, max_changes=2)).candidates
+    model = RankerModel.create("wldn", hidden=6, depth=2, seed=3)
+    expected = model.score_candidates(g, cands).values[:, 0]
+    ranked = rank_candidates(g, cands, model)
+    assert bits([c.score for c in cands]) == bits(expected)
+    assert [c.score for c in ranked] == sorted(expected, reverse=True)
+    with de.no_grad():
+        scores = model.score_candidates(g, cands)
+    assert not scores._parents and scores._bwd is None
+
+
+def test_selfcheck_batched_suite_passes():
+    result = batched_ranker_suite(seed=2)
+    assert result.passed, result.detail

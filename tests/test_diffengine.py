@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,41 @@ class TestOpGradients:
         assert parts[2].grad.tolist() == [[4.0, 5.0]]
 
 
+    def test_stack_rows_accepts_multi_row_parts(self):
+        parts = [de.DTensor(np.ones((r, 2)), requires_grad=True) for r in (2, 1, 3)]
+        stacked = de.stack_rows(parts)
+        assert stacked.shape == (6, 2)
+        de.backward(de.dot(stacked, de.constant(np.arange(12.0).reshape(6, 2))))
+        assert parts[0].grad.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+        assert parts[2].grad.tolist() == [[6.0, 7.0], [8.0, 9.0], [10.0, 11.0]]
+        with pytest.raises(de.ShapeError):
+            de.stack_rows([de.constant(np.ones((1, 2))), de.constant(np.ones((1, 3)))])
+
+
+class TestNoGrad:
+    def test_records_no_graph_and_restores(self):
+        w = de.DTensor(np.ones((2, 2)), requires_grad=True)
+        x = de.constant(np.eye(2))
+        with de.no_grad():
+            y = de.relu(de.matmul(x, w))
+            with de.no_grad():
+                pass
+            z = de.matmul(x, w)
+        assert not y._parents and y._bwd is None and not z._parents
+        assert np.array_equal(y.values, np.ones((2, 2)))
+        after = de.matmul(x, w)
+        assert after._parents
+        de.backward(de.dot(after, de.constant(np.ones((2, 2)))))
+        assert w.grad is not None
+
+    def test_restores_after_exception(self):
+        w = de.DTensor(np.ones((1, 1)), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with de.no_grad():
+                raise RuntimeError
+        assert de.scale(w, 2.0)._parents
+
+
 class TestBackwardBehavior:
     def test_linear_gradient_exact(self):
         store = de.ParamStore()
@@ -212,6 +248,36 @@ class TestOrderInvariance:
             perm = rng.permutation(12)
             other = de.segment_sum(de.constant(vals[perm]), seg[perm], 4).values
             assert np.array_equal(base, other)
+
+    def test_segment_sum_equals_per_segment_loop(self):
+        def reference(vals, seg, n):
+            # the per-segment loop segment_sum replaced: one value-sorted
+            # column sum per nonempty segment
+            out = np.zeros((n, vals.shape[1]))
+            order = np.argsort(seg, kind="stable")
+            sorted_seg = seg[order]
+            bounds = np.flatnonzero(np.diff(sorted_seg)) + 1
+            for s, e in zip(np.concatenate([[0], bounds]), np.concatenate([bounds, [seg.size]])):
+                if s < e:
+                    block = vals[order[s:e]]
+                    out[sorted_seg[s]] = (block.sum(axis=0) if block.shape[0] <= 1
+                                          else np.sort(block, axis=0).sum(axis=0))
+            return out
+
+        rng = np.random.default_rng(12)
+        for trial in range(3000):
+            n = int(rng.integers(1, 10))
+            rows = int(rng.integers(0, 40 if trial % 10 else 400))
+            cols = int(rng.choice([1, 1, 2, 3, 8]))
+            seg = rng.integers(0, n, size=rows)     # leaves some segments empty
+            vals = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-8, 9, size=(rows, cols))
+            u = rng.random((rows, cols))
+            vals[u < 0.15] = 0.0
+            vals[(u >= 0.15) & (u < 0.3)] = -0.0
+            if trial % 3 == 0:
+                vals[rng.random((rows, cols)) < 0.03] = np.nan
+            got = de.segment_sum(de.constant(vals.reshape(rows, cols)), seg, n).values
+            assert got.tobytes() == reference(vals, seg, n).tobytes(), trial
 
     def test_sum_rows_row_order(self):
         rng = np.random.default_rng(4)
@@ -325,6 +391,34 @@ class TestCheckpoints:
         bad.write_text("REXGEN-CKPT v1\nw 2 2\n1.0 2.0\n3.0\n")
         with pytest.raises(ValueError):
             de.ParamStore.load(bad)
+
+    def test_truncated_checkpoint_names_file_and_line(self, tmp_path):
+        from rxnpred.ranker import RankerModel
+        path = tmp_path / "ranker.ckpt"
+        RankerModel.create("wldn", hidden=4, depth=1, seed=0).save(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-3]) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{len(lines) - 2}: truncated")):
+            de.ParamStore.load(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.ckpt"
+        path.write_text(f"REXGEN-CKPT v1\nw 2 2\n1.0 2.0\n3.0 {bad}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: non-finite")):
+            de.ParamStore.load(path)
+
+    def test_negative_shape_rejected(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_text("REXGEN-CKPT v1\nw -1 2\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: bad tensor header")):
+            de.ParamStore.load(path)
+
+    def test_unparsable_value_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_text("REXGEN-CKPT v1\nw 1 2\n1.0 x\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: bad value")):
+            de.ParamStore.load(path)
 
     def test_duplicate_and_bad_names_rejected(self):
         store = de.ParamStore()

@@ -251,12 +251,9 @@ class TestEvaluate:
         assert records and len(records) < len(all_records)
 
         class OracleRanker:
-            def embed_reactants(self, g):
-                return None
-
-            def score_candidate(self, g, cand, reactant_embedding=None, variant=None):
+            def score_candidates(self, g, cands, variant=None):
                 truth = next(r.true_edits for r in all_records if r.reactants is g)
-                return de.constant([[1.0 if cand.edits == truth else 0.0]])
+                return de.constant([[1.0 if c.edits == truth else 0.0] for c in cands])
 
         cfg = RunConfig(k=6, augment_truth=False)
         report = evaluate(records, center, OracleRanker(), cfg)
@@ -271,17 +268,12 @@ class TestEvaluate:
         targets = {id(r): rank for r, rank in zip(records, (1, 2, 4))}
 
         class RiggedRanker:
-            def embed_reactants(self, g):
-                return None
-
-            def score_candidate(self, g, cand, reactant_embedding=None, variant=None):
+            def score_candidates(self, g, cands, variant=None):
                 rec = next(r for r in records if r.reactants is g)
                 target = targets[id(rec)]
-                if cand.edits == rec.true_edits:
-                    return de.constant([[-(target - 0.5)]])
-                count = getattr(rec, "_counter", 0) + 1
-                rec._counter = count
-                return de.constant([[-float(count)]])
+                others = iter(range(1, len(cands) + 1))
+                return de.constant([[-(target - 0.5) if c.edits == rec.true_edits
+                                     else -float(next(others))] for c in cands])
 
         cfg = RunConfig(k=6, augment_truth=True)
         report = evaluate(records, center, RiggedRanker(), cfg)

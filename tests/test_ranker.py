@@ -120,10 +120,7 @@ class TestRankLoss:
         losses = []
         for _ in range(30):
             model.store.zero_grads()
-            c_r = model.embed_reactants(g)
-            scores = de.stack_rows([model.score_candidate(g, c, reactant_embedding=c_r)
-                                    for c in cands])
-            loss = rank_loss(scores, 0)
+            loss = rank_loss(model.score_candidates(g, cands), 0)
             losses.append(loss.item())
             de.backward(loss)
             de.adam_step(model.store, adam)
@@ -134,11 +131,8 @@ class TestRankLoss:
 class TestRanking:
     def test_stable_order_on_equal_scores(self):
         class FlatModel:
-            def embed_reactants(self, g):
-                return None
-
-            def score_candidate(self, g, cand, reactant_embedding=None, variant=None):
-                return de.constant([[1.0]])
+            def score_candidates(self, g, cands, variant=None):
+                return de.constant(np.ones((len(cands), 1)))
 
         g = parse_smiles("CCO")
         cands = [Candidate(EditSet.of([(0, 1, BondType.NONE)]), g),

@@ -327,8 +327,9 @@ def segment_sum(a: DTensor, segments: Sequence[int] | np.ndarray, n_segments: in
         starts = np.cumsum(counts) - counts
         for size in np.unique(counts[counts > 0]):
             ids = np.flatnonzero(counts == size)
-            rows = order[starts[ids][:, None] + np.arange(size)]
-            out[ids] = np.sort(a.values[rows], axis=1).sum(axis=1)
+            block = a.values[order[starts[ids][:, None] + np.arange(size)]]
+            block.sort(axis=1)
+            out[ids] = block.sum(axis=1)
 
     def bwd(g: np.ndarray) -> None:
         if _need(a):

@@ -178,10 +178,11 @@ def embed_from_features(gi: GraphInputs, x: DTensor, p: WLNParams) -> DTensor:
             msg = act(de.mul(de.matmul(h_src, p.vh), de.matmul(fe, p.vf)))
         neigh = de.segment_sum(msg, gi.dst, gi.n_atoms)
         h = act(de.add(de.matmul(h, p.u1), de.matmul(neigh, p.u2)))
-    h_u = de.gather_rows(h, gi.src)
-    h_v = de.gather_rows(h, gi.dst)
-    compared = de.mul(de.mul(de.matmul(h_u, p.w0), de.matmul(fe, p.w1)),
-                      de.matmul(h_v, p.w2))
+    # One expression, so that under no_grad each edge-sized temporary is
+    # freed as soon as it is used.
+    compared = de.mul(de.mul(de.matmul(de.gather_rows(h, gi.src), p.w0),
+                             de.matmul(fe, p.w1)),
+                      de.matmul(de.gather_rows(h, gi.dst), p.w2))
     return de.segment_sum(compared, gi.dst, gi.n_atoms)
 
 

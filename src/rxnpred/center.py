@@ -27,9 +27,7 @@ __all__ = [
     "Reaction",
     "center_loss",
     "coverage",
-    "global_scores",
     "label_pairs",
-    "local_scores",
     "pair_feature_matrix",
     "reaction_edits",
     "top_k_pairs",
@@ -60,8 +58,19 @@ class PairLabels:
             m[u, v] = m[v, u] = True
         return m
 
-    def vector(self, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-        return np.array([1.0 if p in self.positive else 0.0 for p in pairs]).reshape(-1, 1)
+    def vector(self, pairs: Sequence[tuple[int, int]] | np.ndarray) -> np.ndarray:
+        """(m, 1) column: 1.0 where ``(u, v)`` is a positive pair with u < v."""
+        idx = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        upper = np.triu(self.matrix(), 1)
+        return upper[idx[:, 0], idx[:, 1]].astype(np.float64).reshape(-1, 1)
+
+
+def _bond_types(g: MolGraph) -> np.ndarray:
+    """(n, n) matrix of ``BondType`` values; NONE (0) wherever no bond is."""
+    m = np.zeros((g.n_atoms, g.n_atoms), dtype=np.intp)
+    for b in g.bonds:
+        m[b.u, b.v] = m[b.v, b.u] = b.bond_type.value
+    return m
 
 
 def _pair_changes(rxn: Reaction) -> dict[tuple[int, int], BondType]:
@@ -79,23 +88,21 @@ def _pair_changes(rxn: Reaction) -> dict[tuple[int, int], BondType]:
             raise ValueError(f"product atom {i} has no map number")
         if atom.map_number not in r_map:
             raise ValueError(f"product map {atom.map_number} missing from reactants")
-    to_product = {ri: p_map[m] for m, ri in r_map.items() if m in p_map}
+    shared = [m for m in r_map if m in p_map]
+    r_idx = np.array([r_map[m] for m in shared], dtype=np.intp)
+    p_idx = np.array([p_map[m] for m in shared], dtype=np.intp)
 
-    changed: dict[tuple[int, int], BondType] = {}
     n = rxn.reactants.n_atoms
-    for u in range(n):
-        for v in range(u + 1, n):
-            r_type = rxn.reactants.bond_type_between(u, v)
-            pu, pv = to_product.get(u), to_product.get(v)
-            if pu is not None and pv is not None:
-                p_type = rxn.product.bond_type_between(pu, pv)
-            elif pu is None and pv is None:
-                continue
-            else:
-                p_type = BondType.NONE
-            if p_type is not r_type:
-                changed[(u, v)] = p_type
-    return changed
+    # Product-side type per reactant pair; a pair with one atom outside the
+    # product keeps NONE (its bond broke).
+    p_type = np.zeros((n, n), dtype=np.intp)
+    p_type[r_idx[:, None], r_idx] = _bond_types(rxn.product)[p_idx[:, None], p_idx]
+    in_product = np.zeros(n, dtype=bool)
+    in_product[r_idx] = True
+    us, vs = np.nonzero((in_product[:, None] | in_product)
+                        & (p_type != _bond_types(rxn.reactants)))
+    return {(u, v): BondType(int(p_type[u, v]))
+            for u, v in zip(us.tolist(), vs.tolist()) if u < v}
 
 
 def label_pairs(rxn: Reaction) -> PairLabels:
@@ -110,18 +117,26 @@ def reaction_edits(rxn: Reaction) -> EditSet:
     return EditSet.of(BondEdit(u, v, t) for (u, v), t in changed.items())
 
 
-def upper_pairs(n: int) -> list[tuple[int, int]]:
-    """Canonical unordered pair order: (0,1), (0,2), ..., (n-2, n-1)."""
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
+def upper_pairs(n: int) -> np.ndarray:
+    """Canonical unordered pair order as an (n(n-1)/2, 2) index array:
+    (0,1), (0,2), ..., (n-2, n-1)."""
+    r = np.arange(n)
+    return np.argwhere(r[:, None] < r)
 
 
-def pair_feature_matrix(g: MolGraph, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Per-pair features: bond type between the atoms + same-molecule flag."""
-    out = np.zeros((len(pairs), PAIR_FEATURE_DIM))
-    for k, (u, v) in enumerate(pairs):
-        bt = BondType.NONE if u == v else g.bond_type_between(u, v)
-        out[k, bt.value] = 1.0
-        out[k, 5] = 1.0 if g.component[u] == g.component[v] else 0.0
+def pair_feature_matrix(g: MolGraph,
+                        pairs: Sequence[tuple[int, int]] | np.ndarray) -> np.ndarray:
+    """Per-pair features: bond type between the atoms + same-molecule flag.
+
+    ``pairs`` is a list of (u, v) tuples or an (m, 2) index array; a self
+    pair has bond type NONE.
+    """
+    idx = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    us, vs = idx[:, 0], idx[:, 1]
+    out = np.zeros((len(idx), PAIR_FEATURE_DIM))
+    out[np.arange(len(idx)), _bond_types(g)[us, vs]] = 1.0
+    comp = np.asarray(g.component, dtype=np.intp)
+    out[:, 5] = comp[us] == comp[vs]
     return out
 
 
@@ -192,39 +207,36 @@ class CenterModel:
     def _act(self, t: DTensor) -> DTensor:
         return de.relu(t) if self.activation == "relu" else de.tanh(t)
 
-    def _head(self, cu: DTensor, cv: DTensor, bf: DTensor,
+    def _head(self, c: DTensor, us: np.ndarray, vs: np.ndarray, bf: DTensor,
               ma: str, mb: str, bias: str, u: str) -> DTensor:
+        """Sigmoid scores of the pairs (us[i], vs[i]) over atom vectors ``c``."""
         s = self.store
-        z = de.add(de.add(de.matmul(cu, s[ma]), de.matmul(cv, s[ma])),
+        z = de.add(de.add(de.gather_matmul(c, s[ma], us), de.gather_matmul(c, s[ma], vs)),
                    de.matmul(bf, s[mb]))
         z = de.add(z, s[bias])
         return de.sigmoid(de.matmul(self._act(z), s[u]))
 
-    def pair_scores(self, g: MolGraph) -> tuple[DTensor, list[tuple[int, int]]]:
-        """Scores for all unordered pairs as an (n_pairs, 1) tensor."""
+    def pair_scores(self, g: MolGraph) -> tuple[DTensor, np.ndarray]:
+        """Scores for all unordered pairs as an (n_pairs, 1) tensor, with the
+        pairs as :func:`upper_pairs` orders them."""
         pairs = upper_pairs(g.n_atoms)
         gi = graph_inputs(g, self.include_charge)
         c = embed_from_features(gi, gi.features, self.wln)
-        if not pairs:
+        if not len(pairs):
             return de.constant(np.zeros((0, 1))), pairs
         if self.variant == "global":
             c = self._attention_context(g, c)[0]
-        us = np.fromiter((p[0] for p in pairs), dtype=np.intp)
-        vs = np.fromiter((p[1] for p in pairs), dtype=np.intp)
         bf = de.constant(pair_feature_matrix(g, pairs))
-        scores = self._head(de.gather_rows(c, us), de.gather_rows(c, vs), bf,
+        scores = self._head(c, pairs[:, 0], pairs[:, 1], bf,
                             "score.Ma", "score.Mb", "score.bias", "score.u")
         return scores, pairs
 
     def _attention_context(self, g: MolGraph, c: DTensor) -> tuple[DTensor, DTensor]:
         """Context vectors (n, hidden) and the attention matrix (n, n)."""
         n = g.n_atoms
-        ordered = [(u, v) for u in range(n) for v in range(n)]
-        us = np.fromiter((p[0] for p in ordered), dtype=np.intp)
-        vs = np.fromiter((p[1] for p in ordered), dtype=np.intp)
-        bf = de.constant(pair_feature_matrix(g, ordered))
-        alpha = self._head(de.gather_rows(c, us), de.gather_rows(c, vs), bf,
-                           "att.Pa", "att.Pb", "att.bias", "att.u")
+        us, vs = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        bf = de.constant(pair_feature_matrix(g, np.stack((us, vs), axis=1)))
+        alpha = self._head(c, us, vs, bf, "att.Pa", "att.Pb", "att.bias", "att.u")
         alpha_mat = de.reshape(alpha, n, n)
         return de.matmul(alpha_mat, c), alpha_mat
 
@@ -232,38 +244,27 @@ class CenterModel:
 
     def score_matrix(self, g: MolGraph) -> np.ndarray:
         """Symmetric score matrix with a zero diagonal."""
-        scores, pairs = self.pair_scores(g)
+        with de.no_grad():
+            scores, pairs = self.pair_scores(g)
         return scores_to_matrix(scores.values, pairs, g.n_atoms)
 
     def attention_map(self, g: MolGraph) -> np.ndarray:
         if self.variant != "global":
             raise ValueError("attention is only defined for the global variant")
-        gi = graph_inputs(g, self.include_charge)
-        c = embed_from_features(gi, gi.features, self.wln)
-        return self._attention_context(g, c)[1].values.copy()
+        with de.no_grad():
+            gi = graph_inputs(g, self.include_charge)
+            c = embed_from_features(gi, gi.features, self.wln)
+            return self._attention_context(g, c)[1].values.copy()
 
 
-def scores_to_matrix(values: np.ndarray, pairs: Sequence[tuple[int, int]],
-                     n: int) -> np.ndarray:
+def scores_to_matrix(values: np.ndarray,
+                     pairs: Sequence[tuple[int, int]] | np.ndarray, n: int) -> np.ndarray:
     m = np.zeros((n, n))
+    idx = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     flat = values.reshape(-1)
-    for k, (u, v) in enumerate(pairs):
-        m[u, v] = m[v, u] = flat[k]
+    m[idx[:, 0], idx[:, 1]] = flat
+    m[idx[:, 1], idx[:, 0]] = flat
     return m
-
-
-def local_scores(g: MolGraph, model: CenterModel) -> np.ndarray:
-    """Symmetric pair-score matrix from a local-variant model."""
-    if model.variant != "local":
-        raise ValueError("local_scores needs a local-variant model")
-    return model.score_matrix(g)
-
-
-def global_scores(g: MolGraph, model: CenterModel) -> tuple[np.ndarray, np.ndarray]:
-    """(score matrix, attention map) from a global-variant model."""
-    if model.variant != "global":
-        raise ValueError("global_scores needs a global-variant model")
-    return model.score_matrix(g), model.attention_map(g)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +279,7 @@ def center_loss(scores: DTensor | np.ndarray, labels: PairLabels) -> DTensor:
     """
     pairs = upper_pairs(labels.n_atoms)
     if isinstance(scores, np.ndarray):
-        scores = de.constant(np.array([scores[u, v] for u, v in pairs]).reshape(-1, 1))
+        scores = de.constant(scores[pairs[:, 0], pairs[:, 1]].reshape(-1, 1))
     if scores.shape != (len(pairs), 1):
         raise de.ShapeError(f"expected {(len(pairs), 1)} scores, got {scores.shape}")
     y = de.constant(labels.vector(pairs))
@@ -291,14 +292,20 @@ def center_loss(scores: DTensor | np.ndarray, labels: PairLabels) -> DTensor:
 def top_k_pairs(scores: np.ndarray, k: int) -> list[tuple[int, int]]:
     """Top-K unordered pairs by score; ties break lexicographically by index.
 
-    Asking for more pairs than exist returns them all.
+    Asking for more pairs than exist returns them all. A shorter ``k`` gets a
+    prefix of a longer one's list. Non-finite scores raise ``ValueError``,
+    since they have no place in the order.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = scores.shape[0]
-    ranked = sorted(((u, v) for u in range(n) for v in range(u + 1, n)),
-                    key=lambda p: (-scores[p[0], p[1]], p[0], p[1]))
-    return ranked[:k]
+    pairs = upper_pairs(scores.shape[0])
+    s = scores[pairs[:, 0], pairs[:, 1]]
+    if not np.isfinite(s).all():
+        raise ValueError("top_k_pairs: non-finite pair score")
+    # upper_pairs lists pairs lexicographically, so a stable sort on the
+    # score alone breaks ties by index.
+    top = np.argsort(-s, kind="stable")[:k]
+    return [tuple(p) for p in pairs[top].tolist()]
 
 
 def coverage(predicted: Iterable[tuple[int, int]], truth: PairLabels) -> bool:

@@ -32,6 +32,7 @@ __all__ = [
     "concat_cols",
     "constant",
     "dot",
+    "gather_matmul",
     "gather_rows",
     "grad_check",
     "log",
@@ -303,6 +304,31 @@ def gather_rows(a: DTensor, indices: Sequence[int] | np.ndarray) -> DTensor:
             a.accumulate(acc)
 
     return _track(a.values[idx].reshape(len(idx), a.shape[1]), (a,), bwd)
+
+
+def gather_matmul(a: DTensor, w: DTensor, indices: Sequence[int] | np.ndarray) -> DTensor:
+    """Rows ``indices`` of ``a @ w``, projecting each row of ``a`` once.
+
+    Values and gradients are bitwise equal to
+    ``matmul(gather_rows(a, indices), w)``: :func:`_mm` computes every output
+    row on its own, and the backward pass repeats that pair's arithmetic.
+    """
+    if a.shape[1] != w.shape[0]:
+        raise ShapeError(f"gather_matmul: inner dims differ, {a.shape} @ {w.shape}")
+    idx = np.asarray(indices, dtype=np.intp).reshape(-1)
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise ShapeError(f"gather_matmul: index out of range for {a.shape[0]} rows")
+
+    def bwd(g: np.ndarray) -> None:
+        if _need(a):
+            acc = np.zeros_like(a.values)
+            np.add.at(acc, idx, _mm(g, w.values.T))
+            a.accumulate(acc)
+        if _need(w):
+            w.accumulate(_mm(a.values[idx].T, g))
+
+    # The gathered rows are C-contiguous, so project a C-contiguous ``a`` too.
+    return _track(_mm(np.ascontiguousarray(a.values), w.values)[idx], (a, w), bwd)
 
 
 def segment_sum(a: DTensor, segments: Sequence[int] | np.ndarray, n_segments: int) -> DTensor:

@@ -76,6 +76,8 @@ class RunConfig:
                      "max_atoms", "max_candidates"):
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name} must be positive")
+        if any(k < 1 for k in self.eval_ks):
+            raise ValueError("config field eval_ks must hold positive values")
         if self.lr <= 0 or self.decay <= 0:
             raise ValueError("lr and decay must be positive")
 
@@ -604,11 +606,12 @@ def evaluate(records: list[ReactionRecord], center: CenterModel,
     n_cands: list[int] = []
     truncated = 0
     for rec in records:
-        matrix = center.score_matrix(rec.reactants)
+        # Shorter top-K lists are prefixes of the longest one.
+        ranked_pairs = top_k_pairs(center.score_matrix(rec.reactants), ks[-1])
         for k in ks:
-            if coverage(top_k_pairs(matrix, k), rec.labels):
+            if coverage(ranked_pairs[:k], rec.labels):
                 cover_hits[k] += 1
-        pairs = top_k_pairs(matrix, cfg.k)
+        pairs = ranked_pairs[:cfg.k]
         t0 = time.perf_counter()
         result = enumerate_candidates(rec.reactants, pairs, gen_cfg)
         latencies.append((time.perf_counter() - t0) * 1000.0)

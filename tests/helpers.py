@@ -16,6 +16,16 @@ def permute_graph(g: MolGraph, perm: list[int]) -> MolGraph:
     return make_graph(atoms, bonds)
 
 
+def merge(graphs: list[MolGraph]) -> MolGraph:
+    """Disjoint union of ``graphs``, atoms in the given order."""
+    atoms, bonds, offset = [], [], 0
+    for g in graphs:
+        atoms += g.atoms
+        bonds += [(b.u + offset, b.v + offset, b.bond_type) for b in g.bonds]
+        offset += g.n_atoms
+    return make_graph(atoms, bonds)
+
+
 def random_permutation(rng: np.random.Generator, n: int) -> list[int]:
     return [int(x) for x in rng.permutation(n)]
 

@@ -5,24 +5,15 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import permute_graph
+from helpers import merge, permute_graph
 from rxnpred import diffengine as de
 from rxnpred.candgen import Candidate, EditSet, GenConfig, enumerate_candidates
-from rxnpred.chemgraph import BondType, make_graph
+from rxnpred.chemgraph import BondType
 from rxnpred.datagen import random_molecule
 from rxnpred.ranker import MAX_UNION_CANDIDATES, RankerModel, rank_candidates, rank_loss
 from rxnpred.selfcheck import batched_ranker_suite, reference_score
 
 VARIANTS = ("wln", "wldn")
-
-
-def merge(graphs):
-    atoms, bonds, offset = [], [], 0
-    for g in graphs:
-        atoms += g.atoms
-        bonds += [(b.u + offset, b.v + offset, b.bond_type) for b in g.bonds]
-        offset += g.n_atoms
-    return make_graph(atoms, bonds)
 
 
 @st.composite

@@ -2,13 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import merge
 from rxnpred import diffengine as de
-from rxnpred.candgen import BondEdit
-from rxnpred.center import (CenterModel, PairLabels, Reaction, center_loss,
-                            coverage, label_pairs, pair_feature_matrix,
+from rxnpred.candgen import BondEdit, EditSet
+from rxnpred.center import (PAIR_FEATURE_DIM, CenterModel, PairLabels, Reaction,
+                            center_loss, coverage, label_pairs, pair_feature_matrix,
                             reaction_edits, top_k_pairs, upper_pairs)
-from rxnpred.chemgraph import BondType, parse_smiles
+from rxnpred.chemgraph import BondType, parse_smiles, write_smiles
+from rxnpred.datagen import random_molecule, random_reaction_line
+from rxnpred.pipeline import parse_reaction_line
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 
 def reaction(reactants, product):
@@ -19,6 +26,39 @@ def by_maps(g, *pairs):
     """Translate map-number pairs into index pairs."""
     m = g.map_to_index()
     return {(min(m[a], m[b]), max(m[a], m[b])) for a, b in pairs}
+
+
+def loop_pair_changes(rxn):
+    """The per-pair loop that labels and true edits came from, kept as the
+    reference for the bond-type-matrix version."""
+    r_map = rxn.reactants.map_to_index()
+    p_map = rxn.product.map_to_index()
+    to_product = {ri: p_map[m] for m, ri in r_map.items() if m in p_map}
+    changed = {}
+    n = rxn.reactants.n_atoms
+    for u in range(n):
+        for v in range(u + 1, n):
+            r_type = rxn.reactants.bond_type_between(u, v)
+            pu, pv = to_product.get(u), to_product.get(v)
+            if pu is not None and pv is not None:
+                p_type = rxn.product.bond_type_between(pu, pv)
+            elif pu is None and pv is None:
+                continue
+            else:
+                p_type = BondType.NONE
+            if p_type is not r_type:
+                changed[(u, v)] = p_type
+    return changed
+
+
+def loop_pair_features(g, pairs):
+    """Per-pair reference for :func:`pair_feature_matrix`."""
+    out = np.zeros((len(pairs), PAIR_FEATURE_DIM))
+    for k, (u, v) in enumerate(pairs):
+        bt = BondType.NONE if u == v else g.bond_type_between(u, v)
+        out[k, bt.value] = 1.0
+        out[k, 5] = 1.0 if g.component[u] == g.component[v] else 0.0
+    return out
 
 
 class TestLabels:
@@ -65,6 +105,19 @@ class TestLabels:
         with pytest.raises(ValueError):
             label_pairs(rxn)
 
+    @PROPERTY
+    @given(seed=st.integers(0, 2 ** 32 - 1), spectators=st.integers(0, 3))
+    def test_labels_and_edits_equal_loop_reference(self, seed, spectators):
+        rng = np.random.default_rng(seed)
+        reactants, _, product = random_reaction_line(rng).split(">")
+        reagents = ".".join(write_smiles(random_molecule(rng)) for _ in range(spectators))
+        rec = parse_reaction_line(f"{reactants}>{reagents}>{product}")
+        rxn = Reaction(rec.reactants, rec.product)
+        expected = loop_pair_changes(rxn)
+        assert label_pairs(rxn) == PairLabels(rxn.reactants.n_atoms, frozenset(expected))
+        assert reaction_edits(rxn) == EditSet.of(
+            BondEdit(u, v, t) for (u, v), t in expected.items())
+
     def test_matrix_symmetry(self):
         rxn = reaction("[CH3:1][Cl:2].[NH2:3][CH3:4]", "[CH3:1][NH:3][CH3:4]")
         m = label_pairs(rxn).matrix()
@@ -79,6 +132,18 @@ class TestPairFeatures:
         assert feats[0].tolist() == [0, 1, 0, 0, 0, 1]  # bonded, same molecule
         assert feats[1].tolist() == [1, 0, 0, 0, 0, 0]  # no bond, different
         assert feats[2].tolist() == [1, 0, 0, 0, 0, 1]  # self pair: none + same
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2 ** 32 - 1), parts=st.integers(1, 4))
+    def test_equal_to_loop_reference(self, seed, parts):
+        rng = np.random.default_rng(seed)
+        g = merge([random_molecule(rng) for _ in range(parts)])
+        pairs = [(u, v) for u in range(g.n_atoms) for v in range(g.n_atoms)]
+        expected = loop_pair_features(g, pairs)
+        assert pair_feature_matrix(g, pairs).tobytes() == expected.tobytes()
+        assert pair_feature_matrix(g, np.array(pairs)).tobytes() == expected.tobytes()
+        upper = upper_pairs(g.n_atoms)
+        assert [tuple(p) for p in upper.tolist()] == [p for p in pairs if p[0] < p[1]]
 
     def test_symmetric_in_pair_order(self):
         g = parse_smiles("C=CC")
@@ -107,8 +172,8 @@ class TestScoring:
         g = parse_smiles("CC")
         pairs = upper_pairs(2)
         bf = pair_feature_matrix(g, pairs)
-        zero = de.constant(np.zeros((len(pairs), model.hidden)))
-        got = model._head(zero, zero, de.constant(bf),
+        zero = de.constant(np.zeros((g.n_atoms, model.hidden)))
+        got = model._head(zero, pairs[:, 0], pairs[:, 1], de.constant(bf),
                           "score.Ma", "score.Mb", "score.bias", "score.u").values
         z = np.maximum(bf @ model.store["score.Mb"].values
                        + model.store["score.bias"].values, 0.0)
@@ -123,6 +188,16 @@ class TestScoring:
         c = embed_from_features(gi, gi.features, model.wln)
         context, alpha = model._attention_context(g, c)
         assert np.allclose(context.values, alpha.values[0, 0] * c.values, atol=1e-15)
+
+    def test_inference_records_no_graph(self, monkeypatch):
+        heads = []
+        sigmoid = de.sigmoid
+        monkeypatch.setattr(de, "sigmoid", lambda t: heads.append(sigmoid(t)) or heads[-1])
+        model = CenterModel.create("global", hidden=8, depth=2, seed=4)
+        g = parse_smiles("CC(=O)N.FB(F)F")
+        model.score_matrix(g)
+        model.attention_map(g)
+        assert len(heads) == 3 and not any(t._parents for t in heads)
 
     def test_attention_entries_in_unit_interval(self):
         model = CenterModel.create("global", hidden=8, depth=2, seed=4)
@@ -211,6 +286,40 @@ class TestTopKAndCoverage:
             ranked = sorted(((u, v) for u in range(n) for v in range(u + 1, n)),
                             key=lambda p: (-sym[p], p))
             assert got == ranked[:k]
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 150),
+           levels=st.integers(1, 5))
+    @example(seed=1, n=150, levels=1)
+    @example(seed=2, n=150, levels=5)
+    def test_agrees_with_sort_oracle_under_heavy_ties(self, seed, n, levels):
+        # few distinct values, signed zeros among them, read from the upper
+        # triangle of an asymmetric matrix
+        rng = np.random.default_rng(seed)
+        m = rng.choice(np.array([0.0, -0.0, 0.25, 1.0, -3.5, 0.25 + 1e-16])[:levels + 1],
+                       size=(n, n))
+        ranked = sorted(((u, v) for u in range(n) for v in range(u + 1, n)),
+                        key=lambda p: (-m[p], p))
+        last = len(ranked)
+        for k in {1, 2, 7, last // 2 + 1, max(last, 1), last + 3}:
+            assert top_k_pairs(m, k) == ranked[:k]
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 40),
+           k=st.integers(1, 900), extra=st.integers(0, 900))
+    def test_shorter_list_is_prefix_of_longer(self, seed, n, k, extra):
+        m = np.round(np.random.default_rng(seed).random((n, n)), 1)
+        assert top_k_pairs(m, k) == top_k_pairs(m, k + extra)[:k]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        m = np.full((4, 4), bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            top_k_pairs(m, 2)
+        m = np.full((4, 4), 0.5)
+        m[1, 3] = m[3, 1] = -bad
+        with pytest.raises(ValueError, match="non-finite"):
+            top_k_pairs(m, 2)
 
     def test_coverage_cases(self):
         empty = PairLabels(4, frozenset())

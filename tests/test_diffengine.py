@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rxnpred import diffengine as de
 
@@ -164,6 +166,46 @@ class TestOpGradients:
         assert parts[2].grad.tolist() == [[6.0, 7.0], [8.0, 9.0], [10.0, 11.0]]
         with pytest.raises(de.ShapeError):
             de.stack_rows([de.constant(np.ones((1, 2))), de.constant(np.ones((1, 3)))])
+
+
+class TestGatherMatmul:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 12),
+           inner=st.integers(1, 9), cols=st.integers(1, 9), m=st.integers(0, 40),
+           fortran=st.booleans())
+    def test_bitwise_equal_to_gather_then_matmul(self, seed, rows, inner, cols, m, fortran):
+        # Two projections of one (a, w) summed, as the center head uses them;
+        # indices repeat whenever m > rows and are empty at m == 0.
+        rng = np.random.default_rng(seed)
+        a0 = rng.normal(size=(rows, inner)) * (rng.random((rows, inner)) < 0.8)
+        a0[rng.random((rows, inner)) < 0.1] = -0.0
+        if fortran:
+            a0 = np.asfortranarray(a0)
+        w0 = rng.normal(size=(inner, cols))
+        iu, iv = rng.integers(0, rows, size=m), rng.integers(0, rows, size=m)
+        head = de.constant(rng.normal(size=(m, cols)))
+
+        def run(project):
+            a = de.DTensor(a0.copy(order="A"), requires_grad=True)
+            w = de.DTensor(w0.copy(), requires_grad=True)
+            out = de.add(project(a, w, iu), project(a, w, iv))
+            de.backward(de.dot(de.relu(out), head))
+            return [x.tobytes() for x in (out.values, a.grad, w.grad)]
+
+        fused = run(de.gather_matmul)
+        reference = run(lambda a, w, idx: de.matmul(de.gather_rows(a, idx), w))
+        assert fused == reference
+
+    def test_rejects_bad_shapes_and_indices(self):
+        a, w = de.constant(np.ones((3, 2))), de.constant(np.ones((2, 4)))
+        assert de.gather_matmul(a, w, [2, 2, 0]).shape == (3, 4)
+        assert de.gather_matmul(a, w, []).shape == (0, 4)
+        with pytest.raises(de.ShapeError):
+            de.gather_matmul(a, de.constant(np.ones((3, 4))), [0])
+        with pytest.raises(de.ShapeError):
+            de.gather_matmul(a, w, [3])
+        with pytest.raises(de.ShapeError):
+            de.gather_matmul(a, w, [-1])
 
 
 class TestNoGrad:

@@ -104,9 +104,9 @@ class Candidate:
 
 @dataclass
 class GenConfig:
-    """Enumeration knobs. ``max_changes`` bounds simultaneous edits."""
+    """Enumeration knobs. ``max_changes`` bounds simultaneous edits; the
+    number of pairs passed to :func:`enumerate_candidates` bounds them too."""
 
-    k: int = 6
     max_changes: int = 3
     alphabet: tuple[BondType, ...] = BOND_ALPHABET
     enforce_valence: bool = True
@@ -115,8 +115,8 @@ class GenConfig:
     max_candidates: int = 2000
 
     def __post_init__(self) -> None:
-        if not 1 <= self.max_changes <= self.k:
-            raise ValueError(f"need 1 <= max_changes <= k, got {self.max_changes}, {self.k}")
+        if self.max_changes < 1:
+            raise ValueError(f"max_changes must be >= 1, got {self.max_changes}")
         if self.max_candidates < 1:
             raise ValueError("max_candidates must be >= 1")
 

@@ -18,7 +18,7 @@ from . import diffengine as de
 from .candgen import BondEdit, EditSet
 from .chemgraph import ATOM_FEATURE_DIM, BondType, CHARGE_SLOTS, MolGraph
 from .diffengine import DTensor, ParamStore
-from .wln import WLNParams, embed_from_features, graph_inputs
+from .wln import WLNParams, activate, embed_from_features, graph_inputs
 
 __all__ = [
     "PAIR_FEATURE_DIM",
@@ -107,8 +107,7 @@ def _pair_changes(rxn: Reaction) -> dict[tuple[int, int], BondType]:
 
 def label_pairs(rxn: Reaction) -> PairLabels:
     """Reactivity labels: 1 iff the pair's bond type differs across the reaction."""
-    changed = _pair_changes(rxn)
-    return PairLabels(rxn.reactants.n_atoms, frozenset(changed))
+    return PairLabels(rxn.reactants.n_atoms, frozenset(reaction_edits(rxn).pairs))
 
 
 def reaction_edits(rxn: Reaction) -> EditSet:
@@ -204,9 +203,6 @@ class CenterModel:
 
     # -- differentiable paths ------------------------------------------------
 
-    def _act(self, t: DTensor) -> DTensor:
-        return de.relu(t) if self.activation == "relu" else de.tanh(t)
-
     def _head(self, c: DTensor, us: np.ndarray, vs: np.ndarray, bf: DTensor,
               ma: str, mb: str, bias: str, u: str) -> DTensor:
         """Sigmoid scores of the pairs (us[i], vs[i]) over atom vectors ``c``."""
@@ -214,7 +210,7 @@ class CenterModel:
         z = de.add(de.add(de.gather_matmul(c, s[ma], us), de.gather_matmul(c, s[ma], vs)),
                    de.matmul(bf, s[mb]))
         z = de.add(z, s[bias])
-        return de.sigmoid(de.matmul(self._act(z), s[u]))
+        return de.sigmoid(de.matmul(activate(self.activation, z), s[u]))
 
     def pair_scores(self, g: MolGraph) -> tuple[DTensor, np.ndarray]:
         """Scores for all unordered pairs as an (n_pairs, 1) tensor, with the

@@ -516,9 +516,6 @@ class ParamStore:
     def names(self) -> list[str]:
         return sorted(self.params)
 
-    def n_parameters(self) -> int:
-        return sum(t.values.size for t in self.params.values())
-
     def zero_grads(self) -> None:
         for tensor in self.params.values():
             tensor.grad = None

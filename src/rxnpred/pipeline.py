@@ -21,7 +21,7 @@ import numpy as np
 from . import diffengine as de
 from .candgen import Candidate, EditSet, GenConfig, enumerate_candidates
 from .center import (CenterModel, PairLabels, Reaction, center_loss, coverage,
-                     label_pairs, reaction_edits, top_k_pairs)
+                     reaction_edits, top_k_pairs)
 from .chemgraph import MolGraph, apply_edits, induced_subgraph, parse_smiles, write_smiles
 from .ranker import RankerModel, rank_candidates, rank_loss
 from .wliso import wl_equivalent
@@ -33,16 +33,6 @@ __all__ = [
     "RunConfig", "evaluate", "load_dataset", "predict", "split_records",
     "train_center", "train_ranker",
 ]
-
-# Model-size presets; "paper650k" sizes the ranker near 650K parameters and
-# the center presets land near 572K/756K for local/global.
-PRESETS = {
-    "small": {"hidden": 64, "depth": 3},
-    "center-local-572k": {"hidden": 300, "depth": 3},
-    "center-global-756k": {"hidden": 320, "depth": 3},
-    "ranker-650k": {"hidden": 240, "depth": 3},
-}
-
 
 @dataclass
 class RunConfig:
@@ -82,8 +72,7 @@ class RunConfig:
             raise ValueError("lr and decay must be positive")
 
     def gen_config(self) -> GenConfig:
-        return GenConfig(k=self.k, max_changes=self.max_changes,
-                         max_candidates=self.max_candidates)
+        return GenConfig(max_changes=self.max_changes, max_candidates=self.max_candidates)
 
     @classmethod
     def from_file(cls, path, **overrides) -> "RunConfig":
@@ -142,11 +131,6 @@ class ReactionRecord:
     def reaction(self) -> Reaction:
         return Reaction(self.reactants, self.product)
 
-    @property
-    def mapping(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Map-number -> atom index, for the reactant and product sides."""
-        return self.reactants.map_to_index(), self.product.map_to_index()
-
 
 class RecordError(ValueError):
     pass
@@ -178,11 +162,11 @@ def parse_reaction_line(line: str, max_atoms: int = 150) -> ReactionRecord:
             raise RecordError(f"product atom {i} is unmapped")
 
     rxn = Reaction(reactants, product)
-    labels = label_pairs(rxn)
     edits = reaction_edits(rxn)
     if len(edits) == 0:
         raise RecordError("no bond changes between reactants and product")
     _check_edit_consistency(rxn, edits)
+    labels = PairLabels(reactants.n_atoms, frozenset(edits.pairs))
     return ReactionRecord(line, reactants, product, labels, edits)
 
 
@@ -258,7 +242,34 @@ def split_records(records: list[ReactionRecord],
 
 
 # ---------------------------------------------------------------------------
-# Training: reaction center
+# Candidate stage
+# ---------------------------------------------------------------------------
+
+def _truth_index(truth: EditSet, candidates: list[Candidate]) -> int | None:
+    return next((i for i, cand in enumerate(candidates) if cand.edits == truth), None)
+
+
+def _candidate_stage(reactants: MolGraph, pairs: list[tuple[int, int]], gen_cfg: GenConfig,
+                     truth: EditSet | None = None, augment: bool = False,
+                     ) -> tuple[list[Candidate], bool, int | None]:
+    """Enumerate within ``pairs`` and locate the true edit set among the results.
+
+    With ``augment`` the truth is appended whenever enumeration missed it.
+    Returns the candidates, whether enumeration was truncated, and the
+    truth's index (None without a truth, or when it is missing and not
+    appended).
+    """
+    result = enumerate_candidates(reactants, pairs, gen_cfg)
+    candidates = result.candidates
+    idx = None if truth is None else _truth_index(truth, candidates)
+    if idx is None and augment:
+        candidates = candidates + [Candidate(truth, reactants)]
+        idx = len(candidates) - 1
+    return candidates, result.truncated, idx
+
+
+# ---------------------------------------------------------------------------
+# Training
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -268,9 +279,71 @@ class TrainResult:
     best_epoch: int = 0
 
 
+def _fit(cfg: RunConfig, kind: str, model_cls, variants: tuple[str, str], prepare,
+         loss_fn, metric_fn, metric: str, log_format: str,
+         target: float | None) -> TrainResult:
+    """The training loop of both models: Adam over seeded shuffles of the
+    training items, then save the values of the best epoch.
+
+    ``prepare(train, dev)`` turns the split records into training items,
+    ``loss_fn(model, item)`` is one item's loss and ``metric_fn(model, items)``
+    the per-epoch score, recorded as ``train_<metric>``/``dev_<metric>``.
+    Best means the highest dev score (train score when there are no dev
+    items). ``log_format`` takes the epoch, loss, train score and dev score;
+    training stops early once the train score reaches ``target``. Fully
+    deterministic for a fixed config and seed.
+    """
+    if cfg.variant not in variants:
+        raise ValueError(f"{kind} training needs variant {variants[0]!r} or {variants[1]!r}")
+    if cfg.data is None or cfg.out is None:
+        raise ValueError(f"train_{kind} needs cfg.data and cfg.out")
+    records = load_dataset(cfg.data, cfg.max_atoms)
+    train, dev, _ = split_records(records, cfg.split)
+    if not train:
+        raise ValueError("training split is empty")
+    train, dev = prepare(train, dev)
+    model = model_cls.create(cfg.variant, cfg.hidden, cfg.depth, cfg.seed,
+                             cfg.include_charge, cfg.activation)
+    model.store.metadata.update(k=str(cfg.k), max_changes=str(cfg.max_changes))
+    adam = de.AdamState(model.store, lr=cfg.lr, decay=cfg.decay)
+    rng = np.random.default_rng(cfg.seed)
+
+    result = TrainResult(checkpoint=cfg.out)
+    best_metric = -1.0
+    best_values = model.store.clone_values()
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(len(train))
+        epoch_loss = 0.0
+        for start in range(0, len(order), cfg.batch):
+            model.store.zero_grads()
+            for idx in order[start:start + cfg.batch]:
+                loss = loss_fn(model, train[idx])
+                de.backward(loss)
+                epoch_loss += loss.item()
+            de.adam_step(model.store, adam)
+        if not np.isfinite(epoch_loss):
+            raise FloatingPointError(f"training diverged at epoch {epoch} "
+                                     f"(loss={epoch_loss!r}); try a lower lr")
+        train_score = metric_fn(model, train)
+        dev_score = metric_fn(model, dev) if dev else None
+        score = dev_score if dev else train_score
+        if score > best_metric:
+            best_metric = score
+            best_values = model.store.clone_values()
+            result.best_epoch = epoch
+        result.history.append({"epoch": epoch, "loss": epoch_loss,
+                               f"train_{metric}": train_score, f"dev_{metric}": dev_score})
+        logger.info(log_format, epoch, epoch_loss, train_score,
+                    f"{dev_score:.3f}" if dev_score is not None else "-")
+        if target is not None and train_score >= target:
+            break
+        adam.end_epoch()
+    model.store.load_values(best_values)
+    model.save(cfg.out)
+    return result
+
+
 def _center_coverage(model: CenterModel, records: list[ReactionRecord], k: int) -> float:
-    if not records:
-        return 0.0
     hits = 0
     for rec in records:
         matrix = model.score_matrix(rec.reactants)
@@ -285,74 +358,21 @@ def train_center(cfg: RunConfig) -> TrainResult:
     Best means highest dev coverage@k (train coverage when the dev split is
     empty). Fully deterministic for a fixed config and seed.
     """
-    if cfg.variant not in ("local", "global"):
-        raise ValueError("center training needs variant 'local' or 'global'")
-    if cfg.data is None or cfg.out is None:
-        raise ValueError("train_center needs cfg.data and cfg.out")
-    records = load_dataset(cfg.data, cfg.max_atoms)
-    train, dev, _ = split_records(records, cfg.split)
-    if not train:
-        raise ValueError("training split is empty")
-    model = CenterModel.create(cfg.variant, cfg.hidden, cfg.depth, cfg.seed,
-                               cfg.include_charge, cfg.activation)
-    model.store.metadata.update(k=str(cfg.k), max_changes=str(cfg.max_changes))
-    adam = de.AdamState(model.store, lr=cfg.lr, decay=cfg.decay)
-    rng = np.random.default_rng(cfg.seed)
+    return _fit(
+        cfg, "center", CenterModel, ("local", "global"), lambda train, dev: (train, dev),
+        loss_fn=lambda model, rec: center_loss(model.pair_scores(rec.reactants)[0],
+                                               rec.labels),
+        metric_fn=lambda model, records: _center_coverage(model, records, cfg.k),
+        metric="coverage",
+        log_format=f"center epoch %d: loss %.4f train cov@{cfg.k} %.3f dev cov %s",
+        target=cfg.target_train_coverage)
 
-    result = TrainResult(checkpoint=cfg.out)
-    best_metric = -1.0
-    best_values = model.store.clone_values()
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(train))
-        epoch_loss = 0.0
-        for start in range(0, len(order), cfg.batch):
-            model.store.zero_grads()
-            for idx in order[start:start + cfg.batch]:
-                rec = train[idx]
-                scores, _ = model.pair_scores(rec.reactants)
-                loss = center_loss(scores, rec.labels)
-                de.backward(loss)
-                epoch_loss += loss.item()
-            de.adam_step(model.store, adam)
-        if not np.isfinite(epoch_loss):
-            raise FloatingPointError(f"training diverged at epoch {epoch} "
-                                     f"(loss={epoch_loss!r}); try a lower lr")
-        train_cov = _center_coverage(model, train, cfg.k)
-        dev_cov = _center_coverage(model, dev, cfg.k) if dev else None
-        metric = dev_cov if dev else train_cov
-        if metric > best_metric:
-            best_metric = metric
-            best_values = model.store.clone_values()
-            result.best_epoch = epoch
-        result.history.append({"epoch": epoch, "loss": epoch_loss,
-                               "train_coverage": train_cov, "dev_coverage": dev_cov})
-        logger.info("center epoch %d: loss %.4f train cov@%d %.3f dev cov %s",
-                    epoch, epoch_loss, cfg.k, train_cov,
-                    f"{dev_cov:.3f}" if dev_cov is not None else "-")
-        if cfg.target_train_coverage is not None and train_cov >= cfg.target_train_coverage:
-            break
-        adam.end_epoch()
-    model.store.load_values(best_values)
-    model.save(cfg.out)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Training: candidate ranker
-# ---------------------------------------------------------------------------
 
 @dataclass
 class _RankingInstance:
     record: ReactionRecord
     candidates: list[Candidate]
     true_index: int
-
-
-def _truth_index(rec: ReactionRecord, candidates: list[Candidate]) -> int | None:
-    for i, cand in enumerate(candidates):
-        if cand.edits == rec.true_edits:
-            return i
-    return None
 
 
 def _build_instances(records: list[ReactionRecord], center: CenterModel | None,
@@ -363,24 +383,15 @@ def _build_instances(records: list[ReactionRecord], center: CenterModel | None,
         if center is None:
             pairs = list(rec.true_edits.pairs)  # oracle centers
         else:
-            matrix = center.score_matrix(rec.reactants)
-            pairs = top_k_pairs(matrix, cfg.k)
-        result = enumerate_candidates(rec.reactants, pairs, gen_cfg)
-        candidates = result.candidates
-        idx = _truth_index(rec, candidates)
-        if idx is None and cfg.augment_truth:
-            candidates = candidates + [Candidate(rec.true_edits, rec.reactants)]
-            idx = len(candidates) - 1
-        if idx is None or not candidates:
+            pairs = top_k_pairs(center.score_matrix(rec.reactants), cfg.k)
+        candidates, _, idx = _candidate_stage(rec.reactants, pairs, gen_cfg,
+                                              rec.true_edits, cfg.augment_truth)
+        if idx is None:
             logger.warning("true product not among candidates; record skipped "
                            "for ranker training: %s", rec.raw[:80])
             continue
         instances.append(_RankingInstance(rec, candidates, idx))
     return instances
-
-
-def _instance_scores(model: RankerModel, inst: _RankingInstance) -> de.DTensor:
-    return model.score_candidates(inst.record.reactants, inst.candidates)
 
 
 def _ranker_p1(model: RankerModel, instances: list[_RankingInstance]) -> float:
@@ -390,12 +401,10 @@ def _ranker_p1(model: RankerModel, instances: list[_RankingInstance]) -> float:
     are permutation invariant, so candidates producing isomorphic products tie
     exactly and the atom-mapped edit indices alone cannot split them.
     """
-    if not instances:
-        return 0.0
     hits = 0
     with de.no_grad():
         for inst in instances:
-            values = _instance_scores(model, inst).values[:, 0]
+            values = model.score_candidates(inst.record.reactants, inst.candidates).values[:, 0]
             best = int(np.argmax(values))  # argmax takes the earliest on ties
             hits += int(best == inst.true_index
                         or _product_matches(inst.record, inst.candidates[best]))
@@ -410,62 +419,24 @@ def train_ranker(cfg: RunConfig) -> TrainResult:
     ``augment_truth`` the true product is inserted whenever enumeration
     missed it.
     """
-    if cfg.variant not in ("wln", "wldn"):
-        raise ValueError("ranker training needs variant 'wln' or 'wldn'")
-    if cfg.data is None or cfg.out is None:
-        raise ValueError("train_ranker needs cfg.data and cfg.out")
-    records = load_dataset(cfg.data, cfg.max_atoms)
-    train, dev, _ = split_records(records, cfg.split)
-    if not train:
-        raise ValueError("training split is empty")
-    center = None
-    if cfg.center and cfg.center != "oracle":
-        center = CenterModel.load(cfg.center)
-    train_inst = _build_instances(train, center, cfg)
-    dev_inst = _build_instances(dev, center, cfg) if dev else []
-    if not train_inst:
-        raise ValueError("no usable ranking instances (centers never cover the truth?)")
+    def prepare(train, dev):
+        center = None
+        if cfg.center and cfg.center != "oracle":
+            center = CenterModel.load(cfg.center)
+        train_inst = _build_instances(train, center, cfg)
+        dev_inst = _build_instances(dev, center, cfg)
+        if not train_inst:
+            raise ValueError("no usable ranking instances (centers never cover the truth?)")
+        return train_inst, dev_inst
 
-    model = RankerModel.create(cfg.variant, cfg.hidden, cfg.depth, cfg.seed,
-                               cfg.include_charge, cfg.activation)
-    model.store.metadata.update(k=str(cfg.k), max_changes=str(cfg.max_changes))
-    adam = de.AdamState(model.store, lr=cfg.lr, decay=cfg.decay)
-    rng = np.random.default_rng(cfg.seed)
-
-    result = TrainResult(checkpoint=cfg.out)
-    best_metric = -1.0
-    best_values = model.store.clone_values()
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(train_inst))
-        epoch_loss = 0.0
-        for start in range(0, len(order), cfg.batch):
-            model.store.zero_grads()
-            for idx in order[start:start + cfg.batch]:
-                inst = train_inst[idx]
-                loss = rank_loss(_instance_scores(model, inst), inst.true_index)
-                de.backward(loss)
-                epoch_loss += loss.item()
-            de.adam_step(model.store, adam)
-        if not np.isfinite(epoch_loss):
-            raise FloatingPointError(f"training diverged at epoch {epoch}")
-        train_p1 = _ranker_p1(model, train_inst)
-        dev_p1 = _ranker_p1(model, dev_inst) if dev_inst else None
-        metric = dev_p1 if dev_inst else train_p1
-        if metric > best_metric:
-            best_metric = metric
-            best_values = model.store.clone_values()
-            result.best_epoch = epoch
-        result.history.append({"epoch": epoch, "loss": epoch_loss,
-                               "train_p1": train_p1, "dev_p1": dev_p1})
-        logger.info("ranker epoch %d: loss %.4f train P@1 %.3f dev P@1 %s",
-                    epoch, epoch_loss, train_p1,
-                    f"{dev_p1:.3f}" if dev_p1 is not None else "-")
-        if cfg.target_train_p1 is not None and train_p1 >= cfg.target_train_p1:
-            break
-        adam.end_epoch()
-    model.store.load_values(best_values)
-    model.save(cfg.out)
-    return result
+    return _fit(
+        cfg, "ranker", RankerModel, ("wln", "wldn"), prepare,
+        loss_fn=lambda model, inst: rank_loss(
+            model.score_candidates(inst.record.reactants, inst.candidates), inst.true_index),
+        metric_fn=_ranker_p1,
+        metric="p1",
+        log_format="ranker epoch %d: loss %.4f train P@1 %.3f dev P@1 %s",
+        target=cfg.target_train_p1)
 
 
 # ---------------------------------------------------------------------------
@@ -507,23 +478,20 @@ def predict(reactants_smiles: str, center: CenterModel, ranker: RankerModel,
     if g.n_atoms < 2:
         return PredictResult(reactants_smiles, [], 0, False, [],
                              reason="fewer than two atoms: no pairs to score")
-    matrix = center.score_matrix(g)
-    pairs = top_k_pairs(matrix, k)
-    gen_cfg = GenConfig(k=max(k, max_changes), max_changes=max_changes,
-                        max_candidates=max_candidates)
-    result = enumerate_candidates(g, pairs, gen_cfg)
-    if not result.candidates:
-        return PredictResult(reactants_smiles, pairs, 0, result.truncated, [],
+    pairs = top_k_pairs(center.score_matrix(g), k)
+    candidates, truncated, _ = _candidate_stage(
+        g, pairs, GenConfig(max_changes=max_changes, max_candidates=max_candidates))
+    if not candidates:
+        return PredictResult(reactants_smiles, pairs, 0, truncated, [],
                              reason="every enumerated edit was filtered out")
-    ranked = rank_candidates(g, result.candidates, ranker)
+    ranked = rank_candidates(g, candidates, ranker)
     products = []
     for cand in ranked[:top_n]:
         smiles = write_smiles(induced_subgraph(cand.product, cand.edited_atoms()))
         edits = [(_map_of(g, e.u), _map_of(g, e.v), e.bond_type.name.lower())
                  for e in cand.edits]
         products.append(PredictedProduct(smiles, float(cand.score), edits))
-    return PredictResult(reactants_smiles, pairs, len(result.candidates),
-                         result.truncated, products)
+    return PredictResult(reactants_smiles, pairs, len(candidates), truncated, products)
 
 
 def _map_of(g: MolGraph, idx: int) -> int:
@@ -611,14 +579,11 @@ def evaluate(records: list[ReactionRecord], center: CenterModel,
         for k in ks:
             if coverage(ranked_pairs[:k], rec.labels):
                 cover_hits[k] += 1
-        pairs = ranked_pairs[:cfg.k]
         t0 = time.perf_counter()
-        result = enumerate_candidates(rec.reactants, pairs, gen_cfg)
+        candidates, was_truncated, _ = _candidate_stage(
+            rec.reactants, ranked_pairs[:cfg.k], gen_cfg, rec.true_edits, cfg.augment_truth)
         latencies.append((time.perf_counter() - t0) * 1000.0)
-        truncated += int(result.truncated)
-        candidates = result.candidates
-        if cfg.augment_truth and _truth_index(rec, candidates) is None:
-            candidates = candidates + [Candidate(rec.true_edits, rec.reactants)]
+        truncated += int(was_truncated)
         n_cands.append(len(candidates))
         rank = None
         if candidates:

@@ -22,7 +22,7 @@ from . import diffengine as de
 from .candgen import Candidate
 from .chemgraph import ATOM_FEATURE_DIM, CHARGE_SLOTS, MolGraph
 from .diffengine import DTensor, ParamStore
-from .wln import WLNParams, embed_from_features, graph_inputs, union_inputs
+from .wln import WLNParams, activate, embed_from_features, graph_inputs, union_inputs
 
 __all__ = ["MAX_UNION_CANDIDATES", "RankerModel", "difference_vectors",
            "rank_candidates", "rank_loss", "score_sumpool"]
@@ -83,9 +83,6 @@ class RankerModel:
     def save(self, path) -> None:
         self.store.save(path)
 
-    def _act(self, t: DTensor) -> DTensor:
-        return de.relu(t) if self.activation == "relu" else de.tanh(t)
-
     def score_candidate(self, reactants: MolGraph, candidate: Candidate,
                         variant: str | None = None) -> DTensor:
         """Differentiable score of one candidate, shape (1, 1)."""
@@ -126,7 +123,8 @@ class RankerModel:
         else:
             d = embed_from_features(gi, d, self.diff_wln)
             m, u = self.store["wldn.M"], self.store["wldn.u"]
-        return de.matmul(self._act(de.matmul(de.segment_sum(d, owner, len(candidates)), m)), u)
+        pooled = de.segment_sum(d, owner, len(candidates))
+        return de.matmul(activate(self.activation, de.matmul(pooled, m)), u)
 
 
 def difference_vectors(reactants: MolGraph, candidate: Candidate, wln: WLNParams,
@@ -143,9 +141,9 @@ def difference_vectors(reactants: MolGraph, candidate: Candidate, wln: WLNParams
     return de.sub(embed_from_features(gi_p, gi_p.features, wln), c_r)
 
 
-def score_sumpool(d: DTensor, m: DTensor, u: DTensor, act=de.relu) -> DTensor:
+def score_sumpool(d: DTensor, m: DTensor, u: DTensor, activation: str = "relu") -> DTensor:
     """Head ``u' tau(M sum_v d_v)`` over per-atom difference vectors."""
-    return de.matmul(act(de.matmul(de.sum_rows(d), m)), u)
+    return de.matmul(activate(activation, de.matmul(de.sum_rows(d), m)), u)
 
 
 def rank_loss(scores: Sequence[DTensor] | DTensor, true_index: int) -> DTensor:

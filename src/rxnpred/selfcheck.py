@@ -178,8 +178,7 @@ def _ranking_instance(seed: int, min_candidates: int = 3):
         rec = _small_instance(seed + 101 * attempt)
         pairs = list(rec.true_edits.pairs)
         cands = enumerate_candidates(rec.reactants, pairs,
-                                     GenConfig(k=max(3, len(pairs)), max_changes=2,
-                                               max_candidates=24)).candidates
+                                     GenConfig(max_changes=2, max_candidates=24)).candidates
         if all(c.edits != rec.true_edits for c in cands):
             cands.append(Candidate(rec.true_edits, rec.reactants))
         if len(cands) >= min_candidates:
@@ -229,10 +228,10 @@ def reference_score(model: RankerModel, reactants: MolGraph, candidate: Candidat
     components included."""
     d = difference_vectors(reactants, candidate, model.wln, model.include_charge)
     if variant == "wln":
-        return score_sumpool(d, model.store["sum.M"], model.store["sum.u"], model._act)
+        return score_sumpool(d, model.store["sum.M"], model.store["sum.u"], model.activation)
     gi = graph_inputs(candidate.product, model.include_charge)
     d = embed_from_features(gi, d, model.diff_wln)
-    return score_sumpool(d, model.store["wldn.M"], model.store["wldn.u"], model._act)
+    return score_sumpool(d, model.store["wldn.M"], model.store["wldn.u"], model.activation)
 
 
 def batched_ranker_suite(seed: int = 13, hidden: int = 8) -> CheckResult:
@@ -256,8 +255,7 @@ def batched_ranker_suite(seed: int = 13, hidden: int = 8) -> CheckResult:
                 (min(a, b), max(a, b)) for a in rec.true_edits.atoms()
                 for b in g.neighbors(a)})
             cands = [Candidate(EditSet.of([]), g)] + enumerate_candidates(
-                g, pairs, GenConfig(k=max(3, len(pairs)), max_changes=2,
-                                    max_candidates=60)).candidates
+                g, pairs, GenConfig(max_changes=2, max_candidates=60)).candidates
             batched = model.score_candidates(g, cands).values[:, 0]
             for cand, score in zip(cands, batched):
                 ref = reference_score(model, g, cand, variant).values[0, 0]
@@ -298,7 +296,7 @@ def enumeration_suite(n_instances: int = 20, seed: int = 9) -> CheckResult:
         k = int(rng.integers(1, min(4, len(all_pairs)) + 1))
         idx = rng.choice(len(all_pairs), size=k, replace=False)
         pairs = [all_pairs[i] for i in idx]
-        cfg = GenConfig(k=max(k, 3), max_changes=min(3, k), max_candidates=100000)
+        cfg = GenConfig(max_changes=3, max_candidates=100000)
         fast = enumerate_candidates(g, pairs, cfg).edit_sets()
         slow = brute_force_enumerate(g, pairs, cfg)
         mismatches += int(fast != slow)

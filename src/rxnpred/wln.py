@@ -29,10 +29,21 @@ from .chemgraph import (ATOM_FEATURE_DIM, BOND_FEATURE_DIM, CHARGE_SLOTS, MolGra
                         atom_features, bond_features)
 from .diffengine import DTensor, ParamStore
 
-__all__ = ["GraphInputs", "WLNParams", "embed_atoms", "embed_from_features",
-           "embed_graph", "graph_inputs", "union_inputs"]
+__all__ = ["GraphInputs", "WLNParams", "activate", "embed_atoms",
+           "embed_from_features", "embed_graph", "graph_inputs", "union_inputs"]
 
-_ACTIVATIONS = {"relu": de.relu, "tanh": de.tanh}
+_ACTIVATIONS = ("relu", "tanh")
+
+
+def activate(name: str, t: DTensor) -> DTensor:
+    """Apply the activation named ``name`` ("relu" or "tanh").
+
+    The op is looked up on ``diffengine`` at each call, so a wrapper put on
+    ``diffengine.relu``/``diffengine.tanh`` sees every use.
+    """
+    if name not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {name!r}")
+    return getattr(de, name)(t)
 
 
 @dataclass
@@ -165,7 +176,6 @@ def embed_from_features(gi: GraphInputs, x: DTensor, p: WLNParams) -> DTensor:
     Returns the (n_atoms, hidden) atom-vector tensor; isolated atoms come out
     as zero rows (their neighbor sum is empty).
     """
-    act = _ACTIVATIONS[p.activation]
     if x.shape[1] != p.in_dim:
         raise de.ShapeError(f"feature dim {x.shape[1]} != expected {p.in_dim}")
     h = de.matmul(x, p.w_in) if p.w_in is not None else x
@@ -173,11 +183,11 @@ def embed_from_features(gi: GraphInputs, x: DTensor, p: WLNParams) -> DTensor:
     for _ in range(p.depth):
         h_src = de.gather_rows(h, gi.src)
         if p.variant == "concat":
-            msg = act(de.matmul(de.concat_cols(h_src, fe), p.v))
+            msg = activate(p.activation, de.matmul(de.concat_cols(h_src, fe), p.v))
         else:
-            msg = act(de.mul(de.matmul(h_src, p.vh), de.matmul(fe, p.vf)))
+            msg = activate(p.activation, de.mul(de.matmul(h_src, p.vh), de.matmul(fe, p.vf)))
         neigh = de.segment_sum(msg, gi.dst, gi.n_atoms)
-        h = act(de.add(de.matmul(h, p.u1), de.matmul(neigh, p.u2)))
+        h = activate(p.activation, de.add(de.matmul(h, p.u1), de.matmul(neigh, p.u2)))
     # One expression, so that under no_grad each edge-sized temporary is
     # freed as soon as it is used.
     compared = de.mul(de.mul(de.matmul(de.gather_rows(h, gi.src), p.w0),

@@ -65,7 +65,7 @@ def test_criterion_04_enumeration_oracle():
             continue
         k = int(rng.integers(1, min(4, len(pool)) + 1))
         pairs = [pool[i] for i in rng.choice(len(pool), size=k, replace=False)]
-        cfg = GenConfig(k=max(3, k), max_changes=min(3, k), max_candidates=10 ** 6)
+        cfg = GenConfig(max_changes=min(3, k), max_candidates=10 ** 6)
         fast = enumerate_candidates(g, pairs, cfg).edit_sets()
         slow = brute_force_enumerate(g, pairs, cfg)
         mismatches += int(fast != slow)
@@ -84,7 +84,7 @@ def test_criterion_05_coverage_link():
             rec = parse_reaction_line(datagen.random_reaction_line(rng))
         except ValueError:
             continue
-        cfg = GenConfig(k=6, max_changes=3, max_candidates=10 ** 5)
+        cfg = GenConfig(max_changes=3, max_candidates=10 ** 5)
         if len(rec.true_edits) > cfg.max_changes:
             continue
         if rec.true_edits not in brute_force_enumerate(
@@ -160,7 +160,7 @@ def test_criterion_07_ranker_overfit(toy_file, tmp_path):
 
 def test_criterion_08_candidate_generation_latency():
     rng = np.random.default_rng(2)
-    cfg = GenConfig(k=8, max_changes=3, max_candidates=2000)
+    cfg = GenConfig(max_changes=3, max_candidates=2000)
     times = []
     for _ in range(30):
         g = datagen.random_molecule(rng, n_atoms=50, allow_curated=False)

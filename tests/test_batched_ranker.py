@@ -32,7 +32,7 @@ def instances(draw):
     assume(bridges)
     bridge = bridges[0]
     edit_sets = [EditSet.of([]), EditSet.of([(bridge.u, bridge.v, BondType.NONE)])]
-    edit_sets += enumerate_candidates(g, picks, GenConfig(k=4, max_changes=2,
+    edit_sets += enumerate_candidates(g, picks, GenConfig(max_changes=2,
                                                           max_candidates=40)).edit_sets()
     edit_sets *= draw(st.sampled_from([1, 1, MAX_UNION_CANDIDATES // 2 + 1]))
     perm = [int(i) for i in draw(st.permutations(range(n)))]
@@ -94,7 +94,7 @@ def test_rank_candidates_keeps_no_graph_and_matches_training_scores():
     g = merge([random_molecule(np.random.default_rng(s), n_atoms=6, allow_curated=False)
                for s in (1, 2)])
     pairs = [(b.u, b.v) for b in g.bonds][:4]
-    cands = enumerate_candidates(g, pairs, GenConfig(k=4, max_changes=2)).candidates
+    cands = enumerate_candidates(g, pairs, GenConfig(max_changes=2)).candidates
     model = RankerModel.create("wldn", hidden=6, depth=2, seed=3)
     expected = model.score_candidates(g, cands).values[:, 0]
     ranked = rank_candidates(g, cands, model)

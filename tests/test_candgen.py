@@ -34,20 +34,20 @@ class TestEditSet:
 class TestCounting:
     def test_single_bonded_pair_four_raw_candidates(self):
         g = parse_smiles("CC")
-        cfg = GenConfig(k=1, max_changes=1, **UNFILTERED)
+        cfg = GenConfig(max_changes=1, **UNFILTERED)
         result = enumerate_candidates(g, [(0, 1)], cfg)
         assert len(result) == 4  # alphabet of 5 minus the current type
 
     def test_two_single_pairs_max_changes_two(self):
         g = parse_smiles("CCCC")
-        cfg = GenConfig(k=2, max_changes=2, **UNFILTERED)
+        cfg = GenConfig(max_changes=2, **UNFILTERED)
         result = enumerate_candidates(g, [(0, 1), (2, 3)], cfg)
         assert len(result) == 4 + 4 + 16
 
     def test_upper_bound_formula(self):
         g = parse_smiles("CCCCCC")
         pairs = [(0, 1), (1, 2), (2, 3), (3, 4)]
-        cfg = GenConfig(k=4, max_changes=3, **UNFILTERED)
+        cfg = GenConfig(max_changes=3, **UNFILTERED)
         result = enumerate_candidates(g, pairs, cfg)
         from math import comb
         bound = sum(comb(4, s) * 4 ** s for s in (1, 2, 3))
@@ -59,7 +59,7 @@ class TestFilters:
         g = parse_smiles("CC(C)(C)C.O")  # central carbon already has 4 bonds
         over = apply_edits(g, [(1, 5, BondType.SINGLE)])
         assert not valence_ok(over)
-        cfg = GenConfig(k=1, max_changes=1)
+        cfg = GenConfig(max_changes=1)
         # a new bond from the saturated carbon to the water oxygen is filtered
         result = enumerate_candidates(g, [(1, 5)], cfg)
         assert all(e.bond_type is BondType.NONE or e.u != 1
@@ -85,7 +85,7 @@ class TestFilters:
 
     def test_aromatic_creation_needs_aromatic_atoms(self):
         g = parse_smiles("Cc1ccccc1")
-        cfg = GenConfig(k=2, max_changes=1, enforce_valence=False)
+        cfg = GenConfig(max_changes=1, enforce_valence=False)
         made = enumerate_candidates(g, [(0, 1), (1, 2)], cfg)
         for cand in made:
             for e in cand.edits:
@@ -125,7 +125,7 @@ class TestEnumerationOracle:
             k = int(rng.integers(1, min(4, len(all_pairs)) + 1))
             chosen = rng.choice(len(all_pairs), size=k, replace=False)
             pairs = [all_pairs[i] for i in chosen]
-            cfg = GenConfig(k=max(3, k), max_changes=min(3, k), max_candidates=10 ** 6)
+            cfg = GenConfig(max_changes=min(3, k), max_candidates=10 ** 6)
             fast = enumerate_candidates(g, pairs, cfg).edit_sets()
             slow = brute_force_enumerate(g, pairs, cfg)
             assert fast == slow
@@ -134,7 +134,7 @@ class TestEnumerationOracle:
     def test_every_candidate_passes_filters_when_reapplied(self):
         g = parse_smiles("CC(=O)CC.OCC")
         pairs = [(1, 2), (1, 5), (2, 5), (0, 1)]
-        cfg = GenConfig(k=4, max_changes=3)
+        cfg = GenConfig(max_changes=3)
         for cand in enumerate_candidates(g, pairs, cfg):
             assert valence_ok(cand.product)
             if len(cand.edits) > 1:
@@ -152,7 +152,7 @@ class TestEnumerationOracle:
                 rec = parse_reaction_line(random_reaction_line(rng))
             except ValueError:
                 continue
-            cfg = GenConfig(k=6, max_changes=3, max_candidates=10 ** 5)
+            cfg = GenConfig(max_changes=3, max_candidates=10 ** 5)
             if len(rec.true_edits) > cfg.max_changes:
                 continue
             extra = [(u, u + 1) for u in range(min(3, rec.reactants.n_atoms - 1))]
@@ -169,33 +169,33 @@ class TestDeterminismAndCap:
     def test_same_inputs_same_ordered_output(self):
         g = parse_smiles("CC(=O)CC.OCC")
         pairs = [(1, 2), (1, 5), (2, 5)]
-        cfg = GenConfig(k=3, max_changes=3)
+        cfg = GenConfig(max_changes=3)
         a = [list(c.edits) for c in enumerate_candidates(g, pairs, cfg)]
         b = [list(c.edits) for c in enumerate_candidates(g, pairs, cfg)]
         assert a == b
 
     def test_order_is_by_size_then_position(self):
         g = parse_smiles("CCCC")
-        cfg = GenConfig(k=2, max_changes=2, **UNFILTERED)
+        cfg = GenConfig(max_changes=2, **UNFILTERED)
         sizes = [len(c.edits) for c in enumerate_candidates(g, [(0, 1), (2, 3)], cfg)]
         assert sizes == sorted(sizes)
 
     def test_cap_truncates_with_flag(self):
         g = parse_smiles("C" * 10)
         pairs = [(i, i + 1) for i in range(6)]
-        cfg = GenConfig(k=6, max_changes=3, max_candidates=10, **UNFILTERED)
+        cfg = GenConfig(max_changes=3, max_candidates=10, **UNFILTERED)
         result = enumerate_candidates(g, pairs, cfg)
         assert result.truncated and len(result) == 10
 
     def test_duplicate_input_pairs_deduplicated(self):
         g = parse_smiles("CC")
-        cfg = GenConfig(k=2, max_changes=2, **UNFILTERED)
+        cfg = GenConfig(max_changes=2, **UNFILTERED)
         result = enumerate_candidates(g, [(0, 1), (1, 0)], cfg)
         assert len(result) == 4
 
     def test_identity_assignment_excluded(self):
         g = parse_smiles("CC")
-        cfg = GenConfig(k=1, max_changes=1, **UNFILTERED)
+        cfg = GenConfig(max_changes=1, **UNFILTERED)
         for cand in enumerate_candidates(g, [(0, 1)], cfg):
             assert len(cand.edits) >= 1
             assert all(e.bond_type is not g.bond_type_between(e.u, e.v)
@@ -203,7 +203,7 @@ class TestDeterminismAndCap:
 
     def test_lazy_product_consistency(self):
         g = parse_smiles("CCO")
-        cfg = GenConfig(k=1, max_changes=1)
+        cfg = GenConfig(max_changes=1)
         cand = enumerate_candidates(g, [(0, 1)], cfg).candidates[0]
         direct = apply_edits(g, cand.edits)
         assert [b.bond_type for b in cand.product.bonds] == [

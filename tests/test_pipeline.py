@@ -305,3 +305,43 @@ class TestEvaluate:
         assert any(line.startswith("mrr=") for line in lines)
         assert len(report.lines(include_timing=False)) == len(lines) - 2
         assert "coverage@6" in report.table()
+
+
+class TestTopKBelowMaxChanges:
+    """k=2 with the default max_changes=3: enumeration caps subsets at the
+    number of pairs, so every stage runs."""
+
+    def test_evaluate_counts_what_predict_enumerates(self, trained, toy_file):
+        center, ranker = trained
+        records = load_dataset(toy_file)
+        assert evaluate(records, center, ranker, RunConfig(k=2)).n_records == len(records)
+        for rec in records:
+            reactants, reagents, _ = rec.raw.split(">")
+            smiles = reactants + ("." + reagents if reagents else "")
+            report = evaluate([rec], center, ranker, RunConfig(k=2))
+            assert report.avg_candidates == predict(smiles, center, ranker, k=2).n_candidates
+
+    def test_train_ranker_on_center_pairs(self, trained, toy_file, tmp_path):
+        center, _ = trained
+        center.save(tmp_path / "c.ckpt")
+        out = tmp_path / "r.ckpt"
+        result = train_ranker(RunConfig(data=str(toy_file), out=str(out), variant="wln",
+                                        epochs=2, hidden=8, depth=2, seed=0, k=2,
+                                        split=(1.0, 0.0, 0.0), center=str(tmp_path / "c.ckpt"),
+                                        augment_truth=True))
+        assert len(result.history) == 2
+        assert RankerModel.load(out).store.metadata["k"] == "2"
+
+
+class TestEpochLogs:
+    def test_one_record_per_epoch_with_a_literal_prefix(self, toy_file, tmp_path, caplog):
+        common = dict(data=str(toy_file), epochs=2, hidden=8, depth=2, seed=0,
+                      split=(1.0, 0.0, 0.0))
+        with caplog.at_level(logging.INFO, logger="rxnpred.pipeline"):
+            train_center(RunConfig(out=str(tmp_path / "c.ckpt"), variant="local", **common))
+            train_ranker(RunConfig(out=str(tmp_path / "r.ckpt"), variant="wldn",
+                                   center="oracle", augment_truth=True, **common))
+        epochs = [r for r in caplog.records if " epoch " in r.getMessage()]
+        assert all(r.levelno == logging.INFO for r in epochs)
+        # the unformatted message carries the prefix, ahead of any argument
+        assert [str(r.msg)[:13] for r in epochs] == ["center epoch "] * 2 + ["ranker epoch "] * 2

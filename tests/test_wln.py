@@ -133,3 +133,28 @@ class TestGradients:
         store, p = make_params(FEAT_DIM, hidden=8, depth=3)
         layer_names = [n for n in store.names() if n.split(".")[-1] in ("U1", "U2", "V")]
         assert sorted(layer_names) == ["wln.U1", "wln.U2", "wln.V"]
+
+
+class TestActivation:
+    @pytest.mark.parametrize("name", ["relu", "tanh"])
+    def test_patched_op_sees_every_use(self, monkeypatch, name):
+        calls = []
+        original = getattr(de, name)
+
+        def counted(t):
+            calls.append(t.shape)
+            return original(t)
+
+        monkeypatch.setattr(de, name, counted)
+        store = de.ParamStore()
+        p = WLNParams.create(store, "wln", FEAT_DIM, 10, 3, np.random.default_rng(0),
+                             activation=name)
+        g = parse_smiles("CCO")
+        embed_atoms(g, p)
+        # one message and one update activation per round
+        assert calls == [(4, 10), (3, 10)] * 3
+
+    def test_unknown_activation_rejected_at_create(self):
+        with pytest.raises(ValueError, match="unknown activation"):
+            WLNParams.create(de.ParamStore(), "wln", FEAT_DIM, 10, 3,
+                             np.random.default_rng(0), activation="gelu")

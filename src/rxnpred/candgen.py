@@ -104,14 +104,11 @@ class Candidate:
 
 @dataclass
 class GenConfig:
-    """Enumeration knobs. ``max_changes`` bounds simultaneous edits; the
-    number of pairs passed to :func:`enumerate_candidates` bounds them too."""
+    """Enumeration limits. ``max_changes`` bounds simultaneous edits; the
+    number of pairs passed to :func:`enumerate_candidates` bounds them too.
+    The bond alphabet and the filters are fixed."""
 
     max_changes: int = 3
-    alphabet: tuple[BondType, ...] = BOND_ALPHABET
-    enforce_valence: bool = True
-    enforce_connectivity: bool = True
-    aromatic_needs_aromatic_atoms: bool = True
     max_candidates: int = 2000
 
     def __post_init__(self) -> None:
@@ -185,18 +182,12 @@ def enumerate_candidates(reactants: MolGraph, pairs: list[tuple[int, int]],
     half_sums = _half_order_sums(reactants)
     over_limit = {i for i, atom in enumerate(reactants.atoms)
                   if half_sums[i] // 2 > valence_limit(atom.element, atom.formal_charge)}
-
-    def options(pair: tuple[int, int]) -> list[BondType]:
-        out = []
-        for bt in cfg.alphabet:
-            if bt is current[pair]:
-                continue
-            if (bt is BondType.AROMATIC and cfg.aromatic_needs_aromatic_atoms
-                    and not (reactants.atoms[pair[0]].aromatic
-                             and reactants.atoms[pair[1]].aromatic)):
-                continue
-            out.append(bt)
-        return out
+    # Each pair's new bond types, in alphabet order: anything but the current
+    # type, and aromatic only between two aromatic atoms.
+    options = {(u, v): [bt for bt in BOND_ALPHABET if bt is not current[(u, v)]
+                        and (bt is not BondType.AROMATIC
+                             or (reactants.atoms[u].aromatic and reactants.atoms[v].aromatic))]
+               for u, v in current}
 
     result = EnumerationResult([])
     seen: set[EditSet] = set()
@@ -206,16 +197,14 @@ def enumerate_candidates(reactants: MolGraph, pairs: list[tuple[int, int]],
             chosen = [norm_pairs[i] for i in subset]
             if len(set(chosen)) < size:
                 continue  # repeated input pair
-            if cfg.enforce_connectivity and size > 1:
-                if not connectivity_ok([(u, v, BondType.NONE) for u, v in chosen]):
-                    continue
-            for assignment in itertools.product(*(options(p) for p in chosen)):
+            if size > 1 and not connectivity_ok([(u, v, BondType.NONE) for u, v in chosen]):
+                continue
+            for assignment in itertools.product(*(options[p] for p in chosen)):
                 edits = EditSet.of(BondEdit(u, v, bt)
                                    for (u, v), bt in zip(chosen, assignment))
                 if edits in seen:
                     continue
-                if cfg.enforce_valence and not _valence_ok_after(
-                        reactants, edits, current, half_sums, over_limit):
+                if not _valence_ok_after(reactants, edits, current, half_sums, over_limit):
                     continue
                 seen.add(edits)
                 if len(result.candidates) >= cfg.max_candidates:

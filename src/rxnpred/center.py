@@ -174,15 +174,8 @@ class CenterModel:
         in_dim = ATOM_FEATURE_DIM + (CHARGE_SLOTS if include_charge else 0)
         wln = WLNParams.create(store, "wln", in_dim, hidden, depth, rng,
                                activation=activation)
-        store.create("score.Ma", hidden, hidden, rng)
-        store.create("score.Mb", PAIR_FEATURE_DIM, hidden, rng)
-        store.create("score.bias", 1, hidden, init="zeros")
-        store.create("score.u", hidden, 1, rng)
-        if variant == "global":
-            store.create("att.Pa", hidden, hidden, rng)
-            store.create("att.Pb", PAIR_FEATURE_DIM, hidden, rng)
-            store.create("att.bias", 1, hidden, init="zeros")
-            store.create("att.u", hidden, 1, rng)
+        for name, shape in _head_shapes(variant, hidden).items():
+            store.create(name, *shape, rng, init="zeros" if name.endswith(".bias") else "xavier")
         return cls(store, wln, variant, hidden, include_charge, activation)
 
     @classmethod
@@ -190,9 +183,11 @@ class CenterModel:
         meta = store.metadata
         if meta.get("kind") != "center":
             raise ValueError("checkpoint is not a center model")
-        return cls(store, WLNParams.from_store(store, "wln"), meta["variant"],
-                   int(meta["hidden"]), meta.get("include_charge") == "1",
-                   meta.get("activation", "relu"))
+        wln = WLNParams.from_store(store, "wln")
+        for name, shape in _head_shapes(meta["variant"], int(meta["hidden"])).items():
+            store.expect(name, *shape)
+        return cls(store, wln, meta["variant"], int(meta["hidden"]),
+                   meta.get("include_charge") == "1", meta.get("activation", "relu"))
 
     @classmethod
     def load(cls, path) -> "CenterModel":
@@ -251,6 +246,16 @@ class CenterModel:
             gi = graph_inputs(g, self.include_charge)
             c = embed_from_features(gi, gi.features, self.wln)
             return self._attention_context(g, c)[1].values.copy()
+
+
+def _head_shapes(variant: str, hidden: int) -> dict[str, tuple[int, int]]:
+    """Shapes of the pair (and attention) head tensors, in creation order."""
+    shapes = {"score.Ma": (hidden, hidden), "score.Mb": (PAIR_FEATURE_DIM, hidden),
+              "score.bias": (1, hidden), "score.u": (hidden, 1)}
+    if variant == "global":
+        shapes.update({"att.Pa": (hidden, hidden), "att.Pb": (PAIR_FEATURE_DIM, hidden),
+                       "att.bias": (1, hidden), "att.u": (hidden, 1)})
+    return shapes
 
 
 def scores_to_matrix(values: np.ndarray,

@@ -112,8 +112,6 @@ def main(argv: list[str] | None = None) -> int:
     cfg = _config_from_args(args)
 
     if args.command == "train-center":
-        if cfg.variant not in ("local", "global"):
-            cfg = replace(cfg, variant="local")
         result = train_center(cfg)
         last = result.history[-1]
         print(f"saved {result.checkpoint} (best epoch {result.best_epoch}, "
@@ -121,8 +119,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "train-ranker":
-        if cfg.variant not in ("wln", "wldn"):
-            cfg = replace(cfg, variant="wldn")
         center_path = (args.model or ["oracle"])[0]
         cfg = replace(cfg, center=center_path)
         result = train_ranker(cfg)

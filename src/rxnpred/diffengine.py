@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,6 +55,7 @@ __all__ = [
 
 CKPT_HEADER = "REXGEN-CKPT v1"
 LOG_CLAMP = 1e-12
+GRAD_CHECK_SAMPLES = 50  # coordinates of each tensor that grad_check perturbs
 
 
 class ShapeError(ValueError):
@@ -510,6 +511,15 @@ class ParamStore:
     def __getitem__(self, name: str) -> DTensor:
         return self.params[name]
 
+    def expect(self, name: str, rows: int, cols: int) -> DTensor:
+        """The tensor ``name``; ``ValueError`` unless it exists with shape (rows, cols)."""
+        if name not in self.params:
+            raise ValueError(f"missing tensor {name!r}, expected shape {(rows, cols)}")
+        shape = self.params[name].shape
+        if shape != (rows, cols):
+            raise ValueError(f"tensor {name!r} has shape {shape}, expected {(rows, cols)}")
+        return self.params[name]
+
     def __contains__(self, name: str) -> bool:
         return name in self.params
 
@@ -639,12 +649,10 @@ def adam_step(store: ParamStore, state: AdamState) -> None:
 # ---------------------------------------------------------------------------
 
 def grad_check(f: Callable[[ParamStore], DTensor], store: ParamStore,
-               h: float = 1e-5, samples_per_tensor: int = 50,
-               rng: np.random.Generator | None = None,
-               names: Iterable[str] | None = None) -> float:
+               h: float = 1e-5, rng: np.random.Generator | None = None) -> float:
     """Compare analytic gradients of ``f`` against central differences.
 
-    Samples up to ``samples_per_tensor`` coordinates of each tensor (all of
+    Samples up to :data:`GRAD_CHECK_SAMPLES` coordinates of each tensor (all of
     them when smaller) and returns the worst relative error
     ``|a - n| / max(1e-8, |a| + |n|)``.
     """
@@ -659,13 +667,13 @@ def grad_check(f: Callable[[ParamStore], DTensor], store: ParamStore,
                 for name in store.names()}
 
     worst = 0.0
-    for name in (sorted(names) if names is not None else store.names()):
+    for name in store.names():
         tensor = store[name]
         size = tensor.values.size
-        if size <= samples_per_tensor:
+        if size <= GRAD_CHECK_SAMPLES:
             flat_indices = np.arange(size)
         else:
-            flat_indices = rng.choice(size, size=samples_per_tensor, replace=False)
+            flat_indices = rng.choice(size, size=GRAD_CHECK_SAMPLES, replace=False)
         flat = tensor.values.reshape(-1)
         for fi in flat_indices:
             original = flat[fi]

@@ -22,7 +22,8 @@ from . import diffengine as de
 from .candgen import Candidate, EditSet, GenConfig, enumerate_candidates
 from .center import (CenterModel, PairLabels, Reaction, center_loss, coverage,
                      reaction_edits, top_k_pairs)
-from .chemgraph import MolGraph, apply_edits, induced_subgraph, parse_smiles, write_smiles
+from .chemgraph import (MolGraph, apply_edits, induced_subgraph, make_graph, parse_smiles,
+                        write_smiles)
 from .ranker import RankerModel, rank_candidates, rank_loss
 from .wliso import wl_equivalent
 
@@ -49,7 +50,7 @@ class RunConfig:
     lr: float = 1e-3
     decay: float = 0.9
     seed: int = 0
-    variant: str = "local"          # local|global|wln|wldn
+    variant: str | None = None      # local|global|wln|wldn; None: local or wldn
     augment_truth: bool = False
     split: tuple[float, float, float] = (0.8, 0.1, 0.1)
     max_atoms: int = 150
@@ -290,11 +291,14 @@ def _fit(cfg: RunConfig, kind: str, model_cls, variants: tuple[str, str], prepar
     the per-epoch score, recorded as ``train_<metric>``/``dev_<metric>``.
     Best means the highest dev score (train score when there are no dev
     items). ``log_format`` takes the epoch, loss, train score and dev score;
-    training stops early once the train score reaches ``target``. Fully
+    training stops early once the train score reaches ``target``. The model
+    is ``cfg.variant``, or ``variants[0]`` when that is None. Fully
     deterministic for a fixed config and seed.
     """
-    if cfg.variant not in variants:
-        raise ValueError(f"{kind} training needs variant {variants[0]!r} or {variants[1]!r}")
+    variant = variants[0] if cfg.variant is None else cfg.variant
+    if variant not in variants:
+        raise ValueError(f"{kind} training cannot train variant {variant!r}; "
+                         f"use {variants[0]!r} or {variants[1]!r}")
     if cfg.data is None or cfg.out is None:
         raise ValueError(f"train_{kind} needs cfg.data and cfg.out")
     records = load_dataset(cfg.data, cfg.max_atoms)
@@ -302,7 +306,7 @@ def _fit(cfg: RunConfig, kind: str, model_cls, variants: tuple[str, str], prepar
     if not train:
         raise ValueError("training split is empty")
     train, dev = prepare(train, dev)
-    model = model_cls.create(cfg.variant, cfg.hidden, cfg.depth, cfg.seed,
+    model = model_cls.create(variant, cfg.hidden, cfg.depth, cfg.seed,
                              cfg.include_charge, cfg.activation)
     model.store.metadata.update(k=str(cfg.k), max_changes=str(cfg.max_changes))
     adam = de.AdamState(model.store, lr=cfg.lr, decay=cfg.decay)
@@ -356,7 +360,8 @@ def train_center(cfg: RunConfig) -> TrainResult:
     """Minimize the pairwise log loss with Adam; save the best checkpoint.
 
     Best means highest dev coverage@k (train coverage when the dev split is
-    empty). Fully deterministic for a fixed config and seed.
+    empty). The variant defaults to local. Fully deterministic for a fixed
+    config and seed.
     """
     return _fit(
         cfg, "center", CenterModel, ("local", "global"), lambda train, dev: (train, dev),
@@ -417,7 +422,7 @@ def train_ranker(cfg: RunConfig) -> TrainResult:
     Candidate lists come from a trained center checkpoint (``cfg.center``) or
     from oracle centers (``cfg.center`` unset or ``"oracle"``); with
     ``augment_truth`` the true product is inserted whenever enumeration
-    missed it.
+    missed it. The variant defaults to wldn.
     """
     def prepare(train, dev):
         center = None
@@ -430,7 +435,7 @@ def train_ranker(cfg: RunConfig) -> TrainResult:
         return train_inst, dev_inst
 
     return _fit(
-        cfg, "ranker", RankerModel, ("wln", "wldn"), prepare,
+        cfg, "ranker", RankerModel, ("wldn", "wln"), prepare,
         loss_fn=lambda model, inst: rank_loss(
             model.score_candidates(inst.record.reactants, inst.candidates), inst.true_index),
         metric_fn=_ranker_p1,
@@ -472,7 +477,6 @@ def predict(reactants_smiles: str, center: CenterModel, ranker: RankerModel,
         atoms = [a.copy() for a in g.atoms]
         for i, atom in enumerate(atoms):
             atom.map_number = i + 1
-        from .chemgraph import make_graph
         g = make_graph(atoms, [(b.u, b.v, b.bond_type) for b in g.bonds])
 
     if g.n_atoms < 2:

@@ -60,10 +60,8 @@ class RankerModel:
                                activation=activation)
         diff = WLNParams.create(store, "diff", hidden, hidden, depth, rng,
                                 variant="gated", project=False, activation=activation)
-        store.create("sum.M", hidden, hidden, rng)
-        store.create("sum.u", hidden, 1, rng)
-        store.create("wldn.M", hidden, hidden, rng)
-        store.create("wldn.u", hidden, 1, rng)
+        for name, shape in _head_shapes(hidden).items():
+            store.create(name, *shape, rng)
         return cls(store, wln, diff, variant, hidden, include_charge, activation)
 
     @classmethod
@@ -71,10 +69,11 @@ class RankerModel:
         meta = store.metadata
         if meta.get("kind") != "ranker":
             raise ValueError("checkpoint is not a ranker model")
-        return cls(store, WLNParams.from_store(store, "mol"),
-                   WLNParams.from_store(store, "diff"), meta["variant"],
-                   int(meta["hidden"]), meta.get("include_charge") == "1",
-                   meta.get("activation", "relu"))
+        wln, diff = WLNParams.from_store(store, "mol"), WLNParams.from_store(store, "diff")
+        for name, shape in _head_shapes(int(meta["hidden"])).items():
+            store.expect(name, *shape)
+        return cls(store, wln, diff, meta["variant"], int(meta["hidden"]),
+                   meta.get("include_charge") == "1", meta.get("activation", "relu"))
 
     @classmethod
     def load(cls, path) -> "RankerModel":
@@ -83,13 +82,12 @@ class RankerModel:
     def save(self, path) -> None:
         self.store.save(path)
 
-    def score_candidate(self, reactants: MolGraph, candidate: Candidate,
-                        variant: str | None = None) -> DTensor:
+    def score_candidate(self, reactants: MolGraph, candidate: Candidate) -> DTensor:
         """Differentiable score of one candidate, shape (1, 1)."""
-        return self.score_candidates(reactants, [candidate], variant)
+        return self.score_candidates(reactants, [candidate])
 
-    def score_candidates(self, reactants: MolGraph, candidates: Sequence[Candidate],
-                         variant: str | None = None) -> DTensor:
+    def score_candidates(self, reactants: MolGraph,
+                         candidates: Sequence[Candidate]) -> DTensor:
         """Differentiable scores of all candidates of one reaction, shape (n, 1).
 
         The reactants are embedded once. Each pass then embeds the disjoint
@@ -103,28 +101,32 @@ class RankerModel:
         ``+0.0``, is unchanged by zero addends. (The last step needs
         ``hidden >= 2``: numpy sums a single column pairwise.)
         """
-        variant = variant or self.variant
         gi_r = graph_inputs(reactants, self.include_charge)
         c_r = embed_from_features(gi_r, gi_r.features, self.wln)
-        chunks = [self._score_union(c_r, candidates[i:i + MAX_UNION_CANDIDATES], variant)
+        chunks = [self._score_union(c_r, candidates[i:i + MAX_UNION_CANDIDATES])
                   for i in range(0, len(candidates), MAX_UNION_CANDIDATES)]
         return chunks[0] if len(chunks) == 1 else de.stack_rows(chunks)
 
-    def _score_union(self, c_r: DTensor, candidates: Sequence[Candidate],
-                     variant: str) -> DTensor:
+    def _score_union(self, c_r: DTensor, candidates: Sequence[Candidate]) -> DTensor:
         atoms = [cand.edited_atoms() for cand in candidates]
         gi = union_inputs([(cand.product, a) for cand, a in zip(candidates, atoms)],
                           self.include_charge)
         owner = np.repeat(np.arange(len(candidates)), [len(a) for a in atoms])
         rows = [i for a in atoms for i in a]
         d = de.sub(embed_from_features(gi, gi.features, self.wln), de.gather_rows(c_r, rows))
-        if variant == "wln":
+        if self.variant == "wln":
             m, u = self.store["sum.M"], self.store["sum.u"]
         else:
             d = embed_from_features(gi, d, self.diff_wln)
             m, u = self.store["wldn.M"], self.store["wldn.u"]
         pooled = de.segment_sum(d, owner, len(candidates))
         return de.matmul(activate(self.activation, de.matmul(pooled, m)), u)
+
+
+def _head_shapes(hidden: int) -> dict[str, tuple[int, int]]:
+    """Shapes of both score heads' tensors, in creation order."""
+    return {"sum.M": (hidden, hidden), "sum.u": (hidden, 1),
+            "wldn.M": (hidden, hidden), "wldn.u": (hidden, 1)}
 
 
 def difference_vectors(reactants: MolGraph, candidate: Candidate, wln: WLNParams,
@@ -158,7 +160,7 @@ def rank_loss(scores: Sequence[DTensor] | DTensor, true_index: int) -> DTensor:
 
 
 def rank_candidates(reactants: MolGraph, candidates: Sequence[Candidate],
-                    model: RankerModel, variant: str | None = None) -> list[Candidate]:
+                    model: RankerModel) -> list[Candidate]:
     """Candidates sorted by descending score; ties keep enumeration order.
 
     Scores are attached to the returned candidates. Scoring records no
@@ -167,7 +169,7 @@ def rank_candidates(reactants: MolGraph, candidates: Sequence[Candidate],
     if not candidates:
         raise ValueError("rank_candidates needs a nonempty candidate list")
     with de.no_grad():
-        scores = model.score_candidates(reactants, candidates, variant).values[:, 0]
+        scores = model.score_candidates(reactants, candidates).values[:, 0]
     for cand, score in zip(candidates, scores):
         cand.score = float(score)
     return sorted(candidates, key=lambda c: -c.score)

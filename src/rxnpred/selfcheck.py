@@ -16,14 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffengine as de
-from .candgen import (BondEdit, Candidate, EditSet, GenConfig, connectivity_ok,
-                      enumerate_candidates, valence_ok)
+from .candgen import (BOND_ALPHABET, BondEdit, Candidate, EditSet, GenConfig,
+                      connectivity_ok, enumerate_candidates, valence_ok)
 from .center import CenterModel, center_loss
 from .chemgraph import (BondType, MolGraph, apply_edits, atom_feature_matrix,
                         bond_features)
 from .datagen import (higher_order_fixture_lines, random_molecule, random_reaction_line,
                       reagent_fixture_lines, toy_reaction_lines)
-from .pipeline import parse_reaction_line
+from .pipeline import _candidate_stage, parse_reaction_line
 from .ranker import RankerModel, difference_vectors, rank_loss, score_sumpool
 from .wliso import brute_force_isomorphic, wl_equivalent
 from .wln import WLNParams, embed_atoms, embed_from_features, graph_inputs
@@ -96,7 +96,7 @@ def brute_force_enumerate(reactants: MolGraph, pairs: list[tuple[int, int]],
     """
     norm = [(min(u, v), max(u, v)) for u, v in pairs]
     out: set[EditSet] = set()
-    for assignment in itertools.product(cfg.alphabet, repeat=len(norm)):
+    for assignment in itertools.product(BOND_ALPHABET, repeat=len(norm)):
         edits = []
         for (u, v), bt in zip(norm, assignment):
             if bt is not reactants.bond_type_between(u, v):
@@ -105,17 +105,16 @@ def brute_force_enumerate(reactants: MolGraph, pairs: list[tuple[int, int]],
             continue
         if len({(e.u, e.v) for e in edits}) < len(edits):
             continue
-        if cfg.aromatic_needs_aromatic_atoms and any(
-                e.bond_type is BondType.AROMATIC
-                and not (reactants.atoms[e.u].aromatic and reactants.atoms[e.v].aromatic)
-                for e in edits):
+        if any(e.bond_type is BondType.AROMATIC
+               and not (reactants.atoms[e.u].aromatic and reactants.atoms[e.v].aromatic)
+               for e in edits):
             continue
-        if cfg.enforce_connectivity and len(edits) > 1 and not connectivity_ok(edits):
+        if len(edits) > 1 and not connectivity_ok(edits):
             continue
         edit_set = EditSet.of(edits)
         if edit_set in out:
             continue
-        if cfg.enforce_valence and not valence_ok(apply_edits(reactants, edit_set)):
+        if not valence_ok(apply_edits(reactants, edit_set)):
             continue
         out.add(edit_set)
     return out
@@ -176,14 +175,10 @@ def _ranking_instance(seed: int, min_candidates: int = 3):
     ranking loss actually depends on the scores."""
     for attempt in range(50):
         rec = _small_instance(seed + 101 * attempt)
-        pairs = list(rec.true_edits.pairs)
-        cands = enumerate_candidates(rec.reactants, pairs,
-                                     GenConfig(max_changes=2, max_candidates=24)).candidates
-        if all(c.edits != rec.true_edits for c in cands):
-            cands.append(Candidate(rec.true_edits, rec.reactants))
+        cands, _, true_idx = _candidate_stage(
+            rec.reactants, list(rec.true_edits.pairs),
+            GenConfig(max_changes=2, max_candidates=24), rec.true_edits, augment=True)
         if len(cands) >= min_candidates:
-            true_idx = next(i for i, c in enumerate(cands)
-                            if c.edits == rec.true_edits)
             return rec, cands, true_idx
     raise RuntimeError("no suitable ranking instance found")
 
@@ -221,13 +216,13 @@ def gradient_suite(h: float = 1e-5, tol: float = 1e-4, seed: int = 5,
     return out
 
 
-def reference_score(model: RankerModel, reactants: MolGraph, candidate: Candidate,
-                    variant: str) -> de.DTensor:
+def reference_score(model: RankerModel, reactants: MolGraph,
+                    candidate: Candidate) -> de.DTensor:
     """One candidate's (1, 1) score through full-graph embeddings: both
     networks run over the whole reactant and product graphs, untouched
     components included."""
     d = difference_vectors(reactants, candidate, model.wln, model.include_charge)
-    if variant == "wln":
+    if model.variant == "wln":
         return score_sumpool(d, model.store["sum.M"], model.store["sum.u"], model.activation)
     gi = graph_inputs(candidate.product, model.include_charge)
     d = embed_from_features(gi, d, model.diff_wln)
@@ -258,7 +253,7 @@ def batched_ranker_suite(seed: int = 13, hidden: int = 8) -> CheckResult:
                 g, pairs, GenConfig(max_changes=2, max_candidates=60)).candidates
             batched = model.score_candidates(g, cands).values[:, 0]
             for cand, score in zip(cands, batched):
-                ref = reference_score(model, g, cand, variant).values[0, 0]
+                ref = reference_score(model, g, cand).values[0, 0]
                 mismatches += int(ref.tobytes() != score.tobytes())
                 scored += 1
     return CheckResult("ranker-batched", mismatches == 0,

@@ -68,8 +68,7 @@ class WLNParams:
     @classmethod
     def create(cls, store: ParamStore, prefix: str, in_dim: int, hidden: int,
                depth: int, rng: np.random.Generator, variant: str = "concat",
-               project: bool = True, activation: str = "relu",
-               bond_dim: int = BOND_FEATURE_DIM) -> "WLNParams":
+               project: bool = True, activation: str = "relu") -> "WLNParams":
         if depth < 1:
             raise ValueError("depth must be >= 1")
         if variant not in ("concat", "gated"):
@@ -78,52 +77,49 @@ class WLNParams:
             raise ValueError(f"unknown activation {activation!r}")
         if not project and in_dim != hidden:
             raise ValueError("projection can only be dropped when in_dim == hidden")
-        p = cls(
-            u1=store.create(f"{prefix}.U1", hidden, hidden, rng),
-            u2=store.create(f"{prefix}.U2", hidden, hidden, rng),
-            w0=store.create(f"{prefix}.W0", hidden, hidden, rng),
-            w1=store.create(f"{prefix}.W1", bond_dim, hidden, rng),
-            w2=store.create(f"{prefix}.W2", hidden, hidden, rng),
-            depth=depth, hidden=hidden, in_dim=in_dim,
-            variant=variant, activation=activation,
-        )
-        if project:
-            p.w_in = store.create(f"{prefix}.Win", in_dim, hidden, rng)
-        if variant == "concat":
-            p.v = store.create(f"{prefix}.V", hidden + bond_dim, hidden, rng)
-        else:
-            p.vh = store.create(f"{prefix}.Vh", hidden, hidden, rng)
-            p.vf = store.create(f"{prefix}.Vf", bond_dim, hidden, rng)
+        tensors = {_FIELDS[name]: store.create(f"{prefix}.{name}", *shape, rng)
+                   for name, shape in _tensor_shapes(in_dim, hidden, variant, project).items()}
         store.metadata[f"{prefix}.depth"] = str(depth)
         store.metadata[f"{prefix}.hidden"] = str(hidden)
         store.metadata[f"{prefix}.in_dim"] = str(in_dim)
         store.metadata[f"{prefix}.variant"] = variant
         store.metadata[f"{prefix}.activation"] = activation
         store.metadata[f"{prefix}.project"] = "1" if project else "0"
-        return p
+        return cls(**tensors, depth=depth, hidden=hidden, in_dim=in_dim,
+                   variant=variant, activation=activation)
 
     @classmethod
     def from_store(cls, store: ParamStore, prefix: str) -> "WLNParams":
+        """The network under ``prefix``; tensor shapes must match its sizes."""
         meta = store.metadata
         variant = meta[f"{prefix}.variant"]
-        project = meta[f"{prefix}.project"] == "1"
-        p = cls(
-            u1=store[f"{prefix}.U1"], u2=store[f"{prefix}.U2"],
-            w0=store[f"{prefix}.W0"], w1=store[f"{prefix}.W1"],
-            w2=store[f"{prefix}.W2"],
-            depth=int(meta[f"{prefix}.depth"]),
-            hidden=int(meta[f"{prefix}.hidden"]),
-            in_dim=int(meta[f"{prefix}.in_dim"]),
-            variant=variant, activation=meta[f"{prefix}.activation"],
-        )
-        if project:
-            p.w_in = store[f"{prefix}.Win"]
-        if variant == "concat":
-            p.v = store[f"{prefix}.V"]
-        else:
-            p.vh = store[f"{prefix}.Vh"]
-            p.vf = store[f"{prefix}.Vf"]
-        return p
+        hidden = int(meta[f"{prefix}.hidden"])
+        in_dim = int(meta[f"{prefix}.in_dim"])
+        shapes = _tensor_shapes(in_dim, hidden, variant, meta[f"{prefix}.project"] == "1")
+        tensors = {_FIELDS[name]: store.expect(f"{prefix}.{name}", *shape)
+                   for name, shape in shapes.items()}
+        return cls(**tensors, depth=int(meta[f"{prefix}.depth"]), hidden=hidden,
+                   in_dim=in_dim, variant=variant, activation=meta[f"{prefix}.activation"])
+
+
+# Tensor name suffix -> WLNParams field.
+_FIELDS = {"U1": "u1", "U2": "u2", "W0": "w0", "W1": "w1", "W2": "w2",
+           "Win": "w_in", "V": "v", "Vh": "vh", "Vf": "vf"}
+
+
+def _tensor_shapes(in_dim: int, hidden: int, variant: str,
+                   project: bool) -> dict[str, tuple[int, int]]:
+    """Shape of each tensor of one network, by name suffix, in creation order."""
+    shapes = {"U1": (hidden, hidden), "U2": (hidden, hidden), "W0": (hidden, hidden),
+              "W1": (BOND_FEATURE_DIM, hidden), "W2": (hidden, hidden)}
+    if project:
+        shapes["Win"] = (in_dim, hidden)
+    if variant == "concat":
+        shapes["V"] = (hidden + BOND_FEATURE_DIM, hidden)
+    else:
+        shapes["Vh"] = (hidden, hidden)
+        shapes["Vf"] = (BOND_FEATURE_DIM, hidden)
+    return shapes
 
 
 @dataclass

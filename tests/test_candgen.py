@@ -8,9 +8,6 @@ from rxnpred.chemgraph import BondType, apply_edits, parse_smiles
 from rxnpred.datagen import random_molecule
 from rxnpred.selfcheck import brute_force_enumerate
 
-UNFILTERED = dict(enforce_valence=False, enforce_connectivity=False,
-                  aromatic_needs_aromatic_atoms=False)
-
 
 class TestEditSet:
     def test_normalization(self):
@@ -33,21 +30,28 @@ class TestEditSet:
 
 class TestCounting:
     def test_single_bonded_pair_four_raw_candidates(self):
-        g = parse_smiles("CC")
-        cfg = GenConfig(max_changes=1, **UNFILTERED)
+        # Two aromatic atoms with one single bond each: aromatic is allowed,
+        # and even a triple bond leaves each at order 3 <= 4, so no filter
+        # removes anything.
+        g = parse_smiles("c-c")
+        cfg = GenConfig(max_changes=1)
         result = enumerate_candidates(g, [(0, 1)], cfg)
         assert len(result) == 4  # alphabet of 5 minus the current type
 
     def test_two_single_pairs_max_changes_two(self):
-        g = parse_smiles("CCCC")
-        cfg = GenConfig(max_changes=2, **UNFILTERED)
-        result = enumerate_candidates(g, [(0, 1), (2, 3)], cfg)
-        assert len(result) == 4 + 4 + 16
+        # Both pairs share the sulfur, so the pair of them is connected. Each
+        # single bond takes none/double/triple (no aromatic: no aromatic
+        # atoms). Two triples bring S to order 6 <= 6 and a carbon to 3 <= 4,
+        # so valence removes nothing: 3 + 3 singles and 3 * 3 pairs.
+        g = parse_smiles("CSC")
+        cfg = GenConfig(max_changes=2)
+        result = enumerate_candidates(g, [(0, 1), (1, 2)], cfg)
+        assert len(result) == 3 + 3 + 9
 
     def test_upper_bound_formula(self):
         g = parse_smiles("CCCCCC")
         pairs = [(0, 1), (1, 2), (2, 3), (3, 4)]
-        cfg = GenConfig(max_changes=3, **UNFILTERED)
+        cfg = GenConfig(max_changes=3)
         result = enumerate_candidates(g, pairs, cfg)
         from math import comb
         bound = sum(comb(4, s) * 4 ** s for s in (1, 2, 3))
@@ -84,8 +88,10 @@ class TestFilters:
         assert valence_ok(apply_edits(charged, [(0, 1, BondType.SINGLE)]))
 
     def test_aromatic_creation_needs_aromatic_atoms(self):
+        # Only the aromatic rule stops (0,1) -> aromatic: ring atom 1 would
+        # reach half-orders 3 + 3 + 3 = 9, order 4, within carbon's valence.
         g = parse_smiles("Cc1ccccc1")
-        cfg = GenConfig(max_changes=1, enforce_valence=False)
+        cfg = GenConfig(max_changes=1)
         made = enumerate_candidates(g, [(0, 1), (1, 2)], cfg)
         for cand in made:
             for e in cand.edits:
@@ -175,27 +181,36 @@ class TestDeterminismAndCap:
         assert a == b
 
     def test_order_is_by_size_then_position(self):
-        g = parse_smiles("CCCC")
-        cfg = GenConfig(max_changes=2, **UNFILTERED)
-        sizes = [len(c.edits) for c in enumerate_candidates(g, [(0, 1), (2, 3)], cfg)]
+        # The counts of test_two_single_pairs_max_changes_two: 3 singles per
+        # pair, in input order, then the 9 pairs of changes.
+        g = parse_smiles("CSC")
+        cfg = GenConfig(max_changes=2)
+        result = enumerate_candidates(g, [(0, 1), (1, 2)], cfg)
+        sizes = [len(c.edits) for c in result]
         assert sizes == sorted(sizes)
+        assert [c.edits.pairs for c in result] == (
+            [((0, 1),)] * 3 + [((1, 2),)] * 3 + [((0, 1), (1, 2))] * 9)
 
     def test_cap_truncates_with_flag(self):
+        # The single changes alone give 6 pairs * 3 (none/double/triple; a
+        # triple leaves each carbon at order <= 4) = 18 > 10 candidates.
         g = parse_smiles("C" * 10)
         pairs = [(i, i + 1) for i in range(6)]
-        cfg = GenConfig(max_changes=3, max_candidates=10, **UNFILTERED)
+        cfg = GenConfig(max_changes=3, max_candidates=10)
         result = enumerate_candidates(g, pairs, cfg)
         assert result.truncated and len(result) == 10
 
     def test_duplicate_input_pairs_deduplicated(self):
-        g = parse_smiles("CC")
-        cfg = GenConfig(max_changes=2, **UNFILTERED)
+        # As in test_single_bonded_pair_four_raw_candidates, the one distinct
+        # pair takes all 4 other bond types; the repeat adds nothing.
+        g = parse_smiles("c-c")
+        cfg = GenConfig(max_changes=2)
         result = enumerate_candidates(g, [(0, 1), (1, 0)], cfg)
         assert len(result) == 4
 
     def test_identity_assignment_excluded(self):
-        g = parse_smiles("CC")
-        cfg = GenConfig(max_changes=1, **UNFILTERED)
+        g = parse_smiles("c-c")  # no filter applies, see the counting tests
+        cfg = GenConfig(max_changes=1)
         for cand in enumerate_candidates(g, [(0, 1)], cfg):
             assert len(cand.edits) >= 1
             assert all(e.bond_type is not g.bond_type_between(e.u, e.v)

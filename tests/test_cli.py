@@ -73,6 +73,29 @@ def test_config_file_roundtrip(workdir, checkpoints, capsys):
     assert "coverage@4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, variant", [
+    ("train-center", "wldn"), ("train-ranker", "global"), ("train-ranker", "local")])
+def test_training_rejects_a_variant_it_cannot_train(workdir, command, variant):
+    out = workdir / f"{command}-{variant}.ckpt"
+    args = [command, "--data", str(workdir / "toy.txt"), "--out", str(out), "--epochs", "1"]
+    with pytest.raises(ValueError, match=f"cannot train variant {variant!r}"):
+        main(args + ["--variant", variant])
+    cfg = workdir / f"{command}-{variant}.cfg"
+    cfg.write_text(f"variant={variant}\n")
+    with pytest.raises(ValueError, match=f"cannot train variant {variant!r}"):
+        main(args + ["--config", str(cfg)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, variant", [("train-center", "local"),
+                                              ("train-ranker", "wldn")])
+def test_training_variant_defaults(workdir, command, variant):
+    out = workdir / f"{command}-default.ckpt"
+    assert main([command, "--data", str(workdir / "toy.txt"), "--out", str(out),
+                 "--epochs", "1", "--split", "1.0,0,0", "--augment-truth"]) == 0
+    assert f"# variant={variant}\n" in out.read_text()
+
+
 def test_missing_models_fail_loudly(workdir):
     with pytest.raises(SystemExit):
         main(["predict", "CC"])

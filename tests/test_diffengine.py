@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rxnpred import diffengine as de
+from rxnpred.center import CenterModel
+from rxnpred.ranker import RankerModel
 
 
 def fd_check_unary(op, rng, nudge=0.0, rows=None, cols=None, h=1e-6):
@@ -461,6 +463,33 @@ class TestCheckpoints:
         path.write_text("REXGEN-CKPT v1\nw 1 2\n1.0 x\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: bad value")):
             de.ParamStore.load(path)
+
+    @pytest.mark.parametrize("variant, name", [
+        ("local", "wln.U2"), ("global", "att.Pb"), ("wln", "mol.U2"),
+        ("wldn", "diff.Vf"), ("wldn", "wldn.M")])
+    def test_mis_shaped_tensor_rejected_at_load(self, tmp_path, variant, name):
+        model_cls = CenterModel if variant in ("local", "global") else RankerModel
+        path = tmp_path / "model.ckpt"
+        store = model_cls.create(variant, hidden=8, depth=1, seed=0).store
+        rows, cols = store[name].shape
+        store.params[name] = de.DTensor(np.ones((rows, cols - 1)), requires_grad=True)
+        store.save(path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"tensor {name!r} has shape {(rows, cols - 1)}, expected {(rows, cols)}")):
+            model_cls.load(path)
+
+    @pytest.mark.parametrize("variant, name", [
+        ("local", "wln.Win"), ("global", "att.u"), ("wln", "sum.u"), ("wldn", "wldn.M")])
+    def test_missing_tensor_rejected_at_load(self, tmp_path, variant, name):
+        model_cls = CenterModel if variant in ("local", "global") else RankerModel
+        path = tmp_path / "model.ckpt"
+        store = model_cls.create(variant, hidden=8, depth=1, seed=0).store
+        shape = store[name].shape
+        del store.params[name]
+        store.save(path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"missing tensor {name!r}, expected shape {shape}")):
+            model_cls.load(path)
 
     def test_duplicate_and_bad_names_rejected(self):
         store = de.ParamStore()

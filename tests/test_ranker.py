@@ -71,12 +71,13 @@ class TestScoring:
                 assert score == base
 
     def test_wldn_and_sumpool_disagree_on_adjacent_changes(self):
-        model = RankerModel.create("wldn", hidden=8, depth=2, seed=6)
         g = parse_smiles("CC=CCCC")
         cand = Candidate(EditSet.of([(1, 2, BondType.SINGLE),
                                      (2, 3, BondType.DOUBLE)]), g)
-        wln_score = model.score_candidate(g, cand, variant="wln").item()
-        wldn_score = model.score_candidate(g, cand, variant="wldn").item()
+        wln_score = RankerModel.create("wln", hidden=8, depth=2, seed=6).score_candidate(
+            g, cand).item()
+        wldn_score = RankerModel.create("wldn", hidden=8, depth=2, seed=6).score_candidate(
+            g, cand).item()
         assert wln_score != wldn_score
 
     def test_sumpool_twins_with_matching_differences_score_equal(self):
@@ -131,7 +132,7 @@ class TestRankLoss:
 class TestRanking:
     def test_stable_order_on_equal_scores(self):
         class FlatModel:
-            def score_candidates(self, g, cands, variant=None):
+            def score_candidates(self, g, cands):
                 return de.constant(np.ones((len(cands), 1)))
 
         g = parse_smiles("CCO")

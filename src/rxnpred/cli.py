@@ -111,20 +111,19 @@ def main(argv: list[str] | None = None) -> int:
 
     cfg = _config_from_args(args)
 
-    if args.command == "train-center":
-        result = train_center(cfg)
+    if args.command in ("train-center", "train-ranker"):
+        if args.command == "train-ranker":
+            cfg = replace(cfg, center=(args.model or ["oracle"])[0])
+        train = train_center if args.command == "train-center" else train_ranker
+        try:
+            result = train(cfg)
+        except ValueError as e:  # e.g. a variant this command cannot train
+            raise SystemExit(str(e)) from e
         last = result.history[-1]
+        score = (f"coverage@{cfg.k} {last['train_coverage']:.3f}"
+                 if train is train_center else f"P@1 {last['train_p1']:.3f}")
         print(f"saved {result.checkpoint} (best epoch {result.best_epoch}, "
-              f"final train coverage@{cfg.k} {last['train_coverage']:.3f})")
-        return 0
-
-    if args.command == "train-ranker":
-        center_path = (args.model or ["oracle"])[0]
-        cfg = replace(cfg, center=center_path)
-        result = train_ranker(cfg)
-        last = result.history[-1]
-        print(f"saved {result.checkpoint} (best epoch {result.best_epoch}, "
-              f"final train P@1 {last['train_p1']:.3f})")
+              f"final train {score})")
         return 0
 
     center, ranker = _load_models(args.model)

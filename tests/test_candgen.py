@@ -49,13 +49,25 @@ class TestCounting:
         assert len(result) == 3 + 3 + 9
 
     def test_upper_bound_formula(self):
+        # The chain bonds C0-C1 .. C3-C4 each take none/double/triple (no
+        # aromatic atoms), so without the valence and connectivity filters
+        # there would be sum(comb(4, s) * 3**s) = 174. The filters leave:
+        # - 4 singles * 3 options = 12; one new bond order of at most 3 plus
+        #   the neighbouring single bond stays within carbon's 4.
+        # - Pairs: only the 3 adjacent ones are connected. Their shared carbon
+        #   needs a + b <= 4 over {0, 2, 3}, which leaves 6 of the 9.
+        # - Triples: only the 2 runs of three adjacent bonds are connected.
+        #   With middle bond m and outer bonds a, b, both inner carbons need
+        #   a + m <= 4 and m + b <= 4: m = 0 leaves 9, m = 2 leaves 2 * 2,
+        #   m = 3 leaves 1, so 14.
         g = parse_smiles("CCCCCC")
         pairs = [(0, 1), (1, 2), (2, 3), (3, 4)]
         cfg = GenConfig(max_changes=3)
         result = enumerate_candidates(g, pairs, cfg)
+        assert len(result) == 4 * 3 + 3 * 6 + 2 * 14
+        assert len({c.edits for c in result}) == len(result)
         from math import comb
-        bound = sum(comb(4, s) * 4 ** s for s in (1, 2, 3))
-        assert len(result) <= bound
+        assert len(result) <= sum(comb(4, s) * 3 ** s for s in (1, 2, 3))
 
 
 class TestFilters:

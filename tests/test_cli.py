@@ -78,11 +78,11 @@ def test_config_file_roundtrip(workdir, checkpoints, capsys):
 def test_training_rejects_a_variant_it_cannot_train(workdir, command, variant):
     out = workdir / f"{command}-{variant}.ckpt"
     args = [command, "--data", str(workdir / "toy.txt"), "--out", str(out), "--epochs", "1"]
-    with pytest.raises(ValueError, match=f"cannot train variant {variant!r}"):
+    with pytest.raises(SystemExit, match=f"cannot train variant {variant!r}"):
         main(args + ["--variant", variant])
     cfg = workdir / f"{command}-{variant}.cfg"
     cfg.write_text(f"variant={variant}\n")
-    with pytest.raises(ValueError, match=f"cannot train variant {variant!r}"):
+    with pytest.raises(SystemExit, match=f"cannot train variant {variant!r}"):
         main(args + ["--config", str(cfg)])
     assert not out.exists()
 

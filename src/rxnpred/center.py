@@ -16,9 +16,9 @@ import numpy as np
 
 from . import diffengine as de
 from .candgen import BondEdit, EditSet
-from .chemgraph import ATOM_FEATURE_DIM, BondType, CHARGE_SLOTS, MolGraph
+from .chemgraph import ATOM_FEATURE_DIM, BondType, MolGraph
 from .diffengine import DTensor, ParamStore
-from .wln import WLNParams, activate, embed_from_features, graph_inputs
+from .wln import FIXED_METADATA, WLNParams, embed_from_features, graph_inputs, model_metadata
 
 __all__ = [
     "PAIR_FEATURE_DIM",
@@ -156,38 +156,29 @@ class CenterModel:
     wln: WLNParams
     variant: str                       # "local" | "global"
     hidden: int
-    include_charge: bool = False
-    activation: str = "relu"
 
     @classmethod
     def create(cls, variant: str, hidden: int = 64, depth: int = 3,
-               seed: int = 0, include_charge: bool = False,
-               activation: str = "relu") -> "CenterModel":
+               seed: int = 0) -> "CenterModel":
         if variant not in ("local", "global"):
             raise ValueError(f"unknown center variant {variant!r}")
         rng = np.random.default_rng(seed)
         store = ParamStore(metadata={
             "kind": "center", "variant": variant, "hidden": str(hidden),
-            "seed": str(seed), "include_charge": "1" if include_charge else "0",
-            "activation": activation, "version": "1",
+            "seed": str(seed), "version": "1", **FIXED_METADATA,
         })
-        in_dim = ATOM_FEATURE_DIM + (CHARGE_SLOTS if include_charge else 0)
-        wln = WLNParams.create(store, "wln", in_dim, hidden, depth, rng,
-                               activation=activation)
+        wln = WLNParams.create(store, "wln", ATOM_FEATURE_DIM, hidden, depth, rng)
         for name, shape in _head_shapes(variant, hidden).items():
             store.create(name, *shape, rng, init="zeros" if name.endswith(".bias") else "xavier")
-        return cls(store, wln, variant, hidden, include_charge, activation)
+        return cls(store, wln, variant, hidden)
 
     @classmethod
     def from_store(cls, store: ParamStore) -> "CenterModel":
-        meta = store.metadata
-        if meta.get("kind") != "center":
-            raise ValueError("checkpoint is not a center model")
+        variant, hidden = model_metadata(store, "center", ("local", "global"))
         wln = WLNParams.from_store(store, "wln")
-        for name, shape in _head_shapes(meta["variant"], int(meta["hidden"])).items():
+        for name, shape in _head_shapes(variant, hidden).items():
             store.expect(name, *shape)
-        return cls(store, wln, meta["variant"], int(meta["hidden"]),
-                   meta.get("include_charge") == "1", meta.get("activation", "relu"))
+        return cls(store, wln, variant, hidden)
 
     @classmethod
     def load(cls, path) -> "CenterModel":
@@ -205,13 +196,13 @@ class CenterModel:
         z = de.add(de.add(de.gather_matmul(c, s[ma], us), de.gather_matmul(c, s[ma], vs)),
                    de.matmul(bf, s[mb]))
         z = de.add(z, s[bias])
-        return de.sigmoid(de.matmul(activate(self.activation, z), s[u]))
+        return de.sigmoid(de.matmul(de.relu(z), s[u]))
 
     def pair_scores(self, g: MolGraph) -> tuple[DTensor, np.ndarray]:
         """Scores for all unordered pairs as an (n_pairs, 1) tensor, with the
         pairs as :func:`upper_pairs` orders them."""
         pairs = upper_pairs(g.n_atoms)
-        gi = graph_inputs(g, self.include_charge)
+        gi = graph_inputs(g)
         c = embed_from_features(gi, gi.features, self.wln)
         if not len(pairs):
             return de.constant(np.zeros((0, 1))), pairs
@@ -243,7 +234,7 @@ class CenterModel:
         if self.variant != "global":
             raise ValueError("attention is only defined for the global variant")
         with de.no_grad():
-            gi = graph_inputs(g, self.include_charge)
+            gi = graph_inputs(g)
             c = embed_from_features(gi, gi.features, self.wln)
             return self._attention_context(g, c)[1].values.copy()
 

@@ -89,7 +89,6 @@ _IMPLICIT_SLOTS = 6     # 0..5, clamped
 
 ATOM_FEATURE_DIM = len(ELEMENTS) + 1 + _DEGREE_SLOTS + _TOTAL_H_SLOTS + _IMPLICIT_SLOTS + 1
 BOND_FEATURE_DIM = 6    # 4 bond types + conjugated + in-ring
-CHARGE_SLOTS = 5        # -2..+2, clamped; appended only when requested
 
 
 def valence_for_h(element: str, charge: int) -> int:
@@ -642,16 +641,12 @@ def _atom_token(atom: Atom) -> str:
 # Feature vectors
 # ---------------------------------------------------------------------------
 
-def atom_features(g: MolGraph, atom_index: int, include_charge: bool = False) -> np.ndarray:
-    """Feature vector: element one-hot (+unknown bucket), degree, total H,
-    implicit valence (clamped one-hots) and an aromatic bit.
-
-    ``include_charge`` appends a formal-charge one-hot (-2..+2, clamped);
-    the default dimension is :data:`ATOM_FEATURE_DIM`.
-    """
+def atom_features(g: MolGraph, atom_index: int) -> np.ndarray:
+    """Feature vector of length :data:`ATOM_FEATURE_DIM`: element one-hot
+    (+unknown bucket), degree, total H, implicit valence (clamped one-hots)
+    and an aromatic bit."""
     atom = g.atoms[atom_index]
-    dim = ATOM_FEATURE_DIM + (CHARGE_SLOTS if include_charge else 0)
-    f = np.zeros(dim)
+    f = np.zeros(ATOM_FEATURE_DIM)
     f[_ELEMENT_SLOT.get(atom.element, _UNKNOWN_SLOT)] = 1.0
     base = len(ELEMENTS) + 1
     f[base + min(atom.degree, _DEGREE_SLOTS - 1)] = 1.0
@@ -661,8 +656,6 @@ def atom_features(g: MolGraph, atom_index: int, include_charge: bool = False) ->
     f[base + min(atom.implicit_h, _IMPLICIT_SLOTS - 1)] = 1.0
     base += _IMPLICIT_SLOTS
     f[base] = 1.0 if atom.aromatic else 0.0
-    if include_charge:
-        f[base + 1 + min(max(atom.formal_charge, -2), 2) + 2] = 1.0
     return f
 
 
@@ -676,11 +669,10 @@ def bond_features(g: MolGraph, bond_index: int) -> np.ndarray:
     return f
 
 
-def atom_feature_matrix(g: MolGraph, include_charge: bool = False) -> np.ndarray:
-    dim = ATOM_FEATURE_DIM + (CHARGE_SLOTS if include_charge else 0)
+def atom_feature_matrix(g: MolGraph) -> np.ndarray:
     if g.n_atoms == 0:
-        return np.zeros((0, dim))
-    return np.stack([atom_features(g, i, include_charge) for i in range(g.n_atoms)])
+        return np.zeros((0, ATOM_FEATURE_DIM))
+    return np.stack([atom_features(g, i) for i in range(g.n_atoms)])
 
 
 def induced_subgraph(g: MolGraph, atom_indices: Sequence[int]) -> MolGraph:

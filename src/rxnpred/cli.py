@@ -109,16 +109,22 @@ def main(argv: list[str] | None = None) -> int:
             failures += int(not result.passed)
         return 1 if failures else 0
 
+    # Bad input (a config key, a variant, a SMILES string, a checkpoint or a
+    # data file) ends the command with one line, not a traceback.
+    try:
+        return _run(args)
+    except (ValueError, OSError) as e:
+        raise SystemExit(str(e)) from e
+
+
+def _run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
 
     if args.command in ("train-center", "train-ranker"):
         if args.command == "train-ranker":
             cfg = replace(cfg, center=(args.model or ["oracle"])[0])
         train = train_center if args.command == "train-center" else train_ranker
-        try:
-            result = train(cfg)
-        except ValueError as e:  # e.g. a variant this command cannot train
-            raise SystemExit(str(e)) from e
+        result = train(cfg)
         last = result.history[-1]
         score = (f"coverage@{cfg.k} {last['train_coverage']:.3f}"
                  if train is train_center else f"P@1 {last['train_p1']:.3f}")

@@ -56,6 +56,7 @@ __all__ = [
 CKPT_HEADER = "REXGEN-CKPT v1"
 LOG_CLAMP = 1e-12
 GRAD_CHECK_SAMPLES = 50  # coordinates of each tensor that grad_check perturbs
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class ShapeError(ValueError):
@@ -483,12 +484,14 @@ class ParamStore:
     """Named map of trainable tensors plus string metadata.
 
     Names must be unique and contain no whitespace (the checkpoint format is
-    line oriented).
+    line oriented). A store read by :meth:`load` remembers its file in
+    ``path``, and its load-time errors name that file.
     """
 
     def __init__(self, metadata: dict[str, str] | None = None):
         self.params: dict[str, DTensor] = {}
         self.metadata: dict[str, str] = dict(metadata or {})
+        self.path: str | None = None
 
     def create(self, name: str, rows: int, cols: int,
                rng: np.random.Generator | None = None, init: str = "xavier") -> DTensor:
@@ -513,12 +516,30 @@ class ParamStore:
 
     def expect(self, name: str, rows: int, cols: int) -> DTensor:
         """The tensor ``name``; ``ValueError`` unless it exists with shape (rows, cols)."""
+        where = f"{self.path}: " if self.path else ""
         if name not in self.params:
-            raise ValueError(f"missing tensor {name!r}, expected shape {(rows, cols)}")
+            raise ValueError(f"{where}missing tensor {name!r}, expected shape {(rows, cols)}")
         shape = self.params[name].shape
         if shape != (rows, cols):
-            raise ValueError(f"tensor {name!r} has shape {shape}, expected {(rows, cols)}")
+            raise ValueError(f"{where}tensor {name!r} has shape {shape}, expected {(rows, cols)}")
         return self.params[name]
+
+    def meta(self, key: str, parse: Callable[[str], object] = str,
+             allowed: Sequence[str] | None = None):
+        """Metadata ``key`` through ``parse``; ``ValueError`` naming the key when
+        it is missing, ``parse`` rejects it, or it is not in ``allowed`` (if given)."""
+        where = f"{self.path}: " if self.path else ""
+        raw = self.metadata.get(key)
+        if raw is None:
+            raise ValueError(f"{where}missing metadata {key!r}")
+        if allowed is not None and raw not in allowed:
+            raise ValueError(f"{where}metadata {key}={raw!r} is not supported; "
+                             f"expected {' or '.join(map(repr, allowed))}")
+        try:
+            return parse(raw)
+        except ValueError:
+            raise ValueError(f"{where}metadata {key}={raw!r} is not a valid "
+                             f"{parse.__name__}") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self.params
@@ -562,6 +583,7 @@ class ParamStore:
         if not lines or lines[0] != CKPT_HEADER:
             raise ValueError(f"{path}: not a {CKPT_HEADER!r} checkpoint")
         store = cls()
+        store.path = str(path)
         i = 1
         while i < len(lines) and lines[i].startswith("# "):
             key, _, value = lines[i][2:].partition("=")
@@ -603,12 +625,8 @@ class ParamStore:
 class AdamState:
     """Adam with bias correction and a multiplicative per-epoch lr decay."""
 
-    def __init__(self, store: ParamStore, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, decay: float = 0.9):
+    def __init__(self, store: ParamStore, lr: float = 1e-3, decay: float = 0.9):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.decay = decay
         self.step_count = 0
         self.m = {name: np.zeros_like(t.values) for name, t in store.params.items()}
@@ -633,13 +651,13 @@ def adam_step(store: ParamStore, state: AdamState) -> None:
         g = tensor.grad
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        tensor.values = tensor.values - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        tensor.values = tensor.values - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         if not np.all(np.isfinite(tensor.values)):
             raise FloatingPointError(f"parameter {name!r} became non-finite during Adam step")
 

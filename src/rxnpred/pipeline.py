@@ -30,10 +30,14 @@ from .wliso import wl_equivalent
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "EvalReport", "PredictedProduct", "PredictResult", "ReactionRecord",
+    "MAX_ATOMS", "EvalReport", "PredictedProduct", "PredictResult", "ReactionRecord",
     "RunConfig", "evaluate", "load_dataset", "predict", "split_records",
     "train_center", "train_ranker",
 ]
+
+# Largest reactant graph (reagents included) that datasets load and
+# ``predict`` accepts.
+MAX_ATOMS = 150
 
 @dataclass
 class RunConfig:
@@ -53,10 +57,8 @@ class RunConfig:
     variant: str | None = None      # local|global|wln|wldn; None: local or wldn
     augment_truth: bool = False
     split: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    max_atoms: int = 150
+    max_atoms: int = MAX_ATOMS
     max_candidates: int = 2000
-    activation: str = "relu"
-    include_charge: bool = False
     eval_ks: tuple[int, ...] = (6, 8, 10)
     # Optional early-stop targets for small overfit runs:
     target_train_coverage: float | None = None
@@ -137,7 +139,7 @@ class RecordError(ValueError):
     pass
 
 
-def parse_reaction_line(line: str, max_atoms: int = 150) -> ReactionRecord:
+def parse_reaction_line(line: str, max_atoms: int = MAX_ATOMS) -> ReactionRecord:
     fields = line.split(">")
     if len(fields) != 3:
         raise RecordError(f"expected 'reactants>reagents>products', got {len(fields)} fields")
@@ -193,7 +195,7 @@ def _check_edit_consistency(rxn: Reaction, edits: EditSet) -> None:
         raise RecordError("edit set does not reproduce the product's mapped bonds")
 
 
-def load_dataset(path, max_atoms: int = 150) -> list[ReactionRecord]:
+def load_dataset(path, max_atoms: int = MAX_ATOMS) -> list[ReactionRecord]:
     """Parse and validate a reaction file, skipping malformed lines.
 
     Raises if the file is unreadable or if more than half of the non-comment
@@ -306,8 +308,7 @@ def _fit(cfg: RunConfig, kind: str, model_cls, variants: tuple[str, str], prepar
     if not train:
         raise ValueError("training split is empty")
     train, dev = prepare(train, dev)
-    model = model_cls.create(variant, cfg.hidden, cfg.depth, cfg.seed,
-                             cfg.include_charge, cfg.activation)
+    model = model_cls.create(variant, cfg.hidden, cfg.depth, cfg.seed)
     model.store.metadata.update(k=str(cfg.k), max_changes=str(cfg.max_changes))
     adam = de.AdamState(model.store, lr=cfg.lr, decay=cfg.decay)
     rng = np.random.default_rng(cfg.seed)
@@ -471,8 +472,12 @@ def predict(reactants_smiles: str, center: CenterModel, ranker: RankerModel,
     """Full pipeline: score pairs, enumerate within the top-K, rank, serialize.
 
     Atom maps are optional on input; unmapped atoms are numbered by index.
+    Inputs of more than :data:`MAX_ATOMS` atoms raise ``ValueError``, as
+    :func:`load_dataset` skips such records.
     """
     g = parse_smiles(reactants_smiles)
+    if g.n_atoms > MAX_ATOMS:
+        raise ValueError(f"reactants too large ({g.n_atoms} atoms; the cap is {MAX_ATOMS})")
     if any(a.map_number is None for a in g.atoms):
         atoms = [a.copy() for a in g.atoms]
         for i, atom in enumerate(atoms):

@@ -20,9 +20,10 @@ import numpy as np
 
 from . import diffengine as de
 from .candgen import Candidate
-from .chemgraph import ATOM_FEATURE_DIM, CHARGE_SLOTS, MolGraph
+from .chemgraph import ATOM_FEATURE_DIM, MolGraph
 from .diffengine import DTensor, ParamStore
-from .wln import WLNParams, activate, embed_from_features, graph_inputs, union_inputs
+from .wln import (FIXED_METADATA, WLNParams, embed_from_features, graph_inputs,
+                  model_metadata, union_inputs)
 
 __all__ = ["MAX_UNION_CANDIDATES", "RankerModel", "difference_vectors",
            "rank_candidates", "rank_loss", "score_sumpool"]
@@ -41,39 +42,30 @@ class RankerModel:
     diff_wln: WLNParams       # embeds the difference graph (gated messages)
     variant: str              # "wln" = sum-pooling | "wldn" = difference network
     hidden: int
-    include_charge: bool = False
-    activation: str = "relu"
 
     @classmethod
-    def create(cls, variant: str, hidden: int = 64, depth: int = 3, seed: int = 0,
-               include_charge: bool = False, activation: str = "relu") -> "RankerModel":
+    def create(cls, variant: str, hidden: int = 64, depth: int = 3,
+               seed: int = 0) -> "RankerModel":
         if variant not in ("wln", "wldn"):
             raise ValueError(f"unknown ranker variant {variant!r}")
         rng = np.random.default_rng(seed)
         store = ParamStore(metadata={
             "kind": "ranker", "variant": variant, "hidden": str(hidden),
-            "seed": str(seed), "include_charge": "1" if include_charge else "0",
-            "activation": activation, "version": "1",
+            "seed": str(seed), "version": "1", **FIXED_METADATA,
         })
-        in_dim = ATOM_FEATURE_DIM + (CHARGE_SLOTS if include_charge else 0)
-        wln = WLNParams.create(store, "mol", in_dim, hidden, depth, rng,
-                               activation=activation)
-        diff = WLNParams.create(store, "diff", hidden, hidden, depth, rng,
-                                variant="gated", project=False, activation=activation)
+        wln = WLNParams.create(store, "mol", ATOM_FEATURE_DIM, hidden, depth, rng)
+        diff = WLNParams.create(store, "diff", hidden, hidden, depth, rng, variant="gated")
         for name, shape in _head_shapes(hidden).items():
             store.create(name, *shape, rng)
-        return cls(store, wln, diff, variant, hidden, include_charge, activation)
+        return cls(store, wln, diff, variant, hidden)
 
     @classmethod
     def from_store(cls, store: ParamStore) -> "RankerModel":
-        meta = store.metadata
-        if meta.get("kind") != "ranker":
-            raise ValueError("checkpoint is not a ranker model")
+        variant, hidden = model_metadata(store, "ranker", ("wln", "wldn"))
         wln, diff = WLNParams.from_store(store, "mol"), WLNParams.from_store(store, "diff")
-        for name, shape in _head_shapes(int(meta["hidden"])).items():
+        for name, shape in _head_shapes(hidden).items():
             store.expect(name, *shape)
-        return cls(store, wln, diff, meta["variant"], int(meta["hidden"]),
-                   meta.get("include_charge") == "1", meta.get("activation", "relu"))
+        return cls(store, wln, diff, variant, hidden)
 
     @classmethod
     def load(cls, path) -> "RankerModel":
@@ -101,7 +93,7 @@ class RankerModel:
         ``+0.0``, is unchanged by zero addends. (The last step needs
         ``hidden >= 2``: numpy sums a single column pairwise.)
         """
-        gi_r = graph_inputs(reactants, self.include_charge)
+        gi_r = graph_inputs(reactants)
         c_r = embed_from_features(gi_r, gi_r.features, self.wln)
         chunks = [self._score_union(c_r, candidates[i:i + MAX_UNION_CANDIDATES])
                   for i in range(0, len(candidates), MAX_UNION_CANDIDATES)]
@@ -109,8 +101,7 @@ class RankerModel:
 
     def _score_union(self, c_r: DTensor, candidates: Sequence[Candidate]) -> DTensor:
         atoms = [cand.edited_atoms() for cand in candidates]
-        gi = union_inputs([(cand.product, a) for cand, a in zip(candidates, atoms)],
-                          self.include_charge)
+        gi = union_inputs([(cand.product, a) for cand, a in zip(candidates, atoms)])
         owner = np.repeat(np.arange(len(candidates)), [len(a) for a in atoms])
         rows = [i for a in atoms for i in a]
         d = de.sub(embed_from_features(gi, gi.features, self.wln), de.gather_rows(c_r, rows))
@@ -120,7 +111,7 @@ class RankerModel:
             d = embed_from_features(gi, d, self.diff_wln)
             m, u = self.store["wldn.M"], self.store["wldn.u"]
         pooled = de.segment_sum(d, owner, len(candidates))
-        return de.matmul(activate(self.activation, de.matmul(pooled, m)), u)
+        return de.matmul(de.relu(de.matmul(pooled, m)), u)
 
 
 def _head_shapes(hidden: int) -> dict[str, tuple[int, int]]:
@@ -129,23 +120,22 @@ def _head_shapes(hidden: int) -> dict[str, tuple[int, int]]:
             "wldn.M": (hidden, hidden), "wldn.u": (hidden, 1)}
 
 
-def difference_vectors(reactants: MolGraph, candidate: Candidate, wln: WLNParams,
-                       include_charge: bool = False) -> DTensor:
+def difference_vectors(reactants: MolGraph, candidate: Candidate, wln: WLNParams) -> DTensor:
     """Per-atom difference vectors (candidate minus reactant embedding).
 
     Candidate product graphs keep the reactant atom indexing, so the
     subtraction is row-aligned. Atoms whose neighborhood the edits never
     touch come out exactly zero.
     """
-    gi_r = graph_inputs(reactants, include_charge)
+    gi_r = graph_inputs(reactants)
     c_r = embed_from_features(gi_r, gi_r.features, wln)
-    gi_p = graph_inputs(candidate.product, include_charge)
+    gi_p = graph_inputs(candidate.product)
     return de.sub(embed_from_features(gi_p, gi_p.features, wln), c_r)
 
 
-def score_sumpool(d: DTensor, m: DTensor, u: DTensor, activation: str = "relu") -> DTensor:
-    """Head ``u' tau(M sum_v d_v)`` over per-atom difference vectors."""
-    return de.matmul(activate(activation, de.matmul(de.sum_rows(d), m)), u)
+def score_sumpool(d: DTensor, m: DTensor, u: DTensor) -> DTensor:
+    """Head ``u' relu(M sum_v d_v)`` over per-atom difference vectors."""
+    return de.matmul(de.relu(de.matmul(de.sum_rows(d), m)), u)
 
 
 def rank_loss(scores: Sequence[DTensor] | DTensor, true_index: int) -> DTensor:

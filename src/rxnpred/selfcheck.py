@@ -54,10 +54,8 @@ def naive_atom_vectors(g: MolGraph, p: WLNParams) -> np.ndarray:
     """
     if p.variant != "concat":
         raise ValueError("oracle covers the concat message form")
-    act = (lambda x: np.maximum(x, 0.0)) if p.activation == "relu" else np.tanh
     feats = atom_feature_matrix(g)
-    w_in = p.w_in.values if p.w_in is not None else None
-    h = [feats[i] @ w_in if w_in is not None else feats[i] for i in range(g.n_atoms)]
+    h = [feats[i] @ p.w_in.values for i in range(g.n_atoms)]
     v = p.v.values
     u1, u2 = p.u1.values, p.u2.values
     for _ in range(p.depth):
@@ -66,8 +64,8 @@ def naive_atom_vectors(g: MolGraph, p: WLNParams) -> np.ndarray:
             neigh = np.zeros(p.hidden)
             for nbr, bi in g.adjacency[i]:
                 edge_in = np.concatenate([h[nbr], bond_features(g, bi)])
-                neigh += act(edge_in @ v)
-            nxt.append(act(h[i] @ u1 + neigh @ u2))
+                neigh += np.maximum(edge_in @ v, 0.0)
+            nxt.append(np.maximum(h[i] @ u1 + neigh @ u2, 0.0))
         h = nxt
     w0, w1, w2 = p.w0.values, p.w1.values, p.w2.values
     out = np.zeros((g.n_atoms, p.hidden))
@@ -221,12 +219,12 @@ def reference_score(model: RankerModel, reactants: MolGraph,
     """One candidate's (1, 1) score through full-graph embeddings: both
     networks run over the whole reactant and product graphs, untouched
     components included."""
-    d = difference_vectors(reactants, candidate, model.wln, model.include_charge)
+    d = difference_vectors(reactants, candidate, model.wln)
     if model.variant == "wln":
-        return score_sumpool(d, model.store["sum.M"], model.store["sum.u"], model.activation)
-    gi = graph_inputs(candidate.product, model.include_charge)
+        return score_sumpool(d, model.store["sum.M"], model.store["sum.u"])
+    gi = graph_inputs(candidate.product)
     d = embed_from_features(gi, d, model.diff_wln)
-    return score_sumpool(d, model.store["wldn.M"], model.store["wldn.u"], model.activation)
+    return score_sumpool(d, model.store["wldn.M"], model.store["wldn.u"])
 
 
 def batched_ranker_suite(seed: int = 13, hidden: int = 8) -> CheckResult:

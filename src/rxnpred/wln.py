@@ -5,16 +5,15 @@ rank-1 comparison against learned reference edges produces per-atom vectors;
 the graph vector is their sum. Two message forms are supported:
 
 * ``concat`` (default): the message from ``u`` along bond ``(u, v)`` is
-  ``tau(V [h_u, f_uv])``.
-* ``gated``: the message is ``tau((Vh h_u) * (Vf f_uv))`` with an elementwise
+  ``relu(V [h_u, f_uv])``.
+* ``gated``: the message is ``relu((Vh h_u) * (Vf f_uv))`` with an elementwise
   product, which guarantees that all-zero input features propagate to exactly
   zero atom vectors (used by the difference-graph scorer so that a do-nothing
   candidate scores exactly zero).
 
 Layer weights ``U1, U2, V`` are shared across rounds; there are no bias
-terms. Inputs may pass through a learned linear projection into the hidden
-size; omit it by constructing with ``project=False`` when the input dimension
-already equals the hidden size.
+terms. A ``concat`` network first projects its input into the hidden size; a
+``gated`` one takes hidden-size input as it is.
 """
 
 from __future__ import annotations
@@ -25,25 +24,27 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import diffengine as de
-from .chemgraph import (ATOM_FEATURE_DIM, BOND_FEATURE_DIM, CHARGE_SLOTS, MolGraph,
-                        atom_features, bond_features)
+from .chemgraph import ATOM_FEATURE_DIM, BOND_FEATURE_DIM, MolGraph, atom_features, bond_features
 from .diffengine import DTensor, ParamStore
 
-__all__ = ["GraphInputs", "WLNParams", "activate", "embed_atoms",
-           "embed_from_features", "embed_graph", "graph_inputs", "union_inputs"]
+__all__ = ["FIXED_METADATA", "GraphInputs", "WLNParams", "embed_atoms",
+           "embed_from_features", "embed_graph", "graph_inputs", "model_metadata",
+           "union_inputs"]
 
-_ACTIVATIONS = ("relu", "tanh")
+# Single-valued settings that model checkpoints record (each network adds
+# ``<prefix>.activation`` and ``<prefix>.project``). Loading refuses any other
+# value, so a file made for another network fails instead of scoring as this one.
+FIXED_METADATA = {"activation": "relu", "include_charge": "0"}
 
 
-def activate(name: str, t: DTensor) -> DTensor:
-    """Apply the activation named ``name`` ("relu" or "tanh").
-
-    The op is looked up on ``diffengine`` at each call, so a wrapper put on
-    ``diffengine.relu``/``diffengine.tanh`` sees every use.
-    """
-    if name not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {name!r}")
-    return getattr(de, name)(t)
+def model_metadata(store: ParamStore, kind: str, variants: tuple[str, str]) -> tuple[str, int]:
+    """The variant and hidden size of a model checkpoint of ``kind``, after
+    checking its single-valued settings."""
+    if store.metadata.get("kind") != kind:
+        raise ValueError(f"checkpoint is not a {kind} model")
+    for key, value in FIXED_METADATA.items():
+        store.meta(key, allowed=(value,))
+    return store.meta("variant", allowed=variants), store.meta("hidden", int)
 
 
 @dataclass
@@ -59,47 +60,39 @@ class WLNParams:
     hidden: int
     in_dim: int
     variant: str = "concat"          # "concat" | "gated"
-    activation: str = "relu"
-    w_in: DTensor | None = None      # input projection, optional
+    w_in: DTensor | None = None      # input projection (concat only)
     v: DTensor | None = None         # concat message weights, (hidden+bond, hidden)
     vh: DTensor | None = None        # gated message weights over h_u
     vf: DTensor | None = None        # gated message weights over f_uv
 
     @classmethod
     def create(cls, store: ParamStore, prefix: str, in_dim: int, hidden: int,
-               depth: int, rng: np.random.Generator, variant: str = "concat",
-               project: bool = True, activation: str = "relu") -> "WLNParams":
+               depth: int, rng: np.random.Generator, variant: str = "concat") -> "WLNParams":
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        if variant not in ("concat", "gated"):
-            raise ValueError(f"unknown message variant {variant!r}")
-        if activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        if not project and in_dim != hidden:
-            raise ValueError("projection can only be dropped when in_dim == hidden")
+        if not _projects(variant) and in_dim != hidden:
+            raise ValueError(f"a gated network takes its input unprojected, so in_dim "
+                             f"({in_dim}) must equal hidden ({hidden})")
         tensors = {_FIELDS[name]: store.create(f"{prefix}.{name}", *shape, rng)
-                   for name, shape in _tensor_shapes(in_dim, hidden, variant, project).items()}
-        store.metadata[f"{prefix}.depth"] = str(depth)
-        store.metadata[f"{prefix}.hidden"] = str(hidden)
-        store.metadata[f"{prefix}.in_dim"] = str(in_dim)
-        store.metadata[f"{prefix}.variant"] = variant
-        store.metadata[f"{prefix}.activation"] = activation
-        store.metadata[f"{prefix}.project"] = "1" if project else "0"
-        return cls(**tensors, depth=depth, hidden=hidden, in_dim=in_dim,
-                   variant=variant, activation=activation)
+                   for name, shape in _tensor_shapes(in_dim, hidden, variant).items()}
+        for key, value in (("depth", depth), ("hidden", hidden), ("in_dim", in_dim),
+                           ("variant", variant), ("activation", "relu"),
+                           ("project", int(_projects(variant)))):
+            store.metadata[f"{prefix}.{key}"] = str(value)
+        return cls(**tensors, depth=depth, hidden=hidden, in_dim=in_dim, variant=variant)
 
     @classmethod
     def from_store(cls, store: ParamStore, prefix: str) -> "WLNParams":
         """The network under ``prefix``; tensor shapes must match its sizes."""
-        meta = store.metadata
-        variant = meta[f"{prefix}.variant"]
-        hidden = int(meta[f"{prefix}.hidden"])
-        in_dim = int(meta[f"{prefix}.in_dim"])
-        shapes = _tensor_shapes(in_dim, hidden, variant, meta[f"{prefix}.project"] == "1")
+        variant = store.meta(f"{prefix}.variant", allowed=("concat", "gated"))
+        hidden = store.meta(f"{prefix}.hidden", int)
+        in_dim = store.meta(f"{prefix}.in_dim", int)
+        depth = store.meta(f"{prefix}.depth", int)
+        store.meta(f"{prefix}.activation", allowed=("relu",))
+        store.meta(f"{prefix}.project", allowed=(str(int(_projects(variant))),))
         tensors = {_FIELDS[name]: store.expect(f"{prefix}.{name}", *shape)
-                   for name, shape in shapes.items()}
-        return cls(**tensors, depth=int(meta[f"{prefix}.depth"]), hidden=hidden,
-                   in_dim=in_dim, variant=variant, activation=meta[f"{prefix}.activation"])
+                   for name, shape in _tensor_shapes(in_dim, hidden, variant).items()}
+        return cls(**tensors, depth=depth, hidden=hidden, in_dim=in_dim, variant=variant)
 
 
 # Tensor name suffix -> WLNParams field.
@@ -107,18 +100,21 @@ _FIELDS = {"U1": "u1", "U2": "u2", "W0": "w0", "W1": "w1", "W2": "w2",
            "Win": "w_in", "V": "v", "Vh": "vh", "Vf": "vf"}
 
 
-def _tensor_shapes(in_dim: int, hidden: int, variant: str,
-                   project: bool) -> dict[str, tuple[int, int]]:
+def _projects(variant: str) -> bool:
+    """Whether a network of this message variant projects its input."""
+    if variant not in ("concat", "gated"):
+        raise ValueError(f"unknown message variant {variant!r}")
+    return variant == "concat"
+
+
+def _tensor_shapes(in_dim: int, hidden: int, variant: str) -> dict[str, tuple[int, int]]:
     """Shape of each tensor of one network, by name suffix, in creation order."""
     shapes = {"U1": (hidden, hidden), "U2": (hidden, hidden), "W0": (hidden, hidden),
               "W1": (BOND_FEATURE_DIM, hidden), "W2": (hidden, hidden)}
-    if project:
-        shapes["Win"] = (in_dim, hidden)
-    if variant == "concat":
-        shapes["V"] = (hidden + BOND_FEATURE_DIM, hidden)
+    if _projects(variant):  # concat
+        shapes.update(Win=(in_dim, hidden), V=(hidden + BOND_FEATURE_DIM, hidden))
     else:
-        shapes["Vh"] = (hidden, hidden)
-        shapes["Vf"] = (BOND_FEATURE_DIM, hidden)
+        shapes.update(Vh=(hidden, hidden), Vf=(BOND_FEATURE_DIM, hidden))
     return shapes
 
 
@@ -133,12 +129,11 @@ class GraphInputs:
     edge_features: DTensor    # (2 * n_bonds, BOND_FEATURE_DIM)
 
 
-def graph_inputs(g: MolGraph, include_charge: bool = False) -> GraphInputs:
-    return union_inputs([(g, range(g.n_atoms))], include_charge)
+def graph_inputs(g: MolGraph) -> GraphInputs:
+    return union_inputs([(g, range(g.n_atoms))])
 
 
-def union_inputs(parts: Iterable[tuple[MolGraph, Sequence[int]]],
-                 include_charge: bool = False) -> GraphInputs:
+def union_inputs(parts: Iterable[tuple[MolGraph, Sequence[int]]]) -> GraphInputs:
     """Inputs for the disjoint union of ``(graph, atoms)`` parts.
 
     Each part contributes the listed atoms of its graph, in order, numbered
@@ -152,17 +147,16 @@ def union_inputs(parts: Iterable[tuple[MolGraph, Sequence[int]]],
     edge_feats: list[np.ndarray] = []
     for g, atoms in parts:
         local = {a: len(feats) + i for i, a in enumerate(atoms)}
-        feats.extend(atom_features(g, a, include_charge) for a in atoms)
+        feats.extend(atom_features(g, a) for a in atoms)
         for bi, bond in enumerate(g.bonds):
             if bond.u in local:
                 u, v = local[bond.u], local[bond.v]
                 src += (u, v)
                 dst += (v, u)
                 edge_feats += [bond_features(g, bi)] * 2
-    atom_dim = ATOM_FEATURE_DIM + (CHARGE_SLOTS if include_charge else 0)
     return GraphInputs(
         len(feats), np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
-        de.constant(np.array(feats).reshape(len(feats), atom_dim)),
+        de.constant(np.array(feats).reshape(len(feats), ATOM_FEATURE_DIM)),
         de.constant(np.array(edge_feats).reshape(len(src), BOND_FEATURE_DIM)))
 
 
@@ -179,11 +173,11 @@ def embed_from_features(gi: GraphInputs, x: DTensor, p: WLNParams) -> DTensor:
     for _ in range(p.depth):
         h_src = de.gather_rows(h, gi.src)
         if p.variant == "concat":
-            msg = activate(p.activation, de.matmul(de.concat_cols(h_src, fe), p.v))
+            msg = de.relu(de.matmul(de.concat_cols(h_src, fe), p.v))
         else:
-            msg = activate(p.activation, de.mul(de.matmul(h_src, p.vh), de.matmul(fe, p.vf)))
+            msg = de.relu(de.mul(de.matmul(h_src, p.vh), de.matmul(fe, p.vf)))
         neigh = de.segment_sum(msg, gi.dst, gi.n_atoms)
-        h = activate(p.activation, de.add(de.matmul(h, p.u1), de.matmul(neigh, p.u2)))
+        h = de.relu(de.add(de.matmul(h, p.u1), de.matmul(neigh, p.u2)))
     # One expression, so that under no_grad each edge-sized temporary is
     # freed as soon as it is used.
     compared = de.mul(de.mul(de.matmul(de.gather_rows(h, gi.src), p.w0),
@@ -192,12 +186,12 @@ def embed_from_features(gi: GraphInputs, x: DTensor, p: WLNParams) -> DTensor:
     return de.segment_sum(compared, gi.dst, gi.n_atoms)
 
 
-def embed_atoms(g: MolGraph, p: WLNParams, include_charge: bool = False) -> DTensor:
+def embed_atoms(g: MolGraph, p: WLNParams) -> DTensor:
     """Per-atom vectors for a molecular graph (one row per atom)."""
-    gi = graph_inputs(g, include_charge)
+    gi = graph_inputs(g)
     return embed_from_features(gi, gi.features, p)
 
 
-def embed_graph(g: MolGraph, p: WLNParams, include_charge: bool = False) -> DTensor:
+def embed_graph(g: MolGraph, p: WLNParams) -> DTensor:
     """Whole-graph vector: the sum of all atom vectors, shape (1, hidden)."""
-    return de.sum_rows(embed_atoms(g, p, include_charge))
+    return de.sum_rows(embed_atoms(g, p))

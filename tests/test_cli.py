@@ -101,6 +101,48 @@ def test_missing_models_fail_loudly(workdir):
         main(["predict", "CC"])
 
 
+def one_line_exit(args, match):
+    """Run the CLI, expecting it to exit with a one-line message, not a traceback."""
+    with pytest.raises(SystemExit, match=match) as exc:
+        main(args)
+    assert isinstance(exc.value.code, str) and "\n" not in exc.value.code
+
+
+@pytest.mark.parametrize("smiles, match", [
+    ("C1CC(", r"unclosed '\('"), ("C" * 151, r"too large \(151 atoms")],
+    ids=["bad-smiles", "over-atom-cap"])
+def test_predict_bad_input_exits_with_one_line(checkpoints, smiles, match):
+    center, ranker = checkpoints
+    one_line_exit(["predict", smiles, "--model", center, "--model", ranker], match)
+
+
+def test_missing_checkpoint_file_exits_with_one_line(workdir, checkpoints):
+    center, _ = checkpoints
+    missing = str(workdir / "missing.ckpt")
+    for command in (["predict", "CC"], ["evaluate", "--data", str(workdir / "toy.txt")]):
+        one_line_exit(command + ["--model", center, "--model", missing],
+                      "No such file or directory")
+
+
+def test_evaluate_bad_data_exits_with_one_line(workdir, checkpoints):
+    center, ranker = checkpoints
+    models = ["--model", center, "--model", ranker]
+    one_line_exit(["evaluate", "--data", str(workdir / "missing.txt")] + models,
+                  "No such file or directory")
+    junk = workdir / "junk.txt"
+    junk.write_text("not a reaction\n")
+    one_line_exit(["evaluate", "--data", str(junk)] + models, "records malformed")
+
+
+def test_old_config_key_exits_with_one_line(workdir, checkpoints):
+    center, ranker = checkpoints
+    cfg = workdir / "old.cfg"
+    cfg.write_text("activation=relu\n")
+    one_line_exit(["evaluate", "--data", str(workdir / "toy.txt"), "--model", center,
+                   "--model", ranker, "--config", str(cfg)],
+                  "unknown config key 'activation'")
+
+
 def test_datagen_cli(tmp_path, capsys):
     out = tmp_path / "gen.txt"
     assert datagen.main(["--out", str(out), "--n", "6", "--seed", "1"]) == 0

@@ -475,7 +475,8 @@ class TestCheckpoints:
         store.params[name] = de.DTensor(np.ones((rows, cols - 1)), requires_grad=True)
         store.save(path)
         with pytest.raises(ValueError, match=re.escape(
-                f"tensor {name!r} has shape {(rows, cols - 1)}, expected {(rows, cols)}")):
+                f"{path}: tensor {name!r} has shape {(rows, cols - 1)}, "
+                f"expected {(rows, cols)}")):
             model_cls.load(path)
 
     @pytest.mark.parametrize("variant, name", [
@@ -488,8 +489,67 @@ class TestCheckpoints:
         del store.params[name]
         store.save(path)
         with pytest.raises(ValueError, match=re.escape(
-                f"missing tensor {name!r}, expected shape {shape}")):
+                f"{path}: missing tensor {name!r}, expected shape {shape}")):
             model_cls.load(path)
+
+    @staticmethod
+    def saved_with(tmp_path, variant, key, value):
+        """A fresh checkpoint of ``variant`` whose metadata ``key`` is set to
+        ``value`` (deleted when None), and the class that loads it."""
+        model_cls = CenterModel if variant in ("local", "global") else RankerModel
+        store = model_cls.create(variant, hidden=8, depth=1, seed=0).store
+        assert key in store.metadata
+        if value is None:
+            del store.metadata[key]
+        else:
+            store.metadata[key] = value
+        path = tmp_path / "model.ckpt"
+        store.save(path)
+        return model_cls, path
+
+    @pytest.mark.parametrize("variant, key", [
+        ("local", "wln.depth"), ("global", "hidden"), ("wln", "mol.in_dim"),
+        ("wldn", "diff.variant"), ("wldn", "activation"), ("wln", "mol.project")])
+    def test_missing_metadata_rejected_at_load(self, tmp_path, variant, key):
+        model_cls, path = self.saved_with(tmp_path, variant, key, None)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing metadata {key!r}")):
+            model_cls.load(path)
+
+    @pytest.mark.parametrize("variant, key", [
+        ("local", "hidden"), ("global", "wln.depth"), ("wln", "mol.hidden"),
+        ("wldn", "diff.in_dim")])
+    def test_non_integer_metadata_rejected_at_load(self, tmp_path, variant, key):
+        model_cls, path = self.saved_with(tmp_path, variant, key, "four")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: metadata {key}='four' is not a valid int")):
+            model_cls.load(path)
+
+    @pytest.mark.parametrize("variant, key, value", [
+        ("local", "activation", "tanh"), ("wldn", "activation", "tanh"),
+        ("global", "wln.activation", "tanh"), ("wln", "diff.activation", "tanh"),
+        ("local", "include_charge", "1"), ("wldn", "include_charge", "1"),
+        ("global", "wln.project", "0"), ("wln", "mol.project", "0"),
+        ("wldn", "diff.project", "1"), ("local", "variant", "wldn"),
+        ("wln", "variant", "global"), ("global", "wln.variant", "bogus"),
+        ("wldn", "mol.variant", "bogus")])
+    def test_unsupported_setting_rejected_at_load(self, tmp_path, variant, key, value):
+        # The networks always use ReLU, no charge features, and project
+        # exactly when their messages are concat, and each model knows its
+        # own variants; a file recording anything else was made for another
+        # network and must not load as this one.
+        model_cls, path = self.saved_with(tmp_path, variant, key, value)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: metadata {key}={value!r} is not supported")):
+            model_cls.load(path)
+
+    def test_in_memory_store_errors_name_no_file(self):
+        store = de.ParamStore(metadata={"hidden": "8"})
+        assert store.meta("hidden", int) == 8
+        with pytest.raises(ValueError, match=r"^missing metadata 'depth'$"):
+            store.meta("depth", int)
+        with pytest.raises(ValueError, match=r"^metadata hidden='8' is not supported; "
+                                             r"expected '4' or '16'$"):
+            store.meta("hidden", allowed=("4", "16"))
 
     def test_duplicate_and_bad_names_rejected(self):
         store = de.ParamStore()

@@ -8,7 +8,7 @@ from rxnpred import diffengine as de
 from rxnpred.candgen import BondEdit, Candidate, EditSet
 from rxnpred.center import CenterModel
 from rxnpred.chemgraph import BondType, apply_edits
-from rxnpred.pipeline import (RunConfig, evaluate, load_dataset,
+from rxnpred.pipeline import (MAX_ATOMS, RunConfig, evaluate, load_dataset,
                               parse_reaction_line, predict, split_records,
                               train_center, train_ranker)
 from rxnpred.ranker import RankerModel
@@ -160,6 +160,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             RunConfig.from_file(path)
 
+    @pytest.mark.parametrize("line", ["activation=relu", "include_charge=0"])
+    def test_removed_network_settings_are_unknown_keys(self, tmp_path, line):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=f"unknown config key {line.split('=')[0]!r}"):
+            RunConfig.from_file(path)
+
 
 class TestTraining:
     def test_center_loss_decreases(self, toy_file, tmp_path):
@@ -197,6 +204,15 @@ class TestPredict:
         center, ranker = trained
         result = predict("[CH4:1]", center, ranker, k=6)
         assert result.products == [] and result.reason
+
+    def test_atom_cap_matches_load_dataset(self, trained):
+        center, ranker = trained
+        too_big = "C" * (MAX_ATOMS + 1)
+        assert RunConfig().max_atoms == MAX_ATOMS
+        with pytest.raises(ValueError, match=f"{MAX_ATOMS + 1} atoms"):
+            parse_reaction_line(f"{too_big}>>C")
+        with pytest.raises(ValueError, match=f"{MAX_ATOMS + 1} atoms"):
+            predict(too_big, center, ranker)
 
     def test_deterministic_across_invocations(self, trained):
         center, ranker = trained

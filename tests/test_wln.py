@@ -3,17 +3,19 @@ import pytest
 
 from helpers import graph_distance, permute_graph, random_permutation
 from rxnpred import diffengine as de
-from rxnpred.chemgraph import atom_feature_matrix, parse_smiles
+from rxnpred.candgen import Candidate, EditSet
+from rxnpred.center import CenterModel
+from rxnpred.chemgraph import BondType, atom_feature_matrix, parse_smiles
 from rxnpred.datagen import random_molecule
+from rxnpred.ranker import RankerModel
 from rxnpred.selfcheck import naive_atom_vectors
 from rxnpred.wln import WLNParams, embed_atoms, embed_from_features, embed_graph, graph_inputs
 
 
-def make_params(in_dim, hidden=10, depth=3, seed=0, variant="concat", project=True):
+def make_params(in_dim, hidden=10, depth=3, seed=0, variant="concat"):
     store = de.ParamStore()
     rng = np.random.default_rng(seed)
-    return store, WLNParams.create(store, "wln", in_dim, hidden, depth, rng,
-                                   variant=variant, project=project)
+    return store, WLNParams.create(store, "wln", in_dim, hidden, depth, rng, variant=variant)
 
 
 FEAT_DIM = atom_feature_matrix(parse_smiles("C")).shape[1]
@@ -76,11 +78,17 @@ class TestEmbedding:
         assert not np.array_equal(base[9], changed[9])
 
     def test_projection_can_be_dropped(self):
-        _, p = make_params(4, hidden=4, project=False)
+        store, p = make_params(4, hidden=4, variant="gated")
+        assert p.w_in is None and "wln.Win" not in store
+        assert store.metadata["wln.project"] == "0"
         g = parse_smiles("CCO")
         x = de.constant(np.eye(3, 4))
         out = embed_from_features(graph_inputs(g), x, p)
         assert out.shape == (3, 4)
+
+    def test_gated_needs_hidden_size_input(self):
+        with pytest.raises(ValueError, match=r"in_dim \(5\) must equal hidden \(4\)"):
+            make_params(5, hidden=4, variant="gated")
 
     def test_dimension_mismatch_reported(self):
         _, p = make_params(FEAT_DIM, hidden=8)
@@ -102,14 +110,14 @@ class TestComparisonForm:
 
 class TestGatedVariant:
     def test_zero_features_propagate_to_zero(self):
-        _, p = make_params(6, hidden=6, variant="gated", project=False, seed=13)
+        _, p = make_params(6, hidden=6, variant="gated", seed=13)
         g = parse_smiles("CC(=O)c1ccccc1")
         zeros = de.constant(np.zeros((g.n_atoms, 6)))
         out = embed_from_features(graph_inputs(g), zeros, p)
         assert np.array_equal(out.values, np.zeros((g.n_atoms, 6)))
 
     def test_nonzero_features_do_not(self):
-        _, p = make_params(6, hidden=6, variant="gated", project=False, seed=13)
+        _, p = make_params(6, hidden=6, variant="gated", seed=13)
         g = parse_smiles("CC(=O)c1ccccc1")
         x = de.constant(np.random.default_rng(1).normal(size=(g.n_atoms, 6)))
         out = embed_from_features(graph_inputs(g), x, p)
@@ -136,25 +144,31 @@ class TestGradients:
 
 
 class TestActivation:
-    @pytest.mark.parametrize("name", ["relu", "tanh"])
-    def test_patched_op_sees_every_use(self, monkeypatch, name):
+    def test_patched_op_sees_every_use(self, monkeypatch):
         calls = []
-        original = getattr(de, name)
+        original = de.relu
 
         def counted(t):
             calls.append(t.shape)
             return original(t)
 
-        monkeypatch.setattr(de, name, counted)
-        store = de.ParamStore()
-        p = WLNParams.create(store, "wln", FEAT_DIM, 10, 3, np.random.default_rng(0),
-                             activation=name)
+        monkeypatch.setattr(de, "relu", counted)
+        _, p = make_params(FEAT_DIM)
         g = parse_smiles("CCO")
         embed_atoms(g, p)
         # one message and one update activation per round
         assert calls == [(4, 10), (3, 10)] * 3
 
-    def test_unknown_activation_rejected_at_create(self):
-        with pytest.raises(ValueError, match="unknown activation"):
-            WLNParams.create(de.ParamStore(), "wln", FEAT_DIM, 10, 3,
-                             np.random.default_rng(0), activation="gelu")
+    def test_patched_op_sees_the_score_heads(self, monkeypatch):
+        calls = []
+        original = de.relu
+        monkeypatch.setattr(de, "relu", lambda t: calls.append(t.shape) or original(t))
+        g = parse_smiles("CCO")
+        CenterModel.create("local", hidden=4, depth=1).score_matrix(g)
+        # one round's message and update, then the pair head over 3 pairs
+        assert calls == [(4, 4), (3, 4), (3, 4)]
+        calls.clear()
+        cand = Candidate(EditSet.of([(0, 1, BondType.DOUBLE)]), g)
+        RankerModel.create("wln", hidden=4, depth=1).score_candidates(g, [cand])
+        # reactants, then the product's edited component, then the pooled head
+        assert calls == [(4, 4), (3, 4), (4, 4), (3, 4), (1, 4)]

@@ -6,6 +6,10 @@ edit set. Candidates must keep every atom within its valence budget and must
 form a connected set of edits; aromatic bonds may only be created between
 atoms already flagged aromatic. Enumeration order is deterministic: subsets
 by size then position, assignments in bond-alphabet order.
+
+The cost follows the edited atoms, not the molecule: an edit set is built
+only for an assignment that passes, and a candidate's product only over the
+reactant components that hold an edited atom, on first use.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .chemgraph import BondType, MolGraph, apply_edits, valence_limit
+from .chemgraph import BondType, MolGraph, apply_edits, edit_local_product, valence_limit
 
 __all__ = [
     "BOND_ALPHABET",
@@ -73,14 +77,18 @@ class EditSet:
 
 
 class Candidate:
-    """One candidate outcome: an edit set over the reactants; the edited
-    product graph is materialized on first access and cached."""
+    """One candidate outcome: an edit set over the reactants.
 
-    __slots__ = ("edits", "_reactants", "_product", "score")
+    Its products are built on first access and cached: the edit-local
+    product (the components that hold an edited atom), which the ranker
+    embeds and ``predict`` writes, and the full product graph."""
+
+    __slots__ = ("edits", "_reactants", "_local", "_product", "score")
 
     def __init__(self, edits: EditSet, reactants: MolGraph):
         self.edits = edits
         self._reactants = reactants
+        self._local: tuple[MolGraph, list[int]] | None = None
         self._product: MolGraph | None = None
         self.score: float | None = None
 
@@ -90,13 +98,22 @@ class Candidate:
             self._product = apply_edits(self._reactants, self.edits)
         return self._product
 
+    @property
+    def local_product(self) -> MolGraph:
+        """The product components that hold an edited atom; atom ``i`` is
+        reactant atom ``edited_atoms()[i]``."""
+        return self._local_parts()[0]
+
     def edited_atoms(self) -> list[int]:
         """Atoms of the product components that hold an edited atom, ascending.
 
         Every other component is a reactant component left untouched."""
-        comp = self.product.component
-        edited = {comp[a] for a in self.edits.atoms()}
-        return [i for i, c in enumerate(comp) if c in edited]
+        return self._local_parts()[1]
+
+    def _local_parts(self) -> tuple[MolGraph, list[int]]:
+        if self._local is None:
+            self._local = edit_local_product(self._reactants, self.edits)
+        return self._local
 
     def __repr__(self) -> str:
         return f"Candidate({list(self.edits)}, score={self.score})"
@@ -120,8 +137,23 @@ class GenConfig:
 
 @dataclass
 class EnumerationResult:
+    """The candidates of one enumeration and what its filters did.
+
+    ``subsets`` counts the subsets of distinct pairs examined;
+    ``disconnected`` and ``preexisting`` those rejected before any
+    assignment, for edits that do not form one connected set and for a
+    valence violation at an atom outside the subset. ``pruned`` counts
+    (partial) assignments cut by the valence bound, ``duplicates`` edit
+    sets an earlier subset already produced (repeated input pairs).
+    """
+
     candidates: list[Candidate]
     truncated: bool = False
+    subsets: int = 0
+    disconnected: int = 0
+    preexisting: int = 0
+    pruned: int = 0
+    duplicates: int = 0
 
     def __iter__(self) -> Iterator[Candidate]:
         return iter(self.candidates)
@@ -168,9 +200,19 @@ def enumerate_candidates(reactants: MolGraph, pairs: list[tuple[int, int]],
     """All edit assignments over subsets of ``pairs`` that pass the filters.
 
     ``pairs`` is the top-K list from the center model. Output order is by
-    subset size, then subset position, then assignment; duplicates (from
-    repeated input pairs) are dropped. Exceeding ``max_candidates`` truncates
-    the list and sets the ``truncated`` flag.
+    subset size, then subset position, then assignment in alphabet order;
+    duplicates (from repeated input pairs) are dropped. Exceeding
+    ``max_candidates`` truncates the list and sets the ``truncated`` flag.
+
+    Each subset is checked for connectivity and for a pre-existing valence
+    violation outside its atoms before any assignment. Its pairs are then
+    assigned depth-first, tracking each atom's half-order sum. Assigning a
+    pair cuts the branch when one of its atoms would end at or above its
+    bound even if every later pair at that atom took its most negative
+    change; a later deletion can free valence, so a plain "already over"
+    test would be unsound. An atom's last pair has no later change, so that
+    check is exact: the full assignments that survive are exactly those that
+    keep every atom within its valence.
     """
     norm_pairs: list[tuple[int, int]] = []
     for u, v in pairs:
@@ -179,61 +221,83 @@ def enumerate_candidates(reactants: MolGraph, pairs: list[tuple[int, int]],
         norm_pairs.append((min(u, v), max(u, v)))
 
     current = {p: reactants.bond_type_between(*p) for p in norm_pairs}
-    half_sums = _half_order_sums(reactants)
-    over_limit = {i for i, atom in enumerate(reactants.atoms)
-                  if half_sums[i] // 2 > valence_limit(atom.element, atom.formal_charge)}
-    # Each pair's new bond types, in alphabet order: anything but the current
-    # type, and aromatic only between two aromatic atoms.
-    options = {(u, v): [bt for bt in BOND_ALPHABET if bt is not current[(u, v)]
+    half = [sum(reactants.bonds[bi].bond_type.half_order for _, bi in adj)
+            for adj in reactants.adjacency]
+    # An atom breaks its valence once its half-order sum reaches its bound.
+    bound = [2 * valence_limit(a.element, a.formal_charge) + 2 for a in reactants.atoms]
+    over_limit = {i for i, h in enumerate(half) if h >= bound[i]}
+    # Each pair's new bond types with their half-order changes, in alphabet
+    # order: anything but the current type, and aromatic only between two
+    # aromatic atoms.
+    options = {(u, v): [(bt, bt.half_order - current[(u, v)].half_order)
+                        for bt in BOND_ALPHABET if bt is not current[(u, v)]
                         and (bt is not BondType.AROMATIC
                              or (reactants.atoms[u].aromatic and reactants.atoms[v].aromatic))]
                for u, v in current}
+    min_change = {p: min(d for _, d in opts) for p, opts in options.items()}
 
     result = EnumerationResult([])
     seen: set[EditSet] = set()
+
+    def extend(chosen: list[tuple[int, int]], slack: list[tuple[int, int]],
+               picked: list[BondType], j: int) -> bool:
+        """Assign pair ``j`` onward; True once the list is truncated."""
+        u, v = chosen[j]
+        su, sv = slack[j]
+        for bt, d in options[(u, v)]:
+            if half[u] + d + su >= bound[u] or half[v] + d + sv >= bound[v]:
+                result.pruned += 1
+                continue
+            picked.append(bt)
+            if j + 1 < len(chosen):
+                half[u] += d
+                half[v] += d
+                stop = extend(chosen, slack, picked, j + 1)
+                half[u] -= d
+                half[v] -= d
+            else:
+                stop = emit(chosen, picked)
+            picked.pop()
+            if stop:
+                return True
+        return False
+
+    def emit(chosen: list[tuple[int, int]], picked: list[BondType]) -> bool:
+        # The pairs are distinct and normalized, so sorting never compares
+        # bond types.
+        edits = EditSet(tuple(sorted(BondEdit(u, v, bt) for (u, v), bt in zip(chosen, picked))))
+        if edits in seen:
+            result.duplicates += 1
+            return False
+        seen.add(edits)
+        if len(result.candidates) >= cfg.max_candidates:
+            result.truncated = True
+            return True
+        result.candidates.append(Candidate(edits, reactants))
+        return False
+
     max_size = min(cfg.max_changes, len(norm_pairs))
     for size in range(1, max_size + 1):
         for subset in itertools.combinations(range(len(norm_pairs)), size):
             chosen = [norm_pairs[i] for i in subset]
             if len(set(chosen)) < size:
                 continue  # repeated input pair
+            result.subsets += 1
             if size > 1 and not connectivity_ok([(u, v, BondType.NONE) for u, v in chosen]):
+                result.disconnected += 1
                 continue
-            for assignment in itertools.product(*(options[p] for p in chosen)):
-                edits = EditSet.of(BondEdit(u, v, bt)
-                                   for (u, v), bt in zip(chosen, assignment))
-                if edits in seen:
-                    continue
-                if not _valence_ok_after(reactants, edits, current, half_sums, over_limit):
-                    continue
-                seen.add(edits)
-                if len(result.candidates) >= cfg.max_candidates:
-                    result.truncated = True
-                    return result
-                result.candidates.append(Candidate(edits, reactants))
+            if not over_limit <= {a for pair in chosen for a in pair}:
+                result.preexisting += 1  # a violation the edits cannot repair
+                continue
+            # slack[j]: the most negative change the pairs after j can still
+            # make at each atom of pair j.
+            slack: list[tuple[int, int]] = []
+            later: dict[int, int] = {}
+            for u, v in reversed(chosen):
+                slack.append((later.get(u, 0), later.get(v, 0)))
+                later[u] = later.get(u, 0) + min_change[(u, v)]
+                later[v] = later.get(v, 0) + min_change[(u, v)]
+            slack.reverse()
+            if extend(chosen, slack, [], 0):
+                return result
     return result
-
-
-def _half_order_sums(g: MolGraph) -> list[int]:
-    return [sum(g.bonds[bi].bond_type.half_order for _, bi in g.adjacency[i])
-            for i in range(g.n_atoms)]
-
-
-def _valence_ok_after(g: MolGraph, edits: EditSet,
-                      current: dict[tuple[int, int], BondType],
-                      half_sums: list[int], over_limit: set[int]) -> bool:
-    """Incremental equivalent of ``valence_ok(apply_edits(g, edits))``."""
-    touched = edits.atoms()
-    if over_limit - touched:
-        return False  # a pre-existing violation the edits cannot repair
-    delta: dict[int, int] = {}
-    for u, v, bt in edits:
-        d = bt.half_order - current[(u, v)].half_order
-        delta[u] = delta.get(u, 0) + d
-        delta[v] = delta.get(v, 0) + d
-    for atom_idx in touched:
-        half = half_sums[atom_idx] + delta.get(atom_idx, 0)
-        atom = g.atoms[atom_idx]
-        if half // 2 > valence_limit(atom.element, atom.formal_charge):
-            return False
-    return True

@@ -29,6 +29,7 @@ __all__ = [
     "atom_features",
     "atom_feature_matrix",
     "bond_features",
+    "edit_local_product",
     "induced_subgraph",
     "make_graph",
     "parse_smiles",
@@ -693,8 +694,34 @@ def apply_edits(reactants: MolGraph, edits: Iterable) -> MolGraph:
     created, or (for NONE) removed; all derived fields are recomputed.
 
     Atoms are never added or removed, so detached fragments stay behind as
-    extra components. Pure: the input graph is left untouched.
+    extra components. Pure: the input graph is left untouched. Bonds keep
+    the reactants' order; created bonds follow, sorted by atom pair.
     """
+    changes = _bond_changes(reactants, edits)
+    return make_graph(reactants.atoms, _edited_bonds(reactants, changes, range(reactants.n_atoms)))
+
+
+def edit_local_product(reactants: MolGraph, edits: Iterable) -> tuple[MolGraph, list[int]]:
+    """The components of ``apply_edits(reactants, edits)`` that hold an
+    edited atom, and their atoms' reactant indices, ascending.
+
+    Equals ``induced_subgraph(apply_edits(reactants, edits), atoms)`` in
+    every atom and bond field and in bond order, without building the rest
+    of the product. Those components hold exactly the atoms of the reactant
+    components that hold an edited atom: each piece of a split component
+    keeps an endpoint of a deleted bond, and an untouched component stays
+    as it was.
+    """
+    changes = _bond_changes(reactants, edits)
+    comps = {reactants.component[a] for pair in changes for a in pair}
+    atoms = [i for i, c in enumerate(reactants.component) if c in comps]
+    index = {a: i for i, a in enumerate(atoms)}
+    return make_graph([reactants.atoms[i] for i in atoms],
+                      _edited_bonds(reactants, changes, index)), atoms
+
+
+def _bond_changes(reactants: MolGraph, edits: Iterable) -> dict[tuple[int, int], BondType]:
+    """Validated edits as (u, v) with u < v -> new bond type."""
     n = reactants.n_atoms
     changes: dict[tuple[int, int], BondType] = {}
     for edit in edits:
@@ -710,18 +737,23 @@ def apply_edits(reactants: MolGraph, edits: Iterable) -> MolGraph:
         if key in changes:
             raise ValueError(f"conflicting edits for pair ({key[0]},{key[1]})")
         changes[key] = new_type
+    return changes
 
-    new_bonds: list[tuple[int, int, BondType]] = []
+
+def _edited_bonds(reactants: MolGraph, changes: dict[tuple[int, int], BondType],
+                  index) -> list[tuple[int, int, BondType]]:
+    """Bonds among whole components after ``changes``, renumbered by
+    ``index`` (reactant atom -> new atom; ``in`` tests membership): kept
+    bonds in reactant order, then created bonds sorted by pair."""
+    changes = dict(changes)
+    out: list[tuple[int, int, BondType]] = []
     for bond in reactants.bonds:
-        key = (bond.u, bond.v)
-        if key in changes:
-            new_type = changes.pop(key)
+        if bond.u in index:
+            new_type = changes.pop((bond.u, bond.v), bond.bond_type)
             if new_type is not BondType.NONE:
-                new_bonds.append((bond.u, bond.v, new_type))
-        else:
-            new_bonds.append((bond.u, bond.v, bond.bond_type))
-    # Remaining entries create new bonds; NONE on a missing bond was already
-    # rejected above as a no-op edit.
+                out.append((index[bond.u], index[bond.v], new_type))
+    # What remains creates bonds; NONE on a missing bond was rejected as a
+    # no-op edit.
     for (u, v), new_type in sorted(changes.items()):
-        new_bonds.append((u, v, new_type))
-    return make_graph(reactants.atoms, new_bonds)
+        out.append((index[u], index[v], new_type))
+    return out

@@ -154,7 +154,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "evaluate":
         if cfg.data is None:
             raise SystemExit("evaluate needs --data")
-        records = load_dataset(cfg.data, cfg.max_atoms)
+        records = load_dataset(cfg.data)
         _, _, test = split_records(records, cfg.split)
         subset = test if test else records
         report = evaluate(subset, center, ranker, cfg)

@@ -57,7 +57,6 @@ class RunConfig:
     variant: str | None = None      # local|global|wln|wldn; None: local or wldn
     augment_truth: bool = False
     split: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    max_atoms: int = MAX_ATOMS
     max_candidates: int = 2000
     eval_ks: tuple[int, ...] = (6, 8, 10)
     # Optional early-stop targets for small overfit runs:
@@ -66,7 +65,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name in ("k", "max_changes", "hidden", "depth", "epochs", "batch",
-                     "max_atoms", "max_candidates"):
+                     "max_candidates"):
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name} must be positive")
         if any(k < 1 for k in self.eval_ks):
@@ -195,8 +194,9 @@ def _check_edit_consistency(rxn: Reaction, edits: EditSet) -> None:
         raise RecordError("edit set does not reproduce the product's mapped bonds")
 
 
-def load_dataset(path, max_atoms: int = MAX_ATOMS) -> list[ReactionRecord]:
-    """Parse and validate a reaction file, skipping malformed lines.
+def load_dataset(path) -> list[ReactionRecord]:
+    """Parse and validate a reaction file, skipping malformed lines and
+    records of more than :data:`MAX_ATOMS` reactant atoms.
 
     Raises if the file is unreadable or if more than half of the non-comment
     lines fail to parse.
@@ -210,7 +210,7 @@ def load_dataset(path, max_atoms: int = MAX_ATOMS) -> list[ReactionRecord]:
             continue
         total += 1
         try:
-            records.append(parse_reaction_line(line, max_atoms))
+            records.append(parse_reaction_line(line))
         except ValueError as exc:
             skipped += 1
             logger.warning("%s:%d: skipped record: %s", path, lineno, exc)
@@ -303,7 +303,7 @@ def _fit(cfg: RunConfig, kind: str, model_cls, variants: tuple[str, str], prepar
                          f"use {variants[0]!r} or {variants[1]!r}")
     if cfg.data is None or cfg.out is None:
         raise ValueError(f"train_{kind} needs cfg.data and cfg.out")
-    records = load_dataset(cfg.data, cfg.max_atoms)
+    records = load_dataset(cfg.data)
     train, dev, _ = split_records(records, cfg.split)
     if not train:
         raise ValueError("training split is empty")
@@ -496,7 +496,7 @@ def predict(reactants_smiles: str, center: CenterModel, ranker: RankerModel,
     ranked = rank_candidates(g, candidates, ranker)
     products = []
     for cand in ranked[:top_n]:
-        smiles = write_smiles(induced_subgraph(cand.product, cand.edited_atoms()))
+        smiles = write_smiles(cand.local_product)
         edits = [(_map_of(g, e.u), _map_of(g, e.v), e.bond_type.name.lower())
                  for e in cand.edits]
         products.append(PredictedProduct(smiles, float(cand.score), edits))
@@ -556,14 +556,28 @@ def _product_matches(rec: ReactionRecord, cand: Candidate) -> bool:
     """Primary criterion: edit-set equality. Fallback: WL equivalence between
     the candidate product molecule(s) holding the recorded product's atoms and
     the recorded product graph (whole components, so a surviving bond to an
-    atom outside the recorded product still counts as a mismatch)."""
+    atom outside the recorded product still counts as a mismatch).
+
+    The fallback first counts those molecules' atoms from the edit-local
+    product and the untouched reactant components; fingerprints of graphs
+    of different sizes never match, so only an equal count builds the full
+    product. That product is not cached on the candidate, which keeps only
+    its edit-local product."""
     if cand.edits == rec.true_edits:
         return True
     p_maps = {a.map_number for a in rec.product.atoms}
     mapped_idx = [i for i, a in enumerate(rec.reactants.atoms) if a.map_number in p_maps]
-    comps = {cand.product.component[i] for i in mapped_idx}
-    union = induced_subgraph(cand.product, [
-        i for i in range(cand.product.n_atoms) if cand.product.component[i] in comps])
+    local = {a: i for i, a in enumerate(cand.edited_atoms())}
+    local_comp, reactant_comp = cand.local_product.component, rec.reactants.component
+    local_comps = {local_comp[local[i]] for i in mapped_idx if i in local}
+    untouched = {reactant_comp[i] for i in mapped_idx if i not in local}
+    size = (sum(local_comp.count(c) for c in local_comps)
+            + sum(reactant_comp.count(c) for c in untouched))
+    if size != rec.product.n_atoms:
+        return False
+    product = apply_edits(rec.reactants, cand.edits)
+    comps = {product.component[i] for i in mapped_idx}
+    union = induced_subgraph(product, [i for i, c in enumerate(product.component) if c in comps])
     return wl_equivalent(union, rec.product, depth=3)
 
 

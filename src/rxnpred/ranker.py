@@ -83,8 +83,8 @@ class RankerModel:
         """Differentiable scores of all candidates of one reaction, shape (n, 1).
 
         The reactants are embedded once. Each pass then embeds the disjoint
-        union of up to :data:`MAX_UNION_CANDIDATES` candidates' edited
-        components (:meth:`Candidate.edited_atoms`) and pools per candidate
+        union of up to :data:`MAX_UNION_CANDIDATES` candidates' edit-local
+        products (:attr:`Candidate.local_product`) and pools per candidate
         with :func:`~rxnpred.diffengine.segment_sum`. Scores are bitwise equal
         to the full-graph :func:`difference_vectors` / :func:`score_sumpool`
         route: an untouched component's product rows equal its reactant
@@ -101,7 +101,8 @@ class RankerModel:
 
     def _score_union(self, c_r: DTensor, candidates: Sequence[Candidate]) -> DTensor:
         atoms = [cand.edited_atoms() for cand in candidates]
-        gi = union_inputs([(cand.product, a) for cand, a in zip(candidates, atoms)])
+        gi = union_inputs([(cand.local_product, range(len(a)))
+                           for cand, a in zip(candidates, atoms)])
         owner = np.repeat(np.arange(len(candidates)), [len(a) for a in atoms])
         rows = [i for a in atoms for i in a]
         d = de.sub(embed_from_features(gi, gi.features, self.wln), de.gather_rows(c_r, rows))

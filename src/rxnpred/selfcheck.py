@@ -20,7 +20,7 @@ from .candgen import (BOND_ALPHABET, BondEdit, Candidate, EditSet, GenConfig,
                       connectivity_ok, enumerate_candidates, valence_ok)
 from .center import CenterModel, center_loss
 from .chemgraph import (BondType, MolGraph, apply_edits, atom_feature_matrix,
-                        bond_features)
+                        bond_features, parse_smiles, write_smiles)
 from .datagen import (higher_order_fixture_lines, random_molecule, random_reaction_line,
                       reagent_fixture_lines, toy_reaction_lines)
 from .pipeline import _candidate_stage, parse_reaction_line
@@ -29,8 +29,8 @@ from .wliso import brute_force_isomorphic, wl_equivalent
 from .wln import WLNParams, embed_atoms, embed_from_features, graph_inputs
 
 __all__ = ["CheckResult", "batched_ranker_suite", "brute_force_enumerate",
-           "gradient_suite", "naive_atom_vectors", "reference_score", "run_selfcheck",
-           "wl_soundness_suite"]
+           "brute_force_ordered", "enumeration_instance", "gradient_suite",
+           "naive_atom_vectors", "reference_score", "run_selfcheck", "wl_soundness_suite"]
 
 
 @dataclass
@@ -85,37 +85,56 @@ def naive_atom_vectors(g: MolGraph, p: WLNParams) -> np.ndarray:
 
 def brute_force_enumerate(reactants: MolGraph, pairs: list[tuple[int, int]],
                           cfg: GenConfig) -> set[EditSet]:
-    """Generate every full assignment over the pairs, then filter.
+    """Generate every assignment of changed bond types, then filter.
 
-    Each pair takes any alphabet value including "keep as is"; assignments
-    are reduced to their changed pairs and kept when the changed set is
-    nonempty, within ``max_changes``, connected, aromatic-legal, and the
-    edited graph respects valences.
+    Every nonempty set of at most ``max_changes`` pair positions takes every
+    combination of bond types other than the current ones, which is every
+    full assignment over the pairs with at most ``max_changes`` changes.
+    Edit sets are kept when their pairs are distinct, connected and
+    aromatic-legal, and the edited graph respects valences.
     """
     norm = [(min(u, v), max(u, v)) for u, v in pairs]
     out: set[EditSet] = set()
-    for assignment in itertools.product(BOND_ALPHABET, repeat=len(norm)):
-        edits = []
-        for (u, v), bt in zip(norm, assignment):
-            if bt is not reactants.bond_type_between(u, v):
-                edits.append(BondEdit(u, v, bt))
-        if not edits or len(edits) > cfg.max_changes:
-            continue
-        if len({(e.u, e.v) for e in edits}) < len(edits):
-            continue
-        if any(e.bond_type is BondType.AROMATIC
-               and not (reactants.atoms[e.u].aromatic and reactants.atoms[e.v].aromatic)
-               for e in edits):
-            continue
-        if len(edits) > 1 and not connectivity_ok(edits):
-            continue
-        edit_set = EditSet.of(edits)
-        if edit_set in out:
-            continue
-        if not valence_ok(apply_edits(reactants, edit_set)):
-            continue
-        out.add(edit_set)
+    for size in range(1, min(cfg.max_changes, len(norm)) + 1):
+        for positions in itertools.combinations(norm, size):
+            changed = [[BondEdit(u, v, bt) for bt in BOND_ALPHABET
+                        if bt is not reactants.bond_type_between(u, v)]
+                       for u, v in positions]
+            for edits in itertools.product(*changed):
+                if len({(e.u, e.v) for e in edits}) < len(edits):
+                    continue
+                if any(e.bond_type is BondType.AROMATIC
+                       and not (reactants.atoms[e.u].aromatic and reactants.atoms[e.v].aromatic)
+                       for e in edits):
+                    continue
+                if len(edits) > 1 and not connectivity_ok(edits):
+                    continue
+                edit_set = EditSet.of(edits)
+                if edit_set not in out and valence_ok(apply_edits(reactants, edit_set)):
+                    out.add(edit_set)
     return out
+
+
+def brute_force_ordered(reactants: MolGraph, pairs: list[tuple[int, int]],
+                        cfg: GenConfig) -> tuple[list[EditSet], bool]:
+    """:func:`brute_force_enumerate` in the documented output order of
+    :func:`~rxnpred.candgen.enumerate_candidates`, cut at ``max_candidates``,
+    and whether the cut dropped any.
+
+    The order is by size, then by the positions in ``pairs`` where the edit
+    set's pairs first occur (ascending), then by each pair's new bond type
+    in alphabet order, taken in that position order.
+    """
+    first: dict[tuple[int, int], int] = {}
+    for i, (u, v) in enumerate(pairs):
+        first.setdefault((min(u, v), max(u, v)), i)
+
+    def key(edit_set: EditSet) -> tuple:
+        at = sorted((first[(e.u, e.v)], BOND_ALPHABET.index(e.bond_type)) for e in edit_set)
+        return len(at), [pos for pos, _ in at], [bt for _, bt in at]
+
+    ordered = sorted(brute_force_enumerate(reactants, pairs, cfg), key=key)
+    return ordered[:cfg.max_candidates], len(ordered) > cfg.max_candidates
 
 
 # ---------------------------------------------------------------------------
@@ -275,25 +294,50 @@ def comparison_form_suite(seed: int = 3, tol: float = 1e-10,
     return CheckResult("comparison-form", worst < tol, f"max abs diff {worst:.2e}")
 
 
+# Fragments that enumeration instances may add: charged atoms, aromatic atoms
+# and a carbon already over its valence.
+_ENUMERATION_EXTRAS = ("[NH4+]", "[O-]C(=O)C", "C[N+](C)(C)C", "c1ccncc1", "Cc1ccccc1",
+                       "FC(F)(F)(F)C")
+
+
+def enumeration_instance(rng: np.random.Generator) -> tuple[MolGraph, list[tuple[int, int]],
+                                                           GenConfig]:
+    """Reactants, up to 8 pairs and limits for an enumeration comparison.
+
+    The reactants are a random molecule, sometimes with a charged, aromatic
+    or over-valent fragment. About half of the pairs are bonds; pairs come in
+    either atom order and one may repeat an earlier pair reversed.
+    ``max_candidates`` is sometimes small enough to truncate.
+    """
+    smiles = write_smiles(random_molecule(rng, n_atoms=int(rng.integers(2, 7)),
+                                          allow_curated=False))
+    if rng.random() < 0.5:
+        smiles += "." + _ENUMERATION_EXTRAS[rng.integers(len(_ENUMERATION_EXTRAS))]
+    g = parse_smiles(smiles)
+    pairs: list[tuple[int, int]] = []
+    for _ in range(int(rng.integers(1, 8))):
+        u = int(rng.integers(g.n_atoms))
+        others = g.neighbors(u) if g.neighbors(u) and rng.random() < 0.5 else [
+            v for v in range(g.n_atoms) if v != u]
+        v = int(others[rng.integers(len(others))])
+        pairs.append((u, v) if rng.random() < 0.5 else (v, u))
+    if rng.random() < 0.3:
+        pairs.append(pairs[rng.integers(len(pairs))][::-1])
+    cfg = GenConfig(max_changes=int(rng.integers(1, 4)),
+                    max_candidates=int(rng.choice([3, 20, 100000])))
+    return g, pairs, cfg
+
+
 def enumeration_suite(n_instances: int = 20, seed: int = 9) -> CheckResult:
-    """Pruned enumeration equals generate-then-filter on small instances."""
+    """Pruned enumeration equals generate-then-filter, in order and in the
+    truncation flag (:func:`brute_force_ordered`)."""
     rng = np.random.default_rng(seed)
     mismatches = 0
-    done = 0
-    while done < n_instances:
-        g = random_molecule(rng, n_atoms=int(rng.integers(3, 8)))
-        n = g.n_atoms
-        all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        if not all_pairs:
-            continue
-        k = int(rng.integers(1, min(4, len(all_pairs)) + 1))
-        idx = rng.choice(len(all_pairs), size=k, replace=False)
-        pairs = [all_pairs[i] for i in idx]
-        cfg = GenConfig(max_changes=3, max_candidates=100000)
-        fast = enumerate_candidates(g, pairs, cfg).edit_sets()
-        slow = brute_force_enumerate(g, pairs, cfg)
-        mismatches += int(fast != slow)
-        done += 1
+    for _ in range(n_instances):
+        g, pairs, cfg = enumeration_instance(rng)
+        fast = enumerate_candidates(g, pairs, cfg)
+        slow = brute_force_ordered(g, pairs, cfg)
+        mismatches += int(([c.edits for c in fast], fast.truncated) != slow)
     return CheckResult("enumeration-oracle", mismatches == 0,
                        f"{mismatches} mismatching instances of {n_instances}")
 

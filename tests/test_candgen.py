@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import bfs_connected
 from rxnpred.candgen import (BondEdit, EditSet, GenConfig, connectivity_ok,
                              enumerate_candidates, valence_ok)
 from rxnpred.chemgraph import BondType, apply_edits, parse_smiles
-from rxnpred.datagen import random_molecule
-from rxnpred.selfcheck import brute_force_enumerate
+from rxnpred.selfcheck import brute_force_enumerate, brute_force_ordered, enumeration_instance
 
 
 class TestEditSet:
@@ -131,23 +132,15 @@ class TestFilters:
 
 
 class TestEnumerationOracle:
-    def test_matches_brute_force_on_constructed_instances(self):
-        rng = np.random.default_rng(9)
-        done = 0
-        while done < 20:
-            g = random_molecule(rng, n_atoms=int(rng.integers(3, 8)))
-            n = g.n_atoms
-            all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            if not all_pairs:
-                continue
-            k = int(rng.integers(1, min(4, len(all_pairs)) + 1))
-            chosen = rng.choice(len(all_pairs), size=k, replace=False)
-            pairs = [all_pairs[i] for i in chosen]
-            cfg = GenConfig(max_changes=min(3, k), max_candidates=10 ** 6)
-            fast = enumerate_candidates(g, pairs, cfg).edit_sets()
-            slow = brute_force_enumerate(g, pairs, cfg)
-            assert fast == slow
-            done += 1
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_matches_brute_force_on_constructed_instances(self, seed):
+        # The ordered list and the truncation flag. Up to 8 pairs, repeated
+        # and reversed pairs, charged, aromatic and over-valent atoms, and
+        # caps small enough to truncate.
+        g, pairs, cfg = enumeration_instance(np.random.default_rng(seed))
+        result = enumerate_candidates(g, pairs, cfg)
+        assert ([c.edits for c in result], result.truncated) == brute_force_ordered(g, pairs, cfg)
 
     def test_every_candidate_passes_filters_when_reapplied(self):
         g = parse_smiles("CC(=O)CC.OCC")
@@ -235,3 +228,36 @@ class TestDeterminismAndCap:
         direct = apply_edits(g, cand.edits)
         assert [b.bond_type for b in cand.product.bonds] == [
             b.bond_type for b in direct.bonds]
+
+
+class TestCounters:
+    def test_filter_counts(self):
+        # Pairs (0,1) and (2,3) of "CC.CC" share no atom. Subsets: two
+        # singles and one disconnected pair. A triple (half-order change +4)
+        # puts no carbon over 4, so nothing is pruned.
+        g = parse_smiles("CC.CC")
+        result = enumerate_candidates(g, [(0, 1), (2, 3)], GenConfig(max_changes=2))
+        assert (result.subsets, result.disconnected, result.preexisting,
+                result.pruned, result.duplicates) == (3, 1, 0, 0, 0)
+        assert len(result) == 6 and not result.truncated
+
+    def test_preexisting_violation_and_sound_pruning(self):
+        # Carbon 1 of "FC(F)(F)(F)C.O" starts at order 5, over its 4. The one
+        # subset that leaves it out, {(5,6)}, cannot repair it. In the others
+        # a later deletion can make room for an earlier pair's double bond,
+        # so that branch must survive the cut.
+        g = parse_smiles("FC(F)(F)(F)C.O")
+        pairs = [(5, 6), (1, 5), (0, 1), (1, 2)]
+        cfg = GenConfig(max_changes=3)
+        result = enumerate_candidates(g, pairs, cfg)
+        assert EditSet.of([(0, 1, BondType.NONE), (1, 2, BondType.NONE),
+                           (1, 5, BondType.DOUBLE)]) in result.edit_sets()
+        assert result.subsets == 4 + 6 + 4 and result.preexisting == 1
+        assert result.pruned > 0 and result.duplicates == 0
+        assert ([c.edits for c in result], result.truncated) == brute_force_ordered(
+            g, pairs, cfg)
+
+    def test_duplicates_counted(self):
+        g = parse_smiles("c-c")
+        result = enumerate_candidates(g, [(0, 1), (1, 0)], GenConfig(max_changes=2))
+        assert result.duplicates == 4 and len(result) == 4

@@ -167,6 +167,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"unknown config key {line.split('=')[0]!r}"):
             RunConfig.from_file(path)
 
+    def test_max_atoms_is_an_unknown_key(self, tmp_path):
+        # Training, evaluate and predict share the one cap MAX_ATOMS.
+        path = tmp_path / "run.cfg"
+        path.write_text("max_atoms=200\n")
+        with pytest.raises(ValueError, match="unknown config key 'max_atoms'"):
+            RunConfig.from_file(path)
+
 
 class TestTraining:
     def test_center_loss_decreases(self, toy_file, tmp_path):
@@ -208,7 +215,6 @@ class TestPredict:
     def test_atom_cap_matches_load_dataset(self, trained):
         center, ranker = trained
         too_big = "C" * (MAX_ATOMS + 1)
-        assert RunConfig().max_atoms == MAX_ATOMS
         with pytest.raises(ValueError, match=f"{MAX_ATOMS + 1} atoms"):
             parse_reaction_line(f"{too_big}>>C")
         with pytest.raises(ValueError, match=f"{MAX_ATOMS + 1} atoms"):

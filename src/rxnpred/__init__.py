@@ -8,7 +8,7 @@ and rank the candidates with a difference-vector scorer.
 """
 
 from .candgen import (BondEdit, Candidate, EditSet, GenConfig, connectivity_ok,
-                      enumerate_candidates, valence_ok)
+                      enumerate_candidates)
 from .center import (CenterModel, PairLabels, Reaction, center_loss, coverage,
                      label_pairs, reaction_edits, top_k_pairs)
 from .chemgraph import (Atom, Bond, BondType, MolGraph, SmilesError, apply_edits,
@@ -17,6 +17,6 @@ from .pipeline import (EvalReport, PredictResult, ReactionRecord, RunConfig,
                        evaluate, load_dataset, predict, train_center, train_ranker)
 from .ranker import RankerModel, difference_vectors, rank_candidates, rank_loss
 from .wliso import WLFingerprint, brute_force_isomorphic, wl_equivalent, wl_fingerprint, wl_labels
-from .wln import WLNParams, embed_atoms, embed_graph
+from .wln import WLNParams, embed_atoms
 
 __version__ = "0.1.0"

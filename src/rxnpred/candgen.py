@@ -29,7 +29,6 @@ __all__ = [
     "GenConfig",
     "connectivity_ok",
     "enumerate_candidates",
-    "valence_ok",
 ]
 
 BOND_ALPHABET = (BondType.NONE, BondType.SINGLE, BondType.DOUBLE,
@@ -161,19 +160,6 @@ class EnumerationResult:
     def __len__(self) -> int:
         return len(self.candidates)
 
-    def edit_sets(self) -> set[EditSet]:
-        return {c.edits for c in self.candidates}
-
-
-def valence_ok(g: MolGraph) -> bool:
-    """True iff every atom's bond-order sum (aromatic = 1.5, floored after
-    summing) stays within the valence limit for its element and charge."""
-    for i, atom in enumerate(g.atoms):
-        half = sum(g.bonds[bi].bond_type.half_order for _, bi in g.adjacency[i])
-        if half // 2 > valence_limit(atom.element, atom.formal_charge):
-            return False
-    return True
-
 
 def connectivity_ok(edits: Iterable[tuple[int, int, BondType] | BondEdit]) -> bool:
     """True iff the edited pairs form one connected auxiliary graph."""
@@ -223,9 +209,10 @@ def enumerate_candidates(reactants: MolGraph, pairs: list[tuple[int, int]],
     current = {p: reactants.bond_type_between(*p) for p in norm_pairs}
     half = [sum(reactants.bonds[bi].bond_type.half_order for _, bi in adj)
             for adj in reactants.adjacency]
-    # An atom breaks its valence once its half-order sum reaches its bound.
+    # An atom breaks its valence once its half-order sum h reaches its bound:
+    # h >= 2 * limit + 2 is the h // 2 > limit that ``valence_warnings`` records.
     bound = [2 * valence_limit(a.element, a.formal_charge) + 2 for a in reactants.atoms]
-    over_limit = {i for i, h in enumerate(half) if h >= bound[i]}
+    over_limit = set(reactants.valence_warnings)
     # Each pair's new bond types with their half-order changes, in alphabet
     # order: anything but the current type, and aromatic only between two
     # aromatic atoms.

@@ -263,15 +263,13 @@ def scores_to_matrix(values: np.ndarray,
 # Loss, selection, coverage
 # ---------------------------------------------------------------------------
 
-def center_loss(scores: DTensor | np.ndarray, labels: PairLabels) -> DTensor:
+def center_loss(scores: DTensor, labels: PairLabels) -> DTensor:
     """Binary log loss summed over unordered pairs (each counted once).
 
-    ``scores`` is either the (n_pairs, 1) tensor aligned with
-    :func:`upper_pairs`, or a symmetric score matrix. Logs clamp at 1e-12.
+    ``scores`` is the (n_pairs, 1) tensor aligned with :func:`upper_pairs`.
+    Logs clamp at 1e-12.
     """
     pairs = upper_pairs(labels.n_atoms)
-    if isinstance(scores, np.ndarray):
-        scores = de.constant(scores[pairs[:, 0], pairs[:, 1]].reshape(-1, 1))
     if scores.shape != (len(pairs), 1):
         raise de.ShapeError(f"expected {(len(pairs), 1)} scores, got {scores.shape}")
     y = de.constant(labels.vector(pairs))

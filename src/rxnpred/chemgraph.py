@@ -59,10 +59,6 @@ class BondType(Enum):
         """Twice the bond order, so aromatic (1.5) stays integral."""
         return _HALF_ORDER[self]
 
-    @property
-    def order(self) -> float:
-        return self.half_order / 2.0
-
 
 _HALF_ORDER = {
     BondType.NONE: 0,
@@ -94,14 +90,12 @@ BOND_FEATURE_DIM = 6    # 4 bond types + conjugated + in-ring
 
 def valence_for_h(element: str, charge: int) -> int:
     """Valence used to fill implicit hydrogens, adjusted for formal charge."""
-    base = _VALENCE_H.get(element, 0)
-    return max(0, base + charge if charge > 0 else base - abs(charge) if charge < 0 else base)
+    return max(0, _VALENCE_H.get(element, 0) + charge)
 
 
 def valence_limit(element: str, charge: int) -> int:
     """Maximum bond-order sum tolerated before an atom counts as hypervalent."""
-    base = _VALENCE_MAX.get(element, 0)
-    return max(0, base + charge if charge > 0 else base - abs(charge) if charge < 0 else base)
+    return max(0, _VALENCE_MAX.get(element, 0) + charge)
 
 
 @dataclass

@@ -5,8 +5,8 @@ Input files hold one reaction per line as ``reactants>reagents>products``
 blank lines skipped). Reagents are merged into the reactant graph as extra
 components; they take part in scoring but never carry positive labels. Only
 the largest product component is kept for labeling, and records whose product
-contains unmapped atoms, or whose edit set is empty or inconsistent, are
-dropped with a diagnostic.
+contains unmapped atoms, or whose edit set is empty, are dropped with a
+diagnostic.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class RunConfig:
     data: str | None = None
     out: str | None = None
     center: str | None = None       # center checkpoint path, or "oracle"
-    ranker: str | None = None
     k: int = 6
     max_changes: int = 3
     hidden: int = 64
@@ -126,12 +125,12 @@ class ReactionRecord:
     raw: str
     reactants: MolGraph            # reagents merged in as extra components
     product: MolGraph              # largest product component, fully mapped
-    labels: PairLabels
     true_edits: EditSet
 
     @property
-    def reaction(self) -> Reaction:
-        return Reaction(self.reactants, self.product)
+    def labels(self) -> PairLabels:
+        """The pairs the recorded edits change."""
+        return PairLabels(self.reactants.n_atoms, frozenset(self.true_edits.pairs))
 
 
 class RecordError(ValueError):
@@ -163,35 +162,10 @@ def parse_reaction_line(line: str, max_atoms: int = MAX_ATOMS) -> ReactionRecord
         if atom.map_number is None:
             raise RecordError(f"product atom {i} is unmapped")
 
-    rxn = Reaction(reactants, product)
-    edits = reaction_edits(rxn)
+    edits = reaction_edits(Reaction(reactants, product))
     if len(edits) == 0:
         raise RecordError("no bond changes between reactants and product")
-    _check_edit_consistency(rxn, edits)
-    labels = PairLabels(reactants.n_atoms, frozenset(edits.pairs))
-    return ReactionRecord(line, reactants, product, labels, edits)
-
-
-def _check_edit_consistency(rxn: Reaction, edits: EditSet) -> None:
-    """Applying the recovered edits must reproduce the product's mapped bonds."""
-    edited = apply_edits(rxn.reactants, edits)
-    r_map = rxn.reactants.map_to_index()
-    p_map = rxn.product.map_to_index()
-    shared = sorted(set(r_map) & set(p_map))
-    expected = set()
-    for bond in rxn.product.bonds:
-        mu = rxn.product.atoms[bond.u].map_number
-        mv = rxn.product.atoms[bond.v].map_number
-        if mu in r_map and mv in r_map:
-            expected.add((min(mu, mv), max(mu, mv), bond.bond_type))
-    got = set()
-    idx_to_map = {r_map[m]: m for m in shared}
-    for bond in edited.bonds:
-        mu, mv = idx_to_map.get(bond.u), idx_to_map.get(bond.v)
-        if mu is not None and mv is not None:
-            got.add((min(mu, mv), max(mu, mv), bond.bond_type))
-    if expected != got:
-        raise RecordError("edit set does not reproduce the product's mapped bonds")
+    return ReactionRecord(line, reactants, product, edits)
 
 
 def load_dataset(path) -> list[ReactionRecord]:

@@ -74,10 +74,6 @@ class RankerModel:
     def save(self, path) -> None:
         self.store.save(path)
 
-    def score_candidate(self, reactants: MolGraph, candidate: Candidate) -> DTensor:
-        """Differentiable score of one candidate, shape (1, 1)."""
-        return self.score_candidates(reactants, [candidate])
-
     def score_candidates(self, reactants: MolGraph,
                          candidates: Sequence[Candidate]) -> DTensor:
         """Differentiable scores of all candidates of one reaction, shape (n, 1).
@@ -139,15 +135,10 @@ def score_sumpool(d: DTensor, m: DTensor, u: DTensor) -> DTensor:
     return de.matmul(de.relu(de.matmul(de.sum_rows(d), m)), u)
 
 
-def rank_loss(scores: Sequence[DTensor] | DTensor, true_index: int) -> DTensor:
-    """Softmax log loss with the true candidate as the target."""
-    if isinstance(scores, DTensor):
-        stacked = scores
-    else:
-        if len(scores) == 0:
-            raise ValueError("rank_loss needs at least one score")
-        stacked = de.stack_rows(list(scores))
-    return de.softmax_logloss(stacked, true_index)
+def rank_loss(scores: DTensor, true_index: int) -> DTensor:
+    """Softmax log loss over the (n, 1) score column, with the true candidate
+    as the target. An empty column raises ``ValueError``."""
+    return de.softmax_logloss(scores, true_index)
 
 
 def rank_candidates(reactants: MolGraph, candidates: Sequence[Candidate],

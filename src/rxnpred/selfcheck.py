@@ -17,7 +17,7 @@ import numpy as np
 
 from . import diffengine as de
 from .candgen import (BOND_ALPHABET, BondEdit, Candidate, EditSet, GenConfig,
-                      connectivity_ok, enumerate_candidates, valence_ok)
+                      connectivity_ok, enumerate_candidates)
 from .center import CenterModel, center_loss
 from .chemgraph import (BondType, MolGraph, apply_edits, atom_feature_matrix,
                         bond_features, parse_smiles, write_smiles)
@@ -110,7 +110,7 @@ def brute_force_enumerate(reactants: MolGraph, pairs: list[tuple[int, int]],
                 if len(edits) > 1 and not connectivity_ok(edits):
                     continue
                 edit_set = EditSet.of(edits)
-                if edit_set not in out and valence_ok(apply_edits(reactants, edit_set)):
+                if edit_set not in out and not apply_edits(reactants, edit_set).valence_warnings:
                     out.add(edit_set)
     return out
 

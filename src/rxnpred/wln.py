@@ -1,8 +1,8 @@
 """Neural relabeling network over molecular graphs.
 
 Atoms exchange messages along bonds for a fixed number of rounds, then a
-rank-1 comparison against learned reference edges produces per-atom vectors;
-the graph vector is their sum. Two message forms are supported:
+rank-1 comparison against learned reference edges produces per-atom vectors.
+Two message forms are supported:
 
 * ``concat`` (default): the message from ``u`` along bond ``(u, v)`` is
   ``relu(V [h_u, f_uv])``.
@@ -28,8 +28,7 @@ from .chemgraph import ATOM_FEATURE_DIM, BOND_FEATURE_DIM, MolGraph, atom_featur
 from .diffengine import DTensor, ParamStore
 
 __all__ = ["FIXED_METADATA", "GraphInputs", "WLNParams", "embed_atoms",
-           "embed_from_features", "embed_graph", "graph_inputs", "model_metadata",
-           "union_inputs"]
+           "embed_from_features", "graph_inputs", "model_metadata", "union_inputs"]
 
 # Single-valued settings that model checkpoints record (each network adds
 # ``<prefix>.activation`` and ``<prefix>.project``). Loading refuses any other
@@ -190,8 +189,3 @@ def embed_atoms(g: MolGraph, p: WLNParams) -> DTensor:
     """Per-atom vectors for a molecular graph (one row per atom)."""
     gi = graph_inputs(g)
     return embed_from_features(gi, gi.features, p)
-
-
-def embed_graph(g: MolGraph, p: WLNParams) -> DTensor:
-    """Whole-graph vector: the sum of all atom vectors, shape (1, hidden)."""
-    return de.sum_rows(embed_atoms(g, p))

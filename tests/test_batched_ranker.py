@@ -62,7 +62,7 @@ def test_batched_scores_equal_full_graph_reference(instance):
         reference = np.array([selfcheck.reference_score(model, g, c).item() for c in cands])
         batched = model.score_candidates(g, cands).values[:, 0]
         assert bits(batched) == bits(reference)
-        assert model.score_candidate(g, cands[0]).item() == 0.0
+        assert model.score_candidates(g, cands[:1]).item() == 0.0
         with de.no_grad():
             assert bits(model.score_candidates(g, cands).values[:, 0]) == bits(reference)
 

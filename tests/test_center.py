@@ -227,25 +227,23 @@ class TestLoss:
         n = 5
         n_pairs = n * (n - 1) // 2
         labels = PairLabels(n, frozenset({(0, 1)}))
-        scores = np.full((n, n), 0.5)
+        scores = de.constant(np.full((n_pairs, 1), 0.5))
         loss = center_loss(scores, labels).item()
         assert abs(loss - n_pairs * math.log(2)) < 1e-12
 
     def test_perfect_scores_near_zero(self):
         labels = PairLabels(3, frozenset({(0, 2)}))
-        matrix = np.zeros((3, 3))
-        matrix[0, 2] = matrix[2, 0] = 1.0
-        loss = center_loss(matrix, labels).item()
+        # pairs (0,1), (0,2), (1,2), as upper_pairs orders them
+        scores = de.constant([[0.0], [1.0], [0.0]])
+        loss = center_loss(scores, labels).item()
         assert 0.0 <= loss <= 3 * 1e-11
 
     def test_hand_computed_three_atom_instance(self):
         labels = PairLabels(3, frozenset({(0, 1)}))
-        matrix = np.zeros((3, 3))
         vals = {(0, 1): 0.9, (0, 2): 0.2, (1, 2): 0.4}
-        for (u, v), s in vals.items():
-            matrix[u, v] = matrix[v, u] = s
+        scores = de.constant([[vals[tuple(p)]] for p in upper_pairs(3).tolist()])
         expected = -(math.log(0.9) + math.log(0.8) + math.log(0.6))
-        assert abs(center_loss(matrix, labels).item() - expected) < 1e-12
+        assert abs(center_loss(scores, labels).item() - expected) < 1e-12
 
     def test_gradient_against_differences(self):
         model = CenterModel.create("local", hidden=6, depth=2, seed=6)

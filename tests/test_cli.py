@@ -143,6 +143,14 @@ def test_old_config_key_exits_with_one_line(workdir, checkpoints):
                   "unknown config key 'activation'")
 
 
+def test_selfcheck_command_passes_every_suite(capsys):
+    # wl-soundness, comparison-form, enumeration-oracle, four gradient
+    # checks and ranker-batched
+    assert main(["selfcheck"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8 and all(line.startswith("[PASS] ") for line in lines)
+
+
 def test_datagen_cli(tmp_path, capsys):
     out = tmp_path / "gen.txt"
     assert datagen.main(["--out", str(out), "--n", "6", "--seed", "1"]) == 0

@@ -1,7 +1,6 @@
 import numpy as np
 
 from rxnpred import datagen
-from rxnpred.candgen import valence_ok
 from rxnpred.pipeline import parse_reaction_line
 
 
@@ -10,7 +9,6 @@ def test_random_molecules_are_valid(tmp_path):
     for _ in range(40):
         g = datagen.random_molecule(rng)
         assert g.n_atoms >= 1
-        assert valence_ok(g)
         assert g.valence_warnings == ()
 
 

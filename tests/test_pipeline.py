@@ -2,12 +2,15 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rxnpred import datagen
 from rxnpred import diffengine as de
 from rxnpred.candgen import BondEdit, Candidate, EditSet
 from rxnpred.center import CenterModel
-from rxnpred.chemgraph import BondType, apply_edits
+from rxnpred.chemgraph import (BondType, apply_edits, induced_subgraph, make_graph, parse_smiles,
+                               write_smiles)
 from rxnpred.pipeline import (MAX_ATOMS, RunConfig, evaluate, load_dataset,
                               parse_reaction_line, predict, split_records,
                               train_center, train_ranker)
@@ -99,6 +102,56 @@ class TestRecordParsing:
                 assert got is bond.bond_type
 
 
+def _with_maps(g, maps):
+    atoms = [a.copy() for a in g.atoms]
+    for atom, m in zip(atoms, maps):
+        atom.map_number = m
+    return make_graph(atoms, [(b.u, b.v, b.bond_type) for b in g.bonds])
+
+
+@st.composite
+def reaction_lines(draw):
+    """Datagen reactions with unmapped spectators in the reagent field, and
+    reactant sets whose product is the recorded one or a random molecule,
+    mapped onto random reactant maps."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    reactants, _, product = datagen.random_reaction_line(rng).split(">")
+    spectators = [write_smiles(datagen.random_molecule(rng))
+                  for _ in range(draw(st.integers(0, 2)))]
+    kind = draw(st.sampled_from(["recorded", "remapped", "random"]))
+    if kind != "recorded":
+        r_maps = [a.map_number for a in parse_smiles(reactants).atoms]
+        p = parse_smiles(product)
+        if kind == "random":
+            p = datagen.random_molecule(rng, n_atoms=int(rng.integers(1, len(r_maps) + 1)))
+        maps = [int(m) for m in rng.choice(r_maps, size=min(p.n_atoms, len(r_maps)),
+                                           replace=False)]
+        p = induced_subgraph(p, list(range(len(maps))))
+        product = write_smiles(_with_maps(p, maps))
+    return f"{reactants}>{'.'.join(spectators)}>{product}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(reaction_lines())
+def test_recorded_edits_give_exactly_the_product_bonds(line):
+    # Applying the recorded edits to the reactants must leave every product
+    # atom with exactly the product's bonds: no bond is missing, retyped, or
+    # kept to an atom outside the product.
+    try:
+        rec = parse_reaction_line(line)
+    except ValueError:
+        return
+    edited = apply_edits(rec.reactants, rec.true_edits)
+    in_product = {a.map_number for a in rec.product.atoms}
+    maps = [a.map_number for a in edited.atoms]
+    got = {(frozenset((maps[b.u], maps[b.v])), b.bond_type) for b in edited.bonds
+           if maps[b.u] in in_product or maps[b.v] in in_product}
+    p_maps = [a.map_number for a in rec.product.atoms]
+    expected = {(frozenset((p_maps[b.u], p_maps[b.v])), b.bond_type)
+                for b in rec.product.bonds}
+    assert got == expected
+
+
 class TestLoading:
     def test_comments_and_blanks_skipped(self, toy_file):
         records = load_dataset(toy_file)
@@ -172,6 +225,13 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text("max_atoms=200\n")
         with pytest.raises(ValueError, match="unknown config key 'max_atoms'"):
+            RunConfig.from_file(path)
+
+    def test_ranker_is_an_unknown_key(self, tmp_path):
+        # Commands take the ranker checkpoint from --model, not from a config.
+        path = tmp_path / "run.cfg"
+        path.write_text("ranker=ranker.ckpt\n")
+        with pytest.raises(ValueError, match="unknown config key 'ranker'"):
             RunConfig.from_file(path)
 
 

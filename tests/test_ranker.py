@@ -52,7 +52,7 @@ class TestScoring:
         g = parse_smiles("CC(=O)c1ccccc1.OCC")
         for variant in ("wln", "wldn"):
             model = RankerModel.create(variant, hidden=8, depth=3, seed=3)
-            score = model.score_candidate(g, identity_candidate(g)).item()
+            score = model.score_candidates(g, [identity_candidate(g)]).item()
             assert score == 0.0
 
     def test_joint_permutation_invariance_exact(self):
@@ -61,23 +61,23 @@ class TestScoring:
         edits = EditSet.of([(1, 2, BondType.SINGLE), (1, 6, BondType.SINGLE)])
         for variant in ("wln", "wldn"):
             model = RankerModel.create(variant, hidden=8, depth=2, seed=5)
-            base = model.score_candidate(g, Candidate(edits, g)).item()
+            base = model.score_candidates(g, [Candidate(edits, g)]).item()
             for _ in range(5):
                 perm = random_permutation(rng, g.n_atoms)
                 pg = permute_graph(g, perm)
                 p_edits = EditSet.of([(perm[e.u], perm[e.v], e.bond_type)
                                       for e in edits])
-                score = model.score_candidate(pg, Candidate(p_edits, pg)).item()
+                score = model.score_candidates(pg, [Candidate(p_edits, pg)]).item()
                 assert score == base
 
     def test_wldn_and_sumpool_disagree_on_adjacent_changes(self):
         g = parse_smiles("CC=CCCC")
         cand = Candidate(EditSet.of([(1, 2, BondType.SINGLE),
                                      (2, 3, BondType.DOUBLE)]), g)
-        wln_score = RankerModel.create("wln", hidden=8, depth=2, seed=6).score_candidate(
-            g, cand).item()
-        wldn_score = RankerModel.create("wldn", hidden=8, depth=2, seed=6).score_candidate(
-            g, cand).item()
+        wln_score = RankerModel.create("wln", hidden=8, depth=2, seed=6).score_candidates(
+            g, [cand]).item()
+        wldn_score = RankerModel.create("wldn", hidden=8, depth=2, seed=6).score_candidates(
+            g, [cand]).item()
         assert wln_score != wldn_score
 
     def test_sumpool_twins_with_matching_differences_score_equal(self):
@@ -88,28 +88,28 @@ class TestScoring:
         g = parse_smiles("CC=CCCC.CC=CCCC")
         edit_a = Candidate(EditSet.of([(1, 2, BondType.SINGLE)]), g)
         edit_b = Candidate(EditSet.of([(7, 8, BondType.SINGLE)]), g)
-        score_a = model.score_candidate(g, edit_a).item()
-        score_b = model.score_candidate(g, edit_b).item()
+        score_a = model.score_candidates(g, [edit_a]).item()
+        score_b = model.score_candidates(g, [edit_b]).item()
         assert score_a == score_b
 
 
 class TestRankLoss:
     def test_single_candidate_zero_loss(self):
-        assert rank_loss([de.constant([[2.5]])], 0).item() == 0.0
+        assert rank_loss(de.constant([[2.5]]), 0).item() == 0.0
 
     def test_uniform_scores(self):
         for m in (1, 3, 7):
-            scores = [de.constant([[0.4]]) for _ in range(m + 1)]
+            scores = de.constant(np.full((m + 1, 1), 0.4))
             assert abs(rank_loss(scores, 0).item() - math.log(m + 1)) < 1e-12
 
     def test_hand_computed_value(self):
-        scores = [de.constant([[1.0]]), de.constant([[0.0]]), de.constant([[0.0]])]
+        scores = de.constant([[1.0], [0.0], [0.0]])
         expected = math.log(1.0 + 2.0 * math.exp(-1.0))
         assert abs(rank_loss(scores, 0).item() - expected) < 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            rank_loss([], 0)
+            rank_loss(de.constant(np.zeros((0, 1))), 0)
 
     def test_loss_decreases_under_overfit_steps(self):
         model = RankerModel.create("wln", hidden=8, depth=2, seed=7)

@@ -9,7 +9,7 @@ from rxnpred.chemgraph import BondType, atom_feature_matrix, parse_smiles
 from rxnpred.datagen import random_molecule
 from rxnpred.ranker import RankerModel
 from rxnpred.selfcheck import naive_atom_vectors
-from rxnpred.wln import WLNParams, embed_atoms, embed_from_features, embed_graph, graph_inputs
+from rxnpred.wln import WLNParams, embed_atoms, embed_from_features, graph_inputs
 
 
 def make_params(in_dim, hidden=10, depth=3, seed=0, variant="concat"):
@@ -31,7 +31,7 @@ class TestEmbedding:
     def test_all_isolated_graph_sum_is_zero(self):
         _, p = make_params(FEAT_DIM)
         g = parse_smiles("[Na+].[Cl-].[K+]")
-        assert np.array_equal(embed_graph(g, p).values, np.zeros((1, p.hidden)))
+        assert np.array_equal(de.sum_rows(embed_atoms(g, p)).values, np.zeros((1, p.hidden)))
 
     def test_permutation_equivariance_exact(self):
         rng = np.random.default_rng(2)
@@ -48,18 +48,19 @@ class TestEmbedding:
         rng = np.random.default_rng(4)
         _, p = make_params(FEAT_DIM, seed=5)
         g = random_molecule(rng, n_atoms=9, allow_curated=False)
-        base = embed_graph(g, p).values
+        base = de.sum_rows(embed_atoms(g, p)).values
         for _ in range(10):
             pg = permute_graph(g, random_permutation(rng, g.n_atoms))
-            assert np.array_equal(base, embed_graph(pg, p).values)
+            assert np.array_equal(base, de.sum_rows(embed_atoms(pg, p)).values)
 
     def test_two_components_sum_separately(self):
         _, p = make_params(FEAT_DIM, seed=7)
         whole = parse_smiles("CC(=O)N.c1ccccc1")
         part_a = parse_smiles("CC(=O)N")
         part_b = parse_smiles("c1ccccc1")
-        total = embed_graph(whole, p).values
-        split = embed_graph(part_a, p).values + embed_graph(part_b, p).values
+        total = de.sum_rows(embed_atoms(whole, p)).values
+        split = (de.sum_rows(embed_atoms(part_a, p)).values
+                 + de.sum_rows(embed_atoms(part_b, p)).values)
         assert np.allclose(total, split, atol=1e-12)
 
     def test_receptive_field_bitwise(self):

@@ -17,7 +17,7 @@ import numpy as np
 from . import diffengine as de
 from .candgen import BondEdit, EditSet
 from .chemgraph import ATOM_FEATURE_DIM, BondType, MolGraph
-from .diffengine import DTensor, ParamStore
+from .diffengine import DTensor, ParamStore, _mm
 from .wln import FIXED_METADATA, WLNParams, embed_from_features, graph_inputs, model_metadata
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "Reaction",
     "center_loss",
     "coverage",
-    "label_pairs",
     "pair_feature_matrix",
     "reaction_edits",
     "top_k_pairs",
@@ -35,6 +34,11 @@ __all__ = [
 ]
 
 PAIR_FEATURE_DIM = 6  # bond-type one-hot over {none,1,2,3,ar} + same-molecule flag
+# Feature row of each pair code (bond type + 5 * same-molecule flag): the
+# pair features take only these 10 values.
+_CODE_ROWS = np.hstack([np.tile(np.eye(5), (2, 1)), np.repeat([[0.0], [1.0]], 5, axis=0)])
+# Pairs per block of the inference head: its temporaries are (PAIR_BLOCK, hidden).
+PAIR_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -105,11 +109,6 @@ def _pair_changes(rxn: Reaction) -> dict[tuple[int, int], BondType]:
             for u, v in zip(us.tolist(), vs.tolist()) if u < v}
 
 
-def label_pairs(rxn: Reaction) -> PairLabels:
-    """Reactivity labels: 1 iff the pair's bond type differs across the reaction."""
-    return PairLabels(rxn.reactants.n_atoms, frozenset(reaction_edits(rxn).pairs))
-
-
 def reaction_edits(rxn: Reaction) -> EditSet:
     """The recorded reaction as a bond-edit set over reactant atom indices."""
     changed = _pair_changes(rxn)
@@ -123,6 +122,12 @@ def upper_pairs(n: int) -> np.ndarray:
     return np.argwhere(r[:, None] < r)
 
 
+def _pair_codes(g: MolGraph, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Per pair (us[i], vs[i]), its row of ``_CODE_ROWS``; symmetric in u, v."""
+    comp = np.asarray(g.component, dtype=np.intp)
+    return _bond_types(g)[us, vs] + 5 * (comp[us] == comp[vs])
+
+
 def pair_feature_matrix(g: MolGraph,
                         pairs: Sequence[tuple[int, int]] | np.ndarray) -> np.ndarray:
     """Per-pair features: bond type between the atoms + same-molecule flag.
@@ -131,12 +136,7 @@ def pair_feature_matrix(g: MolGraph,
     pair has bond type NONE.
     """
     idx = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    us, vs = idx[:, 0], idx[:, 1]
-    out = np.zeros((len(idx), PAIR_FEATURE_DIM))
-    out[np.arange(len(idx)), _bond_types(g)[us, vs]] = 1.0
-    comp = np.asarray(g.component, dtype=np.intp)
-    out[:, 5] = comp[us] == comp[vs]
-    return out
+    return _CODE_ROWS[_pair_codes(g, idx[:, 0], idx[:, 1])]
 
 
 # ---------------------------------------------------------------------------
@@ -222,21 +222,70 @@ class CenterModel:
         alpha_mat = de.reshape(alpha, n, n)
         return de.matmul(alpha_mat, c), alpha_mat
 
-    # -- inference wrappers ----------------------------------------------------
+    # -- inference -------------------------------------------------------------
+
+    def _infer_head(self, c: np.ndarray, us: np.ndarray, vs: np.ndarray, codes: np.ndarray,
+                    ma: str, mb: str, bias: str, u: str) -> DTensor:
+        """:meth:`_head`'s scores, bitwise, without its (n_pairs, hidden) arrays.
+
+        ``codes`` gives each pair's row of ``_CODE_ROWS``. Each atom is projected
+        once and each of the 10 feature rows once; :func:`diffengine._mm` computes
+        every output row on its own, and a feature row's product has only two
+        nonzero addends, so gathering those rows repeats ``_head``'s arithmetic.
+        The rest runs in blocks of ``PAIR_BLOCK`` pairs, in ``_head``'s order.
+        """
+        s = self.store
+        proj = _mm(np.ascontiguousarray(c), s[ma].values)
+        feats = _mm(_CODE_ROWS, s[mb].values)
+        out = np.empty((len(us), 1))
+        for start in range(0, len(us), PAIR_BLOCK):
+            b = slice(start, start + PAIR_BLOCK)
+            z = proj[us[b]]
+            z += proj[vs[b]]
+            z += feats[codes[b]]
+            z += s[bias].values
+            # Through the op, so that op patches and counters see the head.
+            out[b] = _mm(de.relu(DTensor(z)).values, s[u].values)
+        return de.sigmoid(DTensor(out))
+
+    def _infer_attention(self, g: MolGraph, c: np.ndarray) -> np.ndarray:
+        """The attention matrix of :meth:`_attention_context`, bitwise.
+
+        A pair's code and ``proj[u] + proj[v]`` do not depend on the order of
+        u and v, so the matrix is symmetric: only pairs with u <= v are scored.
+        """
+        us, vs = np.triu_indices(g.n_atoms)
+        alpha = self._infer_head(c, us, vs, _pair_codes(g, us, vs),
+                                 "att.Pa", "att.Pb", "att.bias", "att.u").values[:, 0]
+        m = np.empty((g.n_atoms, g.n_atoms))
+        m[us, vs] = alpha
+        m[vs, us] = alpha
+        return m
+
+    def _atom_vectors(self, g: MolGraph) -> np.ndarray:
+        """The WLN atom vectors of ``g``, with no backward graph."""
+        gi = graph_inputs(g)
+        with de.no_grad():
+            return embed_from_features(gi, gi.features, self.wln).values
 
     def score_matrix(self, g: MolGraph) -> np.ndarray:
-        """Symmetric score matrix with a zero diagonal."""
-        with de.no_grad():
-            scores, pairs = self.pair_scores(g)
+        """Symmetric score matrix with a zero diagonal; the values of
+        :meth:`pair_scores`."""
+        pairs = upper_pairs(g.n_atoms)
+        c = self._atom_vectors(g)
+        if not len(pairs):
+            return np.zeros((g.n_atoms, g.n_atoms))
+        if self.variant == "global":
+            c = _mm(self._infer_attention(g, c), c)
+        us, vs = pairs[:, 0], pairs[:, 1]
+        scores = self._infer_head(c, us, vs, _pair_codes(g, us, vs),
+                                  "score.Ma", "score.Mb", "score.bias", "score.u")
         return scores_to_matrix(scores.values, pairs, g.n_atoms)
 
     def attention_map(self, g: MolGraph) -> np.ndarray:
         if self.variant != "global":
             raise ValueError("attention is only defined for the global variant")
-        with de.no_grad():
-            gi = graph_inputs(g)
-            c = embed_from_features(gi, gi.features, self.wln)
-            return self._attention_context(g, c)[1].values.copy()
+        return self._infer_attention(g, self._atom_vectors(g))
 
 
 def _head_shapes(variant: str, hidden: int) -> dict[str, tuple[int, int]]:

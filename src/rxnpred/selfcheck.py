@@ -18,7 +18,7 @@ import numpy as np
 from . import diffengine as de
 from .candgen import (BOND_ALPHABET, BondEdit, Candidate, EditSet, GenConfig,
                       connectivity_ok, enumerate_candidates)
-from .center import CenterModel, center_loss
+from .center import PAIR_BLOCK, CenterModel, center_loss, scores_to_matrix
 from .chemgraph import (BondType, MolGraph, apply_edits, atom_feature_matrix,
                         bond_features, parse_smiles, write_smiles)
 from .datagen import (higher_order_fixture_lines, random_molecule, random_reaction_line,
@@ -29,8 +29,9 @@ from .wliso import brute_force_isomorphic, wl_equivalent
 from .wln import WLNParams, embed_atoms, embed_from_features, graph_inputs
 
 __all__ = ["CheckResult", "batched_ranker_suite", "brute_force_enumerate",
-           "brute_force_ordered", "enumeration_instance", "gradient_suite",
-           "naive_atom_vectors", "reference_score", "run_selfcheck", "wl_soundness_suite"]
+           "brute_force_ordered", "center_inference_suite", "composed_center_outputs",
+           "enumeration_instance", "gradient_suite", "naive_atom_vectors", "reference_score",
+           "run_selfcheck", "wl_soundness_suite"]
 
 
 @dataclass
@@ -278,6 +279,56 @@ def batched_ranker_suite(seed: int = 13, hidden: int = 8) -> CheckResult:
                        f"full-graph reference")
 
 
+def composed_center_outputs(model: CenterModel,
+                            g: MolGraph) -> tuple[np.ndarray, np.ndarray | None]:
+    """The score matrix and attention matrix (None for the local variant)
+    through the composed ``diffengine`` ops that training differentiates,
+    with the backward graph recorded."""
+    scores, pairs = model.pair_scores(g)
+    matrix = scores_to_matrix(scores.values, pairs, g.n_atoms)
+    if model.variant != "global":
+        return matrix, None
+    gi = graph_inputs(g)
+    c = embed_from_features(gi, gi.features, model.wln)
+    return matrix, model._attention_context(g, c)[1].values
+
+
+def center_inference_suite(seed: int = 17, hidden: int = 8) -> CheckResult:
+    """``score_matrix`` and ``attention_map`` equal the composed ops bitwise,
+    and the attention matrix is bitwise symmetric.
+
+    Runs on toy and reagent-fixture reactants from ``datagen`` with random
+    spectator molecules added until the pairs span several ``PAIR_BLOCK``
+    blocks of the inference head.
+    """
+    rng = np.random.default_rng(seed)
+    reactants = ([line.split(">")[0] for line in toy_reaction_lines(3, seed=seed)]
+                 + [".".join(line.split(">")[:2]) for line in reagent_fixture_lines(1, seed=seed)])
+    graphs = []
+    for smiles in reactants:
+        g = parse_smiles(smiles)
+        while g.n_atoms * (g.n_atoms - 1) // 2 <= 2 * PAIR_BLOCK:
+            smiles += "." + write_smiles(random_molecule(rng))
+            g = parse_smiles(smiles)
+        graphs.append(g)
+    mismatches = checked = 0
+    for variant in ("local", "global"):
+        model = CenterModel.create(variant, hidden=hidden, depth=2, seed=seed)
+        for g in graphs:
+            matrix, alpha = composed_center_outputs(model, g)
+            mismatches += int(model.score_matrix(g).tobytes() != matrix.tobytes())
+            checked += 1
+            if alpha is not None:
+                got = model.attention_map(g)
+                mismatches += int(got.tobytes() != alpha.tobytes()
+                                  or got.tobytes() != got.T.tobytes())
+                checked += 1
+    sizes = [g.n_atoms for g in graphs]
+    return CheckResult("center-inference", mismatches == 0,
+                       f"{mismatches} of {checked} matrices differ from the composed ops "
+                       f"({min(sizes)}-{max(sizes)} atoms)")
+
+
 def comparison_form_suite(seed: int = 3, tol: float = 1e-10,
                           trials: int = 5) -> CheckResult:
     """Vectorized atom vectors match the reference-tensor oracle."""
@@ -348,4 +399,5 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
     results.append(enumeration_suite(seed=seed + 9))
     results.extend(gradient_suite(seed=seed + 5))
     results.append(batched_ranker_suite(seed=seed + 13))
+    results.append(center_inference_suite(seed=seed + 17))
     return results

@@ -5,15 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import merge
+from helpers import merge, permute_graph
+from rxnpred import center
 from rxnpred import diffengine as de
 from rxnpred.candgen import BondEdit, EditSet
 from rxnpred.center import (PAIR_FEATURE_DIM, CenterModel, PairLabels, Reaction,
-                            center_loss, coverage, label_pairs, pair_feature_matrix,
+                            center_loss, coverage, pair_feature_matrix,
                             reaction_edits, top_k_pairs, upper_pairs)
 from rxnpred.chemgraph import BondType, parse_smiles, write_smiles
 from rxnpred.datagen import random_molecule, random_reaction_line
 from rxnpred.pipeline import parse_reaction_line
+from rxnpred.selfcheck import composed_center_outputs
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -64,20 +66,18 @@ def loop_pair_features(g, pairs):
 class TestLabels:
     def test_substitution_labels(self):
         rxn = reaction("[CH3:1][Cl:2].[NH2:3][CH3:4]", "[CH3:1][NH:3][CH3:4]")
-        labels = label_pairs(rxn)
-        assert labels.positive == frozenset(
+        assert frozenset(reaction_edits(rxn).pairs) == frozenset(
             by_maps(rxn.reactants, (1, 2), (1, 3)))
 
     def test_identity_reaction_all_zero(self):
         rxn = reaction("[CH3:1][OH:2]", "[CH3:1][OH:2]")
-        assert label_pairs(rxn).positive == frozenset()
+        assert frozenset(reaction_edits(rxn).pairs) == frozenset()
 
     def test_ring_forming_three_pair_center(self):
         rxn = reaction(
             "[cH:7]1[cH:2][cH:3][cH:4][cH:5][cH:8]1.[CH3:27][Cl:28]",
             "[c:7]12[cH:2][cH:3][cH:4][cH:5][c:8]1:[CH2:27]:2.[Cl:28]")
-        labels = label_pairs(rxn)
-        assert labels.positive == frozenset(
+        assert frozenset(reaction_edits(rxn).pairs) == frozenset(
             by_maps(rxn.reactants, (27, 28), (7, 27), (8, 27)))
         edits = reaction_edits(rxn)
         m = rxn.reactants.map_to_index()
@@ -86,24 +86,22 @@ class TestLabels:
     def test_reagent_components_stay_zero(self):
         # the ether is a spectator: absent from the product on both ends
         rxn = reaction("[CH3:1][Cl:2].COC", "[CH3:1]")
-        labels = label_pairs(rxn)
-        assert labels.positive == frozenset(by_maps(rxn.reactants, (1, 2)))
+        assert frozenset(reaction_edits(rxn).pairs) == frozenset(by_maps(rxn.reactants, (1, 2)))
 
     def test_departed_fragment_internal_bonds_unchanged(self):
         # the whole mapped ethyl fragment leaves; only the attachment breaks
         rxn = reaction("[CH3:1][CH2:2][CH3:3]", "[CH3:1]")
-        labels = label_pairs(rxn)
-        assert labels.positive == frozenset(by_maps(rxn.reactants, (1, 2)))
+        assert frozenset(reaction_edits(rxn).pairs) == frozenset(by_maps(rxn.reactants, (1, 2)))
 
     def test_unmapped_product_atom_rejected(self):
         rxn = reaction("[CH3:1][OH:2]", "C[OH:2]")
         with pytest.raises(ValueError):
-            label_pairs(rxn)
+            reaction_edits(rxn)
 
     def test_unknown_product_map_rejected(self):
         rxn = reaction("[CH3:1][OH:2]", "[CH3:1][OH:9]")
         with pytest.raises(ValueError):
-            label_pairs(rxn)
+            reaction_edits(rxn)
 
     @PROPERTY
     @given(seed=st.integers(0, 2 ** 32 - 1), spectators=st.integers(0, 3))
@@ -114,13 +112,13 @@ class TestLabels:
         rec = parse_reaction_line(f"{reactants}>{reagents}>{product}")
         rxn = Reaction(rec.reactants, rec.product)
         expected = loop_pair_changes(rxn)
-        assert label_pairs(rxn) == PairLabels(rxn.reactants.n_atoms, frozenset(expected))
+        assert frozenset(reaction_edits(rxn).pairs) == frozenset(expected)
         assert reaction_edits(rxn) == EditSet.of(
             BondEdit(u, v, t) for (u, v), t in expected.items())
 
     def test_matrix_symmetry(self):
         rxn = reaction("[CH3:1][Cl:2].[NH2:3][CH3:4]", "[CH3:1][NH:3][CH3:4]")
-        m = label_pairs(rxn).matrix()
+        m = PairLabels(rxn.reactants.n_atoms, frozenset(reaction_edits(rxn).pairs)).matrix()
         assert np.array_equal(m, m.T)
         assert not m.diagonal().any()
 
@@ -220,6 +218,51 @@ class TestScoring:
         m1 = global_model.score_matrix(g1)
         m2 = global_model.score_matrix(g2)
         assert any(m1[u, v] != m2[u, v] for u, v in core_pairs)
+
+
+# Charged and aromatic fragments that inference-equality molecules may add.
+CHARGED_AROMATIC = ("[NH4+]", "[O-]C(=O)C", "C[N+](C)(C)C", "c1ccncc1", "Cc1ccccc1",
+                    "[Na+].[Cl-]")
+
+
+@st.composite
+def inference_instances(draw):
+    """A multi-component molecule (charged and aromatic fragments among its
+    parts) under a random atom order, a model and an inference block size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = [random_molecule(rng) for _ in range(draw(st.integers(1, 4)))]
+    parts += [parse_smiles(s) for s in draw(st.lists(st.sampled_from(CHARGED_AROMATIC),
+                                                    max_size=2))]
+    g = merge(parts)
+    g = permute_graph(g, [int(i) for i in draw(st.permutations(range(g.n_atoms)))])
+    model = CenterModel.create(draw(st.sampled_from(["local", "global"])),
+                               hidden=draw(st.sampled_from([3, 8, 16])), depth=2,
+                               seed=draw(st.integers(0, 1000)))
+    return g, model, draw(st.integers(1, 40))
+
+
+class TestInferenceHead:
+    """``score_matrix`` and ``attention_map`` skip the composed ops' graph and
+    (n_pairs, hidden) arrays; their bytes must still equal the composed ops'."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(inference_instances())
+    @example((parse_smiles("CO"), CenterModel.create("global", hidden=8, depth=2, seed=1), 1))
+    @example((parse_smiles("[Na+].[Cl-]"), CenterModel.create("global", hidden=8, depth=2,
+                                                               seed=2), 2))
+    @example((parse_smiles("[Na+].[Cl-]"), CenterModel.create("local", hidden=8, depth=2,
+                                                               seed=3), 1))
+    def test_bytes_equal_composed_ops(self, instance):
+        g, model, block = instance
+        matrix, alpha = composed_center_outputs(model, g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(center, "PAIR_BLOCK", block)
+            got = model.score_matrix(g)
+            assert got.shape == matrix.shape and got.tobytes() == matrix.tobytes()
+            if model.variant == "global":
+                att = model.attention_map(g)
+                assert att.shape == alpha.shape and att.tobytes() == alpha.tobytes()
+                assert alpha.tobytes() == alpha.T.tobytes()
 
 
 class TestLoss:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import permute_graph, random_permutation
 from rxnpred.chemgraph import (ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BondType,
@@ -87,6 +89,32 @@ class TestParse:
         g = parse_smiles("[CH3:1][OH:1]")
         with pytest.raises(ValueError):
             g.map_to_index()
+
+
+# Characters SMILES uses, so that random text often gets deep into the parser.
+SMILES_ALPHABET = "CNOSPFIBrcnosp[]()=#$:/\\.%@+-*0123456789HZlaeg "
+
+
+class TestParserProperties:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(st.text(SMILES_ALPHABET, max_size=30), st.text(max_size=30)))
+    def test_arbitrary_text_raises_only_value_error(self, text):
+        try:
+            g = parse_smiles(text)
+        except ValueError:
+            return
+        write_smiles(g)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), curated=st.booleans())
+    def test_parse_write_parse_is_isomorphic(self, seed, curated):
+        rng = np.random.default_rng(seed)
+        mol = random_molecule(rng, n_atoms=int(rng.integers(1, 11)), allow_curated=curated)
+        if mol.n_atoms > 10:
+            return
+        g = parse_smiles(write_smiles(mol))
+        assert brute_force_isomorphic(g, mol)
+        assert brute_force_isomorphic(parse_smiles(write_smiles(g)), g)
 
 
 class TestWrite:

@@ -145,10 +145,10 @@ def test_old_config_key_exits_with_one_line(workdir, checkpoints):
 
 def test_selfcheck_command_passes_every_suite(capsys):
     # wl-soundness, comparison-form, enumeration-oracle, four gradient
-    # checks and ranker-batched
+    # checks, ranker-batched and center-inference
     assert main(["selfcheck"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 8 and all(line.startswith("[PASS] ") for line in lines)
+    assert len(lines) == 9 and all(line.startswith("[PASS] ") for line in lines)
 
 
 def test_datagen_cli(tmp_path, capsys):

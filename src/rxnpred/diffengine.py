@@ -2,8 +2,8 @@
 
 Every operation records a backward rule on the output node; ``backward`` runs
 a reverse topological sweep from a scalar root. Reductions that sum over
-graph elements (``segment_sum``, ``sum_rows``) sort their addends by value
-per column first, which makes forward results bitwise invariant under input
+graph elements (``segment_sum``, ``sum_rows``) add their addends in value
+order per column, which makes forward results bitwise invariant under input
 row permutations. Includes Xavier initialization, an Adam optimizer with
 per-epoch learning-rate decay, a plain-text checkpoint format, and a
 finite-difference gradient checker.
@@ -336,11 +336,20 @@ def gather_matmul(a: DTensor, w: DTensor, indices: Sequence[int] | np.ndarray) -
 def segment_sum(a: DTensor, segments: Sequence[int] | np.ndarray, n_segments: int) -> DTensor:
     """Sum rows of ``a`` into ``n_segments`` buckets given per-row segment ids.
 
-    Empty segments yield zero rows. Addends are value-sorted per column, so
-    the result does not depend on the order rows arrive in. Segments of equal
-    size are sorted and summed together as one (segments, size, cols) block,
-    which runs numpy's reduction exactly as :func:`sum_rows` does on each
-    segment alone (sequential per column, pairwise for a single column).
+    Empty segments yield zero rows. Each segment is summed per column in
+    value-sorted order onto ``+0.0``, so the result does not depend on the
+    order rows arrive in; it equals :func:`sum_rows` on the segment alone
+    (sequential per column, pairwise for a single column). When no segment
+    has more than 4 rows and ``a`` is finite, as in a molecule's neighbor
+    sums, no sort runs: each segment is padded with ``+0.0`` rows to the
+    longest one, and a compare-exchange network of ``np.minimum`` and
+    ``np.maximum`` orders all segments at once (the first two rows need no
+    order, as ``a + b == b + a``). That gives the sorted sums: equal values
+    are interchangeable, and a sum that starts at ``+0.0`` never reads
+    ``-0.0``, so neither the padding nor how ``+0.0`` and ``-0.0`` are
+    ordered moves it. Otherwise segments of equal size are value-sorted by
+    ``np.sort`` as one (segments, size, cols) block; with an infinity or a
+    NaN in ``a``, which NaN a sum returns depends on the order.
     """
     seg = np.asarray(segments, dtype=np.intp)
     if seg.shape != (a.shape[0],):
@@ -353,17 +362,36 @@ def segment_sum(a: DTensor, segments: Sequence[int] | np.ndarray, n_segments: in
         order = np.argsort(seg, kind="stable")
         counts = np.bincount(seg, minlength=n_segments)
         starts = np.cumsum(counts) - counts
-        for size in np.unique(counts[counts > 0]):
-            ids = np.flatnonzero(counts == size)
-            block = a.values[order[starts[ids][:, None] + np.arange(size)]]
-            block.sort(axis=1)
-            out[ids] = block.sum(axis=1)
+        width = int(counts.max())
+        if width in _SORTING_NETWORKS and np.isfinite(a.values).all():
+            # rows[k] holds row k of every segment; index a.shape[0] is the
+            # +0.0 padding row
+            by_seg = seg[order]
+            idx = np.full((width, n_segments), a.shape[0])
+            idx[np.arange(seg.size) - starts[by_seg], by_seg] = order
+            rows = list(np.concatenate([a.values, np.zeros((1, a.shape[1]))])[idx])
+            for i, j in _SORTING_NETWORKS[width]:
+                rows[i], rows[j] = np.minimum(rows[i], rows[j]), np.maximum(rows[i], rows[j])
+            for row in rows:
+                out += row
+        else:
+            for size in np.unique(counts[counts > 0]):
+                ids = np.flatnonzero(counts == size)
+                block = a.values[order[starts[ids][:, None] + np.arange(size)]]
+                block.sort(axis=1)
+                out[ids] = block.sum(axis=1)
 
     def bwd(g: np.ndarray) -> None:
         if _need(a):
             a.accumulate(g[seg])
 
     return _track(out, (a,), bwd)
+
+
+# Compare-exchange pairs that sort a segment of 1 to 4 rows per column, up to
+# the order of the first two rows, which the sum does not see (a + b == b + a).
+_SORTING_NETWORKS = {1: (), 2: (), 3: ((0, 1), (1, 2)),
+                     4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
 
 
 def sum_rows(a: DTensor) -> DTensor:

@@ -26,7 +26,7 @@ from .wln import (FIXED_METADATA, WLNParams, embed_from_features, graph_inputs,
                   model_metadata, union_inputs)
 
 __all__ = ["MAX_UNION_CANDIDATES", "RankerModel", "difference_vectors",
-           "rank_candidates", "rank_loss", "score_sumpool"]
+           "rank_candidates", "rank_loss", "read_atoms", "score_sumpool"]
 
 # Candidates per union pass. Bounds the arrays of one pass, so that peak
 # memory under no_grad stays near the per-candidate path's.
@@ -78,29 +78,39 @@ class RankerModel:
                          candidates: Sequence[Candidate]) -> DTensor:
         """Differentiable scores of all candidates of one reaction, shape (n, 1).
 
-        The reactants are embedded once. Each pass then embeds the disjoint
-        union of up to :data:`MAX_UNION_CANDIDATES` candidates' edit-local
-        products (:attr:`Candidate.local_product`) and pools per candidate
-        with :func:`~rxnpred.diffengine.segment_sum`. Scores are bitwise equal
-        to the full-graph :func:`difference_vectors` / :func:`score_sumpool`
-        route: an untouched component's product rows equal its reactant
-        rows, so their differences are ``+0.0``; the gated difference network
-        maps zero rows to zero rows; and a sorted column sum, which starts at
-        ``+0.0``, is unchanged by zero addends. (The last step needs
-        ``hidden >= 2``: numpy sums a single column pairwise.)
+        The reactant components that hold an edited atom of any candidate
+        (:func:`read_atoms`) are embedded once; the others are never read.
+        Each pass then embeds the disjoint union of up to
+        :data:`MAX_UNION_CANDIDATES` candidates' edit-local products
+        (:attr:`Candidate.local_product`) and pools per candidate with
+        :func:`~rxnpred.diffengine.segment_sum`. Scores and their gradients
+        are bitwise equal to the full-graph :func:`difference_vectors` /
+        :func:`score_sumpool` route. No message crosses components and
+        :func:`~rxnpred.diffengine._mm` computes each row on its own, so a read
+        component embeds as in the whole graph, and an unread one would add
+        only zero terms to the sequential sums of the backward pass. An
+        untouched component's product rows equal its reactant rows, so their
+        differences are ``+0.0``; the gated difference network maps zero rows
+        to zero rows; and a sorted column sum, which starts at ``+0.0``, is
+        unchanged by zero addends. (The last step needs ``hidden >= 2``: numpy
+        sums a single column pairwise.)
         """
-        gi_r = graph_inputs(reactants)
+        read = read_atoms(candidates)
+        gi_r = union_inputs([(reactants, read)])
         c_r = embed_from_features(gi_r, gi_r.features, self.wln)
-        chunks = [self._score_union(c_r, candidates[i:i + MAX_UNION_CANDIDATES])
+        chunks = [self._score_union(c_r, read, candidates[i:i + MAX_UNION_CANDIDATES])
                   for i in range(0, len(candidates), MAX_UNION_CANDIDATES)]
         return chunks[0] if len(chunks) == 1 else de.stack_rows(chunks)
 
-    def _score_union(self, c_r: DTensor, candidates: Sequence[Candidate]) -> DTensor:
+    def _score_union(self, c_r: DTensor, read: Sequence[int],
+                     candidates: Sequence[Candidate]) -> DTensor:
+        """Scores of ``candidates``; row ``i`` of ``c_r`` embeds reactant atom
+        ``read[i]`` (ascending)."""
         atoms = [cand.edited_atoms() for cand in candidates]
         gi = union_inputs([(cand.local_product, range(len(a)))
                            for cand, a in zip(candidates, atoms)])
         owner = np.repeat(np.arange(len(candidates)), [len(a) for a in atoms])
-        rows = [i for a in atoms for i in a]
+        rows = np.searchsorted(read, [i for a in atoms for i in a])
         d = de.sub(embed_from_features(gi, gi.features, self.wln), de.gather_rows(c_r, rows))
         if self.variant == "wln":
             m, u = self.store["sum.M"], self.store["sum.u"]
@@ -109,6 +119,12 @@ class RankerModel:
             m, u = self.store["wldn.M"], self.store["wldn.u"]
         pooled = de.segment_sum(d, owner, len(candidates))
         return de.matmul(de.relu(de.matmul(pooled, m)), u)
+
+
+def read_atoms(candidates: Sequence[Candidate]) -> list[int]:
+    """The reactant atoms whose embeddings the candidates' scores read,
+    ascending: those of every component that holds an edited atom."""
+    return sorted({a for cand in candidates for a in cand.edited_atoms()})
 
 
 def _head_shapes(hidden: int) -> dict[str, tuple[int, int]]:
@@ -146,12 +162,17 @@ def rank_candidates(reactants: MolGraph, candidates: Sequence[Candidate],
     """Candidates sorted by descending score; ties keep enumeration order.
 
     Scores are attached to the returned candidates. Scoring records no
-    backward graph.
+    backward graph. A non-finite score raises ``ValueError``, as it has no
+    place in the order.
     """
     if not candidates:
         raise ValueError("rank_candidates needs a nonempty candidate list")
     with de.no_grad():
         scores = model.score_candidates(reactants, candidates).values[:, 0]
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise ValueError(f"rank_candidates: non-finite score {scores[bad[0]]} "
+                         f"for candidate {bad[0]} of {len(candidates)}")
     for cand, score in zip(candidates, scores):
         cand.score = float(score)
     return sorted(candidates, key=lambda c: -c.score)

@@ -24,7 +24,7 @@ from .chemgraph import (BondType, MolGraph, apply_edits, atom_feature_matrix,
 from .datagen import (higher_order_fixture_lines, random_molecule, random_reaction_line,
                       reagent_fixture_lines, toy_reaction_lines)
 from .pipeline import _candidate_stage, parse_reaction_line
-from .ranker import RankerModel, difference_vectors, rank_loss, score_sumpool
+from .ranker import RankerModel, difference_vectors, rank_loss, read_atoms, score_sumpool
 from .wliso import brute_force_isomorphic, wl_equivalent
 from .wln import WLNParams, embed_atoms, embed_from_features, graph_inputs
 
@@ -252,11 +252,13 @@ def batched_ranker_suite(seed: int = 13, hidden: int = 8) -> CheckResult:
 
     Runs on the reagent, higher-order and toy fixtures from ``datagen``, whose
     reagents and second reactants leave untouched components behind, with an
-    empty-edit candidate added to each list.
+    empty-edit candidate added to each list. The detail also counts the
+    candidate lists whose scores read only some reactant components, so
+    that only those were embedded.
     """
     lines = (reagent_fixture_lines(2, seed=seed) + higher_order_fixture_lines(4, seed=seed)
              + toy_reaction_lines(6, seed=seed))
-    mismatches = scored = 0
+    mismatches = scored = subsets = 0
     for variant in ("wln", "wldn"):
         model = RankerModel.create(variant, hidden=hidden, depth=2, seed=seed)
         for line in lines:
@@ -270,13 +272,15 @@ def batched_ranker_suite(seed: int = 13, hidden: int = 8) -> CheckResult:
             cands = [Candidate(EditSet.of([]), g)] + enumerate_candidates(
                 g, pairs, GenConfig(max_changes=2, max_candidates=60)).candidates
             batched = model.score_candidates(g, cands).values[:, 0]
+            subsets += len(read_atoms(cands)) < g.n_atoms
             for cand, score in zip(cands, batched):
                 ref = reference_score(model, g, cand).values[0, 0]
                 mismatches += int(ref.tobytes() != score.tobytes())
                 scored += 1
     return CheckResult("ranker-batched", mismatches == 0,
                        f"{mismatches} of {scored} batched scores differ from the "
-                       f"full-graph reference")
+                       f"full-graph reference; {subsets} of {2 * len(lines)} candidate "
+                       f"lists embedded a strict subset of the reactants")
 
 
 def composed_center_outputs(model: CenterModel,

@@ -8,13 +8,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import merge, permute_graph
+from rxnpred import datagen
 from rxnpred import diffengine as de
-from rxnpred import selfcheck
+from rxnpred import ranker, selfcheck
 from rxnpred.candgen import Candidate, EditSet, GenConfig, enumerate_candidates
 from rxnpred.chemgraph import BondType
 from rxnpred.datagen import random_molecule
+from rxnpred.pipeline import RunConfig, train_ranker
 from rxnpred.ranker import MAX_UNION_CANDIDATES, RankerModel, rank_candidates, rank_loss
 from rxnpred.selfcheck import batched_ranker_suite
+from rxnpred.wln import graph_inputs
 
 VARIANTS = ("wln", "wldn")
 
@@ -137,3 +140,86 @@ def test_rank_candidates_keeps_no_graph_and_matches_training_scores():
 def test_selfcheck_batched_suite_passes():
     result = batched_ranker_suite(seed=2)
     assert result.passed, result.detail
+
+
+def full_reactant_scores(model, g, cands):
+    """:meth:`RankerModel.score_candidates` with every reactant atom
+    embedded, unread components included."""
+    gi = graph_inputs(g)
+    c_r = ranker.embed_from_features(gi, gi.features, model.wln)
+    chunks = [model._score_union(c_r, range(g.n_atoms), cands[i:i + MAX_UNION_CANDIDATES])
+              for i in range(0, len(cands), MAX_UNION_CANDIDATES)]
+    return chunks[0] if len(chunks) == 1 else de.stack_rows(chunks)
+
+
+@st.composite
+def component_lists(draw):
+    """Reactants of 3 to 5 components, the last never edited, and candidate
+    lists that read different components: each edited component's
+    candidates alone, a bond made across two components, all of them mixed
+    with the empty edit, and the empty edit alone."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = [random_molecule(rng, n_atoms=int(rng.integers(2, 7)), allow_curated=False)
+             for _ in range(draw(st.integers(3, 5)))]
+    g = merge(parts)
+    ends = np.cumsum([p.n_atoms for p in parts])
+    edited = [enumerate_candidates(g, [(u, v) for u in range(end - p.n_atoms, end)
+                                      for v in range(u + 1, end)][:6],
+                                   GenConfig(max_changes=1, max_candidates=6)).candidates
+              for p, end in zip(parts[:-1], ends[:-1])]
+    across = enumerate_candidates(g, [(0, int(ends[0]))], GenConfig(max_changes=1)).candidates
+    empty = Candidate(EditSet.of([]), g)
+    lists = [c for c in edited if c] + [across, [empty] + [c for cs in edited for c in cs] + across,
+                                        [empty]]
+    model_args = dict(hidden=draw(st.integers(2, 8)), depth=draw(st.integers(1, 3)),
+                      seed=draw(st.integers(0, 1000)))
+    return g, [cands for cands in lists if cands], model_args
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(component_lists())
+def test_unread_components_change_no_score_or_gradient(instance):
+    g, lists, model_args = instance
+    for variant in VARIANTS:
+        model = RankerModel.create(variant, **model_args)
+        for cands in lists:
+            read = {a for c in cands for a in c.edited_atoms()}
+            assert len(read) < g.n_atoms
+            reference = np.array([selfcheck.reference_score(model, g, c).item() for c in cands])
+            batched = model.score_candidates(g, cands)
+            assert bits(batched.values[:, 0]) == bits(reference)
+            full = full_reactant_scores(model, g, cands)
+            assert bits(full.values) == bits(batched.values)
+            got, _ = gradients(model, rank_loss(batched, len(cands) - 1))
+            want, _ = gradients(model, rank_loss(full, len(cands) - 1))
+            for name in want:
+                assert (got[name] is None) == (want[name] is None), name
+                if want[name] is not None:
+                    assert bits(got[name]) == bits(want[name]), name
+
+
+def test_training_with_unread_reagents_matches_full_reactant_route(tmp_path):
+    data = tmp_path / "reagents.txt"
+    datagen.write_lines(data, datagen.reagent_fixture_lines(4, seed=4))
+    embed = ranker.embed_from_features
+
+    def run(name):
+        embedded = []
+
+        def counted(gi, x, p):
+            embedded.append(gi.n_atoms)
+            return embed(gi, x, p)
+
+        out = tmp_path / f"{name}.ckpt"
+        with mock.patch.object(ranker, "embed_from_features", counted):
+            result = train_ranker(RunConfig(data=str(data), out=str(out), variant="wldn",
+                                            hidden=6, depth=2, epochs=3, split=(1.0, 0.0, 0.0),
+                                            seed=2, augment_truth=True))
+        return out.read_bytes(), result.history, sum(embedded)
+
+    ckpt, history, atoms = run("read-components")
+    with mock.patch.object(RankerModel, "score_candidates", full_reactant_scores):
+        full_ckpt, full_history, full_atoms = run("full-reactants")
+    assert atoms < full_atoms
+    assert ckpt == full_ckpt
+    assert history == full_history

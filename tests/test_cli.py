@@ -2,6 +2,7 @@ import pytest
 
 from rxnpred import datagen
 from rxnpred.cli import main
+from rxnpred.ranker import RankerModel
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +142,20 @@ def test_old_config_key_exits_with_one_line(workdir, checkpoints):
     one_line_exit(["evaluate", "--data", str(workdir / "toy.txt"), "--model", center,
                    "--model", ranker, "--config", str(cfg)],
                   "unknown config key 'activation'")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_ranker_scores_exit_with_one_line(workdir, checkpoints):
+    # a finite weight that loads fine but overflows the scores to NaN
+    center, ranker = checkpoints
+    model = RankerModel.load(ranker)
+    model.store["mol.Win"].values[:] = 1e300
+    blown = str(workdir / "blown-ranker.ckpt")
+    model.save(blown)
+    models = ["--model", center, "--model", blown]
+    one_line_exit(["predict", "CCO.CC(=O)Cl"] + models, "non-finite score nan")
+    one_line_exit(["evaluate", "--data", str(workdir / "toy.txt"), "--split", "1.0,0,0"]
+                  + models, "non-finite score nan")
 
 
 def test_selfcheck_command_passes_every_suite(capsys):

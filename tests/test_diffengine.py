@@ -332,6 +332,42 @@ class TestOrderInvariance:
             assert np.array_equal(base, de.sum_rows(de.constant(vals[perm])).values)
 
 
+class TestSegmentSumOracle:
+    # finite values with signed zeros, subnormals, ties and overflow-prone
+    # magnitudes; non-finite ones apart, since they send every segment to
+    # np.sort, as does a segment of 5 or 6 rows
+    FINITE = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 1e-310, -3e-310,
+              1e308, -1e308, 1.7e308]
+    NON_FINITE = [np.inf, -np.inf, np.nan]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(sizes=st.lists(st.integers(0, 6), min_size=1, max_size=8),
+           cols=st.sampled_from([1, 2, 3, 8]), non_finite=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_segment_sorted_sum(self, sizes, cols, non_finite, seed):
+        # bitwise, NaN bits included: inf + -inf and np.nan are different NaNs
+        rng = np.random.default_rng(seed)
+        seg = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        vals = rng.normal(size=(seg.size, cols)) * 10.0 ** rng.integers(-5, 6, size=(seg.size, cols))
+        pick = rng.random(vals.shape) < 0.5
+        vals[pick] = rng.choice(self.FINITE + (self.NON_FINITE if non_finite else []),
+                                size=int(pick.sum()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = de.segment_sum(de.constant(vals.reshape(seg.size, cols)), seg, len(sizes)).values
+            for s in range(len(sizes)):
+                assert got[s].tobytes() == np.sort(vals[seg == s], axis=0).sum(axis=0).tobytes(), s
+
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_non_finite_segments_keep_the_sort(self, size):
+        # sorted, -inf + inf makes a NaN with the sign bit set before np.nan
+        # is added; np.minimum would spread np.nan's positive NaN instead
+        vals = np.array([[np.nan], [np.inf], [-np.inf], [1.0]])[:size]
+        with np.errstate(invalid="ignore"):
+            got = de.segment_sum(de.constant(vals), np.zeros(size, dtype=int), 1).values
+            assert got.tobytes() == np.sort(vals, axis=0).sum(axis=0).tobytes()
+            assert got.tobytes() != np.array([np.nan]).tobytes()
+
+
 class TestGradCheck:
     def test_quadratic_is_exact(self):
         store = de.ParamStore()

@@ -151,6 +151,17 @@ class TestRanking:
         assert all(c.score is not None for c in ranked)
         assert [c.score for c in ranked] == sorted((c.score for c in pool), reverse=True)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_score_raises(self):
+        # 1e300 is a finite weight that loads fine, but the scores overflow
+        model = RankerModel.create("wldn", hidden=8, depth=2, seed=8)
+        model.store["mol.Win"].values[:] = 1e300
+        g = parse_smiles("CC(=O)CC.O")
+        pool = [Candidate(EditSet.of([(1, 2, BondType.SINGLE)]), g),
+                Candidate(EditSet.of([(2, 5, BondType.SINGLE)]), g)]
+        with pytest.raises(ValueError, match="non-finite score nan for candidate 0 of 2"):
+            rank_candidates(g, pool, model)
+
     def test_empty_candidates_rejected(self):
         model = RankerModel.create("wln", hidden=8, depth=2, seed=9)
         with pytest.raises(ValueError):

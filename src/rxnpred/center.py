@@ -27,7 +27,6 @@ __all__ = [
     "Reaction",
     "center_loss",
     "coverage",
-    "pair_feature_matrix",
     "reaction_edits",
     "top_k_pairs",
     "upper_pairs",
@@ -35,8 +34,10 @@ __all__ = [
 
 PAIR_FEATURE_DIM = 6  # bond-type one-hot over {none,1,2,3,ar} + same-molecule flag
 # Feature row of each pair code (bond type + 5 * same-molecule flag): the
-# pair features take only these 10 values.
+# pair features take only these 10 values. The heads gather rows of
+# ``_CODE_ROWS @ Mb``, which equal the gathered rows times ``Mb`` bitwise.
 _CODE_ROWS = np.hstack([np.tile(np.eye(5), (2, 1)), np.repeat([[0.0], [1.0]], 5, axis=0)])
+_CODE_TABLE = de.constant(_CODE_ROWS)
 # Pairs per block of the inference head: its temporaries are (PAIR_BLOCK, hidden).
 PAIR_BLOCK = 512
 
@@ -123,20 +124,11 @@ def upper_pairs(n: int) -> np.ndarray:
 
 
 def _pair_codes(g: MolGraph, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Per pair (us[i], vs[i]), its row of ``_CODE_ROWS``; symmetric in u, v."""
+    """Per pair (us[i], vs[i]), its row of ``_CODE_ROWS``: the bond type
+    between the atoms (NONE for a self pair) and the same-molecule flag.
+    Symmetric in u, v."""
     comp = np.asarray(g.component, dtype=np.intp)
     return _bond_types(g)[us, vs] + 5 * (comp[us] == comp[vs])
-
-
-def pair_feature_matrix(g: MolGraph,
-                        pairs: Sequence[tuple[int, int]] | np.ndarray) -> np.ndarray:
-    """Per-pair features: bond type between the atoms + same-molecule flag.
-
-    ``pairs`` is a list of (u, v) tuples or an (m, 2) index array; a self
-    pair has bond type NONE.
-    """
-    idx = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    return _CODE_ROWS[_pair_codes(g, idx[:, 0], idx[:, 1])]
 
 
 # ---------------------------------------------------------------------------
@@ -189,12 +181,13 @@ class CenterModel:
 
     # -- differentiable paths ------------------------------------------------
 
-    def _head(self, c: DTensor, us: np.ndarray, vs: np.ndarray, bf: DTensor,
+    def _head(self, c: DTensor, us: np.ndarray, vs: np.ndarray, codes: np.ndarray,
               ma: str, mb: str, bias: str, u: str) -> DTensor:
-        """Sigmoid scores of the pairs (us[i], vs[i]) over atom vectors ``c``."""
+        """Sigmoid scores of the pairs (us[i], vs[i]) over atom vectors ``c``;
+        ``codes`` gives each pair's row of ``_CODE_ROWS``."""
         s = self.store
         z = de.add(de.add(de.gather_matmul(c, s[ma], us), de.gather_matmul(c, s[ma], vs)),
-                   de.matmul(bf, s[mb]))
+                   de.gather_matmul(_CODE_TABLE, s[mb], codes))
         z = de.add(z, s[bias])
         return de.sigmoid(de.matmul(de.relu(z), s[u]))
 
@@ -208,8 +201,8 @@ class CenterModel:
             return de.constant(np.zeros((0, 1))), pairs
         if self.variant == "global":
             c = self._attention_context(g, c)[0]
-        bf = de.constant(pair_feature_matrix(g, pairs))
-        scores = self._head(c, pairs[:, 0], pairs[:, 1], bf,
+        us, vs = pairs[:, 0], pairs[:, 1]
+        scores = self._head(c, us, vs, _pair_codes(g, us, vs),
                             "score.Ma", "score.Mb", "score.bias", "score.u")
         return scores, pairs
 
@@ -217,8 +210,8 @@ class CenterModel:
         """Context vectors (n, hidden) and the attention matrix (n, n)."""
         n = g.n_atoms
         us, vs = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
-        bf = de.constant(pair_feature_matrix(g, np.stack((us, vs), axis=1)))
-        alpha = self._head(c, us, vs, bf, "att.Pa", "att.Pb", "att.bias", "att.u")
+        alpha = self._head(c, us, vs, _pair_codes(g, us, vs),
+                           "att.Pa", "att.Pb", "att.bias", "att.u")
         alpha_mat = de.reshape(alpha, n, n)
         return de.matmul(alpha_mat, c), alpha_mat
 

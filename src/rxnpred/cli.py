@@ -14,6 +14,8 @@ import logging
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .center import CenterModel
 from .diffengine import ParamStore
 from .pipeline import (RunConfig, evaluate, load_dataset, predict,
@@ -110,10 +112,13 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if failures else 0
 
     # Bad input (a config key, a variant, a SMILES string, a checkpoint or a
-    # data file) ends the command with one line, not a traceback.
+    # data file) or a non-finite value ends the command with one line, not a
+    # traceback. numpy's warnings are silenced: the checks that raise on
+    # non-finite scores, parameters and losses report such values instead.
     try:
-        return _run(args)
-    except (ValueError, OSError) as e:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _run(args)
+    except (ValueError, OSError, FloatingPointError) as e:
         raise SystemExit(str(e)) from e
 
 
@@ -139,8 +144,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "predict":
         result = predict(args.smiles, center, ranker, k=cfg.k,
-                         top_n=args.top_n, max_changes=cfg.max_changes,
-                         max_candidates=cfg.max_candidates)
+                         top_n=args.top_n, max_changes=cfg.max_changes)
         if result.reason:
             print(f"no candidates: {result.reason}")
             return 1

@@ -38,6 +38,8 @@ __all__ = [
 # Largest reactant graph (reagents included) that datasets load and
 # ``predict`` accepts.
 MAX_ATOMS = 150
+# K values whose coverage ``evaluate`` reports, besides the run's own k.
+EVAL_KS = (6, 8, 10)
 
 @dataclass
 class RunConfig:
@@ -56,24 +58,19 @@ class RunConfig:
     variant: str | None = None      # local|global|wln|wldn; None: local or wldn
     augment_truth: bool = False
     split: tuple[float, float, float] = (0.8, 0.1, 0.1)
-    max_candidates: int = 2000
-    eval_ks: tuple[int, ...] = (6, 8, 10)
     # Optional early-stop targets for small overfit runs:
     target_train_coverage: float | None = None
     target_train_p1: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("k", "max_changes", "hidden", "depth", "epochs", "batch",
-                     "max_candidates"):
+        for name in ("k", "max_changes", "hidden", "depth", "epochs", "batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name} must be positive")
-        if any(k < 1 for k in self.eval_ks):
-            raise ValueError("config field eval_ks must hold positive values")
         if self.lr <= 0 or self.decay <= 0:
             raise ValueError("lr and decay must be positive")
 
     def gen_config(self) -> GenConfig:
-        return GenConfig(max_changes=self.max_changes, max_candidates=self.max_candidates)
+        return GenConfig(max_changes=self.max_changes)
 
     @classmethod
     def from_file(cls, path, **overrides) -> "RunConfig":
@@ -103,8 +100,6 @@ def _set_config_field(cfg: RunConfig, key: str, raw: str) -> RunConfig:
     value: object
     if key == "split":
         value = tuple(float(x) for x in raw.split(","))
-    elif key == "eval_ks":
-        value = tuple(int(x) for x in raw.split(","))
     elif isinstance(current, bool):
         value = raw.lower() in ("1", "true", "yes", "on")
     elif isinstance(current, int) and not isinstance(current, bool):
@@ -386,8 +381,7 @@ def _ranker_p1(model: RankerModel, instances: list[_RankingInstance]) -> float:
         for inst in instances:
             values = model.score_candidates(inst.record.reactants, inst.candidates).values[:, 0]
             best = int(np.argmax(values))  # argmax takes the earliest on ties
-            hits += int(best == inst.true_index
-                        or _product_matches(inst.record, inst.candidates[best]))
+            hits += int(_product_matches(inst.record, inst.candidates[best]))
     return hits / len(instances)
 
 
@@ -427,7 +421,7 @@ def train_ranker(cfg: RunConfig) -> TrainResult:
 class PredictedProduct:
     smiles: str
     score: float
-    edits: list[tuple[int, int, str]]  # atom maps (or indices) + new bond name
+    edits: list[tuple[int, int, str]]  # atom maps + new bond name
 
 
 @dataclass
@@ -441,8 +435,7 @@ class PredictResult:
 
 
 def predict(reactants_smiles: str, center: CenterModel, ranker: RankerModel,
-            k: int = 6, top_n: int = 5, max_changes: int = 3,
-            max_candidates: int = 2000) -> PredictResult:
+            k: int = 6, top_n: int = 5, max_changes: int = 3) -> PredictResult:
     """Full pipeline: score pairs, enumerate within the top-K, rank, serialize.
 
     Atom maps are optional on input; unmapped atoms are numbered by index.
@@ -462,8 +455,7 @@ def predict(reactants_smiles: str, center: CenterModel, ranker: RankerModel,
         return PredictResult(reactants_smiles, [], 0, False, [],
                              reason="fewer than two atoms: no pairs to score")
     pairs = top_k_pairs(center.score_matrix(g), k)
-    candidates, truncated, _ = _candidate_stage(
-        g, pairs, GenConfig(max_changes=max_changes, max_candidates=max_candidates))
+    candidates, truncated, _ = _candidate_stage(g, pairs, GenConfig(max_changes=max_changes))
     if not candidates:
         return PredictResult(reactants_smiles, pairs, 0, truncated, [],
                              reason="every enumerated edit was filtered out")
@@ -471,15 +463,10 @@ def predict(reactants_smiles: str, center: CenterModel, ranker: RankerModel,
     products = []
     for cand in ranked[:top_n]:
         smiles = write_smiles(cand.local_product)
-        edits = [(_map_of(g, e.u), _map_of(g, e.v), e.bond_type.name.lower())
-                 for e in cand.edits]
+        edits = [(g.atoms[e.u].map_number, g.atoms[e.v].map_number,
+                  e.bond_type.name.lower()) for e in cand.edits]
         products.append(PredictedProduct(smiles, float(cand.score), edits))
     return PredictResult(reactants_smiles, pairs, len(candidates), truncated, products)
-
-
-def _map_of(g: MolGraph, idx: int) -> int:
-    m = g.atoms[idx].map_number
-    return m if m is not None else idx + 1
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +551,7 @@ def evaluate(records: list[ReactionRecord], center: CenterModel,
     """
     cfg = cfg or RunConfig()
     gen_cfg = cfg.gen_config()
-    ks = sorted(set(cfg.eval_ks) | {cfg.k})
+    ks = sorted(set(EVAL_KS) | {cfg.k})
     cover_hits = {k: 0 for k in ks}
     ranks: list[float] = []
     latencies: list[float] = []

@@ -35,12 +35,13 @@ MAX_UNION_CANDIDATES = 32
 
 @dataclass
 class RankerModel:
-    """Two relabeling networks (molecule and difference graph) plus score heads."""
+    """A molecule network plus the score head of its variant; the ``wldn``
+    variant adds the difference network. The store holds only those tensors."""
 
     store: ParamStore
-    wln: WLNParams            # embeds reactants and candidate products
-    diff_wln: WLNParams       # embeds the difference graph (gated messages)
-    variant: str              # "wln" = sum-pooling | "wldn" = difference network
+    wln: WLNParams              # embeds reactants and candidate products
+    diff_wln: WLNParams | None  # embeds the difference graph (wldn only)
+    variant: str                # "wln" = sum-pooling | "wldn" = difference network
     hidden: int
 
     @classmethod
@@ -53,17 +54,26 @@ class RankerModel:
             "kind": "ranker", "variant": variant, "hidden": str(hidden),
             "seed": str(seed), "version": "1", **FIXED_METADATA,
         })
+        # Both variants draw every tensor in the same order, so a kept
+        # tensor's initial value does not depend on the variant; the other
+        # variant's tensors go to a store that is dropped.
+        unused = ParamStore()
         wln = WLNParams.create(store, "mol", ATOM_FEATURE_DIM, hidden, depth, rng)
-        diff = WLNParams.create(store, "diff", hidden, hidden, depth, rng, variant="gated")
-        for name, shape in _head_shapes(hidden).items():
-            store.create(name, *shape, rng)
-        return cls(store, wln, diff, variant, hidden)
+        diff = WLNParams.create(store if variant == "wldn" else unused, "diff",
+                                hidden, hidden, depth, rng, variant="gated")
+        for head in ("sum", "wldn"):
+            for name, shape in _head_shapes(head, hidden).items():
+                (store if head == _HEAD[variant] else unused).create(name, *shape, rng)
+        return cls(store, wln, diff if variant == "wldn" else None, variant, hidden)
 
     @classmethod
     def from_store(cls, store: ParamStore) -> "RankerModel":
+        """The model of the store's variant; tensors of the other variant,
+        which older files hold, are left unread."""
         variant, hidden = model_metadata(store, "ranker", ("wln", "wldn"))
-        wln, diff = WLNParams.from_store(store, "mol"), WLNParams.from_store(store, "diff")
-        for name, shape in _head_shapes(hidden).items():
+        wln = WLNParams.from_store(store, "mol")
+        diff = WLNParams.from_store(store, "diff") if variant == "wldn" else None
+        for name, shape in _head_shapes(_HEAD[variant], hidden).items():
             store.expect(name, *shape)
         return cls(store, wln, diff, variant, hidden)
 
@@ -112,11 +122,10 @@ class RankerModel:
         owner = np.repeat(np.arange(len(candidates)), [len(a) for a in atoms])
         rows = np.searchsorted(read, [i for a in atoms for i in a])
         d = de.sub(embed_from_features(gi, gi.features, self.wln), de.gather_rows(c_r, rows))
-        if self.variant == "wln":
-            m, u = self.store["sum.M"], self.store["sum.u"]
-        else:
+        if self.diff_wln is not None:
             d = embed_from_features(gi, d, self.diff_wln)
-            m, u = self.store["wldn.M"], self.store["wldn.u"]
+        head = _HEAD[self.variant]
+        m, u = self.store[f"{head}.M"], self.store[f"{head}.u"]
         pooled = de.segment_sum(d, owner, len(candidates))
         return de.matmul(de.relu(de.matmul(pooled, m)), u)
 
@@ -127,10 +136,13 @@ def read_atoms(candidates: Sequence[Candidate]) -> list[int]:
     return sorted({a for cand in candidates for a in cand.edited_atoms()})
 
 
-def _head_shapes(hidden: int) -> dict[str, tuple[int, int]]:
-    """Shapes of both score heads' tensors, in creation order."""
-    return {"sum.M": (hidden, hidden), "sum.u": (hidden, 1),
-            "wldn.M": (hidden, hidden), "wldn.u": (hidden, 1)}
+# Score head prefix of each variant.
+_HEAD = {"wln": "sum", "wldn": "wldn"}
+
+
+def _head_shapes(head: str, hidden: int) -> dict[str, tuple[int, int]]:
+    """Shapes of one score head's tensors, in creation order."""
+    return {f"{head}.M": (hidden, hidden), f"{head}.u": (hidden, 1)}
 
 
 def difference_vectors(reactants: MolGraph, candidate: Candidate, wln: WLNParams) -> DTensor:

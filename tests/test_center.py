@@ -10,8 +10,8 @@ from rxnpred import center
 from rxnpred import diffengine as de
 from rxnpred.candgen import BondEdit, EditSet
 from rxnpred.center import (PAIR_FEATURE_DIM, CenterModel, PairLabels, Reaction,
-                            center_loss, coverage, pair_feature_matrix,
-                            reaction_edits, top_k_pairs, upper_pairs)
+                            center_loss, coverage, reaction_edits, top_k_pairs,
+                            upper_pairs)
 from rxnpred.chemgraph import BondType, parse_smiles, write_smiles
 from rxnpred.datagen import random_molecule, random_reaction_line
 from rxnpred.pipeline import parse_reaction_line
@@ -54,7 +54,7 @@ def loop_pair_changes(rxn):
 
 
 def loop_pair_features(g, pairs):
-    """Per-pair reference for :func:`pair_feature_matrix`."""
+    """Per-pair reference for the pair-code feature rows."""
     out = np.zeros((len(pairs), PAIR_FEATURE_DIM))
     for k, (u, v) in enumerate(pairs):
         bt = BondType.NONE if u == v else g.bond_type_between(u, v)
@@ -123,6 +123,12 @@ class TestLabels:
         assert not m.diagonal().any()
 
 
+def pair_feature_matrix(g, pairs):
+    """Each pair's feature row, through its pair code."""
+    idx = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    return center._CODE_ROWS[center._pair_codes(g, idx[:, 0], idx[:, 1])]
+
+
 class TestPairFeatures:
     def test_bond_slot_and_molecule_flag(self):
         g = parse_smiles("CC.O")
@@ -169,9 +175,10 @@ class TestScoring:
         model = CenterModel.create("global", hidden=8, depth=2, seed=2)
         g = parse_smiles("CC")
         pairs = upper_pairs(2)
-        bf = pair_feature_matrix(g, pairs)
+        codes = center._pair_codes(g, pairs[:, 0], pairs[:, 1])
+        bf = center._CODE_ROWS[codes]
         zero = de.constant(np.zeros((g.n_atoms, model.hidden)))
-        got = model._head(zero, pairs[:, 0], pairs[:, 1], de.constant(bf),
+        got = model._head(zero, pairs[:, 0], pairs[:, 1], codes,
                           "score.Ma", "score.Mb", "score.bias", "score.u").values
         z = np.maximum(bf @ model.store["score.Mb"].values
                        + model.store["score.bias"].values, 0.0)

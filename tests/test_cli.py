@@ -1,6 +1,14 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rxnpred
 from rxnpred import datagen
+from rxnpred.center import CenterModel
 from rxnpred.cli import main
 from rxnpred.ranker import RankerModel
 
@@ -144,18 +152,50 @@ def test_old_config_key_exits_with_one_line(workdir, checkpoints):
                   "unknown config key 'activation'")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def one_line_stderr(args, match):
+    """Run the CLI in a fresh interpreter, expecting exit status 1 and exactly
+    one line on stderr: no warning and no traceback before the message."""
+    src = str(Path(rxnpred.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "rxnpred.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n"), proc.stderr
+    assert re.search(match, proc.stderr), proc.stderr
+
+
+def blow_up(model_cls, path, name, out):
+    """Save a copy of a checkpoint whose tensor ``name`` is 1e300: a finite
+    weight that loads fine but overflows the scores to NaN."""
+    model = model_cls.load(path)
+    model.store[name].values[:] = 1e300
+    model.save(out)
+    return str(out)
+
+
 def test_non_finite_ranker_scores_exit_with_one_line(workdir, checkpoints):
-    # a finite weight that loads fine but overflows the scores to NaN
     center, ranker = checkpoints
-    model = RankerModel.load(ranker)
-    model.store["mol.Win"].values[:] = 1e300
-    blown = str(workdir / "blown-ranker.ckpt")
-    model.save(blown)
+    blown = blow_up(RankerModel, ranker, "mol.Win", workdir / "blown-ranker.ckpt")
     models = ["--model", center, "--model", blown]
-    one_line_exit(["predict", "CCO.CC(=O)Cl"] + models, "non-finite score nan")
-    one_line_exit(["evaluate", "--data", str(workdir / "toy.txt"), "--split", "1.0,0,0"]
-                  + models, "non-finite score nan")
+    one_line_stderr(["predict", "CCO.CC(=O)Cl"] + models, "non-finite score nan")
+    one_line_stderr(["evaluate", "--data", str(workdir / "toy.txt"), "--split", "1.0,0,0"]
+                    + models, "non-finite score nan")
+
+
+def test_non_finite_center_scores_exit_with_one_line(workdir, checkpoints):
+    center, ranker = checkpoints
+    blown = blow_up(CenterModel, center, "wln.Win", workdir / "blown-center.ckpt")
+    one_line_stderr(["predict", "CCO.CC(=O)Cl", "--model", blown, "--model", ranker],
+                    "non-finite pair score")
+
+
+def test_diverging_training_exits_with_one_line(workdir):
+    out = workdir / "diverged.ckpt"
+    one_line_stderr(["train-center", "--data", str(workdir / "toy.txt"), "--out", str(out),
+                     "--epochs", "2", "--lr", "1e300", "--split", "1.0,0,0"],
+                    "non-finite|diverged")
+    assert not out.exists()
 
 
 def test_selfcheck_command_passes_every_suite(capsys):

@@ -562,7 +562,7 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("variant, key, value", [
         ("local", "activation", "tanh"), ("wldn", "activation", "tanh"),
-        ("global", "wln.activation", "tanh"), ("wln", "diff.activation", "tanh"),
+        ("global", "wln.activation", "tanh"), ("wln", "mol.activation", "tanh"),
         ("local", "include_charge", "1"), ("wldn", "include_charge", "1"),
         ("global", "wln.project", "0"), ("wln", "mol.project", "0"),
         ("wldn", "diff.project", "1"), ("local", "variant", "wldn"),

@@ -203,10 +203,6 @@ class TestConfig:
         assert cfg.lr == 0.5
         assert cfg.split == (0.9, 0.05, 0.05)
 
-    def test_nonpositive_eval_k_rejected(self):
-        with pytest.raises(ValueError):
-            RunConfig(eval_ks=(6, 0))
-
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("bogus=1\n")

@@ -5,10 +5,11 @@ import pytest
 
 from helpers import graph_distance, permute_graph, random_permutation
 from rxnpred import diffengine as de
-from rxnpred.candgen import Candidate, EditSet
-from rxnpred.chemgraph import BondType, parse_smiles
+from rxnpred.candgen import Candidate, EditSet, GenConfig, enumerate_candidates
+from rxnpred.chemgraph import ATOM_FEATURE_DIM, BondType, parse_smiles
 from rxnpred.ranker import (RankerModel, difference_vectors, rank_candidates,
                             rank_loss)
+from rxnpred.wln import FIXED_METADATA, WLNParams
 
 
 def identity_candidate(g):
@@ -166,3 +167,70 @@ class TestRanking:
         model = RankerModel.create("wln", hidden=8, depth=2, seed=9)
         with pytest.raises(ValueError):
             rank_candidates(parse_smiles("CC"), [], model)
+
+
+def full_layout_store(variant, hidden, depth, seed):
+    """A ranker store in the layout that holds both variants' tensors and
+    metadata, drawn in creation order: mol, diff, sum.*, wldn.*."""
+    rng = np.random.default_rng(seed)
+    store = de.ParamStore(metadata={
+        "kind": "ranker", "variant": variant, "hidden": str(hidden),
+        "seed": str(seed), "version": "1", **FIXED_METADATA})
+    WLNParams.create(store, "mol", ATOM_FEATURE_DIM, hidden, depth, rng)
+    WLNParams.create(store, "diff", hidden, hidden, depth, rng, variant="gated")
+    for name in ("sum.M", "sum.u", "wldn.M", "wldn.u"):
+        store.create(name, hidden, hidden if name.endswith(".M") else 1, rng)
+    return store
+
+
+# What each variant holds; everything else belongs to the other variant.
+OWN_PREFIXES = {"wln": ("mol.", "sum."), "wldn": ("mol.", "diff.", "wldn.")}
+
+
+class TestCheckpointLayout:
+    @pytest.mark.parametrize("variant", ["wln", "wldn"])
+    def test_each_variant_holds_exactly_its_tensors(self, variant):
+        model = RankerModel.create(variant, hidden=8, depth=2, seed=11)
+        mol = ["mol.U1", "mol.U2", "mol.V", "mol.W0", "mol.W1", "mol.W2", "mol.Win"]
+        diff = ["diff.U1", "diff.U2", "diff.Vf", "diff.Vh", "diff.W0", "diff.W1", "diff.W2"]
+        expected = (mol + ["sum.M", "sum.u"] if variant == "wln"
+                    else diff + mol + ["wldn.M", "wldn.u"])
+        assert model.store.names() == sorted(expected)
+        has_diff_meta = any(k.startswith("diff.") for k in model.store.metadata)
+        assert has_diff_meta == (variant == "wldn")
+        assert (model.diff_wln is None) == (variant == "wln")
+
+    @pytest.mark.parametrize("variant", ["wln", "wldn"])
+    def test_kept_tensors_equal_full_layout_draw(self, variant, tmp_path):
+        # The full layout with the other variant's tensors and metadata
+        # dropped saves byte for byte as the per-variant model.
+        full = full_layout_store(variant, hidden=8, depth=2, seed=12)
+        model = RankerModel.create(variant, hidden=8, depth=2, seed=12)
+        for name in model.store.names():
+            assert model.store[name].values.tobytes() == full[name].values.tobytes()
+        own = OWN_PREFIXES[variant]
+        for name in full.names():
+            if "." in name and not name.startswith(own):
+                del full.params[name]
+        for key in list(full.metadata):
+            if "." in key and not key.startswith(own):
+                del full.metadata[key]
+        full.save(tmp_path / "dropped.ckpt")
+        model.save(tmp_path / "model.ckpt")
+        assert (tmp_path / "dropped.ckpt").read_bytes() == (tmp_path / "model.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("variant", ["wln", "wldn"])
+    def test_both_variant_file_loads_scores_and_resaves(self, variant, tmp_path):
+        old, new, again = (tmp_path / f"{n}.ckpt" for n in ("old", "new", "again"))
+        full_layout_store(variant, hidden=8, depth=2, seed=13).save(old)
+        RankerModel.create(variant, hidden=8, depth=2, seed=13).save(new)
+        from_old, from_new = RankerModel.load(old), RankerModel.load(new)
+        g = parse_smiles("CC(=O)Cl.NCC.O")
+        cands = enumerate_candidates(g, [(1, 3), (3, 4), (1, 2), (0, 5)],
+                                     GenConfig(max_changes=2)).candidates
+        assert len(cands) > 5
+        a = from_old.score_candidates(g, cands).values
+        b = from_new.score_candidates(g, cands).values
+        assert a.tobytes() == b.tobytes()
+        from_old.save(again)
+        assert again.read_bytes() == old.read_bytes()

@@ -9,8 +9,7 @@ and rank the candidates with a difference-vector scorer.
 
 from .candgen import (BondEdit, Candidate, EditSet, GenConfig, connectivity_ok,
                       enumerate_candidates)
-from .center import (CenterModel, PairLabels, Reaction, center_loss, coverage,
-                     reaction_edits, top_k_pairs)
+from .center import CenterModel, center_loss, coverage, reaction_edits, top_k_pairs
 from .chemgraph import (Atom, Bond, BondType, MolGraph, SmilesError, apply_edits,
                         atom_features, bond_features, parse_smiles, write_smiles)
 from .pipeline import (EvalReport, PredictResult, ReactionRecord, RunConfig,

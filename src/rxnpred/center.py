@@ -1,10 +1,11 @@
 """Reaction-center identification.
 
-Derives pairwise reactivity labels from atom-mapped reactions, scores every
-unordered reactant atom pair with either a local model (pair atom vectors
-only) or a global model (attention-weighted context over all reactant atoms,
-so disconnected reagents can influence a pair), and provides the independent
-per-pair log loss, top-K selection, and coverage measurement.
+Derives the reaction center (the edited pairs, as an ``EditSet``) from
+atom-mapped reactions, scores every unordered reactant atom pair with either
+a local model (pair atom vectors only) or a global model (attention-weighted
+context over all reactant atoms, so disconnected reagents can influence a
+pair), and provides the independent per-pair log loss, top-K selection, and
+coverage measurement.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ import numpy as np
 from . import diffengine as de
 from .candgen import BondEdit, EditSet
 from .chemgraph import ATOM_FEATURE_DIM, BondType, MolGraph
-from .diffengine import DTensor, ParamStore, _mm
+from .diffengine import DTensor, ParamStore
 from .wln import FIXED_METADATA, WLNParams, embed_from_features, graph_inputs, model_metadata
 
 __all__ = [
     "PAIR_FEATURE_DIM",
     "CenterModel",
-    "PairLabels",
-    "Reaction",
     "center_loss",
     "coverage",
     "reaction_edits",
@@ -42,34 +41,6 @@ _CODE_TABLE = de.constant(_CODE_ROWS)
 PAIR_BLOCK = 512
 
 
-@dataclass(frozen=True)
-class Reaction:
-    """An atom-mapped reactant/product graph pair."""
-
-    reactants: MolGraph
-    product: MolGraph
-
-
-@dataclass(frozen=True)
-class PairLabels:
-    """Symmetric boolean reactivity labels over reactant atoms (diagonal excluded)."""
-
-    n_atoms: int
-    positive: frozenset[tuple[int, int]]  # (u, v) with u < v
-
-    def matrix(self) -> np.ndarray:
-        m = np.zeros((self.n_atoms, self.n_atoms), dtype=bool)
-        for u, v in self.positive:
-            m[u, v] = m[v, u] = True
-        return m
-
-    def vector(self, pairs: Sequence[tuple[int, int]] | np.ndarray) -> np.ndarray:
-        """(m, 1) column: 1.0 where ``(u, v)`` is a positive pair with u < v."""
-        idx = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-        upper = np.triu(self.matrix(), 1)
-        return upper[idx[:, 0], idx[:, 1]].astype(np.float64).reshape(-1, 1)
-
-
 def _bond_types(g: MolGraph) -> np.ndarray:
     """(n, n) matrix of ``BondType`` values; NONE (0) wherever no bond is."""
     m = np.zeros((g.n_atoms, g.n_atoms), dtype=np.intp)
@@ -78,17 +49,18 @@ def _bond_types(g: MolGraph) -> np.ndarray:
     return m
 
 
-def _pair_changes(rxn: Reaction) -> dict[tuple[int, int], BondType]:
-    """Changed pairs (reactant indices) -> bond type on the product side.
+def reaction_edits(reactants: MolGraph, product: MolGraph) -> EditSet:
+    """The recorded reaction as a bond-edit set over reactant atom indices:
+    its pairs are the reaction center, each with its product-side bond type.
 
     A pair counts as changed when both atoms map into the product and the
     bond types differ, or when exactly one does and the reactant bond must
     therefore have broken. Pairs fully outside the product (reagents,
     departed fragments) never change.
     """
-    r_map = rxn.reactants.map_to_index()
-    p_map = rxn.product.map_to_index()
-    for i, atom in enumerate(rxn.product.atoms):
+    r_map = reactants.map_to_index()
+    p_map = product.map_to_index()
+    for i, atom in enumerate(product.atoms):
         if atom.map_number is None:
             raise ValueError(f"product atom {i} has no map number")
         if atom.map_number not in r_map:
@@ -97,23 +69,17 @@ def _pair_changes(rxn: Reaction) -> dict[tuple[int, int], BondType]:
     r_idx = np.array([r_map[m] for m in shared], dtype=np.intp)
     p_idx = np.array([p_map[m] for m in shared], dtype=np.intp)
 
-    n = rxn.reactants.n_atoms
+    n = reactants.n_atoms
     # Product-side type per reactant pair; a pair with one atom outside the
     # product keeps NONE (its bond broke).
     p_type = np.zeros((n, n), dtype=np.intp)
-    p_type[r_idx[:, None], r_idx] = _bond_types(rxn.product)[p_idx[:, None], p_idx]
+    p_type[r_idx[:, None], r_idx] = _bond_types(product)[p_idx[:, None], p_idx]
     in_product = np.zeros(n, dtype=bool)
     in_product[r_idx] = True
     us, vs = np.nonzero((in_product[:, None] | in_product)
-                        & (p_type != _bond_types(rxn.reactants)))
-    return {(u, v): BondType(int(p_type[u, v]))
-            for u, v in zip(us.tolist(), vs.tolist()) if u < v}
-
-
-def reaction_edits(rxn: Reaction) -> EditSet:
-    """The recorded reaction as a bond-edit set over reactant atom indices."""
-    changed = _pair_changes(rxn)
-    return EditSet.of(BondEdit(u, v, t) for (u, v), t in changed.items())
+                        & (p_type != _bond_types(reactants)))
+    return EditSet.of(BondEdit(u, v, BondType(int(p_type[u, v])))
+                      for u, v in zip(us.tolist(), vs.tolist()) if u < v)
 
 
 def upper_pairs(n: int) -> np.ndarray:
@@ -181,6 +147,11 @@ class CenterModel:
 
     # -- differentiable paths ------------------------------------------------
 
+    def _atom_vectors(self, g: MolGraph) -> DTensor:
+        """The WLN atom vectors of ``g``."""
+        gi = graph_inputs(g)
+        return embed_from_features(gi, gi.features, self.wln)
+
     def _head(self, c: DTensor, us: np.ndarray, vs: np.ndarray, codes: np.ndarray,
               ma: str, mb: str, bias: str, u: str) -> DTensor:
         """Sigmoid scores of the pairs (us[i], vs[i]) over atom vectors ``c``;
@@ -195,8 +166,7 @@ class CenterModel:
         """Scores for all unordered pairs as an (n_pairs, 1) tensor, with the
         pairs as :func:`upper_pairs` orders them."""
         pairs = upper_pairs(g.n_atoms)
-        gi = graph_inputs(g)
-        c = embed_from_features(gi, gi.features, self.wln)
+        c = self._atom_vectors(g)
         if not len(pairs):
             return de.constant(np.zeros((0, 1))), pairs
         if self.variant == "global":
@@ -217,7 +187,7 @@ class CenterModel:
 
     # -- inference -------------------------------------------------------------
 
-    def _infer_head(self, c: np.ndarray, us: np.ndarray, vs: np.ndarray, codes: np.ndarray,
+    def _infer_head(self, c: DTensor, us: np.ndarray, vs: np.ndarray, codes: np.ndarray,
                     ma: str, mb: str, bias: str, u: str) -> DTensor:
         """:meth:`_head`'s scores, bitwise, without its (n_pairs, hidden) arrays.
 
@@ -226,10 +196,12 @@ class CenterModel:
         every output row on its own, and a feature row's product has only two
         nonzero addends, so gathering those rows repeats ``_head``'s arithmetic.
         The rest runs in blocks of ``PAIR_BLOCK`` pairs, in ``_head``'s order.
+        Products and the relu go through the ops, so that op patches and
+        counters see the head; callers run it under ``no_grad``.
         """
         s = self.store
-        proj = _mm(np.ascontiguousarray(c), s[ma].values)
-        feats = _mm(_CODE_ROWS, s[mb].values)
+        proj = de.matmul(c, s[ma]).values
+        feats = de.matmul(_CODE_TABLE, s[mb]).values
         out = np.empty((len(us), 1))
         for start in range(0, len(us), PAIR_BLOCK):
             b = slice(start, start + PAIR_BLOCK)
@@ -237,11 +209,10 @@ class CenterModel:
             z += proj[vs[b]]
             z += feats[codes[b]]
             z += s[bias].values
-            # Through the op, so that op patches and counters see the head.
-            out[b] = _mm(de.relu(DTensor(z)).values, s[u].values)
+            out[b] = de.matmul(de.relu(DTensor(z)), s[u]).values
         return de.sigmoid(DTensor(out))
 
-    def _infer_attention(self, g: MolGraph, c: np.ndarray) -> np.ndarray:
+    def _infer_attention(self, g: MolGraph, c: DTensor) -> np.ndarray:
         """The attention matrix of :meth:`_attention_context`, bitwise.
 
         A pair's code and ``proj[u] + proj[v]`` do not depend on the order of
@@ -255,30 +226,27 @@ class CenterModel:
         m[vs, us] = alpha
         return m
 
-    def _atom_vectors(self, g: MolGraph) -> np.ndarray:
-        """The WLN atom vectors of ``g``, with no backward graph."""
-        gi = graph_inputs(g)
-        with de.no_grad():
-            return embed_from_features(gi, gi.features, self.wln).values
-
     def score_matrix(self, g: MolGraph) -> np.ndarray:
         """Symmetric score matrix with a zero diagonal; the values of
-        :meth:`pair_scores`."""
+        :meth:`pair_scores`. Records no backward graph, and leaves overflow
+        to the callers' non-finite checks instead of numpy warnings."""
         pairs = upper_pairs(g.n_atoms)
-        c = self._atom_vectors(g)
-        if not len(pairs):
-            return np.zeros((g.n_atoms, g.n_atoms))
-        if self.variant == "global":
-            c = _mm(self._infer_attention(g, c), c)
-        us, vs = pairs[:, 0], pairs[:, 1]
-        scores = self._infer_head(c, us, vs, _pair_codes(g, us, vs),
-                                  "score.Ma", "score.Mb", "score.bias", "score.u")
+        with de.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+            c = self._atom_vectors(g)
+            if not len(pairs):
+                return np.zeros((g.n_atoms, g.n_atoms))
+            if self.variant == "global":
+                c = de.matmul(DTensor(self._infer_attention(g, c)), c)
+            us, vs = pairs[:, 0], pairs[:, 1]
+            scores = self._infer_head(c, us, vs, _pair_codes(g, us, vs),
+                                      "score.Ma", "score.Mb", "score.bias", "score.u")
         return scores_to_matrix(scores.values, pairs, g.n_atoms)
 
     def attention_map(self, g: MolGraph) -> np.ndarray:
         if self.variant != "global":
             raise ValueError("attention is only defined for the global variant")
-        return self._infer_attention(g, self._atom_vectors(g))
+        with de.no_grad():
+            return self._infer_attention(g, self._atom_vectors(g))
 
 
 def _head_shapes(variant: str, hidden: int) -> dict[str, tuple[int, int]]:
@@ -305,16 +273,22 @@ def scores_to_matrix(values: np.ndarray,
 # Loss, selection, coverage
 # ---------------------------------------------------------------------------
 
-def center_loss(scores: DTensor, labels: PairLabels) -> DTensor:
-    """Binary log loss summed over unordered pairs (each counted once).
-
-    ``scores`` is the (n_pairs, 1) tensor aligned with :func:`upper_pairs`.
-    Logs clamp at 1e-12.
+def center_loss(scores: DTensor, pairs: np.ndarray, truth: EditSet) -> DTensor:
+    """Binary log loss summed over ``pairs``, an (n_pairs, 2) array of
+    unordered pairs (u, v) with u < v as :meth:`CenterModel.pair_scores`
+    returns them, each scored by the same row of the (n_pairs, 1) ``scores``.
+    A pair is positive when ``truth`` edits it; a truth pair missing from
+    ``pairs`` raises ``ValueError``. Logs clamp at 1e-12.
     """
-    pairs = upper_pairs(labels.n_atoms)
     if scores.shape != (len(pairs), 1):
         raise de.ShapeError(f"expected {(len(pairs), 1)} scores, got {scores.shape}")
-    y = de.constant(labels.vector(pairs))
+    y = np.zeros((len(pairs), 1))
+    for u, v in truth.pairs:
+        rows = np.flatnonzero((pairs[:, 0] == u) & (pairs[:, 1] == v))
+        if not rows.size:
+            raise ValueError(f"center_loss: truth pair {(u, v)} is not among the scored pairs")
+        y[rows] = 1.0
+    y = de.constant(y)
     ones = de.constant(np.ones((len(pairs), 1)))
     pos = de.dot(y, de.log(scores))
     neg = de.dot(de.sub(ones, y), de.log(de.sub(ones, scores)))
@@ -340,7 +314,7 @@ def top_k_pairs(scores: np.ndarray, k: int) -> list[tuple[int, int]]:
     return [tuple(p) for p in pairs[top].tolist()]
 
 
-def coverage(predicted: Iterable[tuple[int, int]], truth: PairLabels) -> bool:
-    """True iff every positive pair of ``truth`` occurs among ``predicted``."""
+def coverage(predicted: Iterable[tuple[int, int]], truth: EditSet) -> bool:
+    """True iff every pair that ``truth`` edits occurs among ``predicted``."""
     have = {(min(u, v), max(u, v)) for u, v in predicted}
-    return all(p in have for p in truth.positive)
+    return all(p in have for p in truth.pairs)

@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .center import CenterModel
 from .diffengine import ParamStore
-from .pipeline import (RunConfig, evaluate, load_dataset, predict,
+from .pipeline import (RunConfig, evaluate, load_dataset, parse_split, predict,
                        split_records, train_center, train_ranker)
 from .ranker import RankerModel
 
@@ -45,26 +45,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file; flags override")
     parser.add_argument("--decay", type=float, default=None,
                         help="per-epoch learning-rate decay factor")
-    parser.add_argument("--split", default=None,
+    parser.add_argument("--split", type=parse_split, default=None,
                         help="train,dev,test fractions, e.g. 0.8,0.1,0.1")
     parser.add_argument("-v", "--verbose", action="store_true")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {}
-    for key in ("data", "out", "k", "depth", "hidden", "max_changes", "epochs",
-                "batch", "lr", "seed", "variant", "augment_truth", "decay"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "split", None):
-        overrides["split"] = tuple(float(x) for x in args.split.split(","))
+    """The run settings: the flags that are set (each named after its
+    ``RunConfig`` field) over the ``--config`` file, over the defaults."""
+    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+                 if getattr(args, f.name, None) is not None}
     if args.config:
         return RunConfig.from_file(args.config, **overrides)
-    cfg = RunConfig()
-    for key, value in overrides.items():
-        cfg = replace(cfg, **{key: value})
-    return cfg
+    return RunConfig(**overrides)
 
 
 def _load_models(paths: list[str] | None):

@@ -3,29 +3,28 @@
 Input files hold one reaction per line as ``reactants>reagents>products``
 (SMILES with ``:n`` atom maps, reagent field may be empty, ``#`` comments and
 blank lines skipped). Reagents are merged into the reactant graph as extra
-components; they take part in scoring but never carry positive labels. Only
-the largest product component is kept for labeling, and records whose product
-contains unmapped atoms, or whose edit set is empty, are dropped with a
-diagnostic.
+components; they take part in scoring but never lie in the reaction center.
+Only the largest product component is kept for the edits, and records whose
+product contains unmapped atoms, or whose edit set is empty, are dropped with
+a diagnostic.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import diffengine as de
 from .candgen import Candidate, EditSet, GenConfig, enumerate_candidates
-from .center import (CenterModel, PairLabels, Reaction, center_loss, coverage,
-                     reaction_edits, top_k_pairs)
+from .center import CenterModel, center_loss, coverage, reaction_edits, top_k_pairs
 from .chemgraph import (MolGraph, apply_edits, induced_subgraph, make_graph, parse_smiles,
                         write_smiles)
 from .ranker import RankerModel, rank_candidates, rank_loss
-from .wliso import wl_equivalent
+from .wliso import _fnv1a, wl_equivalent
 
 logger = logging.getLogger(__name__)
 
@@ -93,13 +92,19 @@ class RunConfig:
         return cfg
 
 
+def parse_split(raw: str) -> tuple[float, ...]:
+    """``"0.8,0.1,0.1"`` -> ``(0.8, 0.1, 0.1)``: the ``split`` setting as a
+    flag or a config-file value gives it."""
+    return tuple(float(x) for x in raw.split(","))
+
+
 def _set_config_field(cfg: RunConfig, key: str, raw: str) -> RunConfig:
-    if not hasattr(cfg, key):
+    if key not in {f.name for f in fields(RunConfig)}:
         raise ValueError(f"unknown config key {key!r}")
     current = getattr(cfg, key)
     value: object
     if key == "split":
-        value = tuple(float(x) for x in raw.split(","))
+        value = parse_split(raw)
     elif isinstance(current, bool):
         value = raw.lower() in ("1", "true", "yes", "on")
     elif isinstance(current, int) and not isinstance(current, bool):
@@ -120,12 +125,7 @@ class ReactionRecord:
     raw: str
     reactants: MolGraph            # reagents merged in as extra components
     product: MolGraph              # largest product component, fully mapped
-    true_edits: EditSet
-
-    @property
-    def labels(self) -> PairLabels:
-        """The pairs the recorded edits change."""
-        return PairLabels(self.reactants.n_atoms, frozenset(self.true_edits.pairs))
+    true_edits: EditSet            # its pairs are the reaction center
 
 
 class RecordError(ValueError):
@@ -157,7 +157,7 @@ def parse_reaction_line(line: str, max_atoms: int = MAX_ATOMS) -> ReactionRecord
         if atom.map_number is None:
             raise RecordError(f"product atom {i} is unmapped")
 
-    edits = reaction_edits(Reaction(reactants, product))
+    edits = reaction_edits(reactants, product)
     if len(edits) == 0:
         raise RecordError("no bond changes between reactants and product")
     return ReactionRecord(line, reactants, product, edits)
@@ -191,13 +191,6 @@ def load_dataset(path) -> list[ReactionRecord]:
     return records
 
 
-def _line_hash(line: str) -> int:
-    h = 0xCBF29CE484222325
-    for byte in line.encode("utf-8"):
-        h = ((h ^ byte) * 0x100000001B3) & ((1 << 64) - 1)
-    return h
-
-
 def split_records(records: list[ReactionRecord],
                   fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
                   ) -> tuple[list[ReactionRecord], list[ReactionRecord], list[ReactionRecord]]:
@@ -208,7 +201,7 @@ def split_records(records: list[ReactionRecord],
     t2 = fractions[0] + fractions[1]
     out: tuple[list[ReactionRecord], ...] = ([], [], [])
     for rec in records:
-        u = _line_hash(rec.raw) / 2.0 ** 64
+        u = _fnv1a(rec.raw.encode("utf-8")) / 2.0 ** 64
         out[0 if u < t1 else 1 if u < t2 else 2].append(rec)
     return out
 
@@ -321,7 +314,7 @@ def _center_coverage(model: CenterModel, records: list[ReactionRecord], k: int) 
     hits = 0
     for rec in records:
         matrix = model.score_matrix(rec.reactants)
-        if coverage(top_k_pairs(matrix, k), rec.labels):
+        if coverage(top_k_pairs(matrix, k), rec.true_edits):
             hits += 1
     return hits / len(records)
 
@@ -335,8 +328,8 @@ def train_center(cfg: RunConfig) -> TrainResult:
     """
     return _fit(
         cfg, "center", CenterModel, ("local", "global"), lambda train, dev: (train, dev),
-        loss_fn=lambda model, rec: center_loss(model.pair_scores(rec.reactants)[0],
-                                               rec.labels),
+        loss_fn=lambda model, rec: center_loss(*model.pair_scores(rec.reactants),
+                                               rec.true_edits),
         metric_fn=lambda model, records: _center_coverage(model, records, cfg.k),
         metric="coverage",
         log_format=f"center epoch %d: loss %.4f train cov@{cfg.k} %.3f dev cov %s",
@@ -370,18 +363,17 @@ def _build_instances(records: list[ReactionRecord], center: CenterModel | None,
 
 
 def _ranker_p1(model: RankerModel, instances: list[_RankingInstance]) -> float:
-    """Fraction of instances whose top-scored candidate matches the truth.
+    """Fraction of instances whose top-ranked candidate (the earliest of the
+    top-scoring ones, as :func:`rank_candidates` orders them) matches the truth.
 
     Matching is product-level (edit-set equality or WL equivalence): scorers
     are permutation invariant, so candidates producing isomorphic products tie
     exactly and the atom-mapped edit indices alone cannot split them.
     """
     hits = 0
-    with de.no_grad():
-        for inst in instances:
-            values = model.score_candidates(inst.record.reactants, inst.candidates).values[:, 0]
-            best = int(np.argmax(values))  # argmax takes the earliest on ties
-            hits += int(_product_matches(inst.record, inst.candidates[best]))
+    for inst in instances:
+        best = rank_candidates(inst.record.reactants, inst.candidates, model)[0]
+        hits += int(_product_matches(inst.record, best))
     return hits / len(instances)
 
 
@@ -561,7 +553,7 @@ def evaluate(records: list[ReactionRecord], center: CenterModel,
         # Shorter top-K lists are prefixes of the longest one.
         ranked_pairs = top_k_pairs(center.score_matrix(rec.reactants), ks[-1])
         for k in ks:
-            if coverage(ranked_pairs[:k], rec.labels):
+            if coverage(ranked_pairs[:k], rec.true_edits):
                 cover_hits[k] += 1
         t0 = time.perf_counter()
         candidates, was_truncated, _ = _candidate_stage(

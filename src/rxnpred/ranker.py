@@ -175,11 +175,11 @@ def rank_candidates(reactants: MolGraph, candidates: Sequence[Candidate],
 
     Scores are attached to the returned candidates. Scoring records no
     backward graph. A non-finite score raises ``ValueError``, as it has no
-    place in the order.
+    place in the order; numpy's overflow warnings are silenced in its favour.
     """
     if not candidates:
         raise ValueError("rank_candidates needs a nonempty candidate list")
-    with de.no_grad():
+    with de.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         scores = model.score_candidates(reactants, candidates).values[:, 0]
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:

@@ -211,8 +211,7 @@ def gradient_suite(h: float = 1e-5, tol: float = 1e-4, seed: int = 5,
         model = CenterModel.create(variant, hidden=hidden, depth=2, seed=seed)
 
         def loss_fn(_store, model=model):
-            scores, _ = model.pair_scores(rec.reactants)
-            return center_loss(scores, rec.labels)
+            return center_loss(*model.pair_scores(rec.reactants), rec.true_edits)
 
         err = de.grad_check(loss_fn, model.store, h=h,
                             rng=np.random.default_rng(seed + 1))

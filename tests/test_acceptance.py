@@ -13,8 +13,8 @@ import pytest
 from rxnpred import datagen
 from rxnpred import diffengine as de
 from rxnpred.candgen import Candidate, EditSet, GenConfig, enumerate_candidates
-from rxnpred.center import PairLabels, center_loss
-from rxnpred.chemgraph import parse_smiles
+from rxnpred.center import center_loss, upper_pairs
+from rxnpred.chemgraph import BondType, parse_smiles
 from rxnpred.pipeline import (RunConfig, evaluate, load_dataset, train_center,
                               train_ranker)
 from rxnpred.ranker import RankerModel, rank_loss
@@ -182,8 +182,8 @@ def test_criterion_08_candidate_generation_latency():
 def test_criterion_09_analytic_identities():
     n = 6
     n_pairs = n * (n - 1) // 2
-    labels = PairLabels(n, frozenset({(0, 3)}))
-    loss = center_loss(de.constant(np.full((n_pairs, 1), 0.5)), labels).item()
+    truth = EditSet.of([(0, 3, BondType.SINGLE)])
+    loss = center_loss(de.constant(np.full((n_pairs, 1), 0.5)), upper_pairs(n), truth).item()
     ok1 = abs(loss - n_pairs * math.log(2)) < 1e-12
 
     oks = []

@@ -9,9 +9,8 @@ from helpers import merge, permute_graph
 from rxnpred import center
 from rxnpred import diffengine as de
 from rxnpred.candgen import BondEdit, EditSet
-from rxnpred.center import (PAIR_FEATURE_DIM, CenterModel, PairLabels, Reaction,
-                            center_loss, coverage, reaction_edits, top_k_pairs,
-                            upper_pairs)
+from rxnpred.center import (PAIR_FEATURE_DIM, CenterModel, center_loss, coverage,
+                            reaction_edits, top_k_pairs, upper_pairs)
 from rxnpred.chemgraph import BondType, parse_smiles, write_smiles
 from rxnpred.datagen import random_molecule, random_reaction_line
 from rxnpred.pipeline import parse_reaction_line
@@ -21,7 +20,8 @@ PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=N
 
 
 def reaction(reactants, product):
-    return Reaction(parse_smiles(reactants), parse_smiles(product))
+    """Reactant and product graphs of a mapped reaction."""
+    return parse_smiles(reactants), parse_smiles(product)
 
 
 def by_maps(g, *pairs):
@@ -30,20 +30,20 @@ def by_maps(g, *pairs):
     return {(min(m[a], m[b]), max(m[a], m[b])) for a, b in pairs}
 
 
-def loop_pair_changes(rxn):
-    """The per-pair loop that labels and true edits came from, kept as the
-    reference for the bond-type-matrix version."""
-    r_map = rxn.reactants.map_to_index()
-    p_map = rxn.product.map_to_index()
+def loop_pair_changes(reactants, product):
+    """The per-pair loop that true edits came from, kept as the reference
+    for the bond-type-matrix version."""
+    r_map = reactants.map_to_index()
+    p_map = product.map_to_index()
     to_product = {ri: p_map[m] for m, ri in r_map.items() if m in p_map}
     changed = {}
-    n = rxn.reactants.n_atoms
+    n = reactants.n_atoms
     for u in range(n):
         for v in range(u + 1, n):
-            r_type = rxn.reactants.bond_type_between(u, v)
+            r_type = reactants.bond_type_between(u, v)
             pu, pv = to_product.get(u), to_product.get(v)
             if pu is not None and pv is not None:
-                p_type = rxn.product.bond_type_between(pu, pv)
+                p_type = product.bond_type_between(pu, pv)
             elif pu is None and pv is None:
                 continue
             else:
@@ -65,43 +65,45 @@ def loop_pair_features(g, pairs):
 
 class TestLabels:
     def test_substitution_labels(self):
-        rxn = reaction("[CH3:1][Cl:2].[NH2:3][CH3:4]", "[CH3:1][NH:3][CH3:4]")
-        assert frozenset(reaction_edits(rxn).pairs) == frozenset(
-            by_maps(rxn.reactants, (1, 2), (1, 3)))
+        reactants, product = reaction("[CH3:1][Cl:2].[NH2:3][CH3:4]", "[CH3:1][NH:3][CH3:4]")
+        assert frozenset(reaction_edits(reactants, product).pairs) == frozenset(
+            by_maps(reactants, (1, 2), (1, 3)))
 
     def test_identity_reaction_all_zero(self):
         rxn = reaction("[CH3:1][OH:2]", "[CH3:1][OH:2]")
-        assert frozenset(reaction_edits(rxn).pairs) == frozenset()
+        assert frozenset(reaction_edits(*rxn).pairs) == frozenset()
 
     def test_ring_forming_three_pair_center(self):
-        rxn = reaction(
+        reactants, product = reaction(
             "[cH:7]1[cH:2][cH:3][cH:4][cH:5][cH:8]1.[CH3:27][Cl:28]",
             "[c:7]12[cH:2][cH:3][cH:4][cH:5][c:8]1:[CH2:27]:2.[Cl:28]")
-        assert frozenset(reaction_edits(rxn).pairs) == frozenset(
-            by_maps(rxn.reactants, (27, 28), (7, 27), (8, 27)))
-        edits = reaction_edits(rxn)
-        m = rxn.reactants.map_to_index()
+        edits = reaction_edits(reactants, product)
+        assert frozenset(edits.pairs) == frozenset(
+            by_maps(reactants, (27, 28), (7, 27), (8, 27)))
+        m = reactants.map_to_index()
         assert BondEdit(min(m[7], m[27]), max(m[7], m[27]), BondType.AROMATIC) in edits.edits
 
     def test_reagent_components_stay_zero(self):
         # the ether is a spectator: absent from the product on both ends
-        rxn = reaction("[CH3:1][Cl:2].COC", "[CH3:1]")
-        assert frozenset(reaction_edits(rxn).pairs) == frozenset(by_maps(rxn.reactants, (1, 2)))
+        reactants, product = reaction("[CH3:1][Cl:2].COC", "[CH3:1]")
+        assert frozenset(reaction_edits(reactants, product).pairs) == frozenset(
+            by_maps(reactants, (1, 2)))
 
     def test_departed_fragment_internal_bonds_unchanged(self):
         # the whole mapped ethyl fragment leaves; only the attachment breaks
-        rxn = reaction("[CH3:1][CH2:2][CH3:3]", "[CH3:1]")
-        assert frozenset(reaction_edits(rxn).pairs) == frozenset(by_maps(rxn.reactants, (1, 2)))
+        reactants, product = reaction("[CH3:1][CH2:2][CH3:3]", "[CH3:1]")
+        assert frozenset(reaction_edits(reactants, product).pairs) == frozenset(
+            by_maps(reactants, (1, 2)))
 
     def test_unmapped_product_atom_rejected(self):
         rxn = reaction("[CH3:1][OH:2]", "C[OH:2]")
         with pytest.raises(ValueError):
-            reaction_edits(rxn)
+            reaction_edits(*rxn)
 
     def test_unknown_product_map_rejected(self):
         rxn = reaction("[CH3:1][OH:2]", "[CH3:1][OH:9]")
         with pytest.raises(ValueError):
-            reaction_edits(rxn)
+            reaction_edits(*rxn)
 
     @PROPERTY
     @given(seed=st.integers(0, 2 ** 32 - 1), spectators=st.integers(0, 3))
@@ -110,17 +112,9 @@ class TestLabels:
         reactants, _, product = random_reaction_line(rng).split(">")
         reagents = ".".join(write_smiles(random_molecule(rng)) for _ in range(spectators))
         rec = parse_reaction_line(f"{reactants}>{reagents}>{product}")
-        rxn = Reaction(rec.reactants, rec.product)
-        expected = loop_pair_changes(rxn)
-        assert frozenset(reaction_edits(rxn).pairs) == frozenset(expected)
-        assert reaction_edits(rxn) == EditSet.of(
+        expected = loop_pair_changes(rec.reactants, rec.product)
+        assert reaction_edits(rec.reactants, rec.product) == EditSet.of(
             BondEdit(u, v, t) for (u, v), t in expected.items())
-
-    def test_matrix_symmetry(self):
-        rxn = reaction("[CH3:1][Cl:2].[NH2:3][CH3:4]", "[CH3:1][NH:3][CH3:4]")
-        m = PairLabels(rxn.reactants.n_atoms, frozenset(reaction_edits(rxn).pairs)).matrix()
-        assert np.array_equal(m, m.T)
-        assert not m.diagonal().any()
 
 
 def pair_feature_matrix(g, pairs):
@@ -272,37 +266,47 @@ class TestInferenceHead:
                 assert alpha.tobytes() == alpha.T.tobytes()
 
 
+def truth(*pairs):
+    """An edit set that changes ``pairs``; the loss reads only the pairs."""
+    return EditSet.of((u, v, BondType.SINGLE) for u, v in pairs)
+
+
 class TestLoss:
     def test_uniform_scores_give_pairs_times_ln2(self):
         n = 5
         n_pairs = n * (n - 1) // 2
-        labels = PairLabels(n, frozenset({(0, 1)}))
         scores = de.constant(np.full((n_pairs, 1), 0.5))
-        loss = center_loss(scores, labels).item()
+        loss = center_loss(scores, upper_pairs(n), truth((0, 1))).item()
         assert abs(loss - n_pairs * math.log(2)) < 1e-12
 
     def test_perfect_scores_near_zero(self):
-        labels = PairLabels(3, frozenset({(0, 2)}))
         # pairs (0,1), (0,2), (1,2), as upper_pairs orders them
         scores = de.constant([[0.0], [1.0], [0.0]])
-        loss = center_loss(scores, labels).item()
+        loss = center_loss(scores, upper_pairs(3), truth((0, 2))).item()
         assert 0.0 <= loss <= 3 * 1e-11
 
     def test_hand_computed_three_atom_instance(self):
-        labels = PairLabels(3, frozenset({(0, 1)}))
         vals = {(0, 1): 0.9, (0, 2): 0.2, (1, 2): 0.4}
-        scores = de.constant([[vals[tuple(p)]] for p in upper_pairs(3).tolist()])
         expected = -(math.log(0.9) + math.log(0.8) + math.log(0.6))
-        assert abs(center_loss(scores, labels).item() - expected) < 1e-12
+        # upper_pairs' order, and another: each score row belongs to its pair row
+        for pairs in (upper_pairs(3), np.array([[1, 2], [0, 1], [0, 2]])):
+            scores = de.constant([[vals[tuple(p)]] for p in pairs.tolist()])
+            assert abs(center_loss(scores, pairs, truth((0, 1))).item() - expected) < 1e-12
+
+    def test_truth_pair_missing_from_pairs_raises(self):
+        pairs = np.array([[0, 1], [1, 2]])
+        scores = de.constant([[0.5], [0.5]])
+        with pytest.raises(ValueError, match=r"truth pair \(0, 2\) is not among"):
+            center_loss(scores, pairs, truth((0, 1), (0, 2)))
+        with pytest.raises(ValueError, match="not among"):
+            center_loss(de.constant(np.zeros((0, 1))), upper_pairs(1), truth((0, 1)))
 
     def test_gradient_against_differences(self):
         model = CenterModel.create("local", hidden=6, depth=2, seed=6)
         g = parse_smiles("CC(=O)N")
-        labels = PairLabels(4, frozenset({(0, 1), (2, 3)}))
 
         def f(_):
-            scores, _pairs = model.pair_scores(g)
-            return center_loss(scores, labels)
+            return center_loss(*model.pair_scores(g), truth((0, 1), (2, 3)))
 
         assert de.grad_check(f, model.store, h=1e-5,
                              rng=np.random.default_rng(0)) < 1e-4
@@ -370,11 +374,9 @@ class TestTopKAndCoverage:
             top_k_pairs(m, 2)
 
     def test_coverage_cases(self):
-        empty = PairLabels(4, frozenset())
-        assert coverage([], empty)
-        truth = PairLabels(5, frozenset({(1, 2)}))
-        assert coverage([(3, 4), (2, 1)], truth)
-        assert not coverage([(3, 4)], truth)
+        assert coverage([], truth())
+        assert coverage([(3, 4), (2, 1)], truth((1, 2)))
+        assert not coverage([(3, 4)], truth((1, 2)))
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
@@ -391,7 +393,6 @@ class TestTopKAndCoverage:
             for rank, (u, v) in enumerate(order):
                 m[u, v] = m[v, u] = 1.0 - 0.01 * rank
             truth_pair = order[case % len(order)]
-            truth = PairLabels(n, frozenset({truth_pair}))
-            hits += int(coverage(top_k_pairs(m, 2), truth))
+            hits += int(coverage(top_k_pairs(m, 2), truth(truth_pair)))
             expected_hits += int(order.index(truth_pair) < 2)  # hand count
         assert hits == expected_hits == 2

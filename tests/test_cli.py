@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import rxnpred
-from rxnpred import datagen
+from rxnpred import cli, datagen
 from rxnpred.center import CenterModel
 from rxnpred.cli import main
+from rxnpred.pipeline import RunConfig, TrainResult
 from rxnpred.ranker import RankerModel
 
 
@@ -80,6 +81,29 @@ def test_config_file_roundtrip(workdir, checkpoints, capsys):
                  "--model", center, "--model", ranker, "--config", str(cfg)])
     assert code == 0
     assert "coverage@4" in capsys.readouterr().out
+
+
+def test_each_flag_sets_its_config_field_over_the_file(workdir, monkeypatch):
+    seen = []
+
+    def train(cfg):
+        seen.append(cfg)
+        return TrainResult(checkpoint=cfg.out, history=[{"train_coverage": 0.0}])
+
+    monkeypatch.setattr(cli, "train_center", train)
+    cfg = workdir / "flags.cfg"
+    cfg.write_text("k=4\nsplit=0.5,0.25,0.25\nlr=0.1\nhidden=8\n")
+    assert main(["train-center", "--config", str(cfg)]) == 0
+    assert main(["train-center", "--config", str(cfg), "--data", "d.txt", "--out", "o.ckpt",
+                 "--k", "9", "--depth", "2", "--hidden", "12", "--max-changes", "2",
+                 "--epochs", "3", "--batch", "4", "--lr", "0.02", "--seed", "5",
+                 "--variant", "global", "--augment-truth", "--decay", "0.5",
+                 "--split", "0.6,0.2,0.2"]) == 0
+    assert seen == [
+        RunConfig(k=4, split=(0.5, 0.25, 0.25), lr=0.1, hidden=8),
+        RunConfig(data="d.txt", out="o.ckpt", k=9, depth=2, hidden=12, max_changes=2,
+                  epochs=3, batch=4, lr=0.02, seed=5, variant="global", augment_truth=True,
+                  decay=0.5, split=(0.6, 0.2, 0.2))]
 
 
 @pytest.mark.parametrize("command, variant", [

@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -65,8 +66,8 @@ class TestRecordParsing:
         assert rec.reactants.n_components == 2
         reagent_atoms = [a for a in rec.reactants.atoms if a.map_number is None]
         assert len(reagent_atoms) == 4  # FB(F)F
-        assert all(rec.labels.matrix()[i].sum() == 0
-                   for i, a in enumerate(rec.reactants.atoms) if a.map_number is None)
+        assert not any(rec.reactants.atoms[i].map_number is None
+                       for i in rec.true_edits.atoms())
 
     def test_largest_product_component_kept(self):
         rec = parse_reaction_line(HAND_LINES[1])
@@ -205,9 +206,11 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("bogus=1\n")
-        with pytest.raises(ValueError):
-            RunConfig.from_file(path)
+        # attributes of RunConfig that are not settings are unknown keys too
+        for line in ("bogus=1", "gen_config=1", "from_file=x"):
+            path.write_text(line + "\n")
+            with pytest.raises(ValueError, match="unknown config key"):
+                RunConfig.from_file(path)
 
     @pytest.mark.parametrize("line", ["activation=relu", "include_charge=0"])
     def test_removed_network_settings_are_unknown_keys(self, tmp_path, line):
@@ -275,6 +278,17 @@ class TestPredict:
             parse_reaction_line(f"{too_big}>>C")
         with pytest.raises(ValueError, match=f"{MAX_ATOMS + 1} atoms"):
             predict(too_big, center, ranker)
+
+    @pytest.mark.parametrize("kind, name", [("center", "wln.Win"), ("ranker", "mol.Win")])
+    def test_overflowing_model_raises_without_warnings(self, kind, name):
+        # 1e300 is a finite weight that loads fine, but the scores overflow
+        center = CenterModel.create("local", hidden=8, depth=2, seed=3)
+        ranker = RankerModel.create("wldn", hidden=8, depth=2, seed=3)
+        (center if kind == "center" else ranker).store[name].values[:] = 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                predict("CC(=O)Cl.CN", center, ranker, k=4)
 
     def test_deterministic_across_invocations(self, trained):
         center, ranker = trained

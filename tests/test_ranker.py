@@ -152,7 +152,6 @@ class TestRanking:
         assert all(c.score is not None for c in ranked)
         assert [c.score for c in ranked] == sorted((c.score for c in pool), reverse=True)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_score_raises(self):
         # 1e300 is a finite weight that loads fine, but the scores overflow
         model = RankerModel.create("wldn", hidden=8, depth=2, seed=8)

@@ -19,7 +19,8 @@ from . import diffengine as de
 from .candgen import BondEdit, EditSet
 from .chemgraph import ATOM_FEATURE_DIM, BondType, MolGraph
 from .diffengine import DTensor, ParamStore
-from .wln import FIXED_METADATA, WLNParams, embed_from_features, graph_inputs, model_metadata
+from .wln import (FIXED_METADATA, WLNParams, embed_from_features, graph_inputs, model_metadata,
+                  union_inputs)
 
 __all__ = [
     "PAIR_FEATURE_DIM",
@@ -230,17 +231,30 @@ class CenterModel:
         """Symmetric score matrix with a zero diagonal; the values of
         :meth:`pair_scores`. Records no backward graph, and leaves overflow
         to the callers' non-finite checks instead of numpy warnings."""
-        pairs = upper_pairs(g.n_atoms)
+        return self.score_matrices([g])[0]
+
+    def score_matrices(self, graphs: Sequence[MolGraph]) -> list[np.ndarray]:
+        """:meth:`score_matrix` of each graph, from one embedding of their
+        disjoint union. Finite scores are bitwise equal: messages never cross
+        graphs and :func:`diffengine._mm` computes each row on its own."""
+        gi = union_inputs([(g, range(g.n_atoms)) for g in graphs])
+        matrices, start = [], 0
         with de.no_grad(), np.errstate(over="ignore", invalid="ignore"):
-            c = self._atom_vectors(g)
-            if not len(pairs):
-                return np.zeros((g.n_atoms, g.n_atoms))
-            if self.variant == "global":
-                c = de.matmul(DTensor(self._infer_attention(g, c)), c)
-            us, vs = pairs[:, 0], pairs[:, 1]
-            scores = self._infer_head(c, us, vs, _pair_codes(g, us, vs),
-                                      "score.Ma", "score.Mb", "score.bias", "score.u")
-        return scores_to_matrix(scores.values, pairs, g.n_atoms)
+            c_all = embed_from_features(gi, gi.features, self.wln).values
+            for g in graphs:
+                c = DTensor(c_all[start:start + g.n_atoms])
+                start += g.n_atoms
+                pairs = upper_pairs(g.n_atoms)
+                if not len(pairs):
+                    matrices.append(np.zeros((g.n_atoms, g.n_atoms)))
+                    continue
+                if self.variant == "global":
+                    c = de.matmul(DTensor(self._infer_attention(g, c)), c)
+                us, vs = pairs[:, 0], pairs[:, 1]
+                scores = self._infer_head(c, us, vs, _pair_codes(g, us, vs),
+                                          "score.Ma", "score.Mb", "score.bias", "score.u")
+                matrices.append(scores_to_matrix(scores.values, pairs, g.n_atoms))
+        return matrices
 
     def attention_map(self, g: MolGraph) -> np.ndarray:
         if self.variant != "global":

@@ -26,6 +26,7 @@ __all__ = [
     "AdamState",
     "DTensor",
     "ParamStore",
+    "SegmentPlan",
     "ShapeError",
     "add",
     "backward",
@@ -40,6 +41,7 @@ __all__ = [
     "matvec",
     "mul",
     "no_grad",
+    "records_grad",
     "relu",
     "reshape",
     "scale",
@@ -88,9 +90,13 @@ class DTensor:
         return float(self.values[0, 0])
 
     def accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` to the gradient. The first arrival is stored as ``g + 0.0``:
+        a copy, so later additions never write into ``g``, with ``-0.0``
+        turned into ``+0.0``, as a sum onto zeros gives."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+            self.grad = g + 0.0
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         return f"DTensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -120,8 +126,14 @@ def no_grad() -> Iterator[None]:
         _grad_enabled = previous
 
 
+def records_grad(*parents: DTensor) -> bool:
+    """Whether an op over ``parents`` records a backward node: gradients are
+    enabled and some parent is a grad leaf or a recorded result."""
+    return _grad_enabled and any(_need(p) for p in parents)
+
+
 def _track(values: np.ndarray, parents: tuple, bwd: Callable) -> DTensor:
-    if _grad_enabled and any(p.requires_grad or p._parents for p in parents):
+    if records_grad(*parents):
         return DTensor(values, parents=parents, bwd=bwd)
     return DTensor(values)
 
@@ -333,8 +345,76 @@ def gather_matmul(a: DTensor, w: DTensor, indices: Sequence[int] | np.ndarray) -
     return _track(_mm(np.ascontiguousarray(a.values), w.values)[idx], (a, w), bwd)
 
 
-def segment_sum(a: DTensor, segments: Sequence[int] | np.ndarray, n_segments: int) -> DTensor:
-    """Sum rows of ``a`` into ``n_segments`` buckets given per-row segment ids.
+class SegmentPlan:
+    """The grouping of a segment-id array, computed once for every sum over it.
+
+    ``order`` lists the rows segment by segment, in row order within each
+    (a stable sort); ``counts`` and ``starts`` give each segment's length and
+    offset in ``order``; column ``s`` of the padded (width, n_segments)
+    ``index`` lists segment ``s``'s rows in that order, then ``len(ids)``
+    (a ``+0.0`` row) up to ``width``, the longest segment's length.
+    """
+
+    __slots__ = ("ids", "n_segments", "order", "counts", "starts", "index")
+
+    def __init__(self, ids: Sequence[int] | np.ndarray, n_segments: int):
+        seg = np.asarray(ids, dtype=np.intp)
+        if seg.ndim != 1:
+            raise ShapeError(f"segment_sum: segment ids must be 1-D, got shape {seg.shape}")
+        if seg.size and (seg.min() < 0 or seg.max() >= n_segments):
+            raise ShapeError(f"segment_sum: segment id out of range [0, {n_segments})")
+        self.ids = seg
+        self.n_segments = n_segments
+        self.order = np.argsort(seg, kind="stable")
+        self.counts = np.bincount(seg, minlength=n_segments)
+        self.starts = np.cumsum(self.counts) - self.counts
+        by_seg = seg[self.order]
+        self.index = np.full((int(self.counts.max()) if seg.size else 0, n_segments), seg.size)
+        self.index[np.arange(seg.size) - self.starts[by_seg], by_seg] = self.order
+
+    def _padded_rows(self, values: np.ndarray) -> np.ndarray:
+        """(width, n_segments, cols): row k of every segment, ``+0.0`` past its end."""
+        return np.concatenate([values, np.zeros((1, values.shape[1]))])[self.index]
+
+    def sorted_sums(self, values: np.ndarray) -> np.ndarray:
+        """Each segment's rows summed per column in value-sorted order onto
+        ``+0.0``; see :func:`segment_sum`."""
+        out = np.zeros((self.n_segments, values.shape[1]))
+        if len(self.index) in _SORTING_NETWORKS and np.isfinite(values).all():
+            rows = list(self._padded_rows(values))
+            for i, j in _SORTING_NETWORKS[len(rows)]:
+                rows[i], rows[j] = np.minimum(rows[i], rows[j]), np.maximum(rows[i], rows[j])
+            for row in rows:
+                out += row
+        else:
+            for size in np.unique(self.counts[self.counts > 0]):
+                ids = np.flatnonzero(self.counts == size)
+                block = values[self.order[self.starts[ids][:, None] + np.arange(size)]]
+                block.sort(axis=1)
+                out[ids] = block.sum(axis=1)
+        return out
+
+    def scatter_add(self, values: np.ndarray) -> np.ndarray:
+        """Each segment's rows summed in row order onto ``+0.0``: bitwise
+        ``np.add.at(zeros, ids, values)``, the backward of gathering rows
+        ``ids``. It adds row k of every segment at once; the ``+0.0`` rows
+        past a segment's end leave its sum as it is. Values holding a NaN go
+        to ``np.add.at`` itself: which of two NaNs a sum keeps differs between
+        numpy's vector and scalar loops, while the only NaN a NaN-free sum can
+        make, ``inf + -inf``, is always the same one."""
+        out = np.zeros((self.n_segments, values.shape[1]))
+        if np.isnan(values).any():
+            np.add.at(out, self.ids, values)
+        else:
+            for row in self._padded_rows(values):
+                out += row
+        return out
+
+
+def segment_sum(a: DTensor, segments: Sequence[int] | np.ndarray | SegmentPlan,
+                n_segments: int) -> DTensor:
+    """Sum rows of ``a`` into ``n_segments`` buckets given per-row segment ids,
+    or a :class:`SegmentPlan` of them, which saves regrouping the ids.
 
     Empty segments yield zero rows. Each segment is summed per column in
     value-sorted order onto ``+0.0``, so the result does not depend on the
@@ -351,41 +431,18 @@ def segment_sum(a: DTensor, segments: Sequence[int] | np.ndarray, n_segments: in
     ``np.sort`` as one (segments, size, cols) block; with an infinity or a
     NaN in ``a``, which NaN a sum returns depends on the order.
     """
-    seg = np.asarray(segments, dtype=np.intp)
-    if seg.shape != (a.shape[0],):
-        raise ShapeError(f"segment_sum: got {seg.shape[0] if seg.ndim else 0} ids "
-                         f"for {a.shape[0]} rows")
-    if seg.size and (seg.min() < 0 or seg.max() >= n_segments):
-        raise ShapeError(f"segment_sum: segment id out of range [0, {n_segments})")
-    out = np.zeros((n_segments, a.shape[1]))
-    if seg.size:
-        order = np.argsort(seg, kind="stable")
-        counts = np.bincount(seg, minlength=n_segments)
-        starts = np.cumsum(counts) - counts
-        width = int(counts.max())
-        if width in _SORTING_NETWORKS and np.isfinite(a.values).all():
-            # rows[k] holds row k of every segment; index a.shape[0] is the
-            # +0.0 padding row
-            by_seg = seg[order]
-            idx = np.full((width, n_segments), a.shape[0])
-            idx[np.arange(seg.size) - starts[by_seg], by_seg] = order
-            rows = list(np.concatenate([a.values, np.zeros((1, a.shape[1]))])[idx])
-            for i, j in _SORTING_NETWORKS[width]:
-                rows[i], rows[j] = np.minimum(rows[i], rows[j]), np.maximum(rows[i], rows[j])
-            for row in rows:
-                out += row
-        else:
-            for size in np.unique(counts[counts > 0]):
-                ids = np.flatnonzero(counts == size)
-                block = a.values[order[starts[ids][:, None] + np.arange(size)]]
-                block.sort(axis=1)
-                out[ids] = block.sum(axis=1)
+    plan = segments if isinstance(segments, SegmentPlan) else SegmentPlan(segments, n_segments)
+    if plan.ids.shape != (a.shape[0],):
+        raise ShapeError(f"segment_sum: got {plan.ids.size} ids for {a.shape[0]} rows")
+    if plan.n_segments != n_segments:
+        raise ShapeError(f"segment_sum: plan has {plan.n_segments} segments, "
+                         f"expected {n_segments}")
 
     def bwd(g: np.ndarray) -> None:
         if _need(a):
-            a.accumulate(g[seg])
+            a.accumulate(g[plan.ids])
 
-    return _track(out, (a,), bwd)
+    return _track(plan.sorted_sums(a.values), (a,), bwd)
 
 
 # Compare-exchange pairs that sort a segment of 1 to 4 rows per column, up to

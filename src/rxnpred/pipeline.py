@@ -23,7 +23,7 @@ from .candgen import Candidate, EditSet, GenConfig, enumerate_candidates
 from .center import CenterModel, center_loss, coverage, reaction_edits, top_k_pairs
 from .chemgraph import (MolGraph, apply_edits, induced_subgraph, make_graph, parse_smiles,
                         write_smiles)
-from .ranker import RankerModel, rank_candidates, rank_loss
+from .ranker import RankerModel, rank_candidates, rank_loss, rank_reactions
 from .wliso import _fnv1a, wl_equivalent
 
 logger = logging.getLogger(__name__)
@@ -39,6 +39,9 @@ __all__ = [
 MAX_ATOMS = 150
 # K values whose coverage ``evaluate`` reports, besides the run's own k.
 EVAL_KS = (6, 8, 10)
+# Reactant atoms per batched pass of the per-epoch metrics and of candidate
+# building: bounds the arrays of one pass on large training sets.
+MAX_BATCH_ATOMS = 4096
 
 @dataclass
 class RunConfig:
@@ -310,13 +313,36 @@ def _fit(cfg: RunConfig, kind: str, model_cls, variants: tuple[str, str], prepar
     return result
 
 
+def _atom_batches(items: list, n_atoms) -> list[list]:
+    """``items`` cut into consecutive runs of at most :data:`MAX_BATCH_ATOMS`
+    atoms, ``n_atoms(item)`` each; an item larger than that runs alone."""
+    batches: list[list] = []
+    total = MAX_BATCH_ATOMS
+    for item in items:
+        size = n_atoms(item)
+        if total + size > MAX_BATCH_ATOMS:
+            batches.append([])
+            total = 0
+        batches[-1].append(item)
+        total += size
+    return batches
+
+
+def _center_matrices(model: CenterModel, records: list[ReactionRecord]) -> list[np.ndarray]:
+    """``model.score_matrix`` of each record's reactants, in batched passes."""
+    return [m for batch in _atom_batches(records, lambda rec: rec.reactants.n_atoms)
+            for m in model.score_matrices([rec.reactants for rec in batch])]
+
+
 def _center_coverage(model: CenterModel, records: list[ReactionRecord], k: int) -> float:
-    hits = 0
-    for rec in records:
-        matrix = model.score_matrix(rec.reactants)
-        if coverage(top_k_pairs(matrix, k), rec.true_edits):
-            hits += 1
+    hits = sum(coverage(top_k_pairs(matrix, k), rec.true_edits)
+               for rec, matrix in zip(records, _center_matrices(model, records)))
     return hits / len(records)
+
+
+def _center_item_loss(model: CenterModel, rec: ReactionRecord) -> de.DTensor:
+    """One record's center training loss."""
+    return center_loss(*model.pair_scores(rec.reactants), rec.true_edits)
 
 
 def train_center(cfg: RunConfig) -> TrainResult:
@@ -328,8 +354,7 @@ def train_center(cfg: RunConfig) -> TrainResult:
     """
     return _fit(
         cfg, "center", CenterModel, ("local", "global"), lambda train, dev: (train, dev),
-        loss_fn=lambda model, rec: center_loss(*model.pair_scores(rec.reactants),
-                                               rec.true_edits),
+        loss_fn=_center_item_loss,
         metric_fn=lambda model, records: _center_coverage(model, records, cfg.k),
         metric="coverage",
         log_format=f"center epoch %d: loss %.4f train cov@{cfg.k} %.3f dev cov %s",
@@ -347,11 +372,11 @@ def _build_instances(records: list[ReactionRecord], center: CenterModel | None,
                      cfg: RunConfig) -> list[_RankingInstance]:
     gen_cfg = cfg.gen_config()
     instances = []
-    for rec in records:
-        if center is None:
-            pairs = list(rec.true_edits.pairs)  # oracle centers
-        else:
-            pairs = top_k_pairs(center.score_matrix(rec.reactants), cfg.k)
+    if center is None:
+        centers = [list(rec.true_edits.pairs) for rec in records]  # oracle centers
+    else:
+        centers = [top_k_pairs(m, cfg.k) for m in _center_matrices(center, records)]
+    for rec, pairs in zip(records, centers):
         candidates, _, idx = _candidate_stage(rec.reactants, pairs, gen_cfg,
                                               rec.true_edits, cfg.augment_truth)
         if idx is None:
@@ -371,10 +396,18 @@ def _ranker_p1(model: RankerModel, instances: list[_RankingInstance]) -> float:
     exactly and the atom-mapped edit indices alone cannot split them.
     """
     hits = 0
-    for inst in instances:
-        best = rank_candidates(inst.record.reactants, inst.candidates, model)[0]
-        hits += int(_product_matches(inst.record, best))
+    for batch in _atom_batches(instances, lambda inst: inst.record.reactants.n_atoms):
+        ranked = rank_reactions([(inst.record.reactants, inst.candidates) for inst in batch],
+                                model)
+        hits += sum(_product_matches(inst.record, order[0])
+                    for inst, order in zip(batch, ranked))
     return hits / len(instances)
+
+
+def _ranker_item_loss(model: RankerModel, inst: _RankingInstance) -> de.DTensor:
+    """One instance's ranker training loss."""
+    return rank_loss(model.score_candidates(inst.record.reactants, inst.candidates),
+                     inst.true_index)
 
 
 def train_ranker(cfg: RunConfig) -> TrainResult:
@@ -397,8 +430,7 @@ def train_ranker(cfg: RunConfig) -> TrainResult:
 
     return _fit(
         cfg, "ranker", RankerModel, ("wldn", "wln"), prepare,
-        loss_fn=lambda model, inst: rank_loss(
-            model.score_candidates(inst.record.reactants, inst.candidates), inst.true_index),
+        loss_fn=_ranker_item_loss,
         metric_fn=_ranker_p1,
         metric="p1",
         log_format="ranker epoch %d: loss %.4f train P@1 %.3f dev P@1 %s",

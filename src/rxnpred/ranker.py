@@ -7,8 +7,8 @@ scorer instead runs a second, separately parameterized relabeling network
 over the candidate's graph with the difference vectors as node features
 (gated messages, so an all-zero difference graph scores exactly zero),
 capturing interactions between neighboring changes. All candidates of one
-reaction are scored together, over the union of their edited components
-(:meth:`RankerModel.score_candidates`).
+reaction, or of several, are scored together, over the union of their edited
+components (:meth:`RankerModel.score_reactions`).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .wln import (FIXED_METADATA, WLNParams, embed_from_features, graph_inputs,
                   model_metadata, union_inputs)
 
 __all__ = ["MAX_UNION_CANDIDATES", "RankerModel", "difference_vectors",
-           "rank_candidates", "rank_loss", "read_atoms", "score_sumpool"]
+           "rank_candidates", "rank_loss", "rank_reactions", "read_atoms", "score_sumpool"]
 
 # Candidates per union pass. Bounds the arrays of one pass, so that peak
 # memory under no_grad stays near the per-candidate path's.
@@ -86,47 +86,63 @@ class RankerModel:
 
     def score_candidates(self, reactants: MolGraph,
                          candidates: Sequence[Candidate]) -> DTensor:
-        """Differentiable scores of all candidates of one reaction, shape (n, 1).
+        """Differentiable scores of all candidates of one reaction, shape (n, 1):
+        :meth:`score_reactions` of that one reaction."""
+        return self.score_reactions([(reactants, candidates)])
+
+    def score_reactions(self, reactions: Sequence[tuple[MolGraph, Sequence[Candidate]]]
+                        ) -> DTensor:
+        """Scores of the candidates of each ``(reactants, candidates)`` pair,
+        stacked in order, shape (total candidates, 1).
 
         The reactant components that hold an edited atom of any candidate
-        (:func:`read_atoms`) are embedded once; the others are never read.
-        Each pass then embeds the disjoint union of up to
-        :data:`MAX_UNION_CANDIDATES` candidates' edit-local products
-        (:attr:`Candidate.local_product`) and pools per candidate with
-        :func:`~rxnpred.diffengine.segment_sum`. Scores and their gradients
-        are bitwise equal to the full-graph :func:`difference_vectors` /
-        :func:`score_sumpool` route. No message crosses components and
-        :func:`~rxnpred.diffengine._mm` computes each row on its own, so a read
-        component embeds as in the whole graph, and an unread one would add
-        only zero terms to the sequential sums of the backward pass. An
-        untouched component's product rows equal its reactant rows, so their
-        differences are ``+0.0``; the gated difference network maps zero rows
-        to zero rows; and a sorted column sum, which starts at ``+0.0``, is
-        unchanged by zero addends. (The last step needs ``hidden >= 2``: numpy
-        sums a single column pairwise.)
+        (:func:`read_atoms`) are embedded once, all reactions' in one union;
+        the others are never read. Each pass then embeds the disjoint union of
+        up to :data:`MAX_UNION_CANDIDATES` candidates' edit-local products
+        (:attr:`Candidate.local_product`), which may belong to several
+        reactions, and pools per candidate with
+        :func:`~rxnpred.diffengine.segment_sum`. Scores, and for one reaction
+        their gradients, are bitwise equal to the full-graph
+        :func:`difference_vectors` / :func:`score_sumpool` route, one reaction
+        at a time. No message
+        crosses components and :func:`~rxnpred.diffengine._mm` computes each
+        row on its own, so a read component embeds as in the whole graph, and
+        an unread one would add only zero terms to the sequential sums of the
+        backward pass. An untouched component's product rows equal its
+        reactant rows, so their differences are ``+0.0``; the gated
+        difference network maps zero rows to zero rows; and a sorted column
+        sum, which starts at ``+0.0``, is unchanged by zero addends. (The last
+        step needs ``hidden >= 2``: numpy sums a single column pairwise.)
         """
-        read = read_atoms(candidates)
-        gi_r = union_inputs([(reactants, read)])
+        reads = [read_atoms(candidates) for _, candidates in reactions]
+        gi_r = union_inputs([(reactants, read) for (reactants, _), read in zip(reactions, reads)])
         c_r = embed_from_features(gi_r, gi_r.features, self.wln)
-        chunks = [self._score_union(c_r, read, candidates[i:i + MAX_UNION_CANDIDATES])
-                  for i in range(0, len(candidates), MAX_UNION_CANDIDATES)]
+        # each candidate with its edited atoms and the rows of c_r that embed them
+        items, offset = [], 0
+        for (_, candidates), read in zip(reactions, reads):
+            atoms = [cand.edited_atoms() for cand in candidates]
+            rows = offset + np.searchsorted(read, [i for a in atoms for i in a])
+            ends = np.cumsum([len(a) for a in atoms], dtype=np.intp)
+            items += [(cand, a, rows[end - len(a):end])
+                      for cand, a, end in zip(candidates, atoms, ends)]
+            offset += len(read)
+        chunks = [self._score_union(c_r, items[i:i + MAX_UNION_CANDIDATES])
+                  for i in range(0, len(items), MAX_UNION_CANDIDATES)]
         return chunks[0] if len(chunks) == 1 else de.stack_rows(chunks)
 
-    def _score_union(self, c_r: DTensor, read: Sequence[int],
-                     candidates: Sequence[Candidate]) -> DTensor:
-        """Scores of ``candidates``; row ``i`` of ``c_r`` embeds reactant atom
-        ``read[i]`` (ascending)."""
-        atoms = [cand.edited_atoms() for cand in candidates]
-        gi = union_inputs([(cand.local_product, range(len(a)))
-                           for cand, a in zip(candidates, atoms)])
-        owner = np.repeat(np.arange(len(candidates)), [len(a) for a in atoms])
-        rows = np.searchsorted(read, [i for a in atoms for i in a])
+    def _score_union(self, c_r: DTensor,
+                     items: Sequence[tuple[Candidate, list[int], np.ndarray]]) -> DTensor:
+        """Scores of the candidates of ``items``, each given with its edited
+        atoms and the rows of ``c_r`` that embed them in the reactants."""
+        gi = union_inputs([(cand.local_product, range(len(a))) for cand, a, _ in items])
+        owner = np.repeat(np.arange(len(items)), [len(a) for _, a, _ in items])
+        rows = np.concatenate([r for _, _, r in items])
         d = de.sub(embed_from_features(gi, gi.features, self.wln), de.gather_rows(c_r, rows))
         if self.diff_wln is not None:
             d = embed_from_features(gi, d, self.diff_wln)
         head = _HEAD[self.variant]
         m, u = self.store[f"{head}.M"], self.store[f"{head}.u"]
-        pooled = de.segment_sum(d, owner, len(candidates))
+        pooled = de.segment_sum(d, owner, len(items))
         return de.matmul(de.relu(de.matmul(pooled, m)), u)
 
 
@@ -177,14 +193,34 @@ def rank_candidates(reactants: MolGraph, candidates: Sequence[Candidate],
     backward graph. A non-finite score raises ``ValueError``, as it has no
     place in the order; numpy's overflow warnings are silenced in its favour.
     """
-    if not candidates:
+    return _rank([candidates], lambda: model.score_candidates(reactants, candidates))[0]
+
+
+def rank_reactions(reactions: Sequence[tuple[MolGraph, Sequence[Candidate]]],
+                   model: RankerModel) -> list[list[Candidate]]:
+    """:func:`rank_candidates` of each ``(reactants, candidates)`` pair, from
+    one :meth:`RankerModel.score_reactions` pass: the same lists, scores and
+    errors. The first reaction with a non-finite score raises."""
+    return _rank([candidates for _, candidates in reactions],
+                 lambda: model.score_reactions(reactions))
+
+
+def _rank(lists: list[Sequence[Candidate]], score) -> list[list[Candidate]]:
+    """Each candidate list sorted by its rows of ``score()``, the (n, 1)
+    scores of all lists stacked in order."""
+    if any(not candidates for candidates in lists):
         raise ValueError("rank_candidates needs a nonempty candidate list")
     with de.no_grad(), np.errstate(over="ignore", invalid="ignore"):
-        scores = model.score_candidates(reactants, candidates).values[:, 0]
-    bad = np.flatnonzero(~np.isfinite(scores))
-    if bad.size:
-        raise ValueError(f"rank_candidates: non-finite score {scores[bad[0]]} "
-                         f"for candidate {bad[0]} of {len(candidates)}")
-    for cand, score in zip(candidates, scores):
-        cand.score = float(score)
-    return sorted(candidates, key=lambda c: -c.score)
+        scores = score().values[:, 0]
+    ranked, start = [], 0
+    for candidates in lists:
+        own = scores[start:start + len(candidates)]
+        start += len(candidates)
+        bad = np.flatnonzero(~np.isfinite(own))
+        if bad.size:
+            raise ValueError(f"rank_candidates: non-finite score {own[bad[0]]} "
+                             f"for candidate {bad[0]} of {len(candidates)}")
+        for cand, value in zip(candidates, own):
+            cand.score = float(value)
+        ranked.append(sorted(candidates, key=lambda c: -c.score))
+    return ranked

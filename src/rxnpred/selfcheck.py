@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import itertools
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
+from . import center, ranker
 from . import diffengine as de
 from .candgen import (BOND_ALPHABET, BondEdit, Candidate, EditSet, GenConfig,
                       connectivity_ok, enumerate_candidates)
@@ -23,15 +26,17 @@ from .chemgraph import (BondType, MolGraph, apply_edits, atom_feature_matrix,
                         bond_features, parse_smiles, write_smiles)
 from .datagen import (higher_order_fixture_lines, random_molecule, random_reaction_line,
                       reagent_fixture_lines, toy_reaction_lines)
-from .pipeline import _candidate_stage, parse_reaction_line
+from .pipeline import (RunConfig, _build_instances, _candidate_stage, _center_item_loss,
+                       _ranker_item_loss, parse_reaction_line)
 from .ranker import RankerModel, difference_vectors, rank_loss, read_atoms, score_sumpool
 from .wliso import brute_force_isomorphic, wl_equivalent
-from .wln import WLNParams, embed_atoms, embed_from_features, graph_inputs
+from .wln import GraphInputs, WLNParams, embed_atoms, embed_from_features, graph_inputs
 
 __all__ = ["CheckResult", "batched_ranker_suite", "brute_force_enumerate",
            "brute_force_ordered", "center_inference_suite", "composed_center_outputs",
-           "enumeration_instance", "gradient_suite", "naive_atom_vectors", "reference_score",
-           "run_selfcheck", "wl_soundness_suite"]
+           "composed_embed", "composed_embeddings", "enumeration_instance", "gradient_suite",
+           "naive_atom_vectors", "reference_score", "run_selfcheck", "train_backward_mismatches",
+           "train_backward_suite", "wl_soundness_suite"]
 
 
 @dataclass
@@ -282,6 +287,83 @@ def batched_ranker_suite(seed: int = 13, hidden: int = 8) -> CheckResult:
                        f"lists embedded a strict subset of the reactants")
 
 
+def composed_embed(gi: GraphInputs, x: de.DTensor, p: WLNParams) -> de.DTensor:
+    """:func:`~rxnpred.wln.embed_from_features` as the composed ``diffengine``
+    ops, one recorded node each: the oracle of the one-node embedding."""
+    h = de.matmul(x, p.w_in) if p.w_in is not None else x
+    fe = gi.edge_features
+    for _ in range(p.depth):
+        h_src = de.gather_rows(h, gi.src)
+        if p.variant == "concat":
+            msg = de.relu(de.matmul(de.concat_cols(h_src, fe), p.v))
+        else:
+            msg = de.relu(de.mul(de.matmul(h_src, p.vh), de.matmul(fe, p.vf)))
+        neigh = de.segment_sum(msg, gi.dst, gi.n_atoms)
+        h = de.relu(de.add(de.matmul(h, p.u1), de.matmul(neigh, p.u2)))
+    compared = de.mul(de.mul(de.matmul(de.gather_rows(h, gi.src), p.w0),
+                             de.matmul(fe, p.w1)),
+                      de.matmul(de.gather_rows(h, gi.dst), p.w2))
+    return de.segment_sum(compared, gi.dst, gi.n_atoms)
+
+
+@contextmanager
+def composed_embeddings() -> Iterator[None]:
+    """Within the block, the center and ranker models embed through
+    :func:`composed_embed` instead of the one-node embedding."""
+    saved = center.embed_from_features, ranker.embed_from_features
+    center.embed_from_features = ranker.embed_from_features = composed_embed
+    try:
+        yield
+    finally:
+        center.embed_from_features, ranker.embed_from_features = saved
+
+
+def _gradient_bytes(model, loss_fn, item) -> list[bytes]:
+    """The bytes of ``loss_fn(model, item)`` and of every tensor's gradient
+    (empty for a tensor that got none) after one backward pass."""
+    model.store.zero_grads()
+    loss = loss_fn(model, item)
+    de.backward(loss)
+    grads = [model.store[name].grad for name in model.store.names()]
+    model.store.zero_grads()
+    return [loss.values.tobytes()] + [b"" if g is None else g.tobytes() for g in grads]
+
+
+def train_backward_mismatches(lines: list[str], seed: int = 0, hidden: int = 8,
+                              depth: int = 3) -> tuple[int, int]:
+    """How many loss values and gradients of the four training losses differ
+    between the one-node embedding and :func:`composed_embed`, and how many
+    were compared: every record of ``lines`` for the centers, its
+    oracle-center candidates with the truth inserted for the rankers."""
+    records = [parse_reaction_line(line) for line in lines]
+    instances = _build_instances(records, None, RunConfig(augment_truth=True))
+    mismatches = checked = 0
+    for cls, variant, loss_fn, items in (
+            (CenterModel, "local", _center_item_loss, records),
+            (CenterModel, "global", _center_item_loss, records),
+            (RankerModel, "wln", _ranker_item_loss, instances),
+            (RankerModel, "wldn", _ranker_item_loss, instances)):
+        model = cls.create(variant, hidden=hidden, depth=depth, seed=seed)
+        for item in items:
+            got = _gradient_bytes(model, loss_fn, item)
+            with composed_embeddings():
+                want = _gradient_bytes(model, loss_fn, item)
+            mismatches += sum(a != b for a, b in zip(got, want))
+            checked += len(want)
+    return mismatches, checked
+
+
+def train_backward_suite(seed: int = 19, hidden: int = 8) -> CheckResult:
+    """The training losses' values and gradients through the one-node
+    embedding equal the composed ops' bitwise, on toy and reagent-fixture
+    records from ``datagen``."""
+    lines = toy_reaction_lines(4, seed=seed) + reagent_fixture_lines(2, seed=seed)
+    mismatches, checked = train_backward_mismatches(lines, seed=seed, hidden=hidden)
+    return CheckResult("train-backward", mismatches == 0,
+                       f"{mismatches} of {checked} loss values and gradients of the four "
+                       f"models differ from the composed ops")
+
+
 def composed_center_outputs(model: CenterModel,
                             g: MolGraph) -> tuple[np.ndarray, np.ndarray | None]:
     """The score matrix and attention matrix (None for the local variant)
@@ -403,4 +485,5 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
     results.extend(gradient_suite(seed=seed + 5))
     results.append(batched_ranker_suite(seed=seed + 13))
     results.append(center_inference_suite(seed=seed + 17))
+    results.append(train_backward_suite(seed=seed + 19))
     return results

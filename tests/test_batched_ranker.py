@@ -14,7 +14,7 @@ from rxnpred import ranker, selfcheck
 from rxnpred.candgen import Candidate, EditSet, GenConfig, enumerate_candidates
 from rxnpred.chemgraph import BondType
 from rxnpred.datagen import random_molecule
-from rxnpred.pipeline import RunConfig, train_ranker
+from rxnpred.pipeline import RunConfig, _build_instances, parse_reaction_line, train_ranker
 from rxnpred.ranker import MAX_UNION_CANDIDATES, RankerModel, rank_candidates, rank_loss
 from rxnpred.selfcheck import batched_ranker_suite
 from rxnpred.wln import graph_inputs
@@ -137,6 +137,22 @@ def test_rank_candidates_keeps_no_graph_and_matches_training_scores():
     assert not scores._parents and scores._bwd is None
 
 
+def test_reactions_score_as_each_reaction_alone():
+    # candidate unions that mix reactions, over more than one union pass
+    lines = datagen.reagent_fixture_lines(4, seed=6) + datagen.toy_reaction_lines(24, seed=6)
+    instances = _build_instances([parse_reaction_line(line) for line in lines], None,
+                                 RunConfig(augment_truth=True))
+    assert sum(len(inst.candidates) for inst in instances) > MAX_UNION_CANDIDATES
+    for variant in VARIANTS:
+        model = RankerModel.create(variant, hidden=5, depth=2, seed=1)
+        with de.no_grad():
+            together = model.score_reactions([(inst.record.reactants, inst.candidates)
+                                              for inst in instances])
+        alone = [model.score_candidates(inst.record.reactants, inst.candidates).values
+                 for inst in instances]
+        assert bits(together.values) == bits(np.concatenate(alone))
+
+
 def test_selfcheck_batched_suite_passes():
     result = batched_ranker_suite(seed=2)
     assert result.passed, result.detail
@@ -147,8 +163,10 @@ def full_reactant_scores(model, g, cands):
     embedded, unread components included."""
     gi = graph_inputs(g)
     c_r = ranker.embed_from_features(gi, gi.features, model.wln)
-    chunks = [model._score_union(c_r, range(g.n_atoms), cands[i:i + MAX_UNION_CANDIDATES])
-              for i in range(0, len(cands), MAX_UNION_CANDIDATES)]
+    # row i of c_r embeds atom i
+    items = [(c, c.edited_atoms(), np.array(c.edited_atoms(), dtype=np.intp)) for c in cands]
+    chunks = [model._score_union(c_r, items[i:i + MAX_UNION_CANDIDATES])
+              for i in range(0, len(items), MAX_UNION_CANDIDATES)]
     return chunks[0] if len(chunks) == 1 else de.stack_rows(chunks)
 
 

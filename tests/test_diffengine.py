@@ -255,6 +255,14 @@ class TestBackwardBehavior:
 
         assert de.grad_check(f, store, h=1e-5) < 1e-6
 
+    def test_first_gradient_is_a_normalized_copy(self):
+        t = de.DTensor(np.zeros((1, 2)), requires_grad=True)
+        g = np.array([[-0.0, 1.0]])
+        t.accumulate(g)
+        t.accumulate(g)
+        assert g.tobytes() == np.array([[-0.0, 1.0]]).tobytes()
+        assert t.grad.tobytes() == np.array([[0.0, 2.0]]).tobytes()
+
     def test_shared_node_accumulates(self):
         x = de.DTensor(np.array([[3.0]]), requires_grad=True)
         y = de.mul(x, x)
@@ -356,6 +364,59 @@ class TestSegmentSumOracle:
             got = de.segment_sum(de.constant(vals.reshape(seg.size, cols)), seg, len(sizes)).values
             for s in range(len(sizes)):
                 assert got[s].tobytes() == np.sort(vals[seg == s], axis=0).sum(axis=0).tobytes(), s
+            plan = de.SegmentPlan(seg, len(sizes))
+            by_plan = de.segment_sum(de.constant(vals.reshape(seg.size, cols)), plan, len(sizes))
+        assert by_plan.values.tobytes() == got.tobytes()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(sizes=st.lists(st.integers(0, 6), min_size=1, max_size=8),
+           cols=st.sampled_from([1, 2, 3, 8, 9]), nan=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_scatter_add_equals_add_at(self, sizes, cols, nan, seed):
+        # NaN bits included: np.add.at keeps the added NaN of two, a vector
+        # loop the accumulated one
+        rng = np.random.default_rng(seed)
+        seg = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        vals = rng.normal(size=(seg.size, cols)) * 10.0 ** rng.integers(-5, 6, size=(seg.size, cols))
+        pick = rng.random(vals.shape) < 0.5
+        specials = self.FINITE + [np.inf, -np.inf] + ([np.nan, -np.nan] if nan else [])
+        vals[pick] = rng.choice(specials, size=int(pick.sum()))
+        want = np.zeros((len(sizes), cols))
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(want, seg, vals)
+            got = de.SegmentPlan(seg, len(sizes)).scatter_add(vals)
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_plan_serves_finite_and_non_finite_values(self):
+        # the plan holds no choice of path: each call picks the network or
+        # np.sort, and the scatter-add or np.add.at, from its own values
+        rng = np.random.default_rng(5)
+        seg = np.array([0, 1, 0, 2, 1, 0, 3, 0])    # widths 4, 2, 1, 1 and an empty segment
+        plan = de.SegmentPlan(seg, 5)
+        for trial in range(12):
+            vals = rng.normal(size=(seg.size, 3))
+            if trial % 2:
+                vals[rng.random(vals.shape) < 0.3] = rng.choice([np.inf, -np.inf, np.nan])
+            with np.errstate(invalid="ignore"):
+                by_ids = de.segment_sum(de.constant(vals), seg, 5).values
+                by_plan = de.segment_sum(de.constant(vals), plan, 5).values
+                scattered = np.zeros((5, 3))
+                np.add.at(scattered, seg, vals)
+                assert by_plan.tobytes() == by_ids.tobytes(), trial
+                assert plan.scatter_add(vals).tobytes() == scattered.tobytes(), trial
+                for s in range(5):
+                    want = np.sort(vals[seg == s], axis=0).sum(axis=0)
+                    assert by_plan[s].tobytes() == want.tobytes(), (trial, s)
+
+    def test_plan_must_fit_the_rows_and_segments(self):
+        plan = de.SegmentPlan([0, 1, 1], 2)
+        assert plan.index.tolist() == [[0, 1], [3, 2]]
+        with pytest.raises(de.ShapeError, match="3 ids for 2 rows"):
+            de.segment_sum(de.constant(np.ones((2, 1))), plan, 2)
+        with pytest.raises(de.ShapeError, match="plan has 2 segments, expected 3"):
+            de.segment_sum(de.constant(np.ones((3, 1))), plan, 3)
+        with pytest.raises(de.ShapeError, match="out of range"):
+            de.SegmentPlan([0, 2], 2)
 
     @pytest.mark.parametrize("size", [3, 4])
     def test_non_finite_segments_keep_the_sort(self, size):

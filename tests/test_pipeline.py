@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rxnpred import datagen
+from rxnpred import datagen, pipeline
 from rxnpred import diffengine as de
 from rxnpred.candgen import BondEdit, Candidate, EditSet
-from rxnpred.center import CenterModel
+from rxnpred.center import CenterModel, coverage, top_k_pairs
 from rxnpred.chemgraph import (BondType, apply_edits, induced_subgraph, make_graph, parse_smiles,
                                write_smiles)
-from rxnpred.pipeline import (MAX_ATOMS, RunConfig, evaluate, load_dataset,
+from rxnpred.pipeline import (MAX_ATOMS, MAX_BATCH_ATOMS, RunConfig, evaluate, load_dataset,
                               parse_reaction_line, predict, split_records,
                               train_center, train_ranker)
-from rxnpred.ranker import RankerModel
+from rxnpred.ranker import RankerModel, rank_candidates, rank_reactions
 
 HAND_LINES = [
     "[CH3:1][Cl:2].[NH2:3][CH3:4]>>[CH3:1][NH:3][CH3:4]",
@@ -437,3 +437,66 @@ class TestEpochLogs:
         assert all(r.levelno == logging.INFO for r in epochs)
         # the unformatted message carries the prefix, ahead of any argument
         assert [str(r.msg)[:13] for r in epochs] == ["center epoch "] * 2 + ["ranker epoch "] * 2
+
+
+class TestBatchedMetrics:
+    """The per-epoch metrics and candidate building score their records in
+    batched passes, which give what the per-record loops give; a budget of
+    40 atoms cuts these records into several passes."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        lines = datagen.toy_reaction_lines(10, seed=9) + datagen.reagent_fixture_lines(4, seed=9)
+        return [parse_reaction_line(line) for line in lines]
+
+    @pytest.mark.parametrize("budget", [MAX_BATCH_ATOMS, 40])
+    @pytest.mark.parametrize("variant", ["local", "global"])
+    def test_center_passes_equal_the_per_record_loop(self, records, variant, budget,
+                                                     monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_BATCH_ATOMS", budget)
+        model = CenterModel.create(variant, hidden=8, depth=2, seed=4)
+        loop = [model.score_matrix(rec.reactants) for rec in records]
+        got = pipeline._center_matrices(model, records)
+        assert [m.tobytes() for m in got] == [m.tobytes() for m in loop]
+        for k in (1, 3, 6):
+            hits = sum(coverage(top_k_pairs(m, k), rec.true_edits)
+                       for rec, m in zip(records, loop))
+            assert pipeline._center_coverage(model, records, k) == hits / len(records)
+        cfg = RunConfig(k=4, max_changes=2, augment_truth=True)
+        want = []
+        for rec, m in zip(records, loop):
+            cands, _, idx = pipeline._candidate_stage(rec.reactants, top_k_pairs(m, 4),
+                                                      cfg.gen_config(), rec.true_edits, True)
+            want.append((rec.raw, [c.edits for c in cands], idx))
+        got = [(inst.record.raw, [c.edits for c in inst.candidates], inst.true_index)
+               for inst in pipeline._build_instances(records, model, cfg)]
+        assert got == want
+
+    @pytest.mark.parametrize("budget", [MAX_BATCH_ATOMS, 40])
+    @pytest.mark.parametrize("variant", ["wln", "wldn"])
+    def test_ranker_pass_equals_the_per_record_loop(self, records, variant, budget,
+                                                    monkeypatch):
+        monkeypatch.setattr(pipeline, "MAX_BATCH_ATOMS", budget)
+        instances = pipeline._build_instances(records, None, RunConfig(augment_truth=True))
+        model = RankerModel.create(variant, hidden=8, depth=2, seed=4)
+        loop = [rank_candidates(inst.record.reactants, inst.candidates, model)
+                for inst in instances]
+        want = [[(c.edits, float.hex(c.score)) for c in order] for order in loop]
+        hits = sum(pipeline._product_matches(inst.record, order[0])
+                   for inst, order in zip(instances, loop))
+        ranked = rank_reactions([(inst.record.reactants, inst.candidates)
+                                 for inst in instances], model)
+        assert [[(c.edits, float.hex(c.score)) for c in order] for order in ranked] == want
+        assert pipeline._ranker_p1(model, instances) == hits / len(instances)
+
+    def test_non_finite_score_raises_as_rank_candidates(self, records):
+        instances = pipeline._build_instances(records, None, RunConfig(augment_truth=True))
+        model = RankerModel.create("wldn", hidden=8, depth=2, seed=4)
+        model.store["mol.Win"].values[:] = 1e300
+        first = instances[0]
+        with pytest.raises(ValueError) as alone:
+            rank_candidates(first.record.reactants, first.candidates, model)
+        with pytest.raises(ValueError) as batched:
+            pipeline._ranker_p1(model, instances)
+        assert str(batched.value) == str(alone.value)
+        assert str(alone.value).startswith("rank_candidates: non-finite score")

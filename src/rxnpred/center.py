@@ -193,9 +193,10 @@ class CenterModel:
         """:meth:`_head`'s scores, bitwise, without its (n_pairs, hidden) arrays.
 
         ``codes`` gives each pair's row of ``_CODE_ROWS``. Each atom is projected
-        once and each of the 10 feature rows once; :func:`diffengine._mm` computes
-        every output row on its own, and a feature row's product has only two
-        nonzero addends, so gathering those rows repeats ``_head``'s arithmetic.
+        once and each of the 10 feature rows once; a row of a
+        :func:`diffengine._mm` product does not depend on the other rows, and a
+        feature row's product has only two nonzero addends, so gathering those
+        rows repeats ``_head``'s arithmetic.
         The rest runs in blocks of ``PAIR_BLOCK`` pairs, in ``_head``'s order.
         Products and the relu go through the ops, so that op patches and
         counters see the head; callers run it under ``no_grad``.
@@ -236,7 +237,8 @@ class CenterModel:
     def score_matrices(self, graphs: Sequence[MolGraph]) -> list[np.ndarray]:
         """:meth:`score_matrix` of each graph, from one embedding of their
         disjoint union. Finite scores are bitwise equal: messages never cross
-        graphs and :func:`diffengine._mm` computes each row on its own."""
+        graphs and a row of a :func:`diffengine._mm` product does not depend
+        on the other rows."""
         gi = union_inputs([(g, range(g.n_atoms)) for g in graphs])
         matrices, start = [], 0
         with de.no_grad(), np.errstate(over="ignore", invalid="ignore"):

@@ -208,10 +208,36 @@ def scale(a: DTensor, s: float) -> DTensor:
     return _track(a.values * s, (a,), bwd)
 
 
+# Rows per GEMM in :func:`_mm`, a multiple of every OpenBLAS dgemm micro-kernel height.
+_ROW_BLOCK = 32
+
+
 def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # einsum (unoptimized) keeps each output element an independent sequential
-    # sum, so row values are bitwise stable under row reordering; BLAS kernels
-    # are not, which would break exact permutation-equivariance guarantees.
+    """``a @ b`` in which each output row depends only on its row of ``a`` and on ``b``.
+
+    ``a`` is copied into a C-contiguous buffer, padded with ``+0.0`` rows to a
+    multiple of :data:`_ROW_BLOCK`, and ``np.matmul`` runs one GEMM per block.
+    Every GEMM has the same shape whatever the number of rows, so BLAS sums
+    each row the same way: a row's bits do not depend on the other rows, how
+    many there are, their order, or ``a``'s memory layout (the ``blas-rows``
+    self-check tests this on the running machine). Like einsum, it warns
+    neither on overflow nor on a padding row's ``0 * inf``.
+    """
+    m, k = a.shape
+    padded = -(-m // _ROW_BLOCK) * _ROW_BLOCK
+    buf = np.empty((padded, k))
+    buf[:m] = a
+    buf[m:] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.matmul(buf.reshape(padded // _ROW_BLOCK, _ROW_BLOCK, k), b)
+    return out.reshape(padded, b.shape[1])[:m]
+
+
+def _mm_seq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` with each element a sequential sum over ``a``'s columns in order
+    (unoptimized einsum). The ``X.T @ G`` weight gradients use it: they sum
+    over items, and the ``±0.0`` terms of items that carry no gradient leave
+    such a sum unchanged, however many there are."""
     return np.einsum("ij,jk->ik", a, b, optimize=False)
 
 
@@ -223,7 +249,7 @@ def matmul(a: DTensor, b: DTensor) -> DTensor:
         if _need(a):
             a.accumulate(_mm(g, b.values.T))
         if _need(b):
-            b.accumulate(_mm(a.values.T, g))
+            b.accumulate(_mm_seq(a.values.T, g))
 
     return _track(_mm(a.values, b.values), (a, b), bwd)
 
@@ -324,8 +350,9 @@ def gather_matmul(a: DTensor, w: DTensor, indices: Sequence[int] | np.ndarray) -
     """Rows ``indices`` of ``a @ w``, projecting each row of ``a`` once.
 
     Values and gradients are bitwise equal to
-    ``matmul(gather_rows(a, indices), w)``: :func:`_mm` computes every output
-    row on its own, and the backward pass repeats that pair's arithmetic.
+    ``matmul(gather_rows(a, indices), w)``: a row of an :func:`_mm` product
+    does not depend on the other rows, and the backward pass repeats that
+    pair's arithmetic.
     """
     if a.shape[1] != w.shape[0]:
         raise ShapeError(f"gather_matmul: inner dims differ, {a.shape} @ {w.shape}")
@@ -339,10 +366,9 @@ def gather_matmul(a: DTensor, w: DTensor, indices: Sequence[int] | np.ndarray) -
             np.add.at(acc, idx, _mm(g, w.values.T))
             a.accumulate(acc)
         if _need(w):
-            w.accumulate(_mm(a.values[idx].T, g))
+            w.accumulate(_mm_seq(a.values[idx].T, g))
 
-    # The gathered rows are C-contiguous, so project a C-contiguous ``a`` too.
-    return _track(_mm(np.ascontiguousarray(a.values), w.values)[idx], (a, w), bwd)
+    return _track(_mm(a.values, w.values)[idx], (a, w), bwd)
 
 
 class SegmentPlan:

@@ -105,10 +105,11 @@ class RankerModel:
         their gradients, are bitwise equal to the full-graph
         :func:`difference_vectors` / :func:`score_sumpool` route, one reaction
         at a time. No message
-        crosses components and :func:`~rxnpred.diffengine._mm` computes each
-        row on its own, so a read component embeds as in the whole graph, and
-        an unread one would add only zero terms to the sequential sums of the
-        backward pass. An untouched component's product rows equal its
+        crosses components and a row of a :func:`~rxnpred.diffengine._mm`
+        product does not depend on the other rows, so a read component embeds
+        as in the whole graph; an unread one would add only zero terms to the
+        weight gradients' sequential sums (:func:`~rxnpred.diffengine._mm_seq`).
+        An untouched component's product rows equal its
         reactant rows, so their differences are ``+0.0``; the gated
         difference network maps zero rows to zero rows; and a sorted column
         sum, which starts at ``+0.0``, is unchanged by zero addends. (The last

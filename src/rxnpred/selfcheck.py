@@ -22,8 +22,8 @@ from . import diffengine as de
 from .candgen import (BOND_ALPHABET, BondEdit, Candidate, EditSet, GenConfig,
                       connectivity_ok, enumerate_candidates)
 from .center import PAIR_BLOCK, CenterModel, center_loss, scores_to_matrix
-from .chemgraph import (BondType, MolGraph, apply_edits, atom_feature_matrix,
-                        bond_features, parse_smiles, write_smiles)
+from .chemgraph import (ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BondType, MolGraph, apply_edits,
+                        atom_feature_matrix, bond_features, parse_smiles, write_smiles)
 from .datagen import (higher_order_fixture_lines, random_molecule, random_reaction_line,
                       reagent_fixture_lines, toy_reaction_lines)
 from .pipeline import (RunConfig, _build_instances, _candidate_stage, _center_item_loss,
@@ -32,7 +32,7 @@ from .ranker import RankerModel, difference_vectors, rank_loss, read_atoms, scor
 from .wliso import brute_force_isomorphic, wl_equivalent
 from .wln import GraphInputs, WLNParams, embed_atoms, embed_from_features, graph_inputs
 
-__all__ = ["CheckResult", "batched_ranker_suite", "brute_force_enumerate",
+__all__ = ["CheckResult", "batched_ranker_suite", "blas_rows_suite", "brute_force_enumerate",
            "brute_force_ordered", "center_inference_suite", "composed_center_outputs",
            "composed_embed", "composed_embeddings", "enumeration_instance", "gradient_suite",
            "naive_atom_vectors", "reference_score", "run_selfcheck", "train_backward_mismatches",
@@ -478,6 +478,41 @@ def enumeration_suite(n_instances: int = 20, seed: int = 9) -> CheckResult:
                        f"{mismatches} mismatching instances of {n_instances}")
 
 
+def blas_rows_suite(seed: int = 23, hidden: int = 64, trials: int = 12) -> CheckResult:
+    """``diffengine._mm`` computes each output row on its own on this machine's BLAS.
+
+    OpenBLAS picks its kernels per CPU, so this runs the model's product
+    shapes (forward, and input gradients against transposed weights): each
+    of 10 rows, and each row of the 10-row pair-code table, must come out
+    bitwise as it does alone when computed among up to 100 foreign rows of
+    scales 1e-5..1e4 in a random order, in C or Fortran layout.
+    """
+    rng = np.random.default_rng(seed)
+    shapes = [(ATOM_FEATURE_DIM, hidden, False), (hidden, hidden, False),
+              (hidden + BOND_FEATURE_DIM, hidden, False), (hidden, 1, False),
+              (hidden, ATOM_FEATURE_DIM, True), (hidden, hidden + BOND_FEATURE_DIM, True)]
+    cases = []
+    for k, n, transposed in shapes:
+        b = rng.normal(size=(n, k)).T
+        cases.append((rng.normal(size=(10, k)), b if transposed else b.copy()))
+    cases.append((center._CODE_ROWS, rng.normal(size=(center.PAIR_FEATURE_DIM, hidden))))
+    mismatches = checked = 0
+    for rows, b in cases:
+        alone = [de._mm(row[None], b).tobytes() for row in rows]
+        for t in range(trials):
+            foreign = rng.normal(size=(int(rng.integers(0, 101)), rows.shape[1]))
+            mixed = np.concatenate([rows, foreign * 10.0 ** rng.uniform(-5, 4, (len(foreign), 1))])
+            order = rng.permutation(len(mixed))
+            a = mixed[order] if t % 2 else np.asfortranarray(mixed[order])
+            out = de._mm(a, b)
+            at = np.argsort(order)
+            mismatches += sum(out[at[i]].tobytes() != want for i, want in enumerate(alone))
+            checked += len(alone)
+    return CheckResult("blas-rows", mismatches == 0,
+                       f"{mismatches} of {checked} product rows depend on the other rows "
+                       f"({len(cases)} model shapes, blocks of {de._ROW_BLOCK} rows)")
+
+
 def run_selfcheck(seed: int = 0) -> list[CheckResult]:
     results = [wl_soundness_suite(seed=seed + 11)]
     results.append(comparison_form_suite(seed=seed + 3))
@@ -486,4 +521,5 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
     results.append(batched_ranker_suite(seed=seed + 13))
     results.append(center_inference_suite(seed=seed + 17))
     results.append(train_backward_suite(seed=seed + 19))
+    results.append(blas_rows_suite(seed=seed + 23))
     return results

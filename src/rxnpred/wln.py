@@ -238,10 +238,11 @@ def _embed_backward(g: np.ndarray, gi: GraphInputs, x: DTensor, p: WLNParams,
     the ``h @ U1`` term first and the gather's scatter-add second; the
     gated network's input ``x`` receives them as two contributions.
     Intermediate gradients skip accumulate's ``+ 0.0``: each reaches a leaf
-    only through ``_mm`` or a scatter-add, which sum onto ``+0.0``, so the
-    sign of a zero never shows, and ``±0.0 * inf`` is the same NaN.
+    only through ``_mm`` (input gradients), ``_mm_seq`` (weight gradients)
+    or a scatter-add, which all sum onto ``+0.0``, so the sign of a zero
+    never shows, and ``±0.0 * inf`` is the same NaN.
     """
-    mm, need = de._mm, de._need
+    mm, mm_seq, need = de._mm, de._mm_seq, de._need
     src, dst, fe = gi.src, gi.dst, gi.edge_features.values
     c0, c1, m1, c2 = (t.values for t in last)
     h = hs[-1].values
@@ -250,12 +251,12 @@ def _embed_backward(g: np.ndarray, gi: GraphInputs, x: DTensor, p: WLNParams,
     g_c0 = g_m1 * c1
     g_h = gi.src_plan.scatter_add(mm(g_c0, p.w0.values.T))
     if need(p.w0):
-        p.w0.accumulate(mm(h[src].T, g_c0))
+        p.w0.accumulate(mm_seq(h[src].T, g_c0))
     if need(p.w1):
-        p.w1.accumulate(mm(fe.T, g_m1 * c0))
+        p.w1.accumulate(mm_seq(fe.T, g_m1 * c0))
     g_gd = mm(g_c2, p.w2.values.T)
     if need(p.w2):
-        p.w2.accumulate(mm(h[dst].T, g_c2))
+        p.w2.accumulate(mm_seq(h[dst].T, g_c2))
     g_h += gi.dst_plan.scatter_add(g_gd)
 
     vf_terms = []
@@ -268,20 +269,20 @@ def _embed_backward(g: np.ndarray, gi: GraphInputs, x: DTensor, p: WLNParams,
         elif need(x):
             x.accumulate(mm(g_add, p.u1.values.T))
         if need(p.u1):
-            p.u1.accumulate(mm(h_in.T, g_add))
+            p.u1.accumulate(mm_seq(h_in.T, g_add))
         if need(p.u2):
-            p.u2.accumulate(mm(neigh.values.T, g_add))
+            p.u2.accumulate(mm_seq(neigh.values.T, g_add))
         g_msg = mm(g_add, p.u2.values.T)[dst] * (msg.values > 0)
         if p.variant == "concat":
             g_src = mm(g_msg, p.v.values.T)[:, :p.hidden]
             if need(p.v):
-                p.v.accumulate(mm(np.concatenate([h_in[src], fe], axis=1).T, g_msg))
+                p.v.accumulate(mm_seq(np.concatenate([h_in[src], fe], axis=1).T, g_msg))
         else:
             a, b = (t.values for t in factors)
             g_a = g_msg * b
             g_src = mm(g_a, p.vh.values.T)
             if need(p.vh):
-                p.vh.accumulate(mm(h_in[src].T, g_a))
+                p.vh.accumulate(mm_seq(h_in[src].T, g_a))
             if need(p.vf):
                 vf_terms.append(g_msg * a)
         if inner:
@@ -293,9 +294,9 @@ def _embed_backward(g: np.ndarray, gi: GraphInputs, x: DTensor, p: WLNParams,
         if need(x):
             x.accumulate(mm(g_h, p.w_in.values.T))
         if need(p.w_in):
-            p.w_in.accumulate(mm(x.values.T, g_h))
+            p.w_in.accumulate(mm_seq(x.values.T, g_h))
     for g_b in reversed(vf_terms):
-        p.vf.accumulate(mm(fe.T, g_b))
+        p.vf.accumulate(mm_seq(fe.T, g_b))
 
 
 def embed_atoms(g: MolGraph, p: WLNParams) -> DTensor:

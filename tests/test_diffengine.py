@@ -1,5 +1,10 @@
 import math
+import os
 import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,6 +432,89 @@ class TestSegmentSumOracle:
             got = de.segment_sum(de.constant(vals), np.zeros(size, dtype=int), 1).values
             assert got.tobytes() == np.sort(vals, axis=0).sum(axis=0).tobytes()
             assert got.tobytes() != np.array([np.nan]).tobytes()
+
+
+class TestRowBlockedKernel:
+    """``diffengine._mm``: each output row depends only on its own row of the
+    left operand and on the right operand."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           k=st.one_of(st.sampled_from([0, 1, 2, 3, 32, 64, 70, 256]), st.integers(0, 256)),
+           n=st.sampled_from([1, 2, 3, 64, 65]), rows=st.integers(0, 10),
+           foreign=st.integers(0, 80), non_finite=st.booleans(), fortran=st.booleans(),
+           transposed=st.booleans())
+    def test_row_is_bitwise_the_same_among_any_rows(self, seed, k, n, rows, foreign,
+                                                    non_finite, fortran, transposed):
+        rng = np.random.default_rng(seed)
+        b = rng.normal(size=(n, k)).T if transposed else rng.normal(size=(k, n))
+        mine = rng.normal(size=(rows, k)) * 10.0 ** rng.uniform(-5, 4, (rows, 1))
+        mine[rng.random((rows, k)) < 0.1] = -0.0
+        other = rng.normal(size=(foreign, k)) * 10.0 ** rng.uniform(-300, 300, (foreign, 1))
+        if non_finite and foreign:
+            other[rng.random((foreign, k)) < 0.05] = np.inf
+            other[rng.integers(foreign)] = np.nan
+            other[rng.integers(foreign)] = -np.inf
+        mixed = np.concatenate([mine, other])
+        order = rng.permutation(len(mixed))
+        a = np.asfortranarray(mixed[order]) if fortran else mixed[order]
+        out = de._mm(a, b)
+        assert out.shape == (len(mixed), n)
+        alone = [de._mm(row[None], b).tobytes() for row in mine]
+        at = np.argsort(order)
+        assert [out[at[i]].tobytes() for i in range(rows)] == alone
+        subset = de._mm(mine[::-1], b)
+        assert [row.tobytes() for row in subset[::-1]] == alone
+
+    @pytest.mark.parametrize("k, n", [(0, 3), (1, 1), (32, 64), (64, 65), (256, 2)])
+    def test_every_tail_length(self, k, n):
+        # Prefixes of 0..2 blocks end in every tail length, 0 and a full block included.
+        rng = np.random.default_rng(k + n)
+        a, b = rng.normal(size=(2 * de._ROW_BLOCK, k)), rng.normal(size=(k, n))
+        full = de._mm(a, b)
+        np.testing.assert_allclose(full, np.einsum("ij,jk->ik", a, b), rtol=1e-12, atol=1e-12)
+        for m in range(2 * de._ROW_BLOCK + 1):
+            assert de._mm(a[:m], b).tobytes() == full[:m].tobytes()
+        # sums start at +0.0, so products of zeros never come out -0.0
+        assert not np.signbit(de._mm(np.full((3, k), -0.0), np.abs(b))).any()
+
+    @pytest.mark.parametrize("m", [1, 31, 33, 63])
+    def test_non_finite_values_warn_nothing_and_match_einsum(self, m):
+        # Tails of 1 and 31 rows. Overflow here is one-signed per element: an
+        # FMA kernel may return an infinity where einsum's inf - inf is NaN.
+        rng = np.random.default_rng(m)
+        k, n = 8, 5
+        big_a = np.abs(rng.normal(size=(m, k))) + 0.5
+        big_a[::3], big_a[1::3] = 1e300, -1e300
+        big_b = np.abs(rng.normal(size=(k, n))) + 0.5
+        big_b[:, 0] = 1e300
+        inf_a = rng.normal(size=(m, k))
+        inf_a[::4, 0] = 0.0
+        inf_b = rng.normal(size=(k, n))
+        inf_b[0, 0], inf_b[0, 1], inf_b[1, 1], inf_b[2, 2] = np.inf, -np.inf, np.inf, -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in ((big_a, big_b), (inf_a, inf_b)):
+                got, want = de._mm(a, b), np.einsum("ij,jk->ik", a, b, optimize=False)
+                for kind in (np.isfinite, np.isnan, np.isposinf, np.isneginf):
+                    assert (kind(got) == kind(want)).all()
+                assert not np.isfinite(got).all() and np.isfinite(got).any()
+
+    def test_thread_count_changes_no_byte(self):
+        # Shapes large enough for OpenBLAS to split a block's GEMM across threads.
+        script = ("import hashlib, numpy as np\n"
+                  "from rxnpred import diffengine as de\n"
+                  "rng = np.random.default_rng(0)\n"
+                  "for m, k, n in [(300, 256, 65), (200, 512, 64), (97, 32, 64), (64, 64, 1)]:\n"
+                  "    a, b = rng.normal(size=(m, k)), rng.normal(size=(k, n))\n"
+                  "    print(hashlib.sha256(de._mm(a, b).tobytes()).hexdigest())\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(de.__file__).resolve().parents[1])}
+        digests = []
+        for threads in ("1", "2"):
+            done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                  env={**env, "OPENBLAS_NUM_THREADS": threads}, check=True)
+            digests.append(done.stdout.split())
+        assert len(digests[0]) == 4 and digests[0] == digests[1]
 
 
 class TestGradCheck:

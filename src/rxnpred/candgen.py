@@ -8,8 +8,8 @@ atoms already flagged aromatic. Enumeration order is deterministic: subsets
 by size then position, assignments in bond-alphabet order.
 
 The cost follows the edited atoms, not the molecule: an edit set is built
-only for an assignment that passes, and a candidate's product only over the
-reactant components that hold an edited atom, on first use.
+only for an assignment that passes, and a candidate's product only as a
+delta over the reactant components that hold an edited atom, on first use.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
-from .chemgraph import BondType, MolGraph, apply_edits, edit_local_product, valence_limit
+from .chemgraph import (BondType, EditDelta, MolGraph, apply_edits, edit_delta, make_graph,
+                        valence_limit)
 
 __all__ = [
     "BOND_ALPHABET",
@@ -78,16 +79,18 @@ class EditSet:
 class Candidate:
     """One candidate outcome: an edit set over the reactants.
 
-    Its products are built on first access and cached: the edit-local
-    product (the components that hold an edited atom), which the ranker
-    embeds and ``predict`` writes, and the full product graph."""
+    Its :class:`~rxnpred.chemgraph.EditDelta` (the edit-local product as
+    changes to the reactants' codes), which the ranker embeds, is built on
+    first use and cached, and so is the full product graph. The edit-local
+    product graph, which ``predict`` writes, is built from the delta on
+    each access."""
 
-    __slots__ = ("edits", "_reactants", "_local", "_product", "score")
+    __slots__ = ("edits", "_reactants", "_delta", "_product", "score")
 
     def __init__(self, edits: EditSet, reactants: MolGraph):
         self.edits = edits
         self._reactants = reactants
-        self._local: tuple[MolGraph, list[int]] | None = None
+        self._delta: EditDelta | None = None
         self._product: MolGraph | None = None
         self.score: float | None = None
 
@@ -98,21 +101,24 @@ class Candidate:
         return self._product
 
     @property
+    def delta(self) -> EditDelta:
+        if self._delta is None:
+            self._delta = edit_delta(self._reactants, self.edits)
+        return self._delta
+
+    @property
     def local_product(self) -> MolGraph:
         """The product components that hold an edited atom; atom ``i`` is
         reactant atom ``edited_atoms()[i]``."""
-        return self._local_parts()[0]
+        d = self.delta
+        return make_graph([self._reactants.atoms[a] for a in d.atoms],
+                          zip(d.bonds[0::4], d.bonds[1::4], map(BondType, d.bonds[2::4])))
 
     def edited_atoms(self) -> list[int]:
         """Atoms of the product components that hold an edited atom, ascending.
 
         Every other component is a reactant component left untouched."""
-        return self._local_parts()[1]
-
-    def _local_parts(self) -> tuple[MolGraph, list[int]]:
-        if self._local is None:
-            self._local = edit_local_product(self._reactants, self.edits)
-        return self._local
+        return self.delta.atoms
 
     def __repr__(self) -> str:
         return f"Candidate({list(self.edits)}, score={self.score})"

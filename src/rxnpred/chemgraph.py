@@ -11,9 +11,11 @@ isotope annotations are parsed and discarded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from functools import cached_property
+from itertools import accumulate, chain
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,16 +25,24 @@ __all__ = [
     "Atom",
     "Bond",
     "BondType",
+    "EditDelta",
+    "GraphCodes",
     "MolGraph",
     "SmilesError",
     "apply_edits",
+    "atom_feature_rows",
     "atom_features",
     "atom_feature_matrix",
+    "bond_feature_rows",
     "bond_features",
+    "delta_union_arrays",
+    "edit_delta",
     "edit_local_product",
     "induced_subgraph",
     "make_graph",
     "parse_smiles",
+    "union_arrays",
+    "with_map_numbers",
     "write_smiles",
 ]
 
@@ -127,9 +137,6 @@ class Bond:
     conjugated: bool = False
     in_ring: bool = False
 
-    def other(self, atom: int) -> int:
-        return self.v if atom == self.u else self.u
-
 
 @dataclass
 class MolGraph:
@@ -171,6 +178,11 @@ class MolGraph:
 
     def neighbors(self, u: int) -> list[int]:
         return [nbr for nbr, _ in self.adjacency[u]]
+
+    @cached_property
+    def codes(self) -> "GraphCodes":
+        """The graph's integer code arrays, built on first access."""
+        return GraphCodes.of(self)
 
     def map_to_index(self) -> dict[int, int]:
         """Map-number -> atom index; raises on duplicate map numbers."""
@@ -229,60 +241,52 @@ def _finalize(g: MolGraph) -> None:
             warnings.append(i)
     g.valence_warnings = tuple(warnings)
 
-    g.component = _components(g)
-    _mark_rings(g)
+    in_ring, g.component = _rings_and_components(g.adjacency, g.n_bonds)
+    for bond, ring in zip(g.bonds, in_ring):
+        bond.in_ring = ring
     _mark_conjugation(g)
 
 
-def _components(g: MolGraph) -> list[int]:
-    comp = [-1] * g.n_atoms
-    cid = 0
-    for start in range(g.n_atoms):
-        if comp[start] != -1:
-            continue
-        stack = [start]
-        comp[start] = cid
-        while stack:
-            u = stack.pop()
-            for nbr, _ in g.adjacency[u]:
-                if comp[nbr] == -1:
-                    comp[nbr] = cid
-                    stack.append(nbr)
-        cid += 1
-    return comp
+def _rings_and_components(adjacency: list[list[tuple[int, int]]], n_bonds: int
+                          ) -> tuple[list[bool], list[int]]:
+    """Per bond, whether it lies on a ring; per atom, its component id.
 
-
-def _mark_rings(g: MolGraph) -> None:
-    """A bond is in a ring iff it is not a bridge (iterative lowpoint search)."""
-    n = g.n_atoms
+    A bond is in a ring iff it is not a bridge: an iterative lowpoint
+    search (Tarjan, "A note on finding the bridges of a graph", IPL 1974).
+    Components are numbered in order of their lowest atom.
+    """
+    n = len(adjacency)
     order = [-1] * n
     low = [0] * n
-    counter = 0
-    for bond in g.bonds:
-        bond.in_ring = True  # downgraded below when found to be a bridge
+    comp = [0] * n
+    in_ring = [True] * n_bonds  # downgraded below when found to be a bridge
+    counter = n_comps = 0
     for root in range(n):
         if order[root] != -1:
             continue
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]  # (node, parent-bond, next-adj)
+        # (atom, parent atom, parent bond, next adjacency slot)
+        stack: list[tuple[int, int, int, int]] = [(root, -1, -1, 0)]
         while stack:
-            u, pbond, it = stack.pop()
+            u, parent, pbond, it = stack.pop()
             if it == 0:
                 order[u] = low[u] = counter
                 counter += 1
-            if it < len(g.adjacency[u]):
-                stack.append((u, pbond, it + 1))
-                nbr, bi = g.adjacency[u][it]
+                comp[u] = n_comps
+            if it < len(adjacency[u]):
+                stack.append((u, parent, pbond, it + 1))
+                nbr, bi = adjacency[u][it]
                 if bi == pbond:
                     continue
                 if order[nbr] == -1:
-                    stack.append((nbr, bi, 0))
+                    stack.append((nbr, u, bi, 0))
                 else:
                     low[u] = min(low[u], order[nbr])
             elif pbond != -1:
-                parent = g.bonds[pbond].other(u)
                 low[parent] = min(low[parent], low[u])
                 if low[u] > order[parent]:
-                    g.bonds[pbond].in_ring = False  # bridge
+                    in_ring[pbond] = False  # bridge
+        n_comps += 1
+    return in_ring, comp
 
 
 def _mark_conjugation(g: MolGraph) -> None:
@@ -569,31 +573,38 @@ def _write_component(g: MolGraph, root: int, visited: list[bool], ring_counter: 
         opens.setdefault(open_atom, []).append(digit)
         closes.setdefault(close_atom, []).append((digit, bi))
 
-    out: list[str] = []
-    _emit(g, root, None, tree, opens, closes, out)
-    return "".join(out)
+    return _emit(g, root, tree, opens, closes)
 
 
-def _emit(g: MolGraph, u: int, in_bond: int | None,
+def _emit(g: MolGraph, root: int,
           tree: dict[int, list[tuple[int, int]]],
           opens: dict[int, list[int]],
-          closes: dict[int, list[tuple[int, int]]],
-          out: list[str]) -> None:
-    if in_bond is not None:
-        out.append(_bond_token(g, g.bonds[in_bond]))
-    out.append(_atom_token(g.atoms[u]))
-    for digit in opens.get(u, []):
-        out.append(_ring_token(digit, ""))
-    for digit, bi in closes.get(u, []):
-        out.append(_ring_token(digit, _bond_token(g, g.bonds[bi])))
-    kids = tree.get(u, [])
-    for k, (child, bi) in enumerate(kids):
-        if k < len(kids) - 1:
-            out.append("(")
-            _emit(g, child, bi, tree, opens, closes, out)
-            out.append(")")
-        else:
-            _emit(g, child, bi, tree, opens, closes, out)
+          closes: dict[int, list[tuple[int, int]]]) -> str:
+    """The DFS tree from ``root`` as SMILES: each atom after its bond token,
+    then its ring digits, then every child but the last in parentheses.
+    Iterative (an explicit stack of pending atoms and parentheses), so the
+    depth of the tree is not bounded by Python's recursion limit."""
+    out: list[str] = []
+    stack: list[tuple[int, int | None] | str] = [(root, None)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        u, in_bond = item
+        if in_bond is not None:
+            out.append(_bond_token(g, g.bonds[in_bond]))
+        out.append(_atom_token(g.atoms[u]))
+        for digit in opens.get(u, []):
+            out.append(_ring_token(digit, ""))
+        for digit, bi in closes.get(u, []):
+            out.append(_ring_token(digit, _bond_token(g, g.bonds[bi])))
+        kids = tree.get(u, [])
+        if kids:
+            stack.append(kids[-1])
+            for kid in reversed(kids[:-1]):
+                stack += (")", kid, "(")
+    return "".join(out)
 
 
 def _bond_token(g: MolGraph, bond: Bond) -> str:
@@ -639,7 +650,8 @@ def _atom_token(atom: Atom) -> str:
 def atom_features(g: MolGraph, atom_index: int) -> np.ndarray:
     """Feature vector of length :data:`ATOM_FEATURE_DIM`: element one-hot
     (+unknown bucket), degree, total H, implicit valence (clamped one-hots)
-    and an aromatic bit."""
+    and an aromatic bit. The models read :func:`atom_feature_rows`; this
+    per-atom route is its oracle."""
     atom = g.atoms[atom_index]
     f = np.zeros(ATOM_FEATURE_DIM)
     f[_ELEMENT_SLOT.get(atom.element, _UNKNOWN_SLOT)] = 1.0
@@ -668,6 +680,245 @@ def atom_feature_matrix(g: MolGraph) -> np.ndarray:
     if g.n_atoms == 0:
         return np.zeros((0, ATOM_FEATURE_DIM))
     return np.stack([atom_features(g, i) for i in range(g.n_atoms)])
+
+
+# ---------------------------------------------------------------------------
+# Integer codes and vectorized feature rows
+# ---------------------------------------------------------------------------
+
+# Atom codes, per atom: element feature slot, degree, half-order sum, number
+# of multiple (double, triple, aromatic) bonds, H budget (the valence for H
+# minus explicit H), explicit H, aromatic flag.
+_ELEMENT, _DEGREE, _HALF, _MULTIPLE, _H_BUDGET, _EXPLICIT_H, _AROMATIC = range(7)
+# Feature columns where the degree, total-H and implicit-H one-hots start.
+_DEGREE_BASE = len(ELEMENTS) + 1
+_TOTAL_H_BASE = _DEGREE_BASE + _DEGREE_SLOTS
+_IMPLICIT_BASE = _TOTAL_H_BASE + _TOTAL_H_SLOTS
+# A scratch column after the features: where a non-aromatic atom's flag goes.
+_NO_COLUMN = ATOM_FEATURE_DIM
+# Half order and "is a multiple bond" by BondType value; NONE is 0.
+_HALF_BY_VALUE = [_HALF_ORDER[BondType(value)] for value in range(5)]
+_MULTIPLE_BY_VALUE = [0, 0, 1, 1, 1]
+_AROMATIC_TYPE = BondType.AROMATIC.value
+# The bond feature row of each bond code (see _bond_code): a one-hot table,
+# so gathered rows are exact.
+_BOND_ROWS = np.array([[float(t == k % 4) for t in range(4)] + [float(k // 4 % 2), float(k // 8)]
+                       for k in range(16)])
+
+
+def _atom_columns(codes: Sequence[int]) -> tuple[int, int, int, int, int]:
+    """The five feature columns that an atom's :func:`atom_features` row sets
+    to 1.0, from its atom codes; the last is :data:`_NO_COLUMN` for a
+    non-aromatic atom. Implicit H follows from the half-order sum and the H
+    budget, so an edit changes an atom's columns through its degree and
+    half-order sum alone."""
+    implicit = max(0, codes[_H_BUDGET] - codes[_HALF] // 2)
+    return (codes[_ELEMENT], _DEGREE_BASE + min(codes[_DEGREE], _DEGREE_SLOTS - 1),
+            _TOTAL_H_BASE + min(codes[_EXPLICIT_H] + implicit, _TOTAL_H_SLOTS - 1),
+            _IMPLICIT_BASE + min(implicit, _IMPLICIT_SLOTS - 1),
+            ATOM_FEATURE_DIM - 1 if codes[_AROMATIC] else _NO_COLUMN)
+
+
+def _bond_code(bond_type, conjugated, in_ring):
+    """A bond's feature code, its row of the one-hot table: type value - 1,
+    plus 4 if conjugated and 8 if in a ring. Takes ints or arrays."""
+    return bond_type - 1 + 4 * conjugated + 8 * in_ring
+
+
+@dataclass(frozen=True, eq=False)
+class GraphCodes:
+    """A graph as integer codes: what feature rows and edit deltas read.
+
+    ``atoms[i]`` lists atom i's codes (element slot, degree, half-order sum,
+    multiple-bond count, H budget, explicit H, aromatic flag) and
+    ``columns[i]`` its feature columns (:func:`_atom_columns`). ``bonds``
+    is (m, 4): u, v, ``BondType`` value and feature code (:func:`_bond_code`),
+    and ``bond_type`` maps each bonded pair (u < v) to its type value.
+    ``comp_atoms[c]`` lists component c's atoms ascending, and
+    ``comp_bonds[c]`` its bonds in bond order as (bond, u, v, type value,
+    conjugated).
+    """
+
+    atoms: list[list[int]]
+    columns: list[tuple[int, int, int, int, int]]
+    bonds: np.ndarray
+    bond_type: dict[tuple[int, int], int]
+    comp_atoms: list[list[int]]
+    comp_bonds: list[list[tuple[int, int, int, int, bool]]]
+
+    @classmethod
+    def of(cls, g: MolGraph) -> "GraphCodes":
+        atoms = [[_ELEMENT_SLOT.get(a.element, _UNKNOWN_SLOT), 0, 0, 0,
+                  valence_for_h(a.element, a.formal_charge) - (a.explicit_h or 0),
+                  a.explicit_h or 0, int(a.aromatic)] for a in g.atoms]
+        comp_atoms: list[list[int]] = [[] for _ in range(g.n_components)]
+        for i, c in enumerate(g.component):
+            comp_atoms[c].append(i)
+        comp_bonds: list[list[tuple[int, int, int, int, bool]]] = [[] for _ in comp_atoms]
+        bonds = []
+        for bi, b in enumerate(g.bonds):
+            t = b.bond_type.value
+            for a in (b.u, b.v):
+                codes = atoms[a]
+                codes[_DEGREE] += 1
+                codes[_HALF] += _HALF_BY_VALUE[t]
+                codes[_MULTIPLE] += _MULTIPLE_BY_VALUE[t]
+            comp_bonds[g.component[b.u]].append((bi, b.u, b.v, t, b.conjugated))
+            bonds.append((b.u, b.v, t, _bond_code(t, b.conjugated, b.in_ring)))
+        return cls(atoms, [_atom_columns(codes) for codes in atoms],
+                   np.array(bonds, dtype=np.intp).reshape(-1, 4),
+                   {(u, v): t for u, v, t, _ in bonds}, comp_atoms, comp_bonds)
+
+    @cached_property
+    def inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The :func:`_directed` arrays of the whole graph, built on first use."""
+        columns = np.array(self.columns, dtype=np.intp).reshape(-1, 5)
+        b = self.bonds
+        return _directed(atom_feature_rows(columns), b[:, 0], b[:, 1], b[:, 3])
+
+
+def atom_feature_rows(columns: np.ndarray) -> np.ndarray:
+    """The :func:`atom_features` rows of atoms given by their five feature
+    columns each (:func:`_atom_columns`), in one vectorized one-hot."""
+    out = np.zeros((len(columns), ATOM_FEATURE_DIM + 1))
+    out[np.arange(len(columns))[:, None], columns] = 1.0
+    return out[:, :ATOM_FEATURE_DIM]
+
+
+def bond_feature_rows(codes: np.ndarray) -> np.ndarray:
+    """The :func:`bond_features` rows of bonds given by their feature codes."""
+    return _BOND_ROWS[codes]
+
+
+def _directed(features: np.ndarray, u: np.ndarray, v: np.ndarray, codes: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Atom feature rows, and the directed edges (u -> v, then v -> u, per
+    bond in order) with their senders, receivers and feature rows, of bonds
+    given by endpoints and feature codes."""
+    src = np.empty(2 * len(u), dtype=np.intp)
+    dst = np.empty(2 * len(u), dtype=np.intp)
+    src[0::2] = dst[1::2] = u
+    src[1::2] = dst[0::2] = v
+    return features, src, dst, np.repeat(bond_feature_rows(codes), 2, axis=0)
+
+
+def union_arrays(parts: Iterable[tuple[MolGraph, Sequence[int]]]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_directed` arrays of the disjoint union of ``(graph, atoms)``
+    parts, sliced from each graph's :attr:`GraphCodes.inputs`. Each part
+    contributes the listed atoms, whole components, in order, numbered
+    after the previous parts' atoms."""
+    selected, offset = [], 0
+    for g, atoms in parts:
+        features, src, dst, edges = g.codes.inputs
+        idx = np.asarray(atoms, dtype=np.intp)
+        local = np.full(g.n_atoms, -1, dtype=np.intp)
+        local[idx] = np.arange(offset, offset + len(idx))
+        kept = local[src] >= 0  # whole components: a kept sender keeps its receiver
+        selected.append((features[idx], local[src[kept]], local[dst[kept]], edges[kept]))
+        offset += len(idx)
+    if len(selected) == 1:
+        return selected[0]
+    empty = (np.zeros((0, ATOM_FEATURE_DIM)), np.zeros(0, np.intp), np.zeros(0, np.intp),
+             np.zeros((0, BOND_FEATURE_DIM)))
+    return tuple(np.concatenate(arrays) for arrays in zip(empty, *selected))  # type: ignore
+
+
+class EditDelta(NamedTuple):
+    """An edit set's edit-local product (:func:`edit_local_product`) as
+    codes derived from the reactants' codes, without a graph: the local
+    atoms with their feature columns, the product's bonds over them, and
+    the local component ids. Only edited atoms get new columns, only edited
+    pairs new types, and only bonds at edited atoms new conjugation flags."""
+
+    atoms: list[int]          # reactant atom of each local atom, ascending
+    columns: list[int]        # five feature columns per local atom
+    bonds: list[int]          # local u, local v, type value, conjugated: per bond, in order
+    in_ring: list[bool]       # per bond
+    component: list[int]      # local component id of each local atom
+
+
+def edit_delta(reactants: MolGraph, edits: Iterable) -> EditDelta:
+    """The :class:`EditDelta` of ``edits`` over ``reactants``.
+
+    Its local atoms are those of the reactant components that hold an
+    edited atom, found from the component ids. Bonds keep the reactants'
+    order and created bonds follow, sorted by pair, as in
+    :func:`apply_edits`. Ring flags and component ids come from a bridge
+    search over the local bonds alone. Raises ``ValueError`` on the edits
+    :func:`apply_edits` rejects.
+    """
+    codes, n = reactants.codes, reactants.n_atoms
+    changes: dict[tuple[int, int], int] = {}
+    for u, v, new_type in edits:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edit ({u},{v}) references a missing atom")
+        if u == v:
+            raise ValueError(f"edit on identical atoms ({u},{u})")
+        key = (u, v) if u < v else (v, u)
+        if key in changes:
+            raise ValueError(f"conflicting edits for pair ({key[0]},{key[1]})")
+        changes[key] = new_type.value
+    comps = sorted({reactants.component[a] for pair in changes for a in pair})
+    if len(comps) == 1:
+        atoms, comp_bonds = codes.comp_atoms[comps[0]], codes.comp_bonds[comps[0]]
+    else:
+        atoms = sorted(chain.from_iterable(codes.comp_atoms[c] for c in comps))
+        comp_bonds = sorted(chain.from_iterable(codes.comp_bonds[c] for c in comps))
+    edited: dict[int, list[int]] = {}  # edited atom -> its codes after the edits
+    for (u, v), new in changes.items():
+        old = codes.bond_type.get((u, v), 0)
+        if new == old:
+            raise ValueError(f"edit ({u},{v}) does not change the bond type")
+        for a in (u, v):
+            row = edited.get(a) or edited.setdefault(a, codes.atoms[a].copy())
+            row[_DEGREE] += (new != 0) - (old != 0)
+            row[_HALF] += _HALF_BY_VALUE[new] - _HALF_BY_VALUE[old]
+            row[_MULTIPLE] += _MULTIPLE_BY_VALUE[new] - _MULTIPLE_BY_VALUE[old]
+    created = [(-1, u, v, 0, False) for u, v in sorted(changes) if (u, v) not in codes.bond_type]
+    index = {a: i for i, a in enumerate(atoms)}
+    flat: list[int] = []
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in atoms]
+    for _, u, v, bond_type, conj in chain(comp_bonds, created):
+        bond_type = changes.get((u, v), bond_type)
+        if not bond_type:
+            continue
+        if u in edited or v in edited:
+            conj = bond_type == _AROMATIC_TYPE or (
+                (edited[u][_MULTIPLE] if u in edited else codes.atoms[u][_MULTIPLE]) > 0
+                and (edited[v][_MULTIPLE] if v in edited else codes.atoms[v][_MULTIPLE]) > 0)
+        a, b = index[u], index[v]
+        adjacency[a].append((b, len(flat) // 4))
+        adjacency[b].append((a, len(flat) // 4))
+        flat += (a, b, bond_type, conj)
+    in_ring, component = _rings_and_components(adjacency, len(flat) // 4)
+    columns = list(chain.from_iterable(map(codes.columns.__getitem__, atoms)))
+    for a, row in edited.items():
+        columns[5 * index[a]:5 * index[a] + 5] = _atom_columns(row)
+    return EditDelta(atoms, columns, flat, in_ring, component)
+
+
+def delta_union_arrays(deltas: Sequence[EditDelta]
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`union_arrays` of the deltas' edit-local products, from their
+    codes: one concatenation of the atoms' feature columns and one of the
+    bonds, then one one-hot."""
+    columns = np.fromiter(chain.from_iterable(d.columns for d in deltas), np.intp)
+    bonds = np.fromiter(chain.from_iterable(d.bonds for d in deltas), np.intp).reshape(-1, 4)
+    in_ring = np.fromiter(chain.from_iterable(d.in_ring for d in deltas), np.intp)
+    offsets = np.array(list(accumulate((len(d.atoms) for d in deltas), initial=0))[:-1],
+                       dtype=np.intp)
+    shift = np.repeat(offsets, [len(d.in_ring) for d in deltas])
+    return _directed(atom_feature_rows(columns.reshape(-1, 5)), bonds[:, 0] + shift,
+                     bonds[:, 1] + shift, _bond_code(bonds[:, 2], bonds[:, 3], in_ring))
+
+
+def with_map_numbers(g: MolGraph, start: int = 1) -> MolGraph:
+    """``g`` with atom ``i`` mapped to ``start + i``: equal to rebuilding it
+    through :func:`make_graph`, but no derived field reads map numbers, so
+    the atoms are copied with their derived fields and the bonds, adjacency
+    and components are shared."""
+    return replace(g, atoms=[replace(a, map_number=start + i) for i, a in enumerate(g.atoms)])
 
 
 def induced_subgraph(g: MolGraph, atom_indices: Sequence[int]) -> MolGraph:
@@ -704,7 +955,8 @@ def edit_local_product(reactants: MolGraph, edits: Iterable) -> tuple[MolGraph, 
     of the product. Those components hold exactly the atoms of the reactant
     components that hold an edited atom: each piece of a split component
     keeps an endpoint of a deleted bond, and an untouched component stays
-    as it was.
+    as it was. The models read :func:`edit_delta` instead; this graph route
+    is its oracle.
     """
     changes = _bond_changes(reactants, edits)
     comps = {reactants.component[a] for pair in changes for a in pair}

@@ -21,7 +21,8 @@ import numpy as np
 
 from .candgen import BondEdit, EditSet
 from .chemgraph import (Atom, BondType, MolGraph, apply_edits, induced_subgraph,
-                        make_graph, parse_smiles, valence_for_h, write_smiles)
+                        make_graph, parse_smiles, valence_for_h, with_map_numbers,
+                        write_smiles)
 
 __all__ = [
     "higher_order_fixture_lines",
@@ -88,13 +89,6 @@ def random_molecule(rng: np.random.Generator, n_atoms: int | None = None,
                 capacity[j] -= 1
                 break
     return make_graph(atoms, bonds)
-
-
-def _with_maps(g: MolGraph, start: int = 1) -> MolGraph:
-    atoms = [a.copy() for a in g.atoms]
-    for i, atom in enumerate(atoms):
-        atom.map_number = start + i
-    return make_graph(atoms, [(b.u, b.v, b.bond_type) for b in g.bonds])
 
 
 def _merge(graphs: list[MolGraph]) -> MolGraph:
@@ -177,7 +171,7 @@ def random_reaction_line(rng: np.random.Generator) -> str:
         if rng.random() < 0.5:
             parts.append(random_molecule(rng, n_atoms=int(rng.integers(2, 5)),
                                          allow_curated=False))
-        reactants = _with_maps(_merge(parts))
+        reactants = with_map_numbers(_merge(parts))
         if reactants.n_atoms > 16 or reactants.valence_warnings:
             continue
         edits = _pick_edit(rng, reactants)
@@ -252,7 +246,7 @@ def higher_order_fixture_lines(n: int = 40, seed: int = 1) -> list[str]:
             continue
         attacker = random_molecule(rng, n_atoms=int(rng.integers(2, 5)),
                                    allow_curated=False)
-        reactants = _with_maps(_merge([core, attacker]))
+        reactants = with_map_numbers(_merge([core, attacker]))
         if reactants.valence_warnings:
             continue
         doubles = [b for b in reactants.bonds if b.bond_type is BondType.DOUBLE]

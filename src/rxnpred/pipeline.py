@@ -21,7 +21,7 @@ import numpy as np
 from . import diffengine as de
 from .candgen import Candidate, EditSet, GenConfig, enumerate_candidates
 from .center import CenterModel, center_loss, coverage, reaction_edits, top_k_pairs
-from .chemgraph import (MolGraph, apply_edits, induced_subgraph, make_graph, parse_smiles,
+from .chemgraph import (MolGraph, apply_edits, induced_subgraph, parse_smiles, with_map_numbers,
                         write_smiles)
 from .ranker import RankerModel, rank_candidates, rank_loss, rank_reactions
 from .wliso import _fnv1a, wl_equivalent
@@ -470,10 +470,7 @@ def predict(reactants_smiles: str, center: CenterModel, ranker: RankerModel,
     if g.n_atoms > MAX_ATOMS:
         raise ValueError(f"reactants too large ({g.n_atoms} atoms; the cap is {MAX_ATOMS})")
     if any(a.map_number is None for a in g.atoms):
-        atoms = [a.copy() for a in g.atoms]
-        for i, atom in enumerate(atoms):
-            atom.map_number = i + 1
-        g = make_graph(atoms, [(b.u, b.v, b.bond_type) for b in g.bonds])
+        g = with_map_numbers(g)
 
     if g.n_atoms < 2:
         return PredictResult(reactants_smiles, [], 0, False, [],
@@ -543,17 +540,17 @@ def _product_matches(rec: ReactionRecord, cand: Candidate) -> bool:
     the recorded product graph (whole components, so a surviving bond to an
     atom outside the recorded product still counts as a mismatch).
 
-    The fallback first counts those molecules' atoms from the edit-local
-    product and the untouched reactant components; fingerprints of graphs
-    of different sizes never match, so only an equal count builds the full
-    product. That product is not cached on the candidate, which keeps only
-    its edit-local product."""
+    The fallback first counts those molecules' atoms from the local
+    component ids of the candidate's edit delta and the untouched reactant
+    components; fingerprints of graphs of different sizes never match, so
+    only an equal count builds the full product. That product is not cached
+    on the candidate, which keeps only its delta."""
     if cand.edits == rec.true_edits:
         return True
     p_maps = {a.map_number for a in rec.product.atoms}
     mapped_idx = [i for i, a in enumerate(rec.reactants.atoms) if a.map_number in p_maps]
     local = {a: i for i, a in enumerate(cand.edited_atoms())}
-    local_comp, reactant_comp = cand.local_product.component, rec.reactants.component
+    local_comp, reactant_comp = cand.delta.component, rec.reactants.component
     local_comps = {local_comp[local[i]] for i in mapped_idx if i in local}
     untouched = {reactant_comp[i] for i in mapped_idx if i not in local}
     size = (sum(local_comp.count(c) for c in local_comps)

@@ -22,7 +22,7 @@ from . import diffengine as de
 from .candgen import Candidate
 from .chemgraph import ATOM_FEATURE_DIM, MolGraph
 from .diffengine import DTensor, ParamStore
-from .wln import (FIXED_METADATA, WLNParams, embed_from_features, graph_inputs,
+from .wln import (FIXED_METADATA, WLNParams, delta_inputs, embed_from_features, graph_inputs,
                   model_metadata, union_inputs)
 
 __all__ = ["MAX_UNION_CANDIDATES", "RankerModel", "difference_vectors",
@@ -135,7 +135,7 @@ class RankerModel:
                      items: Sequence[tuple[Candidate, list[int], np.ndarray]]) -> DTensor:
         """Scores of the candidates of ``items``, each given with its edited
         atoms and the rows of ``c_r`` that embed them in the reactants."""
-        gi = union_inputs([(cand.local_product, range(len(a))) for cand, a, _ in items])
+        gi = delta_inputs([cand.delta for cand, _, _ in items])
         owner = np.repeat(np.arange(len(items)), [len(a) for _, a, _ in items])
         rows = np.concatenate([r for _, _, r in items])
         d = de.sub(embed_from_features(gi, gi.features, self.wln), de.gather_rows(c_r, rows))

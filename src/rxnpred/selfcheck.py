@@ -23,19 +23,22 @@ from .candgen import (BOND_ALPHABET, BondEdit, Candidate, EditSet, GenConfig,
                       connectivity_ok, enumerate_candidates)
 from .center import PAIR_BLOCK, CenterModel, center_loss, scores_to_matrix
 from .chemgraph import (ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BondType, MolGraph, apply_edits,
-                        atom_feature_matrix, bond_features, parse_smiles, write_smiles)
+                        atom_feature_matrix, atom_features, bond_features, edit_delta,
+                        edit_local_product, make_graph, parse_smiles, write_smiles)
 from .datagen import (higher_order_fixture_lines, random_molecule, random_reaction_line,
                       reagent_fixture_lines, toy_reaction_lines)
 from .pipeline import (RunConfig, _build_instances, _candidate_stage, _center_item_loss,
                        _ranker_item_loss, parse_reaction_line)
 from .ranker import RankerModel, difference_vectors, rank_loss, read_atoms, score_sumpool
 from .wliso import brute_force_isomorphic, wl_equivalent
-from .wln import GraphInputs, WLNParams, embed_atoms, embed_from_features, graph_inputs
+from .wln import (GraphInputs, WLNParams, delta_inputs, embed_atoms, embed_from_features,
+                  graph_inputs, union_inputs)
 
 __all__ = ["CheckResult", "batched_ranker_suite", "blas_rows_suite", "brute_force_enumerate",
            "brute_force_ordered", "center_inference_suite", "composed_center_outputs",
            "composed_embed", "composed_embeddings", "enumeration_instance", "gradient_suite",
-           "naive_atom_vectors", "reference_score", "run_selfcheck", "train_backward_mismatches",
+           "graph_delta_mismatches", "graph_delta_suite", "inputs_bytes", "naive_atom_vectors",
+           "per_atom_inputs", "reference_score", "run_selfcheck", "train_backward_mismatches",
            "train_backward_suite", "wl_soundness_suite"]
 
 
@@ -513,6 +516,90 @@ def blas_rows_suite(seed: int = 23, hidden: int = 64, trials: int = 12) -> Check
                        f"({len(cases)} model shapes, blocks of {de._ROW_BLOCK} rows)")
 
 
+def per_atom_inputs(parts) -> GraphInputs:
+    """:func:`~rxnpred.wln.union_inputs` through the per-atom route: one
+    :func:`~rxnpred.chemgraph.atom_features` call per atom and one
+    :func:`~rxnpred.chemgraph.bond_features` call per bond."""
+    feats: list[np.ndarray] = []
+    src: list[int] = []
+    dst: list[int] = []
+    edge_feats: list[np.ndarray] = []
+    for g, atoms in parts:
+        local = {a: len(feats) + i for i, a in enumerate(atoms)}
+        feats.extend(atom_features(g, a) for a in atoms)
+        for bi, bond in enumerate(g.bonds):
+            if bond.u in local:
+                src += (local[bond.u], local[bond.v])
+                dst += (local[bond.v], local[bond.u])
+                edge_feats += [bond_features(g, bi)] * 2
+    return GraphInputs(
+        len(feats), np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
+        de.constant(np.array(feats).reshape(len(feats), ATOM_FEATURE_DIM)),
+        de.constant(np.array(edge_feats).reshape(len(src), BOND_FEATURE_DIM)))
+
+
+def inputs_bytes(gi: GraphInputs) -> tuple:
+    """Atom count, and the dtype, shape and bytes of every array of ``gi``."""
+    return (gi.n_atoms, *((a.dtype.str, a.shape, a.tobytes()) for a in (
+        gi.src, gi.dst, gi.features.values, gi.edge_features.values)))
+
+
+def graph_delta_mismatches(parts: list[tuple[MolGraph, EditSet]]) -> int:
+    """How often the delta route of one pass over ``(reactants, edits)``
+    parts differs from the graph route: the pass's
+    :func:`~rxnpred.wln.delta_inputs` against :func:`per_atom_inputs` over
+    the :func:`~rxnpred.chemgraph.edit_local_product` graphs (bytes), each
+    part's local atoms and component ids against the oracle's, and
+    :func:`~rxnpred.wln.union_inputs` against :func:`per_atom_inputs` on
+    each reactant graph and local product."""
+    oracle = [edit_local_product(g, edits) for g, edits in parts]
+    deltas = [edit_delta(g, edits) for g, edits in parts]
+    local_parts = [(local, range(local.n_atoms)) for local, _ in oracle]
+    bad = int(inputs_bytes(delta_inputs(deltas)) != inputs_bytes(per_atom_inputs(local_parts)))
+    bad += sum((d.atoms, d.component) != (atoms, local.component)
+               for d, (local, atoms) in zip(deltas, oracle))
+    graphs = {id(g): g for g, _ in parts}.values()
+    return bad + sum(inputs_bytes(union_inputs([part])) != inputs_bytes(per_atom_inputs([part]))
+                     for part in [(g, range(g.n_atoms)) for g in graphs] + local_parts)
+
+
+def graph_delta_suite(seed: int = 29, n_passes: int = 30) -> CheckResult:
+    """Candidates' edit deltas equal the graph route (:func:`graph_delta_mismatches`).
+
+    Each pass takes every candidate, the empty edit set and three sets of
+    one to four random edits (which may create several bonds at once) of
+    one to three :func:`enumeration_instance` reactants (aromatic, charged
+    and over-valent fragments among them) under a random atom order.
+    """
+    rng = np.random.default_rng(seed)
+    mismatches = parts_checked = 0
+    for _ in range(n_passes):
+        parts = []
+        for _ in range(int(rng.integers(1, 4))):
+            g, pairs, cfg = enumeration_instance(rng)
+            perm = [int(i) for i in rng.permutation(g.n_atoms)]
+            atoms = [None] * g.n_atoms
+            for old, new in enumerate(perm):
+                atoms[new] = g.atoms[old]
+            h = make_graph(atoms, [(perm[b.u], perm[b.v], b.bond_type) for b in g.bonds])
+            pairs = [(perm[u], perm[v]) for u, v in pairs]
+            parts += [(h, EditSet.of([]))] + [(h, c.edits)
+                                              for c in enumerate_candidates(h, pairs, cfg)]
+            all_pairs = [(u, v) for u in range(h.n_atoms) for v in range(u + 1, h.n_atoms)]
+            for _ in range(3 if all_pairs else 0):
+                chosen = rng.choice(len(all_pairs), min(len(all_pairs), int(rng.integers(1, 5))),
+                                    replace=False)
+                parts.append((h, EditSet.of(
+                    (u, v, BondType(int(rng.choice([t for t in range(5)
+                                                    if t != h.bond_type_between(u, v).value]))))
+                    for u, v in (all_pairs[i] for i in chosen))))
+        mismatches += graph_delta_mismatches(parts)
+        parts_checked += len(parts)
+    return CheckResult("graph-delta", mismatches == 0,
+                       f"{mismatches} mismatches over {n_passes} passes of "
+                       f"{parts_checked} edit sets against the graph route")
+
+
 def run_selfcheck(seed: int = 0) -> list[CheckResult]:
     results = [wl_soundness_suite(seed=seed + 11)]
     results.append(comparison_form_suite(seed=seed + 3))
@@ -522,4 +609,5 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
     results.append(center_inference_suite(seed=seed + 17))
     results.append(train_backward_suite(seed=seed + 19))
     results.append(blas_rows_suite(seed=seed + 23))
+    results.append(graph_delta_suite(seed=seed + 29))
     return results

@@ -25,10 +25,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import diffengine as de
-from .chemgraph import ATOM_FEATURE_DIM, BOND_FEATURE_DIM, MolGraph, atom_features, bond_features
+from .chemgraph import (BOND_FEATURE_DIM, EditDelta, MolGraph, delta_union_arrays,
+                        union_arrays)
 from .diffengine import DTensor, ParamStore
 
-__all__ = ["FIXED_METADATA", "GraphInputs", "WLNParams", "embed_atoms",
+__all__ = ["FIXED_METADATA", "GraphInputs", "WLNParams", "delta_inputs", "embed_atoms",
            "embed_from_features", "graph_inputs", "model_metadata", "union_inputs"]
 
 # Single-valued settings that model checkpoints record (each network adds
@@ -155,25 +156,23 @@ def union_inputs(parts: Iterable[tuple[MolGraph, Sequence[int]]]) -> GraphInputs
     Each part contributes the listed atoms of its graph, in order, numbered
     after the previous parts' atoms. The atoms must form whole connected
     components, so no bond leaves a part; messages never cross parts and
-    every atom embeds exactly as it would in its own graph.
+    every atom embeds exactly as it would in its own graph. The rows come
+    from each graph's codes (:func:`~rxnpred.chemgraph.union_arrays`).
     """
-    feats: list[np.ndarray] = []
-    src: list[int] = []
-    dst: list[int] = []
-    edge_feats: list[np.ndarray] = []
-    for g, atoms in parts:
-        local = {a: len(feats) + i for i, a in enumerate(atoms)}
-        feats.extend(atom_features(g, a) for a in atoms)
-        for bi, bond in enumerate(g.bonds):
-            if bond.u in local:
-                u, v = local[bond.u], local[bond.v]
-                src += (u, v)
-                dst += (v, u)
-                edge_feats += [bond_features(g, bi)] * 2
-    return GraphInputs(
-        len(feats), np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp),
-        de.constant(np.array(feats).reshape(len(feats), ATOM_FEATURE_DIM)),
-        de.constant(np.array(edge_feats).reshape(len(src), BOND_FEATURE_DIM)))
+    return _inputs(*union_arrays(parts))
+
+
+def delta_inputs(deltas: Sequence[EditDelta]) -> GraphInputs:
+    """:func:`union_inputs` of the deltas' edit-local products, built from
+    their reactants' codes and the edits
+    (:func:`~rxnpred.chemgraph.delta_union_arrays`) without any graph."""
+    return _inputs(*delta_union_arrays(deltas))
+
+
+def _inputs(features: np.ndarray, src: np.ndarray, dst: np.ndarray,
+            edge_features: np.ndarray) -> GraphInputs:
+    return GraphInputs(len(features), src, dst, de.constant(features),
+                       de.constant(edge_features))
 
 
 def embed_from_features(gi: GraphInputs, x: DTensor, p: WLNParams) -> DTensor:

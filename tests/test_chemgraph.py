@@ -7,7 +7,7 @@ from helpers import permute_graph, random_permutation
 from rxnpred.chemgraph import (ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BondType,
                                SmilesError, apply_edits, atom_features,
                                bond_features, induced_subgraph, make_graph,
-                               parse_smiles, write_smiles)
+                               parse_smiles, with_map_numbers, write_smiles)
 from rxnpred.datagen import random_molecule
 from rxnpred.wliso import brute_force_isomorphic, wl_equivalent
 
@@ -142,6 +142,31 @@ class TestWrite:
         assert sorted(a.formal_charge for a in back.atoms) == sorted(
             a.formal_charge for a in g.atoms)
         assert maps(back).keys() == maps(g).keys()
+
+    @pytest.mark.parametrize("smiles", [
+        "C" * 5000,                               # a chain deeper than the recursion limit
+        "C(" * 2000 + "C" + ")C" * 2000,          # branches nested 2,000 deep
+        "CC(=O)" * 1500 + "N",
+    ])
+    def test_deep_trees_round_trip(self, smiles):
+        g = parse_smiles(smiles)
+        assert write_smiles(g) == smiles
+        assert parse_smiles(write_smiles(g)) == g
+
+    def test_map_numbers_equal_the_rebuilt_graph(self):
+        # with_map_numbers copies where make_graph would recompute
+        rng = np.random.default_rng(5)
+        graphs = [random_molecule(rng) for _ in range(40)]
+        graphs += [parse_smiles(s) for s in ("[NH4+].[O-]C(=O)C", "c1ccncc1.C1CC1", "[CH3:7]CO")]
+        for g in graphs:
+            for start in (1, 10):
+                atoms = [a.copy() for a in g.atoms]
+                for i, atom in enumerate(atoms):
+                    atom.map_number = start + i
+                rebuilt = make_graph(atoms, [(b.u, b.v, b.bond_type) for b in g.bonds])
+                assert with_map_numbers(g, start) == rebuilt
+                assert write_smiles(with_map_numbers(g, start)) == write_smiles(rebuilt)
+        assert all(a.map_number is None for a in graphs[0].atoms)  # input untouched
 
 
 class TestFeatures:

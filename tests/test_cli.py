@@ -224,10 +224,11 @@ def test_diverging_training_exits_with_one_line(workdir):
 
 def test_selfcheck_command_passes_every_suite(capsys):
     # wl-soundness, comparison-form, enumeration-oracle, four gradient
-    # checks, ranker-batched, center-inference, train-backward and blas-rows
+    # checks, ranker-batched, center-inference, train-backward, blas-rows
+    # and graph-delta
     assert main(["selfcheck"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 11 and all(line.startswith("[PASS] ") for line in lines)
+    assert len(lines) == 12 and all(line.startswith("[PASS] ") for line in lines)
 
 
 def test_datagen_cli(tmp_path, capsys):

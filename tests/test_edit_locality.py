@@ -1,5 +1,6 @@
 """Property tests: edit-local products equal the edited components of the
-full product, and inverse edits restore the reactants."""
+full product, their edit deltas equal the graph route, and inverse edits
+restore the reactants."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,12 @@ from hypothesis import strategies as st
 
 from helpers import merge, permute_graph
 from rxnpred.candgen import Candidate, EditSet
-from rxnpred.chemgraph import (BondType, apply_edits, edit_local_product, induced_subgraph,
+from rxnpred.chemgraph import (BOND_FEATURE_DIM, BondType, apply_edits, atom_feature_matrix,
+                               bond_features, edit_delta, edit_local_product, induced_subgraph,
                                parse_smiles, write_smiles)
 from rxnpred.datagen import random_molecule
+from rxnpred.selfcheck import graph_delta_mismatches, inputs_bytes, per_atom_inputs
+from rxnpred.wln import delta_inputs, graph_inputs, union_inputs
 
 FRAGMENTS = ("[NH4+]", "[O-]C(=O)C", "c1ccncc1", "C1CCC2CCCCC2C1", "O=S(=O)(O)O",
              "FC(F)(F)(F)C")
@@ -26,6 +30,11 @@ def edited_reactants(draw):
     parts += [parse_smiles(s) for s in draw(st.lists(st.sampled_from(FRAGMENTS), max_size=2))]
     g = merge(parts)
     g = permute_graph(g, [int(i) for i in draw(st.permutations(range(g.n_atoms)))])
+    return g, draw_edits(draw, g)
+
+
+def draw_edits(draw, g):
+    """One to four edits over ``g`` (none on a one-atom graph)."""
     n = g.n_atoms
     bonded = [(b.u, b.v) for b in g.bonds]
     any_pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
@@ -35,7 +44,17 @@ def edited_reactants(draw):
     edits = [(u, v, draw(st.sampled_from([bt for bt in BondType
                                           if bt is not g.bond_type_between(u, v)])))
              for u, v in pairs]
-    return g, EditSet.of(edits)
+    return EditSet.of(edits)
+
+
+@st.composite
+def delta_passes(draw):
+    """The ``(reactants, edits)`` parts of one ranker pass: one to three
+    :func:`edited_reactants` graphs, each with up to three more edit sets."""
+    parts = []
+    for g, edits in draw(st.lists(edited_reactants(), min_size=1, max_size=3)):
+        parts += [(g, edits)] + [(g, draw_edits(draw, g)) for _ in range(draw(st.integers(0, 3)))]
+    return parts
 
 
 def assert_local_product_equal(g, edits):
@@ -51,6 +70,7 @@ def assert_local_product_equal(g, edits):
     assert write_smiles(local) == write_smiles(expected)
     cand = Candidate(edits, g)
     assert cand.edited_atoms() == atoms and cand.local_product == local
+    assert graph_delta_mismatches([(g, edits)]) == 0
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -74,6 +94,69 @@ def test_local_product_on_splits_and_joins(smiles, edits):
 def test_empty_edit_set_has_empty_local_product():
     local, atoms = edit_local_product(parse_smiles("CCO.N"), [])
     assert atoms == [] and local.n_atoms == 0
+    delta = edit_delta(parse_smiles("CCO.N"), [])
+    assert delta.atoms == [] and delta_inputs([delta]).n_atoms == 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(delta_passes())
+def test_delta_inputs_equal_union_inputs_over_local_products(parts):
+    # A pass's inputs from the reactants' codes and the edits are bitwise
+    # those of the edit-local product graphs; the delta's local atoms and
+    # component ids are the oracle's.
+    oracle = [edit_local_product(g, edits) for g, edits in parts]
+    deltas = [Candidate(edits, g).delta for g, edits in parts]
+    want = union_inputs([(local, range(local.n_atoms)) for local, _ in oracle])
+    assert inputs_bytes(delta_inputs(deltas)) == inputs_bytes(want)
+    for delta, (local, atoms) in zip(deltas, oracle):
+        assert delta.atoms == atoms and delta.component == local.component
+    assert graph_delta_mismatches(parts) == 0
+
+
+def test_feature_rows_equal_per_atom_features():
+    rng = np.random.default_rng(11)
+    graphs = [random_molecule(rng, allow_curated=bool(i % 2)) for i in range(200)]
+    graphs += [parse_smiles(s) for s in FRAGMENTS + ("[O-][N+](=O)c1ccccc1", "[SiH4]", "[Xe]")]
+    for g in graphs:
+        features, _, _, edges = g.codes.inputs
+        assert features.tobytes() == atom_feature_matrix(g).tobytes()
+        assert edges.shape == (2 * g.n_bonds, BOND_FEATURE_DIM)
+        assert edges.tobytes() == b"".join(2 * bond_features(g, bi).tobytes()
+                                           for bi in range(g.n_bonds))
+        assert inputs_bytes(graph_inputs(g)) == inputs_bytes(per_atom_inputs([(g, range(g.n_atoms))]))
+
+
+@pytest.mark.parametrize("smiles, edits", [
+    ("CCO", [(0, 5, BondType.SINGLE)]),            # a missing atom
+    ("CCO", [(0, 1, BondType.SINGLE)]),            # no change
+    ("CCO", [(0, 2, BondType.NONE)]),              # deleting a bond that is not there
+    ("CCO", [(1, 1, BondType.SINGLE)]),            # one atom
+    ("CCO", [(0, 1, BondType.NONE), (1, 0, BondType.DOUBLE)]),  # one pair twice
+])
+def test_delta_rejects_what_apply_edits_rejects(smiles, edits):
+    g = parse_smiles(smiles)
+    with pytest.raises(ValueError):
+        apply_edits(g, edits)
+    with pytest.raises(ValueError):
+        edit_delta(g, edits)
+
+
+def test_ranking_builds_no_graph(monkeypatch):
+    # Scoring reads the reactants' codes and the candidates' deltas only;
+    # predict builds local products for the products it writes.
+    from rxnpred import chemgraph
+    from rxnpred.candgen import GenConfig, enumerate_candidates
+    from rxnpred.ranker import RankerModel, rank_candidates
+
+    g = parse_smiles("CC(=O)Cl.NC.O")
+    cands = enumerate_candidates(g, [(1, 3), (1, 4), (3, 4), (0, 1)], GenConfig()).candidates
+    model = RankerModel.create("wldn", hidden=4, depth=2)
+
+    def fail(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(chemgraph, "_finalize", fail)
+    assert len(rank_candidates(g, cands, model)) == len(cands) == 12
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -305,6 +305,26 @@ class TestPredict:
             for u, v, _ in product.edits:
                 assert 1 <= u <= 3 and 1 <= v <= 3
 
+    def test_unmapped_input_predicts_as_through_make_graph(self, trained, monkeypatch):
+        # predict numbers unmapped atoms by copying the parsed graph; the
+        # outputs equal those of rebuilding it through make_graph
+        center, ranker = trained
+        requests = ["CCO", "CC(=O)Cl.CN", "c1ccccc1C(=O)O.[NH4+]", "C=CC=C.C=C"]
+
+        def outputs():
+            return [[(p.smiles, p.score, p.edits) for p in
+                     predict(s, center, ranker, k=4, top_n=5).products] for s in requests]
+
+        def rebuilt(g, start=1):
+            atoms = [a.copy() for a in g.atoms]
+            for i, atom in enumerate(atoms):
+                atom.map_number = start + i
+            return make_graph(atoms, [(b.u, b.v, b.bond_type) for b in g.bonds])
+
+        copied = outputs()
+        monkeypatch.setattr(pipeline, "with_map_numbers", rebuilt)
+        assert outputs() == copied and all(copied)
+
     def test_trained_on_reaction_ranked_first_after_overfit(self, tmp_path):
         lines = datagen.toy_reaction_lines(6, seed=11)
         data = tmp_path / "six.txt"

@@ -83,7 +83,7 @@ class Candidate:
     changes to the reactants' codes), which the ranker embeds, is built on
     first use and cached, and so is the full product graph. The edit-local
     product graph, which ``predict`` writes, is built from the delta on
-    each access."""
+    each access: the one builder of that graph."""
 
     __slots__ = ("edits", "_reactants", "_delta", "_product", "score")
 
@@ -213,8 +213,7 @@ def enumerate_candidates(reactants: MolGraph, pairs: list[tuple[int, int]],
         norm_pairs.append((min(u, v), max(u, v)))
 
     current = {p: reactants.bond_type_between(*p) for p in norm_pairs}
-    half = [sum(reactants.bonds[bi].bond_type.half_order for _, bi in adj)
-            for adj in reactants.adjacency]
+    half = reactants.half_order_sums()  # updated in place by the search
     # An atom breaks its valence once its half-order sum h reaches its bound:
     # h >= 2 * limit + 2 is the h // 2 > limit that ``valence_warnings`` records.
     bound = [2 * valence_limit(a.element, a.formal_charge) + 2 for a in reactants.atoms]

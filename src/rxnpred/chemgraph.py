@@ -37,7 +37,6 @@ __all__ = [
     "bond_features",
     "delta_union_arrays",
     "edit_delta",
-    "edit_local_product",
     "induced_subgraph",
     "make_graph",
     "parse_smiles",
@@ -108,6 +107,16 @@ def valence_limit(element: str, charge: int) -> int:
     return max(0, _VALENCE_MAX.get(element, 0) + charge)
 
 
+# Atom counts (:func:`_atom_counts`), per atom: element feature slot, degree,
+# half-order sum, number of multiple (double, triple, aromatic) bonds, H
+# budget (the valence for H minus explicit H), explicit H, aromatic flag.
+_ELEMENT, _DEGREE, _HALF, _MULTIPLE, _H_BUDGET, _EXPLICIT_H, _AROMATIC = range(7)
+# Half order and "is a multiple bond" by BondType value; NONE is 0.
+_HALF_BY_VALUE = [_HALF_ORDER[BondType(value)] for value in range(5)]
+_MULTIPLE_BY_VALUE = [0, 0, 1, 1, 1]
+_AROMATIC_TYPE = BondType.AROMATIC.value
+
+
 @dataclass
 class Atom:
     element: str
@@ -143,7 +152,8 @@ class MolGraph:
     """Undirected molecular graph; possibly several connected components.
 
     ``adjacency[i]`` lists ``(neighbor_index, bond_index)`` pairs, consistent
-    with ``bonds``. Derived fields (degree, implicit hydrogens, ring and
+    with ``bonds``, and ``counts[i]`` atom i's counts (:func:`_atom_counts`).
+    Derived fields (adjacency, counts, degree, implicit hydrogens, ring and
     conjugation flags, component ids) are filled by :func:`make_graph` and
     recomputed by :func:`apply_edits`; treat instances as immutable.
     """
@@ -152,6 +162,7 @@ class MolGraph:
     bonds: list[Bond] = field(default_factory=list)
     adjacency: list[list[tuple[int, int]]] = field(default_factory=list)
     component: list[int] = field(default_factory=list)
+    counts: list[list[int]] = field(default_factory=list)
     valence_warnings: tuple[int, ...] = ()
 
     @property
@@ -178,6 +189,10 @@ class MolGraph:
 
     def neighbors(self, u: int) -> list[int]:
         return [nbr for nbr, _ in self.adjacency[u]]
+
+    def half_order_sums(self) -> list[int]:
+        """Per atom, twice its bond-order sum: a new list, from :attr:`counts`."""
+        return [row[_HALF] for row in self.counts]
 
     @cached_property
     def codes(self) -> "GraphCodes":
@@ -221,7 +236,8 @@ def make_graph(atoms: Sequence[Atom], bonds: Iterable[tuple[int, int, BondType]]
 
 
 def _finalize(g: MolGraph) -> None:
-    """Recompute adjacency, degrees, implicit H, ring/conjugation flags, components."""
+    """Recompute adjacency, the atom counts and what they give (degrees,
+    implicit H, valence warnings, conjugation flags), ring flags, components."""
     n = g.n_atoms
     g.adjacency = [[] for _ in range(n)]
     for bi, bond in enumerate(g.bonds):
@@ -230,21 +246,49 @@ def _finalize(g: MolGraph) -> None:
     for adj in g.adjacency:
         adj.sort()
 
+    g.counts = counts = _atom_counts(g.atoms, g.bonds)
     warnings: list[int] = []
-    for i, atom in enumerate(g.atoms):
-        atom.degree = len(g.adjacency[i])
-        half = sum(g.bonds[bi].bond_type.half_order for _, bi in g.adjacency[i])
-        order_sum = half // 2  # aromatic counts 1.5 each; floor after summing
-        atom.implicit_h = max(0, valence_for_h(atom.element, atom.formal_charge)
-                              - order_sum - (atom.explicit_h or 0))
-        if order_sum > valence_limit(atom.element, atom.formal_charge):
+    for i, (atom, row) in enumerate(zip(g.atoms, counts)):
+        atom.degree = row[_DEGREE]
+        atom.implicit_h = _implicit_h(row)
+        # Aromatic counts 1.5 each; floor after summing.
+        if row[_HALF] // 2 > valence_limit(atom.element, atom.formal_charge):
             warnings.append(i)
     g.valence_warnings = tuple(warnings)
+    for bond in g.bonds:
+        bond.conjugated = _conjugated(bond.bond_type.value, counts[bond.u], counts[bond.v])
 
     in_ring, g.component = _rings_and_components(g.adjacency, g.n_bonds)
     for bond, ring in zip(g.bonds, in_ring):
         bond.in_ring = ring
-    _mark_conjugation(g)
+
+
+def _atom_counts(atoms: Sequence[Atom], bonds: Sequence[Bond]) -> list[list[int]]:
+    """Each atom's counts, indexed by ``_ELEMENT`` ... ``_AROMATIC``: every
+    per-atom fact that degrees, implicit H, valence warnings, conjugation
+    flags, feature columns and the enumeration's valence bound read."""
+    counts = [[_ELEMENT_SLOT.get(a.element, _UNKNOWN_SLOT), 0, 0, 0,
+               valence_for_h(a.element, a.formal_charge) - (a.explicit_h or 0),
+               a.explicit_h or 0, int(a.aromatic)] for a in atoms]
+    for b in bonds:
+        t = b.bond_type.value
+        for row in (counts[b.u], counts[b.v]):
+            row[_DEGREE] += 1
+            row[_HALF] += _HALF_BY_VALUE[t]
+            row[_MULTIPLE] += _MULTIPLE_BY_VALUE[t]
+    return counts
+
+
+def _implicit_h(row: Sequence[int]) -> int:
+    """Implicit H from an atom's counts: the H budget less the bond-order sum."""
+    return max(0, row[_H_BUDGET] - row[_HALF] // 2)
+
+
+def _conjugated(bond_type: int, row_u: Sequence[int], row_v: Sequence[int]) -> bool:
+    """The conjugation flag of a bond of type value ``bond_type`` between
+    atoms with counts ``row_u`` and ``row_v``: aromatic, or both atoms carry
+    a multiple bond."""
+    return bond_type == _AROMATIC_TYPE or (row_u[_MULTIPLE] > 0 and row_v[_MULTIPLE] > 0)
 
 
 def _rings_and_components(adjacency: list[list[tuple[int, int]]], n_bonds: int
@@ -287,17 +331,6 @@ def _rings_and_components(adjacency: list[list[tuple[int, int]]], n_bonds: int
                     in_ring[pbond] = False  # bridge
         n_comps += 1
     return in_ring, comp
-
-
-def _mark_conjugation(g: MolGraph) -> None:
-    # An atom "carries multiplicity" when any incident bond is double/triple/aromatic.
-    multi = [False] * g.n_atoms
-    for bond in g.bonds:
-        if bond.bond_type in (BondType.DOUBLE, BondType.TRIPLE, BondType.AROMATIC):
-            multi[bond.u] = True
-            multi[bond.v] = True
-    for bond in g.bonds:
-        bond.conjugated = bond.bond_type is BondType.AROMATIC or (multi[bond.u] and multi[bond.v])
 
 
 # ---------------------------------------------------------------------------
@@ -686,37 +719,28 @@ def atom_feature_matrix(g: MolGraph) -> np.ndarray:
 # Integer codes and vectorized feature rows
 # ---------------------------------------------------------------------------
 
-# Atom codes, per atom: element feature slot, degree, half-order sum, number
-# of multiple (double, triple, aromatic) bonds, H budget (the valence for H
-# minus explicit H), explicit H, aromatic flag.
-_ELEMENT, _DEGREE, _HALF, _MULTIPLE, _H_BUDGET, _EXPLICIT_H, _AROMATIC = range(7)
 # Feature columns where the degree, total-H and implicit-H one-hots start.
 _DEGREE_BASE = len(ELEMENTS) + 1
 _TOTAL_H_BASE = _DEGREE_BASE + _DEGREE_SLOTS
 _IMPLICIT_BASE = _TOTAL_H_BASE + _TOTAL_H_SLOTS
 # A scratch column after the features: where a non-aromatic atom's flag goes.
 _NO_COLUMN = ATOM_FEATURE_DIM
-# Half order and "is a multiple bond" by BondType value; NONE is 0.
-_HALF_BY_VALUE = [_HALF_ORDER[BondType(value)] for value in range(5)]
-_MULTIPLE_BY_VALUE = [0, 0, 1, 1, 1]
-_AROMATIC_TYPE = BondType.AROMATIC.value
 # The bond feature row of each bond code (see _bond_code): a one-hot table,
 # so gathered rows are exact.
 _BOND_ROWS = np.array([[float(t == k % 4) for t in range(4)] + [float(k // 4 % 2), float(k // 8)]
                        for k in range(16)])
 
 
-def _atom_columns(codes: Sequence[int]) -> tuple[int, int, int, int, int]:
+def _atom_columns(row: Sequence[int]) -> tuple[int, int, int, int, int]:
     """The five feature columns that an atom's :func:`atom_features` row sets
-    to 1.0, from its atom codes; the last is :data:`_NO_COLUMN` for a
-    non-aromatic atom. Implicit H follows from the half-order sum and the H
-    budget, so an edit changes an atom's columns through its degree and
-    half-order sum alone."""
-    implicit = max(0, codes[_H_BUDGET] - codes[_HALF] // 2)
-    return (codes[_ELEMENT], _DEGREE_BASE + min(codes[_DEGREE], _DEGREE_SLOTS - 1),
-            _TOTAL_H_BASE + min(codes[_EXPLICIT_H] + implicit, _TOTAL_H_SLOTS - 1),
+    to 1.0, from its counts; the last is :data:`_NO_COLUMN` for a
+    non-aromatic atom. An edit changes an atom's columns through its degree
+    and half-order sum alone."""
+    implicit = _implicit_h(row)
+    return (row[_ELEMENT], _DEGREE_BASE + min(row[_DEGREE], _DEGREE_SLOTS - 1),
+            _TOTAL_H_BASE + min(row[_EXPLICIT_H] + implicit, _TOTAL_H_SLOTS - 1),
             _IMPLICIT_BASE + min(implicit, _IMPLICIT_SLOTS - 1),
-            ATOM_FEATURE_DIM - 1 if codes[_AROMATIC] else _NO_COLUMN)
+            ATOM_FEATURE_DIM - 1 if row[_AROMATIC] else _NO_COLUMN)
 
 
 def _bond_code(bond_type, conjugated, in_ring):
@@ -727,11 +751,10 @@ def _bond_code(bond_type, conjugated, in_ring):
 
 @dataclass(frozen=True, eq=False)
 class GraphCodes:
-    """A graph as integer codes: what feature rows and edit deltas read.
+    """A graph as integer codes: what feature rows and edit deltas read,
+    with the graph's :attr:`MolGraph.counts`.
 
-    ``atoms[i]`` lists atom i's codes (element slot, degree, half-order sum,
-    multiple-bond count, H budget, explicit H, aromatic flag) and
-    ``columns[i]`` its feature columns (:func:`_atom_columns`). ``bonds``
+    ``columns[i]`` lists atom i's feature columns (:func:`_atom_columns`). ``bonds``
     is (m, 4): u, v, ``BondType`` value and feature code (:func:`_bond_code`),
     and ``bond_type`` maps each bonded pair (u < v) to its type value.
     ``comp_atoms[c]`` lists component c's atoms ascending, and
@@ -739,7 +762,6 @@ class GraphCodes:
     conjugated).
     """
 
-    atoms: list[list[int]]
     columns: list[tuple[int, int, int, int, int]]
     bonds: np.ndarray
     bond_type: dict[tuple[int, int], int]
@@ -748,9 +770,6 @@ class GraphCodes:
 
     @classmethod
     def of(cls, g: MolGraph) -> "GraphCodes":
-        atoms = [[_ELEMENT_SLOT.get(a.element, _UNKNOWN_SLOT), 0, 0, 0,
-                  valence_for_h(a.element, a.formal_charge) - (a.explicit_h or 0),
-                  a.explicit_h or 0, int(a.aromatic)] for a in g.atoms]
         comp_atoms: list[list[int]] = [[] for _ in range(g.n_components)]
         for i, c in enumerate(g.component):
             comp_atoms[c].append(i)
@@ -758,14 +777,9 @@ class GraphCodes:
         bonds = []
         for bi, b in enumerate(g.bonds):
             t = b.bond_type.value
-            for a in (b.u, b.v):
-                codes = atoms[a]
-                codes[_DEGREE] += 1
-                codes[_HALF] += _HALF_BY_VALUE[t]
-                codes[_MULTIPLE] += _MULTIPLE_BY_VALUE[t]
             comp_bonds[g.component[b.u]].append((bi, b.u, b.v, t, b.conjugated))
             bonds.append((b.u, b.v, t, _bond_code(t, b.conjugated, b.in_ring)))
-        return cls(atoms, [_atom_columns(codes) for codes in atoms],
+        return cls([_atom_columns(row) for row in g.counts],
                    np.array(bonds, dtype=np.intp).reshape(-1, 4),
                    {(u, v): t for u, v, t, _ in bonds}, comp_atoms, comp_bonds)
 
@@ -825,10 +839,11 @@ def union_arrays(parts: Iterable[tuple[MolGraph, Sequence[int]]]
 
 
 class EditDelta(NamedTuple):
-    """An edit set's edit-local product (:func:`edit_local_product`) as
-    codes derived from the reactants' codes, without a graph: the local
-    atoms with their feature columns, the product's bonds over them, and
-    the local component ids. Only edited atoms get new columns, only edited
+    """An edit set's edit-local product, the components of
+    :func:`apply_edits`'s product that hold an edited atom, as codes derived
+    from the reactants' codes and counts, without a graph: the local atoms
+    with their feature columns, the product's bonds over them, and the local
+    component ids. Only edited atoms get new counts and columns, only edited
     pairs new types, and only bonds at edited atoms new conjugation flags."""
 
     atoms: list[int]          # reactant atom of each local atom, ascending
@@ -842,36 +857,26 @@ def edit_delta(reactants: MolGraph, edits: Iterable) -> EditDelta:
     """The :class:`EditDelta` of ``edits`` over ``reactants``.
 
     Its local atoms are those of the reactant components that hold an
-    edited atom, found from the component ids. Bonds keep the reactants'
-    order and created bonds follow, sorted by pair, as in
-    :func:`apply_edits`. Ring flags and component ids come from a bridge
-    search over the local bonds alone. Raises ``ValueError`` on the edits
-    :func:`apply_edits` rejects.
+    edited atom, found from the component ids: each piece of a split
+    component keeps an endpoint of a deleted bond, and an untouched
+    component stays as it was. Bonds keep the reactants' order and created
+    bonds follow, sorted by pair, as in :func:`apply_edits`. Ring flags and
+    component ids come from a bridge search over the local bonds alone.
+    Validates as :func:`apply_edits` does.
     """
-    codes, n = reactants.codes, reactants.n_atoms
-    changes: dict[tuple[int, int], int] = {}
-    for u, v, new_type in edits:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edit ({u},{v}) references a missing atom")
-        if u == v:
-            raise ValueError(f"edit on identical atoms ({u},{u})")
-        key = (u, v) if u < v else (v, u)
-        if key in changes:
-            raise ValueError(f"conflicting edits for pair ({key[0]},{key[1]})")
-        changes[key] = new_type.value
+    changes = {pair: t.value for pair, t in _bond_changes(reactants, edits).items()}
+    codes, counts = reactants.codes, reactants.counts
     comps = sorted({reactants.component[a] for pair in changes for a in pair})
     if len(comps) == 1:
         atoms, comp_bonds = codes.comp_atoms[comps[0]], codes.comp_bonds[comps[0]]
     else:
         atoms = sorted(chain.from_iterable(codes.comp_atoms[c] for c in comps))
         comp_bonds = sorted(chain.from_iterable(codes.comp_bonds[c] for c in comps))
-    edited: dict[int, list[int]] = {}  # edited atom -> its codes after the edits
+    edited: dict[int, list[int]] = {}  # edited atom -> its counts after the edits
     for (u, v), new in changes.items():
         old = codes.bond_type.get((u, v), 0)
-        if new == old:
-            raise ValueError(f"edit ({u},{v}) does not change the bond type")
         for a in (u, v):
-            row = edited.get(a) or edited.setdefault(a, codes.atoms[a].copy())
+            row = edited.get(a) or edited.setdefault(a, counts[a].copy())
             row[_DEGREE] += (new != 0) - (old != 0)
             row[_HALF] += _HALF_BY_VALUE[new] - _HALF_BY_VALUE[old]
             row[_MULTIPLE] += _MULTIPLE_BY_VALUE[new] - _MULTIPLE_BY_VALUE[old]
@@ -884,9 +889,7 @@ def edit_delta(reactants: MolGraph, edits: Iterable) -> EditDelta:
         if not bond_type:
             continue
         if u in edited or v in edited:
-            conj = bond_type == _AROMATIC_TYPE or (
-                (edited[u][_MULTIPLE] if u in edited else codes.atoms[u][_MULTIPLE]) > 0
-                and (edited[v][_MULTIPLE] if v in edited else codes.atoms[v][_MULTIPLE]) > 0)
+            conj = _conjugated(bond_type, edited.get(u) or counts[u], edited.get(v) or counts[v])
         a, b = index[u], index[v]
         adjacency[a].append((b, len(flat) // 4))
         adjacency[b].append((a, len(flat) // 4))
@@ -943,63 +946,31 @@ def apply_edits(reactants: MolGraph, edits: Iterable) -> MolGraph:
     the reactants' order; created bonds follow, sorted by atom pair.
     """
     changes = _bond_changes(reactants, edits)
-    return make_graph(reactants.atoms, _edited_bonds(reactants, changes, range(reactants.n_atoms)))
-
-
-def edit_local_product(reactants: MolGraph, edits: Iterable) -> tuple[MolGraph, list[int]]:
-    """The components of ``apply_edits(reactants, edits)`` that hold an
-    edited atom, and their atoms' reactant indices, ascending.
-
-    Equals ``induced_subgraph(apply_edits(reactants, edits), atoms)`` in
-    every atom and bond field and in bond order, without building the rest
-    of the product. Those components hold exactly the atoms of the reactant
-    components that hold an edited atom: each piece of a split component
-    keeps an endpoint of a deleted bond, and an untouched component stays
-    as it was. The models read :func:`edit_delta` instead; this graph route
-    is its oracle.
-    """
-    changes = _bond_changes(reactants, edits)
-    comps = {reactants.component[a] for pair in changes for a in pair}
-    atoms = [i for i, c in enumerate(reactants.component) if c in comps]
-    index = {a: i for i, a in enumerate(atoms)}
-    return make_graph([reactants.atoms[i] for i in atoms],
-                      _edited_bonds(reactants, changes, index)), atoms
+    bonds = []
+    for bond in reactants.bonds:
+        new_type = changes.pop((bond.u, bond.v), bond.bond_type)
+        if new_type is not BondType.NONE:
+            bonds.append((bond.u, bond.v, new_type))
+    # What remains creates bonds; NONE on a missing bond was rejected as a
+    # no-op edit.
+    bonds += ((u, v, new_type) for (u, v), new_type in sorted(changes.items()))
+    return make_graph(reactants.atoms, bonds)
 
 
 def _bond_changes(reactants: MolGraph, edits: Iterable) -> dict[tuple[int, int], BondType]:
-    """Validated edits as (u, v) with u < v -> new bond type."""
+    """Validated edits as (u, v) with u < v -> new bond type: the one check
+    of :func:`apply_edits` and :func:`edit_delta`."""
     n = reactants.n_atoms
     changes: dict[tuple[int, int], BondType] = {}
-    for edit in edits:
-        u, v, new_type = edit
+    for u, v, new_type in edits:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edit ({u},{v}) references a missing atom")
         if u == v:
             raise ValueError(f"edit on identical atoms ({u},{u})")
-        key = (min(u, v), max(u, v))
-        current = reactants.bond_type_between(*key)
-        if new_type is current:
+        key = (u, v) if u < v else (v, u)
+        if new_type is reactants.bond_type_between(*key):
             raise ValueError(f"edit ({key[0]},{key[1]}) does not change the bond type")
         if key in changes:
             raise ValueError(f"conflicting edits for pair ({key[0]},{key[1]})")
         changes[key] = new_type
     return changes
-
-
-def _edited_bonds(reactants: MolGraph, changes: dict[tuple[int, int], BondType],
-                  index) -> list[tuple[int, int, BondType]]:
-    """Bonds among whole components after ``changes``, renumbered by
-    ``index`` (reactant atom -> new atom; ``in`` tests membership): kept
-    bonds in reactant order, then created bonds sorted by pair."""
-    changes = dict(changes)
-    out: list[tuple[int, int, BondType]] = []
-    for bond in reactants.bonds:
-        if bond.u in index:
-            new_type = changes.pop((bond.u, bond.v), bond.bond_type)
-            if new_type is not BondType.NONE:
-                out.append((index[bond.u], index[bond.v], new_type))
-    # What remains creates bonds; NONE on a missing bond was rejected as a
-    # no-op edit.
-    for (u, v), new_type in sorted(changes.items()):
-        out.append((index[u], index[v], new_type))
-    return out

@@ -697,7 +697,11 @@ class ParamStore:
         store.path = str(path)
         i = 1
         while i < len(lines) and lines[i].startswith("# "):
-            key, _, value = lines[i][2:].partition("=")
+            key, sep, value = lines[i][2:].partition("=")
+            if not sep:
+                raise ValueError(f"{path}:{i + 1}: expected '# key=value', got {lines[i]!r}")
+            if key in store.metadata:
+                raise ValueError(f"{path}:{i + 1}: duplicate metadata key {key!r}")
             store.metadata[key] = value
             i += 1
         while i < len(lines):
@@ -711,6 +715,8 @@ class ParamStore:
                     raise ValueError("negative tensor shape")
             except ValueError as exc:
                 raise ValueError(f"{path}:{i + 1}: bad tensor header {lines[i]!r}") from exc
+            if name in store.params:
+                raise ValueError(f"{path}:{i + 1}: duplicate tensor {name!r}")
             if i + rows >= len(lines):
                 raise ValueError(f"{path}:{len(lines) + 1}: truncated, tensor {name!r} "
                                  f"has {len(lines) - 1 - i} of {rows} rows")

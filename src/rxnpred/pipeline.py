@@ -12,6 +12,7 @@ a diagnostic.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -68,8 +69,11 @@ class RunConfig:
         for name in ("k", "max_changes", "hidden", "depth", "epochs", "batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name} must be positive")
-        if self.lr <= 0 or self.decay <= 0:
-            raise ValueError("lr and decay must be positive")
+        for name in ("lr", "decay"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails both comparisons
+                raise ValueError(f"config field {name} must be finite and positive, got {value}")
+        check_split(self.split)
 
     def gen_config(self) -> GenConfig:
         return GenConfig(max_changes=self.max_changes)
@@ -101,6 +105,19 @@ def parse_split(raw: str) -> tuple[float, ...]:
     return tuple(float(x) for x in raw.split(","))
 
 
+def check_split(fractions: tuple[float, ...]) -> None:
+    """Raise ``ValueError`` unless ``fractions`` are three finite,
+    non-negative train, dev and test shares that sum to 1."""
+    if (len(fractions) != 3 or not all(math.isfinite(f) and f >= 0 for f in fractions)
+            or abs(sum(fractions) - 1.0) > 1e-9):
+        raise ValueError("split must be three finite, non-negative fractions that sum "
+                         f"to 1, got {','.join(map(str, fractions))}")
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
 def _set_config_field(cfg: RunConfig, key: str, raw: str) -> RunConfig:
     if key not in {f.name for f in fields(RunConfig)}:
         raise ValueError(f"unknown config key {key!r}")
@@ -109,7 +126,10 @@ def _set_config_field(cfg: RunConfig, key: str, raw: str) -> RunConfig:
     if key == "split":
         value = parse_split(raw)
     elif isinstance(current, bool):
-        value = raw.lower() in ("1", "true", "yes", "on")
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(f"config key {key!r} takes 1/true/yes/on or 0/false/no/off, "
+                             f"got {raw!r}")
+        value = _BOOLEANS[raw.lower()]
     elif isinstance(current, int) and not isinstance(current, bool):
         value = int(raw)
     elif isinstance(current, float) or key in ("target_train_coverage", "target_train_p1"):
@@ -198,8 +218,7 @@ def split_records(records: list[ReactionRecord],
                   fractions: tuple[float, float, float] = (0.8, 0.1, 0.1),
                   ) -> tuple[list[ReactionRecord], list[ReactionRecord], list[ReactionRecord]]:
     """Deterministic train/dev/test split keyed on a hash of the raw line."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("split fractions must sum to 1")
+    check_split(fractions)
     t1 = fractions[0]
     t2 = fractions[0] + fractions[1]
     out: tuple[list[ReactionRecord], ...] = ([], [], [])
@@ -464,8 +483,10 @@ def predict(reactants_smiles: str, center: CenterModel, ranker: RankerModel,
 
     Atom maps are optional on input; unmapped atoms are numbered by index.
     Inputs of more than :data:`MAX_ATOMS` atoms raise ``ValueError``, as
-    :func:`load_dataset` skips such records.
+    :func:`load_dataset` skips such records, and so does a ``top_n`` below 1.
     """
+    if top_n < 1:
+        raise ValueError(f"top_n must be at least 1, got {top_n}")
     g = parse_smiles(reactants_smiles)
     if g.n_atoms > MAX_ATOMS:
         raise ValueError(f"reactants too large ({g.n_atoms} atoms; the cap is {MAX_ATOMS})")

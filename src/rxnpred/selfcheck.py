@@ -24,7 +24,7 @@ from .candgen import (BOND_ALPHABET, BondEdit, Candidate, EditSet, GenConfig,
 from .center import PAIR_BLOCK, CenterModel, center_loss, scores_to_matrix
 from .chemgraph import (ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BondType, MolGraph, apply_edits,
                         atom_feature_matrix, atom_features, bond_features, edit_delta,
-                        edit_local_product, make_graph, parse_smiles, write_smiles)
+                        induced_subgraph, make_graph, parse_smiles, write_smiles)
 from .datagen import (higher_order_fixture_lines, random_molecule, random_reaction_line,
                       reagent_fixture_lines, toy_reaction_lines)
 from .pipeline import (RunConfig, _build_instances, _candidate_stage, _center_item_loss,
@@ -37,9 +37,9 @@ from .wln import (GraphInputs, WLNParams, delta_inputs, embed_atoms, embed_from_
 __all__ = ["CheckResult", "batched_ranker_suite", "blas_rows_suite", "brute_force_enumerate",
            "brute_force_ordered", "center_inference_suite", "composed_center_outputs",
            "composed_embed", "composed_embeddings", "enumeration_instance", "gradient_suite",
-           "graph_delta_mismatches", "graph_delta_suite", "inputs_bytes", "naive_atom_vectors",
-           "per_atom_inputs", "reference_score", "run_selfcheck", "train_backward_mismatches",
-           "train_backward_suite", "wl_soundness_suite"]
+           "graph_delta_mismatches", "graph_delta_suite", "inputs_bytes", "local_product_oracle",
+           "naive_atom_vectors", "per_atom_inputs", "reference_score", "run_selfcheck",
+           "train_backward_mismatches", "train_backward_suite", "wl_soundness_suite"]
 
 
 @dataclass
@@ -544,15 +544,26 @@ def inputs_bytes(gi: GraphInputs) -> tuple:
         gi.src, gi.dst, gi.features.values, gi.edge_features.values)))
 
 
+def local_product_oracle(reactants: MolGraph, edits: EditSet) -> tuple[MolGraph, list[int]]:
+    """The edit-local product through the full product:
+    ``induced_subgraph(apply_edits(reactants, edits), atoms)`` over the
+    atoms of the product components that hold an edited atom, and those
+    atoms."""
+    full = apply_edits(reactants, edits)
+    comps = {full.component[a] for a in edits.atoms()}
+    atoms = [i for i, c in enumerate(full.component) if c in comps]
+    return induced_subgraph(full, atoms), atoms
+
+
 def graph_delta_mismatches(parts: list[tuple[MolGraph, EditSet]]) -> int:
     """How often the delta route of one pass over ``(reactants, edits)``
     parts differs from the graph route: the pass's
     :func:`~rxnpred.wln.delta_inputs` against :func:`per_atom_inputs` over
-    the :func:`~rxnpred.chemgraph.edit_local_product` graphs (bytes), each
-    part's local atoms and component ids against the oracle's, and
+    the :func:`local_product_oracle` graphs (bytes), each part's local atoms
+    and component ids against the oracle's, and
     :func:`~rxnpred.wln.union_inputs` against :func:`per_atom_inputs` on
     each reactant graph and local product."""
-    oracle = [edit_local_product(g, edits) for g, edits in parts]
+    oracle = [local_product_oracle(g, edits) for g, edits in parts]
     deltas = [edit_delta(g, edits) for g, edits in parts]
     local_parts = [(local, range(local.n_atoms)) for local, _ in oracle]
     bad = int(inputs_bytes(delta_inputs(deltas)) != inputs_bytes(per_atom_inputs(local_parts)))

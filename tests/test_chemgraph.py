@@ -7,8 +7,10 @@ from helpers import permute_graph, random_permutation
 from rxnpred.chemgraph import (ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BondType,
                                SmilesError, apply_edits, atom_features,
                                bond_features, induced_subgraph, make_graph,
-                               parse_smiles, with_map_numbers, write_smiles)
+                               parse_smiles, valence_for_h, valence_limit,
+                               with_map_numbers, write_smiles)
 from rxnpred.datagen import random_molecule
+from test_edit_locality import FRAGMENTS, edited_reactants
 from rxnpred.wliso import brute_force_isomorphic, wl_equivalent
 
 
@@ -270,6 +272,48 @@ class TestApplyEdits:
             apply_edits(g, [(0, 1, BondType.SINGLE)])  # same as current
         with pytest.raises(ValueError):
             apply_edits(g, [(0, 5, BondType.SINGLE)])
+
+
+def recounted(g):
+    """Each atom's degree, implicit H and valence warning, and each bond's
+    conjugation flag, recounted from ``adjacency`` and bond types alone."""
+    half_order = {BondType.SINGLE: 2, BondType.DOUBLE: 4, BondType.TRIPLE: 6,
+                  BondType.AROMATIC: 3}
+    degree, implicit, warnings, multiple = [], [], [], []
+    for i, atom in enumerate(g.atoms):
+        types = [g.bonds[bi].bond_type for _, bi in g.adjacency[i]]
+        order = sum(half_order[t] for t in types) // 2
+        degree.append(len(types))
+        implicit.append(max(0, valence_for_h(atom.element, atom.formal_charge) - order
+                            - (atom.explicit_h or 0)))
+        if order > valence_limit(atom.element, atom.formal_charge):
+            warnings.append(i)
+        multiple.append(any(t is not BondType.SINGLE for t in types))
+    conjugated = [b.bond_type is BondType.AROMATIC or (multiple[b.u] and multiple[b.v])
+                  for b in g.bonds]
+    return degree, implicit, tuple(warnings), conjugated
+
+
+def assert_derived_fields_recount(g):
+    assert ([a.degree for a in g.atoms], [a.implicit_h for a in g.atoms], g.valence_warnings,
+            [b.conjugated for b in g.bonds]) == recounted(g)
+
+
+def test_derived_fields_recount_on_molecules_and_fragments():
+    rng = np.random.default_rng(17)
+    graphs = [random_molecule(rng, allow_curated=bool(i % 2)) for i in range(200)]
+    graphs += [parse_smiles(s) for s in FRAGMENTS + ("[O-][N+](=O)c1ccccc1", "[SiH4]", "[Xe]",
+                                                     "C#CC=C", "FS(F)(F)(F)(F)(F)F")]
+    for g in graphs:
+        assert_derived_fields_recount(g)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(edited_reactants())
+def test_derived_fields_recount_on_edited_products(instance):
+    g, edits = instance
+    assert_derived_fields_recount(g)
+    assert_derived_fields_recount(apply_edits(g, edits))
 
 
 class TestDerivedInvariants:

@@ -176,6 +176,36 @@ def test_old_config_key_exits_with_one_line(workdir, checkpoints):
                   "unknown config key 'activation'")
 
 
+@pytest.mark.parametrize("flags, match", [
+    (["--split", "1"], "split must be three"),
+    (["--split", "nan,0,1"], "split must be three"),
+    (["--split", "1.5,-0.5,0"], "split must be three"),
+    (["--lr", "nan"], "lr must be finite and positive"),
+    (["--decay", "nan"], "decay must be finite and positive")])
+def test_bad_run_setting_exits_with_one_line(workdir, checkpoints, flags, match):
+    center, ranker = checkpoints
+    one_line_exit(["evaluate", "--data", str(workdir / "toy.txt"), "--model", center,
+                   "--model", ranker] + flags, match)
+    one_line_exit(["train-center", "--data", str(workdir / "toy.txt"),
+                   "--out", str(workdir / "unused.ckpt")] + flags, match)
+    assert not (workdir / "unused.ckpt").exists()
+
+
+def test_misspelt_boolean_in_config_exits_with_one_line(workdir, checkpoints):
+    cfg = workdir / "typo.cfg"
+    cfg.write_text("augment_truth=ture\n")
+    one_line_exit(["train-ranker", "--data", str(workdir / "toy.txt"),
+                   "--out", str(workdir / "unused.ckpt"), "--config", str(cfg)],
+                  "'augment_truth' takes 1/true/yes/on or 0/false/no/off, got 'ture'")
+
+
+@pytest.mark.parametrize("top_n", ["0", "-1"])
+def test_predict_top_n_below_one_exits_with_one_line(checkpoints, top_n):
+    center, ranker = checkpoints
+    one_line_exit(["predict", "CC(=O)Cl.CN", "--model", center, "--model", ranker,
+                   "--top-n", top_n], f"top_n must be at least 1, got {top_n}")
+
+
 def one_line_stderr(args, match):
     """Run the CLI in a fresh interpreter, expecting exit status 1 and exactly
     one line on stderr: no warning and no traceback before the message."""

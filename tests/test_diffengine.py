@@ -649,6 +649,18 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: bad value")):
             de.ParamStore.load(path)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("w 1 1\n1.0\nw 1 1\n2.0\n", 4, "duplicate tensor 'w'"),
+        ("# kind=center\n# kind=ranker\nw 1 1\n1.0\n", 3, "duplicate metadata key 'kind'"),
+        ("# novalue\nw 1 1\n1.0\n", 2, "expected '# key=value', got '# novalue'")],
+        ids=["duplicate-tensor", "duplicate-key", "key-without-value"])
+    def test_malformed_checkpoint_names_file_and_line(self, tmp_path, text, line, message):
+        # save never writes these, so a file holding one was not made by it
+        path = tmp_path / "bad.ckpt"
+        path.write_text("REXGEN-CKPT v1\n" + text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {message}")):
+            de.ParamStore.load(path)
+
     @pytest.mark.parametrize("variant, name", [
         ("local", "wln.U2"), ("global", "att.Pb"), ("wln", "mol.U2"),
         ("wldn", "diff.Vf"), ("wldn", "wldn.M")])

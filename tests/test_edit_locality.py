@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from helpers import merge, permute_graph
 from rxnpred.candgen import Candidate, EditSet
 from rxnpred.chemgraph import (BOND_FEATURE_DIM, BondType, apply_edits, atom_feature_matrix,
-                               bond_features, edit_delta, edit_local_product, induced_subgraph,
-                               parse_smiles, write_smiles)
+                               bond_features, edit_delta, induced_subgraph, parse_smiles,
+                               write_smiles)
 from rxnpred.datagen import random_molecule
-from rxnpred.selfcheck import graph_delta_mismatches, inputs_bytes, per_atom_inputs
+from rxnpred.selfcheck import (graph_delta_mismatches, inputs_bytes, local_product_oracle,
+                               per_atom_inputs)
 from rxnpred.wln import delta_inputs, graph_inputs, union_inputs
 
 FRAGMENTS = ("[NH4+]", "[O-]C(=O)C", "c1ccncc1", "C1CCC2CCCCC2C1", "O=S(=O)(O)O",
@@ -58,18 +59,14 @@ def delta_passes(draw):
 
 
 def assert_local_product_equal(g, edits):
-    full = apply_edits(g, edits)
-    comps = {full.component[a] for a in edits.atoms()}
-    expected_atoms = [i for i in range(full.n_atoms) if full.component[i] in comps]
-    expected = induced_subgraph(full, expected_atoms)
-    local, atoms = edit_local_product(g, edits)
-    assert atoms == expected_atoms
+    expected, expected_atoms = local_product_oracle(g, edits)
+    cand = Candidate(edits, g)
+    assert cand.edited_atoms() == expected_atoms
     # Dataclass equality: every atom and bond field, bonds in order,
-    # adjacency, components and valence warnings.
+    # adjacency, counts, components and valence warnings.
+    local = cand.local_product
     assert local == expected
     assert write_smiles(local) == write_smiles(expected)
-    cand = Candidate(edits, g)
-    assert cand.edited_atoms() == atoms and cand.local_product == local
     assert graph_delta_mismatches([(g, edits)]) == 0
 
 
@@ -92,10 +89,9 @@ def test_local_product_on_splits_and_joins(smiles, edits):
 
 
 def test_empty_edit_set_has_empty_local_product():
-    local, atoms = edit_local_product(parse_smiles("CCO.N"), [])
-    assert atoms == [] and local.n_atoms == 0
-    delta = edit_delta(parse_smiles("CCO.N"), [])
-    assert delta.atoms == [] and delta_inputs([delta]).n_atoms == 0
+    cand = Candidate(EditSet.of([]), parse_smiles("CCO.N"))
+    assert cand.edited_atoms() == [] and cand.local_product.n_atoms == 0
+    assert delta_inputs([cand.delta]).n_atoms == 0
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -104,7 +100,7 @@ def test_delta_inputs_equal_union_inputs_over_local_products(parts):
     # A pass's inputs from the reactants' codes and the edits are bitwise
     # those of the edit-local product graphs; the delta's local atoms and
     # component ids are the oracle's.
-    oracle = [edit_local_product(g, edits) for g, edits in parts]
+    oracle = [local_product_oracle(g, edits) for g, edits in parts]
     deltas = [Candidate(edits, g).delta for g, edits in parts]
     want = union_inputs([(local, range(local.n_atoms)) for local, _ in oracle])
     assert inputs_bytes(delta_inputs(deltas)) == inputs_bytes(want)
@@ -134,11 +130,13 @@ def test_feature_rows_equal_per_atom_features():
     ("CCO", [(0, 1, BondType.NONE), (1, 0, BondType.DOUBLE)]),  # one pair twice
 ])
 def test_delta_rejects_what_apply_edits_rejects(smiles, edits):
+    # One validator: both routes raise the same message.
     g = parse_smiles(smiles)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as full:
         apply_edits(g, edits)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as delta:
         edit_delta(g, edits)
+    assert str(delta.value) == str(full.value)
 
 
 def test_ranking_builds_no_graph(monkeypatch):

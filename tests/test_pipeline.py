@@ -193,6 +193,16 @@ class TestSplit:
         with pytest.raises(ValueError):
             split_records([], (0.5, 0.1, 0.1))
 
+    @pytest.mark.parametrize("fractions", [
+        (1.0,), (0.5, 0.5), (float("nan"), 0.0, 1.0), (1.5, -0.5, 0.0),
+        (float("inf"), 0.0, 0.0)])
+    def test_fractions_must_be_three_finite_non_negative_shares(self, fractions):
+        # split_records and RunConfig share one check
+        with pytest.raises(ValueError, match="split must be three finite, non-negative"):
+            split_records([], fractions)
+        with pytest.raises(ValueError, match="split must be three finite, non-negative"):
+            RunConfig(split=fractions)
+
 
 class TestConfig:
     def test_from_file_with_overrides(self, tmp_path):
@@ -224,6 +234,27 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text("max_atoms=200\n")
         with pytest.raises(ValueError, match="unknown config key 'max_atoms'"):
+            RunConfig.from_file(path)
+
+    @pytest.mark.parametrize("field", ["lr", "decay"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rates_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("raw, value", [
+        ("1", True), ("TRUE", True), ("yes", True), ("on", True),
+        ("0", False), ("false", False), ("No", False), ("off", False)])
+    def test_boolean_values(self, tmp_path, raw, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"augment_truth={raw}\n")
+        assert RunConfig.from_file(path).augment_truth is value
+
+    @pytest.mark.parametrize("raw", ["ture", "", "2", "y"])
+    def test_misspelt_boolean_rejected(self, tmp_path, raw):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"augment_truth={raw}\n")
+        with pytest.raises(ValueError, match="'augment_truth' takes 1/true/yes/on"):
             RunConfig.from_file(path)
 
     def test_ranker_is_an_unknown_key(self, tmp_path):
@@ -289,6 +320,12 @@ class TestPredict:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite"):
                 predict("CC(=O)Cl.CN", center, ranker, k=4)
+
+    @pytest.mark.parametrize("top_n", [0, -1])
+    def test_top_n_below_one_rejected(self, trained, top_n):
+        center, ranker = trained
+        with pytest.raises(ValueError, match=f"top_n must be at least 1, got {top_n}"):
+            predict("CC(=O)Cl.CN", center, ranker, k=4, top_n=top_n)
 
     def test_deterministic_across_invocations(self, trained):
         center, ranker = trained

@@ -134,7 +134,7 @@ class CenterModel:
     @classmethod
     def from_store(cls, store: ParamStore) -> "CenterModel":
         variant, hidden = model_metadata(store, "center", ("local", "global"))
-        wln = WLNParams.from_store(store, "wln")
+        wln = WLNParams.from_store(store, "wln", ATOM_FEATURE_DIM, hidden)
         for name, shape in _head_shapes(variant, hidden).items():
             store.expect(name, *shape)
         return cls(store, wln, variant, hidden)

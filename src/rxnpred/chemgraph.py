@@ -11,7 +11,7 @@ isotope annotations are parsed and discarded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, chain
@@ -117,53 +117,47 @@ _MULTIPLE_BY_VALUE = [0, 0, 1, 1, 1]
 _AROMATIC_TYPE = BondType.AROMATIC.value
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Atom:
+    """What the SMILES says of an atom. Degree and hydrogen counts are graph
+    facts: :attr:`MolGraph.counts` and :meth:`MolGraph.implicit_h`."""
+
     element: str
     map_number: int | None = None
     formal_charge: int = 0
     aromatic: bool = False
     explicit_h: int | None = None
-    # Derived on graph construction:
-    degree: int = 0
-    implicit_h: int = 0
-
-    def copy(self) -> "Atom":
-        return Atom(self.element, self.map_number, self.formal_charge,
-                    self.aromatic, self.explicit_h)
-
-    @property
-    def total_h(self) -> int:
-        return (self.explicit_h or 0) + self.implicit_h
 
 
-@dataclass
-class Bond:
+class Bond(NamedTuple):
+    """A graph bond, ``u < v``. Ring and conjugation flags are graph facts:
+    :attr:`MolGraph.in_ring` and :func:`bond_features`."""
+
     u: int
     v: int
     bond_type: BondType
-    # Derived on graph construction:
-    conjugated: bool = False
-    in_ring: bool = False
 
 
 @dataclass
 class MolGraph:
     """Undirected molecular graph; possibly several connected components.
 
-    ``adjacency[i]`` lists ``(neighbor_index, bond_index)`` pairs, consistent
-    with ``bonds``, and ``counts[i]`` atom i's counts (:func:`_atom_counts`).
-    Derived fields (adjacency, counts, degree, implicit hydrogens, ring and
-    conjugation flags, component ids) are filled by :func:`make_graph` and
-    recomputed by :func:`apply_edits`; treat instances as immutable.
+    Built by :func:`make_graph`, which derives every field past ``bonds``;
+    treat instances as immutable. ``bond_index`` maps each bonded pair
+    (u < v) to its bond, ``adjacency[i]`` lists atom i's ``(neighbor_index,
+    bond_index)`` pairs, ``counts[i]`` holds atom i's counts
+    (:func:`_atom_counts`), ``in_ring[b]`` tells whether bond b lies on a
+    ring, and ``component[i]`` is atom i's component id.
     """
 
-    atoms: list[Atom] = field(default_factory=list)
-    bonds: list[Bond] = field(default_factory=list)
-    adjacency: list[list[tuple[int, int]]] = field(default_factory=list)
-    component: list[int] = field(default_factory=list)
-    counts: list[list[int]] = field(default_factory=list)
-    valence_warnings: tuple[int, ...] = ()
+    atoms: list[Atom]
+    bonds: list[Bond]
+    bond_index: dict[tuple[int, int], Bond]
+    adjacency: list[list[tuple[int, int]]]
+    counts: list[list[int]]
+    valence_warnings: tuple[int, ...]
+    in_ring: list[bool]
+    component: list[int]
 
     @property
     def n_atoms(self) -> int:
@@ -178,10 +172,7 @@ class MolGraph:
         return max(self.component) + 1 if self.component else 0
 
     def bond_between(self, u: int, v: int) -> Bond | None:
-        for nbr, bi in self.adjacency[u]:
-            if nbr == v:
-                return self.bonds[bi]
-        return None
+        return self.bond_index.get((u, v) if u < v else (v, u))
 
     def bond_type_between(self, u: int, v: int) -> BondType:
         bond = self.bond_between(u, v)
@@ -189,6 +180,10 @@ class MolGraph:
 
     def neighbors(self, u: int) -> list[int]:
         return [nbr for nbr, _ in self.adjacency[u]]
+
+    def implicit_h(self, i: int) -> int:
+        """Atom i's implicit hydrogens, from :attr:`counts`."""
+        return _implicit_h(self.counts[i])
 
     def half_order_sums(self) -> list[int]:
         """Per atom, twice its bond-order sum: a new list, from :attr:`counts`."""
@@ -214,11 +209,10 @@ def make_graph(atoms: Sequence[Atom], bonds: Iterable[tuple[int, int, BondType]]
     """Assemble a graph from atom records and (u, v, type) bond triples.
 
     Validates indices, rejects self-loops, duplicate pairs, and NONE bonds,
-    then computes all derived fields.
+    then derives every other field. The atom records are shared, not copied.
     """
-    g = MolGraph(atoms=[a.copy() for a in atoms])
-    seen: set[tuple[int, int]] = set()
-    n = len(g.atoms)
+    bond_index: dict[tuple[int, int], Bond] = {}
+    n = len(atoms)
     for u, v, bt in bonds:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"bond ({u},{v}) references a missing atom")
@@ -226,41 +220,30 @@ def make_graph(atoms: Sequence[Atom], bonds: Iterable[tuple[int, int, BondType]]
             raise ValueError(f"self-loop bond on atom {u}")
         if bt is BondType.NONE:
             raise ValueError("NONE is not a valid graph bond type")
-        key = (min(u, v), max(u, v))
-        if key in seen:
+        key = (u, v) if u < v else (v, u)
+        if key in bond_index:
             raise ValueError(f"duplicate bond between atoms {key[0]} and {key[1]}")
-        seen.add(key)
-        g.bonds.append(Bond(key[0], key[1], bt))
-    _finalize(g)
-    return g
+        bond_index[key] = Bond(*key, bt)
+    return _finalize(list(atoms), bond_index)
 
 
-def _finalize(g: MolGraph) -> None:
-    """Recompute adjacency, the atom counts and what they give (degrees,
-    implicit H, valence warnings, conjugation flags), ring flags, components."""
-    n = g.n_atoms
-    g.adjacency = [[] for _ in range(n)]
-    for bi, bond in enumerate(g.bonds):
-        g.adjacency[bond.u].append((bond.v, bi))
-        g.adjacency[bond.v].append((bond.u, bi))
-    for adj in g.adjacency:
+def _finalize(atoms: list[Atom], bond_index: dict[tuple[int, int], Bond]) -> MolGraph:
+    """The graph of ``atoms`` and the bonds of ``bond_index`` in its order,
+    with adjacency, the atom counts, valence warnings, ring flags and
+    component ids derived."""
+    bonds = list(bond_index.values())
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in atoms]
+    for bi, (u, v, _) in enumerate(bonds):
+        adjacency[u].append((v, bi))
+        adjacency[v].append((u, bi))
+    for adj in adjacency:
         adj.sort()
-
-    g.counts = counts = _atom_counts(g.atoms, g.bonds)
-    warnings: list[int] = []
-    for i, (atom, row) in enumerate(zip(g.atoms, counts)):
-        atom.degree = row[_DEGREE]
-        atom.implicit_h = _implicit_h(row)
-        # Aromatic counts 1.5 each; floor after summing.
-        if row[_HALF] // 2 > valence_limit(atom.element, atom.formal_charge):
-            warnings.append(i)
-    g.valence_warnings = tuple(warnings)
-    for bond in g.bonds:
-        bond.conjugated = _conjugated(bond.bond_type.value, counts[bond.u], counts[bond.v])
-
-    in_ring, g.component = _rings_and_components(g.adjacency, g.n_bonds)
-    for bond, ring in zip(g.bonds, in_ring):
-        bond.in_ring = ring
+    counts = _atom_counts(atoms, bonds)
+    # Aromatic counts 1.5 each; floor after summing.
+    warnings = tuple(i for i, (atom, row) in enumerate(zip(atoms, counts))
+                     if row[_HALF] // 2 > valence_limit(atom.element, atom.formal_charge))
+    in_ring, component = _rings_and_components(adjacency, len(bonds))
+    return MolGraph(atoms, bonds, bond_index, adjacency, counts, warnings, in_ring, component)
 
 
 def _atom_counts(atoms: Sequence[Atom], bonds: Sequence[Bond]) -> list[list[int]]:
@@ -686,14 +669,15 @@ def atom_features(g: MolGraph, atom_index: int) -> np.ndarray:
     and an aromatic bit. The models read :func:`atom_feature_rows`; this
     per-atom route is its oracle."""
     atom = g.atoms[atom_index]
+    implicit_h = g.implicit_h(atom_index)
     f = np.zeros(ATOM_FEATURE_DIM)
     f[_ELEMENT_SLOT.get(atom.element, _UNKNOWN_SLOT)] = 1.0
     base = len(ELEMENTS) + 1
-    f[base + min(atom.degree, _DEGREE_SLOTS - 1)] = 1.0
+    f[base + min(len(g.adjacency[atom_index]), _DEGREE_SLOTS - 1)] = 1.0
     base += _DEGREE_SLOTS
-    f[base + min(atom.total_h, _TOTAL_H_SLOTS - 1)] = 1.0
+    f[base + min((atom.explicit_h or 0) + implicit_h, _TOTAL_H_SLOTS - 1)] = 1.0
     base += _TOTAL_H_SLOTS
-    f[base + min(atom.implicit_h, _IMPLICIT_SLOTS - 1)] = 1.0
+    f[base + min(implicit_h, _IMPLICIT_SLOTS - 1)] = 1.0
     base += _IMPLICIT_SLOTS
     f[base] = 1.0 if atom.aromatic else 0.0
     return f
@@ -701,11 +685,11 @@ def atom_features(g: MolGraph, atom_index: int) -> np.ndarray:
 
 def bond_features(g: MolGraph, bond_index: int) -> np.ndarray:
     """Bond-type one-hot (single/double/triple/aromatic) + conjugated + in-ring."""
-    bond = g.bonds[bond_index]
+    u, v, bond_type = g.bonds[bond_index]
     f = np.zeros(BOND_FEATURE_DIM)
-    f[bond.bond_type.value - 1] = 1.0
-    f[4] = 1.0 if bond.conjugated else 0.0
-    f[5] = 1.0 if bond.in_ring else 0.0
+    f[bond_type.value - 1] = 1.0
+    f[4] = 1.0 if _conjugated(bond_type.value, g.counts[u], g.counts[v]) else 0.0
+    f[5] = 1.0 if g.in_ring[bond_index] else 0.0
     return f
 
 
@@ -755,8 +739,7 @@ class GraphCodes:
     with the graph's :attr:`MolGraph.counts`.
 
     ``columns[i]`` lists atom i's feature columns (:func:`_atom_columns`). ``bonds``
-    is (m, 4): u, v, ``BondType`` value and feature code (:func:`_bond_code`),
-    and ``bond_type`` maps each bonded pair (u < v) to its type value.
+    is (m, 4): u, v, ``BondType`` value and feature code (:func:`_bond_code`).
     ``comp_atoms[c]`` lists component c's atoms ascending, and
     ``comp_bonds[c]`` its bonds in bond order as (bond, u, v, type value,
     conjugated).
@@ -764,7 +747,6 @@ class GraphCodes:
 
     columns: list[tuple[int, int, int, int, int]]
     bonds: np.ndarray
-    bond_type: dict[tuple[int, int], int]
     comp_atoms: list[list[int]]
     comp_bonds: list[list[tuple[int, int, int, int, bool]]]
 
@@ -775,13 +757,13 @@ class GraphCodes:
             comp_atoms[c].append(i)
         comp_bonds: list[list[tuple[int, int, int, int, bool]]] = [[] for _ in comp_atoms]
         bonds = []
-        for bi, b in enumerate(g.bonds):
-            t = b.bond_type.value
-            comp_bonds[g.component[b.u]].append((bi, b.u, b.v, t, b.conjugated))
-            bonds.append((b.u, b.v, t, _bond_code(t, b.conjugated, b.in_ring)))
+        for bi, (u, v, bond_type) in enumerate(g.bonds):
+            t = bond_type.value
+            conj = _conjugated(t, g.counts[u], g.counts[v])
+            comp_bonds[g.component[u]].append((bi, u, v, t, conj))
+            bonds.append((u, v, t, _bond_code(t, conj, g.in_ring[bi])))
         return cls([_atom_columns(row) for row in g.counts],
-                   np.array(bonds, dtype=np.intp).reshape(-1, 4),
-                   {(u, v): t for u, v, t, _ in bonds}, comp_atoms, comp_bonds)
+                   np.array(bonds, dtype=np.intp).reshape(-1, 4), comp_atoms, comp_bonds)
 
     @cached_property
     def inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -874,13 +856,14 @@ def edit_delta(reactants: MolGraph, edits: Iterable) -> EditDelta:
         comp_bonds = sorted(chain.from_iterable(codes.comp_bonds[c] for c in comps))
     edited: dict[int, list[int]] = {}  # edited atom -> its counts after the edits
     for (u, v), new in changes.items():
-        old = codes.bond_type.get((u, v), 0)
+        old = reactants.bond_type_between(u, v).value
         for a in (u, v):
             row = edited.get(a) or edited.setdefault(a, counts[a].copy())
             row[_DEGREE] += (new != 0) - (old != 0)
             row[_HALF] += _HALF_BY_VALUE[new] - _HALF_BY_VALUE[old]
             row[_MULTIPLE] += _MULTIPLE_BY_VALUE[new] - _MULTIPLE_BY_VALUE[old]
-    created = [(-1, u, v, 0, False) for u, v in sorted(changes) if (u, v) not in codes.bond_type]
+    created = [(-1, u, v, 0, False) for u, v in sorted(changes)
+               if (u, v) not in reactants.bond_index]
     index = {a: i for i, a in enumerate(atoms)}
     flat: list[int] = []
     adjacency: list[list[tuple[int, int]]] = [[] for _ in atoms]
@@ -919,8 +902,7 @@ def delta_union_arrays(deltas: Sequence[EditDelta]
 def with_map_numbers(g: MolGraph, start: int = 1) -> MolGraph:
     """``g`` with atom ``i`` mapped to ``start + i``: equal to rebuilding it
     through :func:`make_graph`, but no derived field reads map numbers, so
-    the atoms are copied with their derived fields and the bonds, adjacency
-    and components are shared."""
+    only the atom records are new and every other field is shared."""
     return replace(g, atoms=[replace(a, map_number=start + i) for i, a in enumerate(g.atoms)])
 
 

@@ -96,7 +96,7 @@ def _merge(graphs: list[MolGraph]) -> MolGraph:
     bonds: list[tuple[int, int, BondType]] = []
     offset = 0
     for g in graphs:
-        atoms.extend(a.copy() for a in g.atoms)
+        atoms.extend(g.atoms)
         bonds.extend((b.u + offset, b.v + offset, b.bond_type) for b in g.bonds)
         offset += g.n_atoms
     return make_graph(atoms, bonds)
@@ -141,9 +141,9 @@ def _pick_edit(rng: np.random.Generator, g: MolGraph) -> EditSet | None:
         # substitution: break a bond in one component, bond the freed atom to
         # an atom of another component that still has spare hydrogens
         b = single_bonds[rng.integers(len(single_bonds))]
-        u = b.u if g.atoms[b.u].degree > g.atoms[b.v].degree else b.v
+        u = b.u if len(g.adjacency[b.u]) > len(g.adjacency[b.v]) else b.v
         others = [i for i in range(g.n_atoms)
-                  if g.component[i] != g.component[u] and g.atoms[i].implicit_h >= 1]
+                  if g.component[i] != g.component[u] and g.implicit_h(i) >= 1]
         if others:
             w = int(others[rng.integers(len(others))])
             return EditSet.of([BondEdit(b.u, b.v, BondType.NONE),
@@ -153,7 +153,7 @@ def _pick_edit(rng: np.random.Generator, g: MolGraph) -> EditSet | None:
         b = multi_bonds[rng.integers(len(multi_bonds))]
         lower = BondType.SINGLE if b.bond_type is BondType.DOUBLE else BondType.DOUBLE
         others = [i for i in range(g.n_atoms)
-                  if g.component[i] != g.component[b.u] and g.atoms[i].implicit_h >= 1]
+                  if g.component[i] != g.component[b.u] and g.implicit_h(i) >= 1]
         if others:
             w = int(others[rng.integers(len(others))])
             return EditSet.of([BondEdit(b.u, b.v, lower),
@@ -255,7 +255,7 @@ def higher_order_fixture_lines(n: int = 40, seed: int = 1) -> list[str]:
         b = doubles[rng.integers(len(doubles))]
         others = [i for i in range(reactants.n_atoms)
                   if reactants.component[i] != reactants.component[b.u]
-                  and reactants.atoms[i].implicit_h >= 1]
+                  and reactants.implicit_h(i) >= 1]
         if not others:
             continue
         w = int(others[rng.integers(len(others))])

@@ -625,9 +625,14 @@ class ParamStore:
     def __getitem__(self, name: str) -> DTensor:
         return self.params[name]
 
+    @property
+    def where(self) -> str:
+        """``"<path>: "`` for a loaded store, else empty: how its errors start."""
+        return f"{self.path}: " if self.path else ""
+
     def expect(self, name: str, rows: int, cols: int) -> DTensor:
         """The tensor ``name``; ``ValueError`` unless it exists with shape (rows, cols)."""
-        where = f"{self.path}: " if self.path else ""
+        where = self.where
         if name not in self.params:
             raise ValueError(f"{where}missing tensor {name!r}, expected shape {(rows, cols)}")
         shape = self.params[name].shape
@@ -639,7 +644,7 @@ class ParamStore:
              allowed: Sequence[str] | None = None):
         """Metadata ``key`` through ``parse``; ``ValueError`` naming the key when
         it is missing, ``parse`` rejects it, or it is not in ``allowed`` (if given)."""
-        where = f"{self.path}: " if self.path else ""
+        where = self.where
         raw = self.metadata.get(key)
         if raw is None:
             raise ValueError(f"{where}missing metadata {key!r}")

@@ -43,6 +43,8 @@ EVAL_KS = (6, 8, 10)
 # Reactant atoms per batched pass of the per-epoch metrics and of candidate
 # building: bounds the arrays of one pass on large training sets.
 MAX_BATCH_ATOMS = 4096
+# The optional early-stop settings: shares in [0, 1].
+_TARGETS = ("target_train_coverage", "target_train_p1")
 
 @dataclass
 class RunConfig:
@@ -73,6 +75,10 @@ class RunConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:  # NaN fails both comparisons
                 raise ValueError(f"config field {name} must be finite and positive, got {value}")
+        for name in _TARGETS:
+            value = getattr(self, name)
+            if value is not None and not 0 <= value <= 1:  # NaN fails both comparisons
+                raise ValueError(f"config field {name} must be in [0, 1], got {value}")
         check_split(self.split)
 
     def gen_config(self) -> GenConfig:
@@ -80,8 +86,9 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path, **overrides) -> "RunConfig":
-        """key=value lines; '#' comments. Keyword overrides win."""
-        values: dict = {}
+        """key=value lines; '#' comments. Keyword overrides win. A bad line
+        raises ``ValueError`` naming the file and line."""
+        values: dict[str, tuple[int, str]] = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -89,10 +96,13 @@ class RunConfig:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            values[key.strip().replace("-", "_")] = value.strip()
+            values[key.strip().replace("-", "_")] = (lineno, value.strip())
         cfg = cls()
-        for key, value in values.items():
-            cfg = _set_config_field(cfg, key, value)
+        for key, (lineno, value) in values.items():
+            try:
+                cfg = _set_config_field(cfg, key, value)
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
         for key, value in overrides.items():
             if value is not None:
                 cfg = replace(cfg, **{key: value})
@@ -122,20 +132,20 @@ def _set_config_field(cfg: RunConfig, key: str, raw: str) -> RunConfig:
     if key not in {f.name for f in fields(RunConfig)}:
         raise ValueError(f"unknown config key {key!r}")
     current = getattr(cfg, key)
-    value: object
-    if key == "split":
-        value = parse_split(raw)
-    elif isinstance(current, bool):
-        if raw.lower() not in _BOOLEANS:
-            raise ValueError(f"config key {key!r} takes 1/true/yes/on or 0/false/no/off, "
-                             f"got {raw!r}")
-        value = _BOOLEANS[raw.lower()]
-    elif isinstance(current, int) and not isinstance(current, bool):
-        value = int(raw)
-    elif isinstance(current, float) or key in ("target_train_coverage", "target_train_p1"):
-        value = float(raw)
+    if isinstance(current, bool):
+        parse, kind = (lambda text: _BOOLEANS[text.lower()]), "1/true/yes/on or 0/false/no/off"
+    elif key == "split":
+        parse, kind = parse_split, "three comma-separated fractions"
+    elif isinstance(current, int):
+        parse, kind = int, "an integer"
+    elif isinstance(current, float) or key in _TARGETS:
+        parse, kind = float, "a number"
     else:
-        value = raw
+        return replace(cfg, **{key: raw})
+    try:
+        value = parse(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"config key {key!r} takes {kind}, got {raw!r}") from None
     return replace(cfg, **{key: value})
 
 

@@ -71,8 +71,8 @@ class RankerModel:
         """The model of the store's variant; tensors of the other variant,
         which older files hold, are left unread."""
         variant, hidden = model_metadata(store, "ranker", ("wln", "wldn"))
-        wln = WLNParams.from_store(store, "mol")
-        diff = WLNParams.from_store(store, "diff") if variant == "wldn" else None
+        wln = WLNParams.from_store(store, "mol", ATOM_FEATURE_DIM, hidden)
+        diff = WLNParams.from_store(store, "diff", hidden, hidden) if variant == "wldn" else None
         for name, shape in _head_shapes(_HEAD[variant], hidden).items():
             store.expect(name, *shape)
         return cls(store, wln, diff, variant, hidden)

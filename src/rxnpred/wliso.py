@@ -109,7 +109,7 @@ def brute_force_isomorphic(g1: MolGraph, g2: MolGraph, max_atoms: int = 10) -> b
 
     def atom_key(g: MolGraph, i: int) -> tuple:
         a = g.atoms[i]
-        return (a.element, a.formal_charge, a.aromatic, a.degree)
+        return (a.element, a.formal_charge, a.aromatic, len(g.adjacency[i]))
 
     if sorted(atom_key(g1, i) for i in range(n)) != sorted(atom_key(g2, i) for i in range(n)):
         return False

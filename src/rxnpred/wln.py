@@ -69,8 +69,7 @@ class WLNParams:
     @classmethod
     def create(cls, store: ParamStore, prefix: str, in_dim: int, hidden: int,
                depth: int, rng: np.random.Generator, variant: str = "concat") -> "WLNParams":
-        if depth < 1:
-            raise ValueError("depth must be >= 1")
+        _check_depth(depth, "depth")
         if not _projects(variant) and in_dim != hidden:
             raise ValueError(f"a gated network takes its input unprojected, so in_dim "
                              f"({in_dim}) must equal hidden ({hidden})")
@@ -83,12 +82,19 @@ class WLNParams:
         return cls(**tensors, depth=depth, hidden=hidden, in_dim=in_dim, variant=variant)
 
     @classmethod
-    def from_store(cls, store: ParamStore, prefix: str) -> "WLNParams":
-        """The network under ``prefix``; tensor shapes must match its sizes."""
+    def from_store(cls, store: ParamStore, prefix: str, in_dim: int, hidden: int
+                   ) -> "WLNParams":
+        """The network under ``prefix``, which its model expects to take
+        ``in_dim`` features to ``hidden``: its metadata must say so, and
+        tensor shapes must match its sizes."""
         variant = store.meta(f"{prefix}.variant", allowed=("concat", "gated"))
-        hidden = store.meta(f"{prefix}.hidden", int)
-        in_dim = store.meta(f"{prefix}.in_dim", int)
+        for key, expected in (("in_dim", in_dim), ("hidden", hidden)):
+            got = store.meta(f"{prefix}.{key}", int)
+            if got != expected:
+                raise ValueError(f"{store.where}metadata {prefix}.{key}={got} does not match "
+                                 f"the model's {expected}")
         depth = store.meta(f"{prefix}.depth", int)
+        _check_depth(depth, f"{store.where}metadata {prefix}.depth")
         store.meta(f"{prefix}.activation", allowed=("relu",))
         store.meta(f"{prefix}.project", allowed=(str(int(_projects(variant))),))
         tensors = {_FIELDS[name]: store.expect(f"{prefix}.{name}", *shape)
@@ -104,6 +110,12 @@ class WLNParams:
 # Tensor name suffix -> WLNParams field.
 _FIELDS = {"U1": "u1", "U2": "u2", "W0": "w0", "W1": "w1", "W2": "w2",
            "Win": "w_in", "V": "v", "Vh": "vh", "Vf": "vf"}
+
+
+def _check_depth(depth: int, name: str) -> None:
+    """Raise ``ValueError`` unless a network runs at least one round."""
+    if depth < 1:
+        raise ValueError(f"{name} must be >= 1, got {depth}")
 
 
 def _projects(variant: str) -> bool:

@@ -11,7 +11,7 @@ def permute_graph(g: MolGraph, perm: list[int]) -> MolGraph:
     """Relabel atoms: new index perm[i] hosts old atom i."""
     atoms = [None] * g.n_atoms
     for old, new in enumerate(perm):
-        atoms[new] = g.atoms[old].copy()
+        atoms[new] = g.atoms[old]
     bonds = [(perm[b.u], perm[b.v], b.bond_type) for b in g.bonds]
     return make_graph(atoms, bonds)
 

@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import permute_graph, random_permutation
-from rxnpred.chemgraph import (ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BondType,
+from rxnpred.chemgraph import (_DEGREE, ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BondType,
                                SmilesError, apply_edits, atom_features,
                                bond_features, induced_subgraph, make_graph,
                                parse_smiles, valence_for_h, valence_limit,
                                with_map_numbers, write_smiles)
+from rxnpred.candgen import Candidate
 from rxnpred.datagen import random_molecule
 from test_edit_locality import FRAGMENTS, edited_reactants
 from rxnpred.wliso import brute_force_isomorphic, wl_equivalent
@@ -18,29 +21,37 @@ def maps(g):
     return g.map_to_index()
 
 
+def total_h(g, i):
+    return (g.atoms[i].explicit_h or 0) + g.implicit_h(i)
+
+
+def conjugated(g, u, v):
+    return bond_features(g, g.bonds.index(g.bond_between(u, v)))[4] == 1.0
+
+
 class TestParse:
     def test_mapped_methanol(self):
         g = parse_smiles("[CH3:1][OH:2]")
         assert g.n_atoms == 2 and g.n_bonds == 1
         c, o = g.atoms
-        assert (c.element, c.map_number, c.total_h) == ("C", 1, 3)
-        assert (o.element, o.map_number, o.total_h) == ("O", 2, 1)
+        assert (c.element, c.map_number, total_h(g, 0)) == ("C", 1, 3)
+        assert (o.element, o.map_number, total_h(g, 1)) == ("O", 2, 1)
         assert g.bonds[0].bond_type is BondType.SINGLE
 
     def test_cyclopropane_all_ring(self):
         g = parse_smiles("C1CC1")
         assert g.n_atoms == 3 and g.n_bonds == 3
-        assert all(b.in_ring for b in g.bonds)
+        assert g.in_ring == [True] * 3
 
     def test_two_components_aromatics_conjugation(self):
         g = parse_smiles("CC(=O)N.c1ccccc1")
         assert g.n_components == 2
         assert sum(a.aromatic for a in g.atoms) == 6
         co = g.bond_between(1, 2)
-        assert co.bond_type is BondType.DOUBLE and co.conjugated
+        assert co.bond_type is BondType.DOUBLE and conjugated(g, 1, 2)
         # acetyl C-C is not conjugated: the methyl end has no multiple bond
-        assert not g.bond_between(0, 1).conjugated
-        assert g.atoms[3].implicit_h == 2  # N: valence 3, one single bond
+        assert not conjugated(g, 0, 1)
+        assert g.implicit_h(3) == 2  # N: valence 3, one single bond
 
     def test_ring_closure_percent_and_bond_symbol(self):
         g = parse_smiles("C=1CCCCC=1")
@@ -50,13 +61,13 @@ class TestParse:
 
     def test_charges_and_hcounts(self):
         g = parse_smiles("[NH4+].[O-]C")
-        assert g.atoms[0].formal_charge == 1 and g.atoms[0].total_h == 4
-        assert g.atoms[1].formal_charge == -1 and g.atoms[1].total_h == 0
+        assert g.atoms[0].formal_charge == 1 and total_h(g, 0) == 4
+        assert g.atoms[1].formal_charge == -1 and total_h(g, 1) == 0
 
     def test_aromatic_default_bonds(self):
         g = parse_smiles("c1ccccc1")
         assert all(b.bond_type is BondType.AROMATIC for b in g.bonds)
-        assert all(a.implicit_h == 1 for a in g.atoms)
+        assert all(g.implicit_h(i) == 1 for i in range(g.n_atoms))
         biphenyl = parse_smiles("c1ccccc1-c1ccccc1")
         link = biphenyl.bond_between(5, 6) or biphenyl.bond_between(0, 6)
         assert link.bond_type is BondType.SINGLE
@@ -162,9 +173,7 @@ class TestWrite:
         graphs += [parse_smiles(s) for s in ("[NH4+].[O-]C(=O)C", "c1ccncc1.C1CC1", "[CH3:7]CO")]
         for g in graphs:
             for start in (1, 10):
-                atoms = [a.copy() for a in g.atoms]
-                for i, atom in enumerate(atoms):
-                    atom.map_number = start + i
+                atoms = [replace(a, map_number=start + i) for i, a in enumerate(g.atoms)]
                 rebuilt = make_graph(atoms, [(b.u, b.v, b.bond_type) for b in g.bonds])
                 assert with_map_numbers(g, start) == rebuilt
                 assert write_smiles(with_map_numbers(g, start)) == write_smiles(rebuilt)
@@ -295,8 +304,12 @@ def recounted(g):
 
 
 def assert_derived_fields_recount(g):
-    assert ([a.degree for a in g.atoms], [a.implicit_h for a in g.atoms], g.valence_warnings,
-            [b.conjugated for b in g.bonds]) == recounted(g)
+    degree = [row[_DEGREE] for row in g.counts]
+    implicit = [g.implicit_h(i) for i in range(g.n_atoms)]
+    conjugated = [bond_features(g, bi)[4] == 1.0 for bi in range(g.n_bonds)]
+    assert (degree, implicit, g.valence_warnings, conjugated) == recounted(g)
+    # The codes the models read carry the same conjugation flags.
+    assert [bool(code // 4 % 2) for code in g.codes.bonds[:, 3]] == conjugated
 
 
 def test_derived_fields_recount_on_molecules_and_fragments():
@@ -326,7 +339,7 @@ class TestDerivedInvariants:
                 half = sum(g.bonds[bi].bond_type.half_order for _, bi in g.adjacency[i])
                 expect = max(0, valence_for_h(atom.element, atom.formal_charge)
                              - half // 2 - (atom.explicit_h or 0))
-                assert atom.implicit_h == expect
+                assert g.implicit_h(i) == expect
 
     def test_ring_flags_invariant_under_relabeling(self):
         rng = np.random.default_rng(8)
@@ -335,8 +348,8 @@ class TestDerivedInvariants:
             perm = random_permutation(rng, g.n_atoms)
             pg = permute_graph(g, perm)
             ring_pairs = {(min(perm[b.u], perm[b.v]), max(perm[b.u], perm[b.v]))
-                          for b in g.bonds if b.in_ring}
-            ring_pairs_p = {(b.u, b.v) for b in pg.bonds if b.in_ring}
+                          for b, ring in zip(g.bonds, g.in_ring) if ring}
+            ring_pairs_p = {(b.u, b.v) for b, ring in zip(pg.bonds, pg.in_ring) if ring}
             assert ring_pairs == ring_pairs_p
 
     def test_adjacency_round_trip(self):
@@ -351,4 +364,56 @@ class TestDerivedInvariants:
         ring = [i for i in range(g.n_atoms) if g.atoms[i].aromatic]
         sub = induced_subgraph(g, ring)
         assert sub.n_atoms == 6 and sub.n_bonds == 6
-        assert all(b.in_ring for b in sub.bonds)
+        assert sub.in_ring == [True] * 6
+
+
+def scanned_bond(g, u, v):
+    """The bond between u and v found by a scan of ``adjacency``."""
+    for nbr, bi in g.adjacency[u]:
+        if nbr == v:
+            return g.bonds[bi]
+    return None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(edited_reactants())
+def test_bond_lookups_equal_an_adjacency_scan(instance):
+    g, edits = instance
+    for graph in (g, apply_edits(g, edits)):
+        for u in range(graph.n_atoms):
+            for v in range(graph.n_atoms):
+                bond = scanned_bond(graph, u, v)
+                assert graph.bond_between(u, v) == bond
+                assert graph.bond_type_between(u, v) is (
+                    BondType.NONE if bond is None else bond.bond_type)
+
+
+def snapshot(g):
+    """Everything a graph says of its atoms and bonds, as plain values:
+    parsed atom facts, bonds, atom counts, and feature rows (which carry
+    degrees, hydrogen counts, ring and conjugation flags)."""
+    return ([(a.element, a.map_number, a.formal_charge, a.aromatic, a.explicit_h)
+             for a in g.atoms],
+            [(b.u, b.v, b.bond_type) for b in g.bonds],
+            [list(row) for row in g.counts],
+            [atom_features(g, i).tolist() for i in range(g.n_atoms)],
+            [bond_features(g, bi).tolist() for bi in range(g.n_bonds)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(edited_reactants())
+def test_graph_builders_leave_their_input_unchanged(instance):
+    g, edits = instance
+    before = snapshot(g)
+    product = apply_edits(g, edits)
+    rebuilt = make_graph(g.atoms, [(b.u, b.v, b.bond_type) for b in g.bonds])
+    sub = induced_subgraph(g, list(range(0, g.n_atoms, 2)))
+    mapped = with_map_numbers(g, 7)
+    local = Candidate(edits, g).local_product
+    assert snapshot(g) == before
+    assert snapshot(rebuilt) == before
+    # The built graphs are whole on their own: rebuilding each from its
+    # atoms and bonds gives the same facts.
+    for built in (product, sub, mapped, local):
+        again = make_graph(built.atoms, [(b.u, b.v, b.bond_type) for b in built.bonds])
+        assert snapshot(again) == snapshot(built)

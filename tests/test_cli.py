@@ -199,6 +199,21 @@ def test_misspelt_boolean_in_config_exits_with_one_line(workdir, checkpoints):
                   "'augment_truth' takes 1/true/yes/on or 0/false/no/off, got 'ture'")
 
 
+@pytest.mark.parametrize("line, message", [
+    ("k=x", "config key 'k' takes an integer, got 'x'"),
+    ("lr=abc", "config key 'lr' takes a number, got 'abc'"),
+    ("split=a,b", "config key 'split' takes three comma-separated fractions, got 'a,b'"),
+    ("target_train_p1=nan", "config field target_train_p1 must be in [0, 1], got nan"),
+    ("target_train_coverage=1.5", "config field target_train_coverage must be in [0, 1], got 1.5")])
+def test_bad_config_value_exits_with_one_line(workdir, checkpoints, line, message):
+    cfg = workdir / "bad.cfg"
+    cfg.write_text(f"epochs=2\n{line}\n")
+    one_line_exit(["train-center", "--data", str(workdir / "toy.txt"),
+                   "--out", str(workdir / "unused.ckpt"), "--config", str(cfg)],
+                  re.escape(f"{cfg}:2: {message}"))
+    assert not (workdir / "unused.ckpt").exists()
+
+
 @pytest.mark.parametrize("top_n", ["0", "-1"])
 def test_predict_top_n_below_one_exits_with_one_line(checkpoints, top_n):
     center, ranker = checkpoints

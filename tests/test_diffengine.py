@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from rxnpred import diffengine as de
 from rxnpred.center import CenterModel
+from rxnpred.chemgraph import ATOM_FEATURE_DIM
 from rxnpred.ranker import RankerModel
 
 
@@ -737,6 +738,40 @@ class TestCheckpoints:
         model_cls, path = self.saved_with(tmp_path, variant, key, value)
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: metadata {key}={value!r} is not supported")):
+            model_cls.load(path)
+
+    @pytest.mark.parametrize("variant, key", [
+        ("local", "wln.depth"), ("wln", "mol.depth"), ("wldn", "diff.depth")])
+    @pytest.mark.parametrize("depth", ["0", "-3"])
+    def test_depth_below_one_rejected_at_load(self, tmp_path, variant, key, depth):
+        # Such a file would otherwise score as a network of no rounds.
+        model_cls, path = self.saved_with(tmp_path, variant, key, depth)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: metadata {key} must be >= 1, got {depth}")):
+            model_cls.load(path)
+
+    def test_depth_below_one_rejected_at_create(self):
+        with pytest.raises(ValueError, match=r"^depth must be >= 1, got 0$"):
+            CenterModel.create("local", hidden=8, depth=0)
+
+    @pytest.mark.parametrize("variant, key, value, expected", [
+        ("local", "wln.in_dim", 10, ATOM_FEATURE_DIM), ("wln", "mol.in_dim", 10, ATOM_FEATURE_DIM),
+        ("wldn", "diff.in_dim", 4, 8), ("global", "wln.hidden", 16, 8),
+        ("wldn", "mol.hidden", 16, 8), ("wldn", "diff.hidden", 16, 8)])
+    def test_network_sizes_must_match_the_model(self, tmp_path, variant, key, value, expected):
+        # A projecting network's input matrix is resized to the recorded
+        # in_dim, so its tensor shapes agree with its metadata; the file
+        # must still be refused, as the model feeds it other sizes.
+        model_cls = CenterModel if variant in ("local", "global") else RankerModel
+        store = model_cls.create(variant, hidden=8, depth=1, seed=0).store
+        store.metadata[key] = str(value)
+        prefix = key.split(".")[0]
+        if key.endswith("in_dim") and f"{prefix}.Win" in store:
+            store.params[f"{prefix}.Win"] = de.DTensor(np.ones((value, 8)), requires_grad=True)
+        path = tmp_path / "model.ckpt"
+        store.save(path)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: metadata {key}={value} does not match the model's {expected}")):
             model_cls.load(path)
 
     def test_in_memory_store_errors_name_no_file(self):

@@ -1,5 +1,7 @@
 import logging
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -104,9 +106,7 @@ class TestRecordParsing:
 
 
 def _with_maps(g, maps):
-    atoms = [a.copy() for a in g.atoms]
-    for atom, m in zip(atoms, maps):
-        atom.map_number = m
+    atoms = [replace(a, map_number=m) for a, m in zip(g.atoms, maps)]
     return make_graph(atoms, [(b.u, b.v, b.bond_type) for b in g.bonds])
 
 
@@ -257,6 +257,29 @@ class TestConfig:
         with pytest.raises(ValueError, match="'augment_truth' takes 1/true/yes/on"):
             RunConfig.from_file(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("k=x", "config key 'k' takes an integer, got 'x'"),
+        ("lr=abc", "config key 'lr' takes a number, got 'abc'"),
+        ("target_train_p1=high", "config key 'target_train_p1' takes a number, got 'high'"),
+        ("split=a,b", "config key 'split' takes three comma-separated fractions, got 'a,b'"),
+        ("split=0.5,0.5", "split must be three finite"),
+        ("bogus=1", "unknown config key 'bogus'")])
+    def test_bad_value_names_file_and_line(self, tmp_path, line, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# settings\nk=4\n\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: {message}")):
+            RunConfig.from_file(path)
+
+    @pytest.mark.parametrize("field", ["target_train_coverage", "target_train_p1"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 1.5, -0.1])
+    def test_early_stop_targets_must_be_shares(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be in \\[0, 1\\]"):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [None, 0.0, 0.5, 1.0])
+    def test_early_stop_targets_accept_shares(self, value):
+        assert RunConfig(target_train_coverage=value, target_train_p1=value).target_train_p1 == value
+
     def test_ranker_is_an_unknown_key(self, tmp_path):
         # Commands take the ranker checkpoint from --model, not from a config.
         path = tmp_path / "run.cfg"
@@ -353,9 +376,7 @@ class TestPredict:
                      predict(s, center, ranker, k=4, top_n=5).products] for s in requests]
 
         def rebuilt(g, start=1):
-            atoms = [a.copy() for a in g.atoms]
-            for i, atom in enumerate(atoms):
-                atom.map_number = start + i
+            atoms = [replace(a, map_number=start + i) for i, a in enumerate(g.atoms)]
             return make_graph(atoms, [(b.u, b.v, b.bond_type) for b in g.bonds])
 
         copied = outputs()

@@ -7,8 +7,7 @@ bonds among the top-scoring pairs under valence and connectivity constraints,
 and rank the candidates with a difference-vector scorer.
 """
 
-from .candgen import (BondEdit, Candidate, EditSet, GenConfig, connectivity_ok,
-                      enumerate_candidates)
+from .candgen import BondEdit, Candidate, EditSet, connectivity_ok, enumerate_candidates
 from .center import CenterModel, center_loss, coverage, reaction_edits, top_k_pairs
 from .chemgraph import (Atom, Bond, BondType, MolGraph, SmilesError, apply_edits,
                         atom_features, bond_features, parse_smiles, write_smiles)

@@ -27,13 +27,15 @@ __all__ = [
     "Candidate",
     "EditSet",
     "EnumerationResult",
-    "GenConfig",
+    "MAX_CANDIDATES",
     "connectivity_ok",
     "enumerate_candidates",
 ]
 
 BOND_ALPHABET = (BondType.NONE, BondType.SINGLE, BondType.DOUBLE,
                  BondType.TRIPLE, BondType.AROMATIC)
+# Longest candidate list one enumeration returns; past it the list is truncated.
+MAX_CANDIDATES = 2000
 
 
 class BondEdit(NamedTuple):
@@ -125,22 +127,6 @@ class Candidate:
 
 
 @dataclass
-class GenConfig:
-    """Enumeration limits. ``max_changes`` bounds simultaneous edits; the
-    number of pairs passed to :func:`enumerate_candidates` bounds them too.
-    The bond alphabet and the filters are fixed."""
-
-    max_changes: int = 3
-    max_candidates: int = 2000
-
-    def __post_init__(self) -> None:
-        if self.max_changes < 1:
-            raise ValueError(f"max_changes must be >= 1, got {self.max_changes}")
-        if self.max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1")
-
-
-@dataclass
 class EnumerationResult:
     """The candidates of one enumeration and what its filters did.
 
@@ -187,14 +173,17 @@ def connectivity_ok(edits: Iterable[tuple[int, int, BondType] | BondEdit]) -> bo
     return len(roots) == 1
 
 
-def enumerate_candidates(reactants: MolGraph, pairs: list[tuple[int, int]],
-                         cfg: GenConfig) -> EnumerationResult:
-    """All edit assignments over subsets of ``pairs`` that pass the filters.
+def enumerate_candidates(reactants: MolGraph, pairs: list[tuple[int, int]], max_changes: int,
+                         max_candidates: int = MAX_CANDIDATES) -> EnumerationResult:
+    """All edit assignments over subsets of at most ``max_changes`` of
+    ``pairs`` that pass the filters.
 
-    ``pairs`` is the top-K list from the center model. Output order is by
-    subset size, then subset position, then assignment in alphabet order;
-    duplicates (from repeated input pairs) are dropped. Exceeding
-    ``max_candidates`` truncates the list and sets the ``truncated`` flag.
+    ``pairs`` is the top-K list from the center model; a pair of one atom or
+    of an atom outside ``reactants`` raises ``ValueError``, and so does a
+    limit below 1. Output order is by subset size, then subset position, then
+    assignment in alphabet order; duplicates (from repeated input pairs) are
+    dropped. Exceeding ``max_candidates`` truncates the list and sets the
+    ``truncated`` flag.
 
     Each subset is checked for connectivity and for a pre-existing valence
     violation outside its atoms before any assignment. Its pairs are then
@@ -206,10 +195,16 @@ def enumerate_candidates(reactants: MolGraph, pairs: list[tuple[int, int]],
     check is exact: the full assignments that survive are exactly those that
     keep every atom within its valence.
     """
+    if max_changes < 1 or max_candidates < 1:
+        raise ValueError(f"max_changes and max_candidates must be >= 1, "
+                         f"got {max_changes} and {max_candidates}")
     norm_pairs: list[tuple[int, int]] = []
     for u, v in pairs:
         if u == v:
             raise ValueError(f"pair ({u},{u}) is not a valid atom pair")
+        if not (0 <= u < reactants.n_atoms and 0 <= v < reactants.n_atoms):
+            raise ValueError(f"pair ({u},{v}) references an atom outside the "
+                             f"{reactants.n_atoms}-atom reactants")
         norm_pairs.append((min(u, v), max(u, v)))
 
     current = {p: reactants.bond_type_between(*p) for p in norm_pairs}
@@ -262,13 +257,13 @@ def enumerate_candidates(reactants: MolGraph, pairs: list[tuple[int, int]],
             result.duplicates += 1
             return False
         seen.add(edits)
-        if len(result.candidates) >= cfg.max_candidates:
+        if len(result.candidates) >= max_candidates:
             result.truncated = True
             return True
         result.candidates.append(Candidate(edits, reactants))
         return False
 
-    max_size = min(cfg.max_changes, len(norm_pairs))
+    max_size = min(max_changes, len(norm_pairs))
     for size in range(1, max_size + 1):
         for subset in itertools.combinations(range(len(norm_pairs)), size):
             chosen = [norm_pairs[i] for i in subset]

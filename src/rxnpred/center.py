@@ -111,15 +111,16 @@ class CenterModel:
     atoms (sigmoid gates, not normalized) and scores pairs from those.
     """
 
+    VARIANTS = ("local", "global")     # the first is the default
     store: ParamStore
     wln: WLNParams
-    variant: str                       # "local" | "global"
+    variant: str                       # one of VARIANTS
     hidden: int
 
     @classmethod
     def create(cls, variant: str, hidden: int = 64, depth: int = 3,
                seed: int = 0) -> "CenterModel":
-        if variant not in ("local", "global"):
+        if variant not in cls.VARIANTS:
             raise ValueError(f"unknown center variant {variant!r}")
         rng = np.random.default_rng(seed)
         store = ParamStore(metadata={
@@ -133,7 +134,7 @@ class CenterModel:
 
     @classmethod
     def from_store(cls, store: ParamStore) -> "CenterModel":
-        variant, hidden = model_metadata(store, "center", ("local", "global"))
+        variant, hidden = model_metadata(store, "center", cls.VARIANTS)
         wln = WLNParams.from_store(store, "wln", ATOM_FEATURE_DIM, hidden)
         for name, shape in _head_shapes(variant, hidden).items():
             store.expect(name, *shape)

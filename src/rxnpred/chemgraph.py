@@ -542,7 +542,10 @@ def write_smiles(g: MolGraph) -> str:
     in index order, components joined by '.' in order of first atom.
 
     Round-trips to an isomorphic graph; output is not canonical across
-    isomorphic inputs.
+    isomorphic inputs. Ring closures take the labels 1, 2, ... in order up
+    to 99; past that, each takes the lowest label whose ring has closed, and
+    more than 99 rings open at once raise ``ValueError`` (SMILES labels have
+    at most two digits).
     """
     n = g.n_atoms
     visited = [False] * n
@@ -583,9 +586,19 @@ def _write_component(g: MolGraph, root: int, visited: list[bool], ring_counter: 
 
     opens: dict[int, list[int]] = {}
     closes: dict[int, list[tuple[int, int]]] = {}
+    closed_at: dict[int, int] = {}  # label -> order of its close atom, this component
     for open_atom, close_atom, bi in sorted(back_bonds, key=lambda t: (order[t[0]], order[t[1]])):
-        digit = ring_counter[0]
-        ring_counter[0] += 1
+        if ring_counter[0] <= _MAX_RING_LABEL:
+            digit = ring_counter[0]
+            ring_counter[0] += 1
+        else:
+            # A label is free once its ring closed at an earlier atom; an
+            # atom writes its openings before its closures.
+            digit = next((d for d in range(1, _MAX_RING_LABEL + 1)
+                          if closed_at.get(d, -1) < order[open_atom]), None)
+            if digit is None:
+                raise ValueError(f"more than {_MAX_RING_LABEL} rings open at once")
+        closed_at[digit] = order[close_atom]
         opens.setdefault(open_atom, []).append(digit)
         closes.setdefault(close_atom, []).append((digit, bi))
 
@@ -631,6 +644,9 @@ def _bond_token(g: MolGraph, bond: Bond) -> str:
     if bt is BondType.AROMATIC:
         return "" if both_aromatic else ":"
     return "-" if both_aromatic else ""  # single between aromatic atoms needs '-'
+
+
+_MAX_RING_LABEL = 99
 
 
 def _ring_token(digit: int, bond_sym: str) -> str:

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: ``train-center``, ``train-ranker``, ``predict``, ``evaluate``,
-``selfcheck``. Options may also come from a ``--config`` file of ``key=value``
-lines; explicit flags override file values. ``--model`` may be repeated where
-a command needs both a center and a ranker checkpoint (each checkpoint knows
-its own kind).
+``selfcheck``. Run settings may also come from a ``--config`` file of
+``key=value`` lines; a flag's text is parsed and checked as the file's line of
+the same key is, and explicit flags override file values. ``--model`` may be
+repeated where a command needs both a center and a ranker checkpoint (each
+checkpoint knows its own kind).
 """
 
 from __future__ import annotations
@@ -12,52 +13,53 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .center import CenterModel
 from .diffengine import ParamStore
-from .pipeline import (RunConfig, evaluate, load_dataset, parse_split, predict,
-                       split_records, train_center, train_ranker)
+from .pipeline import (RunConfig, evaluate, load_dataset, predict, split_records, train_center,
+                       train_ranker)
 from .ranker import RankerModel
+
+# Each run-setting flag's RunConfig field and help; center, target_train_* are config-only.
+SETTING_FLAGS = {
+    "data": "reaction file (reactants>reagents>products per line)",
+    "out": "output checkpoint or report path",
+    "k": "top-K reactive pairs",
+    "depth": "relabeling rounds",
+    "hidden": "hidden width",
+    "max_changes": "max simultaneous bond edits per candidate",
+    "epochs": "training epochs",
+    "batch": "reactions per optimizer step",
+    "lr": "learning rate",
+    "decay": "per-epoch learning-rate decay factor",
+    "seed": "random seed",
+    "variant": f"center {'|'.join(CenterModel.VARIANTS)} or ranker "
+               f"{'|'.join(RankerModel.VARIANTS)}; the first is the default",
+    "augment_truth": "insert the true product when enumeration misses it",
+    "split": "train,dev,test fractions, e.g. 0.8,0.1,0.1",
+}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--data", help="reaction file (reactants>reagents>products per line)")
     parser.add_argument("--model", action="append", default=None,
                         help="checkpoint path; repeatable. For train-ranker: the "
                              "center checkpoint or 'oracle'")
-    parser.add_argument("--out", help="output checkpoint or report path")
-    parser.add_argument("--k", type=int, default=None, help="top-K reactive pairs")
-    parser.add_argument("--depth", type=int, default=None, help="relabeling rounds")
-    parser.add_argument("--hidden", type=int, default=None, help="hidden width")
-    parser.add_argument("--max-changes", type=int, default=None,
-                        help="max simultaneous bond edits per candidate")
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--batch", type=int, default=None)
-    parser.add_argument("--lr", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--variant", choices=["local", "global", "wln", "wldn"],
-                        default=None)
-    parser.add_argument("--augment-truth", action="store_true", default=None,
-                        help="insert the true product when enumeration misses it")
+    for name, text in SETTING_FLAGS.items():
+        switch = {"action": "store_const", "const": "true"} if name == "augment_truth" else {}
+        parser.add_argument("--" + name.replace("_", "-"), help=text, **switch)
     parser.add_argument("--config", help="key=value config file; flags override")
-    parser.add_argument("--decay", type=float, default=None,
-                        help="per-epoch learning-rate decay factor")
-    parser.add_argument("--split", type=parse_split, default=None,
-                        help="train,dev,test fractions, e.g. 0.8,0.1,0.1")
     parser.add_argument("-v", "--verbose", action="store_true")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """The run settings: the flags that are set (each named after its
-    ``RunConfig`` field) over the ``--config`` file, over the defaults."""
-    overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-                 if getattr(args, f.name, None) is not None}
-    if args.config:
-        return RunConfig.from_file(args.config, **overrides)
-    return RunConfig(**overrides)
+    """The run settings: the flags that are set, as text, over the
+    ``--config`` file, over the defaults; one parser reads both."""
+    flags = {name: getattr(args, name) for name in SETTING_FLAGS
+             if getattr(args, name) is not None}
+    return RunConfig.from_file(args.config, **flags)
 
 
 def _load_models(paths: list[str] | None):
@@ -85,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     p_ranker = sub.add_parser("train-ranker", help="train the candidate ranker")
     p_predict = sub.add_parser("predict", help="predict products for reactant SMILES")
     p_predict.add_argument("smiles", help="reactant SMILES (atom maps optional)")
-    p_predict.add_argument("--top-n", type=int, default=5)
+    p_predict.add_argument("--top-n", type=int, help="products to print (default: predict's)")
     p_eval = sub.add_parser("evaluate", help="score a test file with both models")
     p_self = sub.add_parser("selfcheck", help="run gradient and oracle suites")
     for p in (p_center, p_ranker, p_predict, p_eval, p_self):
@@ -95,19 +97,10 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
-    if args.command == "selfcheck":
-        from .selfcheck import run_selfcheck
-        failures = 0
-        for result in run_selfcheck(seed=args.seed or 0):
-            status = "PASS" if result.passed else "FAIL"
-            print(f"[{status}] {result.name}: {result.detail}")
-            failures += int(not result.passed)
-        return 1 if failures else 0
-
-    # Bad input (a config key, a variant, a SMILES string, a checkpoint or a
-    # data file) or a non-finite value ends the command with one line, not a
-    # traceback. numpy's warnings are silenced: the checks that raise on
-    # non-finite scores, parameters and losses report such values instead.
+    # Bad input (a run setting, a SMILES string, a checkpoint or a data file)
+    # or a non-finite value ends the command with one line, not a traceback.
+    # numpy's warnings are silenced: the checks that raise on non-finite
+    # scores, parameters and losses report such values instead.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             return _run(args)
@@ -117,6 +110,15 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
+
+    if args.command == "selfcheck":
+        from .selfcheck import run_selfcheck
+        failures = 0
+        for result in run_selfcheck(seed=cfg.seed):
+            status = "PASS" if result.passed else "FAIL"
+            print(f"[{status}] {result.name}: {result.detail}")
+            failures += int(not result.passed)
+        return 1 if failures else 0
 
     if args.command in ("train-center", "train-ranker"):
         if args.command == "train-ranker":
@@ -136,8 +138,8 @@ def _run(args: argparse.Namespace) -> int:
                          "ranker checkpoint")
 
     if args.command == "predict":
-        result = predict(args.smiles, center, ranker, k=cfg.k,
-                         top_n=args.top_n, max_changes=cfg.max_changes)
+        result = predict(args.smiles, center, ranker, k=cfg.k, max_changes=cfg.max_changes,
+                         **({} if args.top_n is None else {"top_n": args.top_n}))
         if result.reason:
             print(f"no candidates: {result.reason}")
             return 1

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diffengine as de
-from .candgen import Candidate, EditSet, GenConfig, enumerate_candidates
+from .candgen import MAX_CANDIDATES, Candidate, EditSet, enumerate_candidates
 from .center import CenterModel, center_loss, coverage, reaction_edits, top_k_pairs
 from .chemgraph import (MolGraph, apply_edits, induced_subgraph, parse_smiles, with_map_numbers,
                         write_smiles)
@@ -60,7 +60,7 @@ class RunConfig:
     lr: float = 1e-3
     decay: float = 0.9
     seed: int = 0
-    variant: str | None = None      # local|global|wln|wldn; None: local or wldn
+    variant: str | None = None      # a model's VARIANTS entry; None: the first of them
     augment_truth: bool = False
     split: tuple[float, float, float] = (0.8, 0.1, 0.1)
     # Optional early-stop targets for small overfit runs:
@@ -80,38 +80,40 @@ class RunConfig:
             if value is not None and not 0 <= value <= 1:  # NaN fails both comparisons
                 raise ValueError(f"config field {name} must be in [0, 1], got {value}")
         check_split(self.split)
-
-    def gen_config(self) -> GenConfig:
-        return GenConfig(max_changes=self.max_changes)
+        variants = CenterModel.VARIANTS + RankerModel.VARIANTS
+        if self.variant not in (None, *variants):
+            raise ValueError(f"config field variant must be one of {', '.join(variants)}, "
+                             f"got {self.variant!r}")
 
     @classmethod
-    def from_file(cls, path, **overrides) -> "RunConfig":
-        """key=value lines; '#' comments. Keyword overrides win. A bad line
-        raises ``ValueError`` naming the file and line."""
-        values: dict[str, tuple[int, str]] = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    def from_file(cls, path=None, **overrides: str) -> "RunConfig":
+        """The key=value lines ('#' comments) of ``path``, if given, under
+        ``overrides`` (text, as a line's value is), over the defaults. A bad
+        line raises ``ValueError`` naming the file and line, a bad override
+        naming its flag (``--max-changes`` for ``max_changes``)."""
+        values: dict[str, tuple[str, str]] = {}
+        lines = Path(path).read_text().splitlines() if path is not None else []
+        for lineno, raw in enumerate(lines, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            values[key.strip().replace("-", "_")] = (lineno, value.strip())
+            values[key.strip().replace("-", "_")] = (f"{path}:{lineno}", value.strip())
+        for key, value in overrides.items():
+            values[key] = ("--" + key.replace("_", "-"), value)
         cfg = cls()
-        for key, (lineno, value) in values.items():
+        for key, (where, value) in values.items():
             try:
                 cfg = _set_config_field(cfg, key, value)
             except ValueError as err:
-                raise ValueError(f"{path}:{lineno}: {err}") from None
-        for key, value in overrides.items():
-            if value is not None:
-                cfg = replace(cfg, **{key: value})
+                raise ValueError(f"{where}: {err}") from None
         return cfg
 
 
-def parse_split(raw: str) -> tuple[float, ...]:
-    """``"0.8,0.1,0.1"`` -> ``(0.8, 0.1, 0.1)``: the ``split`` setting as a
-    flag or a config-file value gives it."""
+def _parse_split(raw: str) -> tuple[float, ...]:
+    """``"0.8,0.1,0.1"`` -> ``(0.8, 0.1, 0.1)``."""
     return tuple(float(x) for x in raw.split(","))
 
 
@@ -135,7 +137,7 @@ def _set_config_field(cfg: RunConfig, key: str, raw: str) -> RunConfig:
     if isinstance(current, bool):
         parse, kind = (lambda text: _BOOLEANS[text.lower()]), "1/true/yes/on or 0/false/no/off"
     elif key == "split":
-        parse, kind = parse_split, "three comma-separated fractions"
+        parse, kind = _parse_split, "three comma-separated fractions"
     elif isinstance(current, int):
         parse, kind = int, "an integer"
     elif isinstance(current, float) or key in _TARGETS:
@@ -165,7 +167,7 @@ class RecordError(ValueError):
     pass
 
 
-def parse_reaction_line(line: str, max_atoms: int = MAX_ATOMS) -> ReactionRecord:
+def parse_reaction_line(line: str) -> ReactionRecord:
     fields = line.split(">")
     if len(fields) != 3:
         raise RecordError(f"expected 'reactants>reagents>products', got {len(fields)} fields")
@@ -174,7 +176,7 @@ def parse_reaction_line(line: str, max_atoms: int = MAX_ATOMS) -> ReactionRecord
         raise RecordError("empty reactants or products field")
     smiles = reactant_part + ("." + reagent_part if reagent_part else "")
     reactants = parse_smiles(smiles)
-    if reactants.n_atoms > max_atoms:
+    if reactants.n_atoms > MAX_ATOMS:
         raise RecordError(f"reaction too large ({reactants.n_atoms} atoms)")
     reactants.map_to_index()  # raises on duplicate maps
 
@@ -246,8 +248,9 @@ def _truth_index(truth: EditSet, candidates: list[Candidate]) -> int | None:
     return next((i for i, cand in enumerate(candidates) if cand.edits == truth), None)
 
 
-def _candidate_stage(reactants: MolGraph, pairs: list[tuple[int, int]], gen_cfg: GenConfig,
+def _candidate_stage(reactants: MolGraph, pairs: list[tuple[int, int]], max_changes: int,
                      truth: EditSet | None = None, augment: bool = False,
+                     max_candidates: int = MAX_CANDIDATES,
                      ) -> tuple[list[Candidate], bool, int | None]:
     """Enumerate within ``pairs`` and locate the true edit set among the results.
 
@@ -256,7 +259,7 @@ def _candidate_stage(reactants: MolGraph, pairs: list[tuple[int, int]], gen_cfg:
     truth's index (None without a truth, or when it is missing and not
     appended).
     """
-    result = enumerate_candidates(reactants, pairs, gen_cfg)
+    result = enumerate_candidates(reactants, pairs, max_changes, max_candidates)
     candidates = result.candidates
     idx = None if truth is None else _truth_index(truth, candidates)
     if idx is None and augment:
@@ -276,7 +279,7 @@ class TrainResult:
     best_epoch: int = 0
 
 
-def _fit(cfg: RunConfig, kind: str, model_cls, variants: tuple[str, str], prepare,
+def _fit(cfg: RunConfig, kind: str, model_cls, prepare,
          loss_fn, metric_fn, metric: str, log_format: str,
          target: float | None) -> TrainResult:
     """The training loop of both models: Adam over seeded shuffles of the
@@ -288,13 +291,13 @@ def _fit(cfg: RunConfig, kind: str, model_cls, variants: tuple[str, str], prepar
     Best means the highest dev score (train score when there are no dev
     items). ``log_format`` takes the epoch, loss, train score and dev score;
     training stops early once the train score reaches ``target``. The model
-    is ``cfg.variant``, or ``variants[0]`` when that is None. Fully
-    deterministic for a fixed config and seed.
+    is ``cfg.variant``, or the first of ``model_cls.VARIANTS`` when that is
+    None. Fully deterministic for a fixed config and seed.
     """
-    variant = variants[0] if cfg.variant is None else cfg.variant
-    if variant not in variants:
+    variant = cfg.variant or model_cls.VARIANTS[0]
+    if variant not in model_cls.VARIANTS:
         raise ValueError(f"{kind} training cannot train variant {variant!r}; "
-                         f"use {variants[0]!r} or {variants[1]!r}")
+                         f"use {' or '.join(map(repr, model_cls.VARIANTS))}")
     if cfg.data is None or cfg.out is None:
         raise ValueError(f"train_{kind} needs cfg.data and cfg.out")
     records = load_dataset(cfg.data)
@@ -382,7 +385,7 @@ def train_center(cfg: RunConfig) -> TrainResult:
     config and seed.
     """
     return _fit(
-        cfg, "center", CenterModel, ("local", "global"), lambda train, dev: (train, dev),
+        cfg, "center", CenterModel, lambda train, dev: (train, dev),
         loss_fn=_center_item_loss,
         metric_fn=lambda model, records: _center_coverage(model, records, cfg.k),
         metric="coverage",
@@ -399,14 +402,13 @@ class _RankingInstance:
 
 def _build_instances(records: list[ReactionRecord], center: CenterModel | None,
                      cfg: RunConfig) -> list[_RankingInstance]:
-    gen_cfg = cfg.gen_config()
     instances = []
     if center is None:
         centers = [list(rec.true_edits.pairs) for rec in records]  # oracle centers
     else:
         centers = [top_k_pairs(m, cfg.k) for m in _center_matrices(center, records)]
     for rec, pairs in zip(records, centers):
-        candidates, _, idx = _candidate_stage(rec.reactants, pairs, gen_cfg,
+        candidates, _, idx = _candidate_stage(rec.reactants, pairs, cfg.max_changes,
                                               rec.true_edits, cfg.augment_truth)
         if idx is None:
             logger.warning("true product not among candidates; record skipped "
@@ -458,7 +460,7 @@ def train_ranker(cfg: RunConfig) -> TrainResult:
         return train_inst, dev_inst
 
     return _fit(
-        cfg, "ranker", RankerModel, ("wldn", "wln"), prepare,
+        cfg, "ranker", RankerModel, prepare,
         loss_fn=_ranker_item_loss,
         metric_fn=_ranker_p1,
         metric="p1",
@@ -488,12 +490,15 @@ class PredictResult:
 
 
 def predict(reactants_smiles: str, center: CenterModel, ranker: RankerModel,
-            k: int = 6, top_n: int = 5, max_changes: int = 3) -> PredictResult:
+            k: int = RunConfig.k, top_n: int = 5,
+            max_changes: int = RunConfig.max_changes) -> PredictResult:
     """Full pipeline: score pairs, enumerate within the top-K, rank, serialize.
 
-    Atom maps are optional on input; unmapped atoms are numbered by index.
-    Inputs of more than :data:`MAX_ATOMS` atoms raise ``ValueError``, as
-    :func:`load_dataset` skips such records, and so does a ``top_n`` below 1.
+    Atom maps are optional on input: when any atom is unmapped, every atom
+    is renumbered to its index + 1, and the edits name atoms by those
+    numbers. Inputs of more than :data:`MAX_ATOMS` atoms or with a repeated
+    map number raise ``ValueError``, as :func:`load_dataset` skips such
+    records, and so does a ``top_n`` below 1.
     """
     if top_n < 1:
         raise ValueError(f"top_n must be at least 1, got {top_n}")
@@ -502,12 +507,14 @@ def predict(reactants_smiles: str, center: CenterModel, ranker: RankerModel,
         raise ValueError(f"reactants too large ({g.n_atoms} atoms; the cap is {MAX_ATOMS})")
     if any(a.map_number is None for a in g.atoms):
         g = with_map_numbers(g)
+    else:
+        g.map_to_index()  # raises on a repeated map number
 
     if g.n_atoms < 2:
         return PredictResult(reactants_smiles, [], 0, False, [],
                              reason="fewer than two atoms: no pairs to score")
     pairs = top_k_pairs(center.score_matrix(g), k)
-    candidates, truncated, _ = _candidate_stage(g, pairs, GenConfig(max_changes=max_changes))
+    candidates, truncated, _ = _candidate_stage(g, pairs, max_changes)
     if not candidates:
         return PredictResult(reactants_smiles, pairs, 0, truncated, [],
                              reason="every enumerated edit was filtered out")
@@ -602,7 +609,6 @@ def evaluate(records: list[ReactionRecord], center: CenterModel,
     whenever enumeration missed it (the starred protocol).
     """
     cfg = cfg or RunConfig()
-    gen_cfg = cfg.gen_config()
     ks = sorted(set(EVAL_KS) | {cfg.k})
     cover_hits = {k: 0 for k in ks}
     ranks: list[float] = []
@@ -617,7 +623,7 @@ def evaluate(records: list[ReactionRecord], center: CenterModel,
                 cover_hits[k] += 1
         t0 = time.perf_counter()
         candidates, was_truncated, _ = _candidate_stage(
-            rec.reactants, ranked_pairs[:cfg.k], gen_cfg, rec.true_edits, cfg.augment_truth)
+            rec.reactants, ranked_pairs[:cfg.k], cfg.max_changes, rec.true_edits, cfg.augment_truth)
         latencies.append((time.perf_counter() - t0) * 1000.0)
         truncated += int(was_truncated)
         n_cands.append(len(candidates))

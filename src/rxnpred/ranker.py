@@ -38,6 +38,7 @@ class RankerModel:
     """A molecule network plus the score head of its variant; the ``wldn``
     variant adds the difference network. The store holds only those tensors."""
 
+    VARIANTS = ("wldn", "wln")  # the first is the default
     store: ParamStore
     wln: WLNParams              # embeds reactants and candidate products
     diff_wln: WLNParams | None  # embeds the difference graph (wldn only)
@@ -47,7 +48,7 @@ class RankerModel:
     @classmethod
     def create(cls, variant: str, hidden: int = 64, depth: int = 3,
                seed: int = 0) -> "RankerModel":
-        if variant not in ("wln", "wldn"):
+        if variant not in cls.VARIANTS:
             raise ValueError(f"unknown ranker variant {variant!r}")
         rng = np.random.default_rng(seed)
         store = ParamStore(metadata={
@@ -70,7 +71,7 @@ class RankerModel:
     def from_store(cls, store: ParamStore) -> "RankerModel":
         """The model of the store's variant; tensors of the other variant,
         which older files hold, are left unread."""
-        variant, hidden = model_metadata(store, "ranker", ("wln", "wldn"))
+        variant, hidden = model_metadata(store, "ranker", cls.VARIANTS)
         wln = WLNParams.from_store(store, "mol", ATOM_FEATURE_DIM, hidden)
         diff = WLNParams.from_store(store, "diff", hidden, hidden) if variant == "wldn" else None
         for name, shape in _head_shapes(_HEAD[variant], hidden).items():
@@ -114,7 +115,10 @@ class RankerModel:
         difference network maps zero rows to zero rows; and a sorted column
         sum, which starts at ``+0.0``, is unchanged by zero addends. (The last
         step needs ``hidden >= 2``: numpy sums a single column pairwise.)
+        With no candidate at all the scores are a (0, 1) tensor.
         """
+        if not any(candidates for _, candidates in reactions):
+            return DTensor(np.zeros((0, 1)))
         reads = [read_atoms(candidates) for _, candidates in reactions]
         gi_r = union_inputs([(reactants, read) for (reactants, _), read in zip(reactions, reads)])
         c_r = embed_from_features(gi_r, gi_r.features, self.wln)

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import center, ranker
 from . import diffengine as de
-from .candgen import (BOND_ALPHABET, BondEdit, Candidate, EditSet, GenConfig,
-                      connectivity_ok, enumerate_candidates)
+from .candgen import (BOND_ALPHABET, BondEdit, Candidate, EditSet, connectivity_ok,
+                      enumerate_candidates)
 from .center import PAIR_BLOCK, CenterModel, center_loss, scores_to_matrix
 from .chemgraph import (ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BondType, MolGraph, apply_edits,
                         atom_feature_matrix, atom_features, bond_features, edit_delta,
@@ -93,7 +93,7 @@ def naive_atom_vectors(g: MolGraph, p: WLNParams) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def brute_force_enumerate(reactants: MolGraph, pairs: list[tuple[int, int]],
-                          cfg: GenConfig) -> set[EditSet]:
+                          max_changes: int) -> set[EditSet]:
     """Generate every assignment of changed bond types, then filter.
 
     Every nonempty set of at most ``max_changes`` pair positions takes every
@@ -104,7 +104,7 @@ def brute_force_enumerate(reactants: MolGraph, pairs: list[tuple[int, int]],
     """
     norm = [(min(u, v), max(u, v)) for u, v in pairs]
     out: set[EditSet] = set()
-    for size in range(1, min(cfg.max_changes, len(norm)) + 1):
+    for size in range(1, min(max_changes, len(norm)) + 1):
         for positions in itertools.combinations(norm, size):
             changed = [[BondEdit(u, v, bt) for bt in BOND_ALPHABET
                         if bt is not reactants.bond_type_between(u, v)]
@@ -124,8 +124,8 @@ def brute_force_enumerate(reactants: MolGraph, pairs: list[tuple[int, int]],
     return out
 
 
-def brute_force_ordered(reactants: MolGraph, pairs: list[tuple[int, int]],
-                        cfg: GenConfig) -> tuple[list[EditSet], bool]:
+def brute_force_ordered(reactants: MolGraph, pairs: list[tuple[int, int]], max_changes: int,
+                        max_candidates: int) -> tuple[list[EditSet], bool]:
     """:func:`brute_force_enumerate` in the documented output order of
     :func:`~rxnpred.candgen.enumerate_candidates`, cut at ``max_candidates``,
     and whether the cut dropped any.
@@ -142,8 +142,8 @@ def brute_force_ordered(reactants: MolGraph, pairs: list[tuple[int, int]],
         at = sorted((first[(e.u, e.v)], BOND_ALPHABET.index(e.bond_type)) for e in edit_set)
         return len(at), [pos for pos, _ in at], [bt for _, bt in at]
 
-    ordered = sorted(brute_force_enumerate(reactants, pairs, cfg), key=key)
-    return ordered[:cfg.max_candidates], len(ordered) > cfg.max_candidates
+    ordered = sorted(brute_force_enumerate(reactants, pairs, max_changes), key=key)
+    return ordered[:max_candidates], len(ordered) > max_candidates
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +202,8 @@ def _ranking_instance(seed: int, min_candidates: int = 3):
     for attempt in range(50):
         rec = _small_instance(seed + 101 * attempt)
         cands, _, true_idx = _candidate_stage(
-            rec.reactants, list(rec.true_edits.pairs),
-            GenConfig(max_changes=2, max_candidates=24), rec.true_edits, augment=True)
+            rec.reactants, list(rec.true_edits.pairs), 2, rec.true_edits, augment=True,
+            max_candidates=24)
         if len(cands) >= min_candidates:
             return rec, cands, true_idx
     raise RuntimeError("no suitable ranking instance found")
@@ -215,7 +215,7 @@ def gradient_suite(h: float = 1e-5, tol: float = 1e-4, seed: int = 5,
     rec = _small_instance(seed)
     out = []
 
-    for variant in ("local", "global"):
+    for variant in CenterModel.VARIANTS:
         model = CenterModel.create(variant, hidden=hidden, depth=2, seed=seed)
 
         def loss_fn(_store, model=model):
@@ -228,7 +228,7 @@ def gradient_suite(h: float = 1e-5, tol: float = 1e-4, seed: int = 5,
 
     rec, cands, true_idx = _ranking_instance(seed)
 
-    for variant in ("wln", "wldn"):
+    for variant in RankerModel.VARIANTS:
         model = RankerModel.create(variant, hidden=hidden, depth=2, seed=seed)
 
         def loss_fn(_store, model=model):
@@ -266,7 +266,7 @@ def batched_ranker_suite(seed: int = 13, hidden: int = 8) -> CheckResult:
     lines = (reagent_fixture_lines(2, seed=seed) + higher_order_fixture_lines(4, seed=seed)
              + toy_reaction_lines(6, seed=seed))
     mismatches = scored = subsets = 0
-    for variant in ("wln", "wldn"):
+    for variant in RankerModel.VARIANTS:
         model = RankerModel.create(variant, hidden=hidden, depth=2, seed=seed)
         for line in lines:
             rec = parse_reaction_line(line)
@@ -277,7 +277,7 @@ def batched_ranker_suite(seed: int = 13, hidden: int = 8) -> CheckResult:
                 (min(a, b), max(a, b)) for a in rec.true_edits.atoms()
                 for b in g.neighbors(a)})
             cands = [Candidate(EditSet.of([]), g)] + enumerate_candidates(
-                g, pairs, GenConfig(max_changes=2, max_candidates=60)).candidates
+                g, pairs, 2, max_candidates=60).candidates
             batched = model.score_candidates(g, cands).values[:, 0]
             subsets += len(read_atoms(cands)) < g.n_atoms
             for cand, score in zip(cands, batched):
@@ -342,10 +342,8 @@ def train_backward_mismatches(lines: list[str], seed: int = 0, hidden: int = 8,
     instances = _build_instances(records, None, RunConfig(augment_truth=True))
     mismatches = checked = 0
     for cls, variant, loss_fn, items in (
-            (CenterModel, "local", _center_item_loss, records),
-            (CenterModel, "global", _center_item_loss, records),
-            (RankerModel, "wln", _ranker_item_loss, instances),
-            (RankerModel, "wldn", _ranker_item_loss, instances)):
+            [(CenterModel, v, _center_item_loss, records) for v in CenterModel.VARIANTS]
+            + [(RankerModel, v, _ranker_item_loss, instances) for v in RankerModel.VARIANTS]):
         model = cls.create(variant, hidden=hidden, depth=depth, seed=seed)
         for item in items:
             got = _gradient_bytes(model, loss_fn, item)
@@ -400,7 +398,7 @@ def center_inference_suite(seed: int = 17, hidden: int = 8) -> CheckResult:
             g = parse_smiles(smiles)
         graphs.append(g)
     mismatches = checked = 0
-    for variant in ("local", "global"):
+    for variant in CenterModel.VARIANTS:
         model = CenterModel.create(variant, hidden=hidden, depth=2, seed=seed)
         for g in graphs:
             matrix, alpha = composed_center_outputs(model, g)
@@ -439,9 +437,10 @@ _ENUMERATION_EXTRAS = ("[NH4+]", "[O-]C(=O)C", "C[N+](C)(C)C", "c1ccncc1", "Cc1c
                        "FC(F)(F)(F)C")
 
 
-def enumeration_instance(rng: np.random.Generator) -> tuple[MolGraph, list[tuple[int, int]],
-                                                           GenConfig]:
-    """Reactants, up to 8 pairs and limits for an enumeration comparison.
+def enumeration_instance(rng: np.random.Generator
+                         ) -> tuple[MolGraph, list[tuple[int, int]], tuple[int, int]]:
+    """Reactants, up to 8 pairs and the limits ``(max_changes,
+    max_candidates)`` for an enumeration comparison.
 
     The reactants are a random molecule, sometimes with a charged, aromatic
     or over-valent fragment. About half of the pairs are bonds; pairs come in
@@ -462,9 +461,8 @@ def enumeration_instance(rng: np.random.Generator) -> tuple[MolGraph, list[tuple
         pairs.append((u, v) if rng.random() < 0.5 else (v, u))
     if rng.random() < 0.3:
         pairs.append(pairs[rng.integers(len(pairs))][::-1])
-    cfg = GenConfig(max_changes=int(rng.integers(1, 4)),
-                    max_candidates=int(rng.choice([3, 20, 100000])))
-    return g, pairs, cfg
+    limits = int(rng.integers(1, 4)), int(rng.choice([3, 20, 100000]))
+    return g, pairs, limits
 
 
 def enumeration_suite(n_instances: int = 20, seed: int = 9) -> CheckResult:
@@ -473,9 +471,9 @@ def enumeration_suite(n_instances: int = 20, seed: int = 9) -> CheckResult:
     rng = np.random.default_rng(seed)
     mismatches = 0
     for _ in range(n_instances):
-        g, pairs, cfg = enumeration_instance(rng)
-        fast = enumerate_candidates(g, pairs, cfg)
-        slow = brute_force_ordered(g, pairs, cfg)
+        g, pairs, limits = enumeration_instance(rng)
+        fast = enumerate_candidates(g, pairs, *limits)
+        slow = brute_force_ordered(g, pairs, *limits)
         mismatches += int(([c.edits for c in fast], fast.truncated) != slow)
     return CheckResult("enumeration-oracle", mismatches == 0,
                        f"{mismatches} mismatching instances of {n_instances}")
@@ -587,7 +585,7 @@ def graph_delta_suite(seed: int = 29, n_passes: int = 30) -> CheckResult:
     for _ in range(n_passes):
         parts = []
         for _ in range(int(rng.integers(1, 4))):
-            g, pairs, cfg = enumeration_instance(rng)
+            g, pairs, limits = enumeration_instance(rng)
             perm = [int(i) for i in rng.permutation(g.n_atoms)]
             atoms = [None] * g.n_atoms
             for old, new in enumerate(perm):
@@ -595,7 +593,7 @@ def graph_delta_suite(seed: int = 29, n_passes: int = 30) -> CheckResult:
             h = make_graph(atoms, [(perm[b.u], perm[b.v], b.bond_type) for b in g.bonds])
             pairs = [(perm[u], perm[v]) for u, v in pairs]
             parts += [(h, EditSet.of([]))] + [(h, c.edits)
-                                              for c in enumerate_candidates(h, pairs, cfg)]
+                                              for c in enumerate_candidates(h, pairs, *limits)]
             all_pairs = [(u, v) for u in range(h.n_atoms) for v in range(u + 1, h.n_atoms)]
             for _ in range(3 if all_pairs else 0):
                 chosen = rng.choice(len(all_pairs), min(len(all_pairs), int(rng.integers(1, 5))),

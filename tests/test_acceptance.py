@@ -12,7 +12,7 @@ import pytest
 
 from rxnpred import datagen
 from rxnpred import diffengine as de
-from rxnpred.candgen import Candidate, EditSet, GenConfig, enumerate_candidates
+from rxnpred.candgen import Candidate, EditSet, enumerate_candidates
 from rxnpred.center import center_loss, upper_pairs
 from rxnpred.chemgraph import BondType, parse_smiles
 from rxnpred.pipeline import (RunConfig, evaluate, load_dataset, train_center,
@@ -65,9 +65,8 @@ def test_criterion_04_enumeration_oracle():
             continue
         k = int(rng.integers(1, min(4, len(pool)) + 1))
         pairs = [pool[i] for i in rng.choice(len(pool), size=k, replace=False)]
-        cfg = GenConfig(max_changes=min(3, k), max_candidates=10 ** 6)
-        fast = {c.edits for c in enumerate_candidates(g, pairs, cfg)}
-        slow = brute_force_enumerate(g, pairs, cfg)
+        fast = {c.edits for c in enumerate_candidates(g, pairs, min(3, k), 10 ** 6)}
+        slow = brute_force_enumerate(g, pairs, min(3, k))
         mismatches += int(fast != slow)
         done += 1
     _report(4, "enumeration-oracle", mismatches == 0,
@@ -84,15 +83,14 @@ def test_criterion_05_coverage_link():
             rec = parse_reaction_line(datagen.random_reaction_line(rng))
         except ValueError:
             continue
-        cfg = GenConfig(max_changes=3, max_candidates=10 ** 5)
-        if len(rec.true_edits) > cfg.max_changes:
+        if len(rec.true_edits) > 3:
             continue
         if rec.true_edits not in brute_force_enumerate(
-                rec.reactants, list(rec.true_edits.pairs), cfg):
+                rec.reactants, list(rec.true_edits.pairs), 3):
             continue  # filtered truths are exempt by construction
         pairs = list(rec.true_edits.pairs)
         pairs += [(u, u + 1) for u in range(min(2, rec.reactants.n_atoms - 1))]
-        result = enumerate_candidates(rec.reactants, pairs[:6], cfg)
+        result = enumerate_candidates(rec.reactants, pairs[:6], 3, 10 ** 5)
         misses += int(rec.true_edits not in {c.edits for c in result})
         checked += 1
     _report(5, "coverage-link", misses == 0,
@@ -160,7 +158,6 @@ def test_criterion_07_ranker_overfit(toy_file, tmp_path):
 
 def test_criterion_08_candidate_generation_latency():
     rng = np.random.default_rng(2)
-    cfg = GenConfig(max_changes=3, max_candidates=2000)
     times = []
     for _ in range(30):
         g = datagen.random_molecule(rng, n_atoms=50, allow_curated=False)
@@ -171,7 +168,7 @@ def test_criterion_08_candidate_generation_latency():
                 pairs.append((int(min(cluster[i], cluster[j])),
                               int(max(cluster[i], cluster[j]))))
         start = time.perf_counter()
-        enumerate_candidates(g, pairs[:8], cfg)
+        enumerate_candidates(g, pairs[:8], 3, 2000)
         times.append((time.perf_counter() - start) * 1000.0)
     median = float(np.median(times))
     _report(8, "candgen-latency", median < 50.0,

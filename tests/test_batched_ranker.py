@@ -11,7 +11,7 @@ from helpers import merge, permute_graph
 from rxnpred import datagen
 from rxnpred import diffengine as de
 from rxnpred import ranker, selfcheck
-from rxnpred.candgen import Candidate, EditSet, GenConfig, enumerate_candidates
+from rxnpred.candgen import Candidate, EditSet, enumerate_candidates
 from rxnpred.chemgraph import BondType
 from rxnpred.datagen import random_molecule
 from rxnpred.pipeline import RunConfig, _build_instances, parse_reaction_line, train_ranker
@@ -38,7 +38,7 @@ def instances(draw):
     assume(bridges)
     bridge = bridges[0]
     edit_sets = [EditSet.of([]), EditSet.of([(bridge.u, bridge.v, BondType.NONE)])]
-    result = enumerate_candidates(g, picks, GenConfig(max_changes=2, max_candidates=40))
+    result = enumerate_candidates(g, picks, 2, max_candidates=40)
     edit_sets += [c.edits for c in result.candidates]
     edit_sets *= draw(st.sampled_from([1, 1, MAX_UNION_CANDIDATES // 2 + 1]))
     perm = [int(i) for i in draw(st.permutations(range(n)))]
@@ -126,7 +126,7 @@ def test_rank_candidates_keeps_no_graph_and_matches_training_scores():
     g = merge([random_molecule(np.random.default_rng(s), n_atoms=6, allow_curated=False)
                for s in (1, 2)])
     pairs = [(b.u, b.v) for b in g.bonds][:4]
-    cands = enumerate_candidates(g, pairs, GenConfig(max_changes=2)).candidates
+    cands = enumerate_candidates(g, pairs, 2).candidates
     model = RankerModel.create("wldn", hidden=6, depth=2, seed=3)
     expected = model.score_candidates(g, cands).values[:, 0]
     ranked = rank_candidates(g, cands, model)
@@ -183,9 +183,9 @@ def component_lists(draw):
     ends = np.cumsum([p.n_atoms for p in parts])
     edited = [enumerate_candidates(g, [(u, v) for u in range(end - p.n_atoms, end)
                                       for v in range(u + 1, end)][:6],
-                                   GenConfig(max_changes=1, max_candidates=6)).candidates
+                                   1, max_candidates=6).candidates
               for p, end in zip(parts[:-1], ends[:-1])]
-    across = enumerate_candidates(g, [(0, int(ends[0]))], GenConfig(max_changes=1)).candidates
+    across = enumerate_candidates(g, [(0, int(ends[0]))], 1).candidates
     empty = Candidate(EditSet.of([]), g)
     lists = [c for c in edited if c] + [across, [empty] + [c for cs in edited for c in cs] + across,
                                         [empty]]

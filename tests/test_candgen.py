@@ -1,11 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import bfs_connected
-from rxnpred.candgen import (BondEdit, EditSet, GenConfig, connectivity_ok,
-                             enumerate_candidates)
+from rxnpred.candgen import MAX_CANDIDATES, BondEdit, EditSet, connectivity_ok, enumerate_candidates
 from rxnpred.chemgraph import BondType, apply_edits, parse_smiles
 from rxnpred.selfcheck import brute_force_enumerate, brute_force_ordered, enumeration_instance
 
@@ -35,8 +36,7 @@ class TestCounting:
         # and even a triple bond leaves each at order 3 <= 4, so no filter
         # removes anything.
         g = parse_smiles("c-c")
-        cfg = GenConfig(max_changes=1)
-        result = enumerate_candidates(g, [(0, 1)], cfg)
+        result = enumerate_candidates(g, [(0, 1)], 1)
         assert len(result) == 4  # alphabet of 5 minus the current type
 
     def test_two_single_pairs_max_changes_two(self):
@@ -45,8 +45,7 @@ class TestCounting:
         # atoms). Two triples bring S to order 6 <= 6 and a carbon to 3 <= 4,
         # so valence removes nothing: 3 + 3 singles and 3 * 3 pairs.
         g = parse_smiles("CSC")
-        cfg = GenConfig(max_changes=2)
-        result = enumerate_candidates(g, [(0, 1), (1, 2)], cfg)
+        result = enumerate_candidates(g, [(0, 1), (1, 2)], 2)
         assert len(result) == 3 + 3 + 9
 
     def test_upper_bound_formula(self):
@@ -63,8 +62,7 @@ class TestCounting:
         #   m = 3 leaves 1, so 14.
         g = parse_smiles("CCCCCC")
         pairs = [(0, 1), (1, 2), (2, 3), (3, 4)]
-        cfg = GenConfig(max_changes=3)
-        result = enumerate_candidates(g, pairs, cfg)
+        result = enumerate_candidates(g, pairs, 3)
         assert len(result) == 4 * 3 + 3 * 6 + 2 * 14
         assert len({c.edits for c in result}) == len(result)
         from math import comb
@@ -76,9 +74,8 @@ class TestFilters:
         g = parse_smiles("CC(C)(C)C.O")  # central carbon already has 4 bonds
         over = apply_edits(g, [(1, 5, BondType.SINGLE)])
         assert over.valence_warnings
-        cfg = GenConfig(max_changes=1)
         # a new bond from the saturated carbon to the water oxygen is filtered
-        result = enumerate_candidates(g, [(1, 5)], cfg)
+        result = enumerate_candidates(g, [(1, 5)], 1)
         assert all(e.bond_type is BondType.NONE or e.u != 1
                    for c in result for e in c.edits)
 
@@ -104,8 +101,7 @@ class TestFilters:
         # Only the aromatic rule stops (0,1) -> aromatic: ring atom 1 would
         # reach half-orders 3 + 3 + 3 = 9, order 4, within carbon's valence.
         g = parse_smiles("Cc1ccccc1")
-        cfg = GenConfig(max_changes=1)
-        made = enumerate_candidates(g, [(0, 1), (1, 2)], cfg)
+        made = enumerate_candidates(g, [(0, 1), (1, 2)], 1)
         for cand in made:
             for e in cand.edits:
                 if e.bond_type is BondType.AROMATIC:
@@ -138,15 +134,15 @@ class TestEnumerationOracle:
         # The ordered list and the truncation flag. Up to 8 pairs, repeated
         # and reversed pairs, charged, aromatic and over-valent atoms, and
         # caps small enough to truncate.
-        g, pairs, cfg = enumeration_instance(np.random.default_rng(seed))
-        result = enumerate_candidates(g, pairs, cfg)
-        assert ([c.edits for c in result], result.truncated) == brute_force_ordered(g, pairs, cfg)
+        g, pairs, limits = enumeration_instance(np.random.default_rng(seed))
+        result = enumerate_candidates(g, pairs, *limits)
+        assert ([c.edits for c in result], result.truncated) == brute_force_ordered(
+            g, pairs, *limits)
 
     def test_every_candidate_passes_filters_when_reapplied(self):
         g = parse_smiles("CC(=O)CC.OCC")
         pairs = [(1, 2), (1, 5), (2, 5), (0, 1)]
-        cfg = GenConfig(max_changes=3)
-        for cand in enumerate_candidates(g, pairs, cfg):
+        for cand in enumerate_candidates(g, pairs, 3):
             assert not cand.product.valence_warnings
             if len(cand.edits) > 1:
                 assert connectivity_ok(cand.edits)
@@ -163,14 +159,13 @@ class TestEnumerationOracle:
                 rec = parse_reaction_line(random_reaction_line(rng))
             except ValueError:
                 continue
-            cfg = GenConfig(max_changes=3, max_candidates=10 ** 5)
-            if len(rec.true_edits) > cfg.max_changes:
+            if len(rec.true_edits) > 3:
                 continue
             extra = [(u, u + 1) for u in range(min(3, rec.reactants.n_atoms - 1))]
             pairs = list(rec.true_edits.pairs) + extra
-            result = enumerate_candidates(rec.reactants, pairs[:6], cfg)
+            result = enumerate_candidates(rec.reactants, pairs[:6], 3, max_candidates=10 ** 5)
             survives = rec.true_edits in brute_force_enumerate(
-                rec.reactants, list(rec.true_edits.pairs), cfg)
+                rec.reactants, list(rec.true_edits.pairs), 3)
             if survives:
                 assert rec.true_edits in {c.edits for c in result}
                 checked += 1
@@ -180,17 +175,15 @@ class TestDeterminismAndCap:
     def test_same_inputs_same_ordered_output(self):
         g = parse_smiles("CC(=O)CC.OCC")
         pairs = [(1, 2), (1, 5), (2, 5)]
-        cfg = GenConfig(max_changes=3)
-        a = [list(c.edits) for c in enumerate_candidates(g, pairs, cfg)]
-        b = [list(c.edits) for c in enumerate_candidates(g, pairs, cfg)]
+        a = [list(c.edits) for c in enumerate_candidates(g, pairs, 3)]
+        b = [list(c.edits) for c in enumerate_candidates(g, pairs, 3)]
         assert a == b
 
     def test_order_is_by_size_then_position(self):
         # The counts of test_two_single_pairs_max_changes_two: 3 singles per
         # pair, in input order, then the 9 pairs of changes.
         g = parse_smiles("CSC")
-        cfg = GenConfig(max_changes=2)
-        result = enumerate_candidates(g, [(0, 1), (1, 2)], cfg)
+        result = enumerate_candidates(g, [(0, 1), (1, 2)], 2)
         sizes = [len(c.edits) for c in result]
         assert sizes == sorted(sizes)
         assert [c.edits.pairs for c in result] == (
@@ -201,30 +194,38 @@ class TestDeterminismAndCap:
         # triple leaves each carbon at order <= 4) = 18 > 10 candidates.
         g = parse_smiles("C" * 10)
         pairs = [(i, i + 1) for i in range(6)]
-        cfg = GenConfig(max_changes=3, max_candidates=10)
-        result = enumerate_candidates(g, pairs, cfg)
+        result = enumerate_candidates(g, pairs, 3, max_candidates=10)
         assert result.truncated and len(result) == 10
 
     def test_duplicate_input_pairs_deduplicated(self):
         # As in test_single_bonded_pair_four_raw_candidates, the one distinct
         # pair takes all 4 other bond types; the repeat adds nothing.
         g = parse_smiles("c-c")
-        cfg = GenConfig(max_changes=2)
-        result = enumerate_candidates(g, [(0, 1), (1, 0)], cfg)
+        result = enumerate_candidates(g, [(0, 1), (1, 0)], 2)
         assert len(result) == 4
 
     def test_identity_assignment_excluded(self):
         g = parse_smiles("c-c")  # no filter applies, see the counting tests
-        cfg = GenConfig(max_changes=1)
-        for cand in enumerate_candidates(g, [(0, 1)], cfg):
+        for cand in enumerate_candidates(g, [(0, 1)], 1):
             assert len(cand.edits) >= 1
             assert all(e.bond_type is not g.bond_type_between(e.u, e.v)
                        for e in cand.edits)
 
+    @pytest.mark.parametrize("pair", [(0, 99), (0, -1), (3, 1)])
+    def test_pair_outside_the_graph_rejected(self, pair):
+        # An index past the end or a negative one names no atom of the graph.
+        message = f"pair ({pair[0]},{pair[1]}) references an atom outside the 3-atom reactants"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            enumerate_candidates(parse_smiles("CCO"), [(0, 1), pair], 2)
+
+    @pytest.mark.parametrize("limits", [(0, 10), (2, 0)])
+    def test_limits_below_one_rejected(self, limits):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            enumerate_candidates(parse_smiles("CCO"), [(0, 1)], *limits)
+
     def test_lazy_product_consistency(self):
         g = parse_smiles("CCO")
-        cfg = GenConfig(max_changes=1)
-        cand = enumerate_candidates(g, [(0, 1)], cfg).candidates[0]
+        cand = enumerate_candidates(g, [(0, 1)], 1).candidates[0]
         direct = apply_edits(g, cand.edits)
         assert [b.bond_type for b in cand.product.bonds] == [
             b.bond_type for b in direct.bonds]
@@ -236,7 +237,7 @@ class TestCounters:
         # singles and one disconnected pair. A triple (half-order change +4)
         # puts no carbon over 4, so nothing is pruned.
         g = parse_smiles("CC.CC")
-        result = enumerate_candidates(g, [(0, 1), (2, 3)], GenConfig(max_changes=2))
+        result = enumerate_candidates(g, [(0, 1), (2, 3)], 2)
         assert (result.subsets, result.disconnected, result.preexisting,
                 result.pruned, result.duplicates) == (3, 1, 0, 0, 0)
         assert len(result) == 6 and not result.truncated
@@ -248,16 +249,15 @@ class TestCounters:
         # so that branch must survive the cut.
         g = parse_smiles("FC(F)(F)(F)C.O")
         pairs = [(5, 6), (1, 5), (0, 1), (1, 2)]
-        cfg = GenConfig(max_changes=3)
-        result = enumerate_candidates(g, pairs, cfg)
+        result = enumerate_candidates(g, pairs, 3)
         assert EditSet.of([(0, 1, BondType.NONE), (1, 2, BondType.NONE),
                            (1, 5, BondType.DOUBLE)]) in {c.edits for c in result}
         assert result.subsets == 4 + 6 + 4 and result.preexisting == 1
         assert result.pruned > 0 and result.duplicates == 0
         assert ([c.edits for c in result], result.truncated) == brute_force_ordered(
-            g, pairs, cfg)
+            g, pairs, 3, MAX_CANDIDATES)
 
     def test_duplicates_counted(self):
         g = parse_smiles("c-c")
-        result = enumerate_candidates(g, [(0, 1), (1, 0)], GenConfig(max_changes=2))
+        result = enumerate_candidates(g, [(0, 1), (1, 0)], 2)
         assert result.duplicates == 4 and len(result) == 4

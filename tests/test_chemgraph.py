@@ -14,7 +14,7 @@ from rxnpred.chemgraph import (_DEGREE, ATOM_FEATURE_DIM, BOND_FEATURE_DIM, Bond
 from rxnpred.candgen import Candidate
 from rxnpred.datagen import random_molecule
 from test_edit_locality import FRAGMENTS, edited_reactants
-from rxnpred.wliso import brute_force_isomorphic, wl_equivalent
+from rxnpred.wliso import brute_force_isomorphic, wl_equivalent, wl_fingerprint
 
 
 def maps(g):
@@ -155,6 +155,37 @@ class TestWrite:
         assert sorted(a.formal_charge for a in back.atoms) == sorted(
             a.formal_charge for a in g.atoms)
         assert maps(back).keys() == maps(g).keys()
+
+    def test_more_than_99_ring_closures_round_trip(self):
+        # An 11 x 11 grid: 121 atoms, 220 bonds, 100 ring closures. SMILES
+        # ring labels have at most two digits ('%100' reads as '%10', '0').
+        n = 11
+        atom = parse_smiles("C").atoms[0]
+        g = make_graph([atom] * n * n,
+                       [(i * n + j, i * n + j + 1, BondType.SINGLE)
+                        for i in range(n) for j in range(n - 1)]
+                       + [(i * n + j, (i + 1) * n + j, BondType.SINGLE)
+                          for i in range(n - 1) for j in range(n)])
+        text = write_smiles(g)
+        assert "%100" not in text
+        back = parse_smiles(text)
+        assert (back.n_atoms, len(back.bonds)) == (121, 220)
+        assert wl_fingerprint(back, 3) == wl_fingerprint(g, 3)
+
+    def test_labels_up_to_99_are_sequential(self):
+        # Below the two-digit limit every closure keeps a fresh label.
+        text = write_smiles(parse_smiles(".".join(["C1CC1"] * 99)))
+        assert text.startswith("C1CC1.C2CC2.") and text.endswith(".C%99CC%99")
+
+    def test_more_than_99_open_rings_rejected(self):
+        # A 202-atom chain whose atom i also bonds atom 201 - i: atoms 0-99
+        # open 100 rings that close only at atoms 102-201.
+        atom = parse_smiles("C").atoms[0]
+        g = make_graph([atom] * 202,
+                       [(i, i + 1, BondType.SINGLE) for i in range(201)]
+                       + [(i, 201 - i, BondType.SINGLE) for i in range(100)])
+        with pytest.raises(ValueError, match="more than 99 rings open at once"):
+            write_smiles(g)
 
     @pytest.mark.parametrize("smiles", [
         "C" * 5000,                               # a chain deeper than the recursion limit

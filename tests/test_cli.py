@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -142,8 +143,9 @@ def one_line_exit(args, match):
 
 
 @pytest.mark.parametrize("smiles, match", [
-    ("C1CC(", r"unclosed '\('"), ("C" * 151, r"too large \(151 atoms")],
-    ids=["bad-smiles", "over-atom-cap"])
+    ("C1CC(", r"unclosed '\('"), ("C" * 151, r"too large \(151 atoms"),
+    ("[CH3:1][CH2:1][OH:2]", "duplicate atom map number 1")],
+    ids=["bad-smiles", "over-atom-cap", "repeated-map-number"])
 def test_predict_bad_input_exits_with_one_line(checkpoints, smiles, match):
     center, ranker = checkpoints
     one_line_exit(["predict", smiles, "--model", center, "--model", ranker], match)
@@ -176,12 +178,31 @@ def test_old_config_key_exits_with_one_line(workdir, checkpoints):
                   "unknown config key 'activation'")
 
 
+def test_unknown_variant_in_config_exits_with_one_line(workdir, checkpoints):
+    # evaluate reads no variant, but the setting is still checked.
+    center, ranker = checkpoints
+    cfg = workdir / "variant.cfg"
+    cfg.write_text("variant=foo\n")
+    one_line_exit(["evaluate", "--data", str(workdir / "toy.txt"), "--model", center,
+                   "--model", ranker, "--config", str(cfg)],
+                  re.escape(f"{cfg}:1: config field variant must be one of local, global, "
+                            "wldn, wln, got 'foo'"))
+
+
+# Flags go through the config-line parser: a bad value names its flag and
+# setting, as a bad line names its file, line and setting.
 @pytest.mark.parametrize("flags, match", [
     (["--split", "1"], "split must be three"),
     (["--split", "nan,0,1"], "split must be three"),
     (["--split", "1.5,-0.5,0"], "split must be three"),
     (["--lr", "nan"], "lr must be finite and positive"),
-    (["--decay", "nan"], "decay must be finite and positive")])
+    (["--decay", "nan"], "decay must be finite and positive"),
+    (["--k", "x"], "^--k: config key 'k' takes an integer, got 'x'$"),
+    (["--lr", "abc"], "^--lr: config key 'lr' takes a number, got 'abc'$"),
+    (["--split", "a,b"], "^--split: config key 'split' takes three comma-separated fractions, "
+                         "got 'a,b'$"),
+    (["--variant", "foo"], "^--variant: config field variant must be one of local, global, "
+                           "wldn, wln, got 'foo'$")])
 def test_bad_run_setting_exits_with_one_line(workdir, checkpoints, flags, match):
     center, ranker = checkpoints
     one_line_exit(["evaluate", "--data", str(workdir / "toy.txt"), "--model", center,
@@ -189,6 +210,13 @@ def test_bad_run_setting_exits_with_one_line(workdir, checkpoints, flags, match)
     one_line_exit(["train-center", "--data", str(workdir / "toy.txt"),
                    "--out", str(workdir / "unused.ckpt")] + flags, match)
     assert not (workdir / "unused.ckpt").exists()
+
+
+def test_every_run_setting_has_one_route():
+    # A new RunConfig field must get a flag or be named config-only here.
+    config_only = {"center", "target_train_coverage", "target_train_p1"}
+    assert set(cli.SETTING_FLAGS) | config_only == {f.name for f in fields(RunConfig)}
+    assert not set(cli.SETTING_FLAGS) & config_only
 
 
 def test_misspelt_boolean_in_config_exits_with_one_line(workdir, checkpoints):

@@ -143,11 +143,11 @@ def test_ranking_builds_no_graph(monkeypatch):
     # Scoring reads the reactants' codes and the candidates' deltas only;
     # predict builds local products for the products it writes.
     from rxnpred import chemgraph
-    from rxnpred.candgen import GenConfig, enumerate_candidates
+    from rxnpred.candgen import enumerate_candidates
     from rxnpred.ranker import RankerModel, rank_candidates
 
     g = parse_smiles("CC(=O)Cl.NC.O")
-    cands = enumerate_candidates(g, [(1, 3), (1, 4), (3, 4), (0, 1)], GenConfig()).candidates
+    cands = enumerate_candidates(g, [(1, 3), (1, 4), (3, 4), (0, 1)], 3).candidates
     model = RankerModel.create("wldn", hidden=4, depth=2)
 
     def fail(*args):
@@ -179,7 +179,7 @@ def test_product_matches_equals_full_product_route():
     # _product_matches counts atoms from the edit-local product before it
     # builds the full product; the booleans must equal the full route's.
     from rxnpred import datagen
-    from rxnpred.candgen import GenConfig, enumerate_candidates
+    from rxnpred.candgen import enumerate_candidates
     from rxnpred.pipeline import _product_matches, parse_reaction_line
     from rxnpred.wliso import wl_equivalent
 
@@ -201,7 +201,7 @@ def test_product_matches_equals_full_product_route():
         g = rec.reactants
         pairs = sorted(set(rec.true_edits.pairs) | {
             (min(a, b), max(a, b)) for a in rec.true_edits.atoms() for b in g.neighbors(a)})
-        for cand in enumerate_candidates(g, pairs[:6], GenConfig(max_changes=3)):
+        for cand in enumerate_candidates(g, pairs[:6], 3):
             fast = _product_matches(rec, cand)
             assert fast == full_route(rec, Candidate(cand.edits, g))
             matches += fast

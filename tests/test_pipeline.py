@@ -1,3 +1,4 @@
+import inspect
 import logging
 import re
 import warnings
@@ -88,9 +89,14 @@ class TestRecordParsing:
             parse_reaction_line("[CH3:1][OH:2]>>[CH3:1][OH:2]")
 
     def test_size_cap(self):
-        line = "[CH3:1][OH:2]>>[CH3:1].[OH:2]"
-        with pytest.raises(ValueError):
-            parse_reaction_line(line, max_atoms=1)
+        # Reagents count toward MAX_ATOMS: 2 reactant atoms plus a reagent
+        # chain of MAX_ATOMS - 1 is one too many.
+        def line(n_reagent):
+            return f"[CH3:1][OH:2]>{'C' * n_reagent}>[CH3:1].[OH:2]"
+
+        assert parse_reaction_line(line(MAX_ATOMS - 2)).reactants.n_atoms == MAX_ATOMS
+        with pytest.raises(ValueError, match=f"too large \\({MAX_ATOMS + 1} atoms"):
+            parse_reaction_line(line(MAX_ATOMS - 1))
 
     def test_edit_consistency_on_every_accepted_record(self, toy_file):
         records = load_dataset(toy_file)
@@ -209,10 +215,37 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         path.write_text("k=8\nlr=0.01\nvariant=global\naugment-truth=true\n"
                         "split=0.9,0.05,0.05\n# comment\n")
-        cfg = RunConfig.from_file(path, lr=0.5)
+        cfg = RunConfig.from_file(path, lr="0.5")
         assert cfg.k == 8 and cfg.variant == "global" and cfg.augment_truth
         assert cfg.lr == 0.5
         assert cfg.split == (0.9, 0.05, 0.05)
+
+    def test_overrides_without_a_file(self):
+        # Flags reach RunConfig as text through the config-line parser.
+        assert RunConfig.from_file() == RunConfig()
+        assert RunConfig.from_file(k="9", split="0.6,0.2,0.2", augment_truth="true") == \
+            RunConfig(k=9, split=(0.6, 0.2, 0.2), augment_truth=True)
+
+    @pytest.mark.parametrize("key, raw, message", [
+        ("max_changes", "x", "--max-changes: config key 'max_changes' takes an integer, got 'x'"),
+        ("k", "0", "--k: config field k must be positive"),
+        ("variant", "foo", "--variant: config field variant must be one of"),
+        ("bogus", "1", "--bogus: unknown config key 'bogus'")])
+    def test_bad_override_names_its_flag(self, key, raw, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            RunConfig.from_file(**{key: raw})
+
+    def test_override_wins_over_a_bad_line(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("k=x\n")
+        assert RunConfig.from_file(path, k="5").k == 5
+
+    def test_variants_are_the_models(self):
+        for variant in CenterModel.VARIANTS + RankerModel.VARIANTS:
+            assert RunConfig(variant=variant).variant == variant
+        with pytest.raises(ValueError, match="variant must be one of local, global, wldn, wln, "
+                                             "got 'foo'"):
+            RunConfig(variant="foo")
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -324,6 +357,20 @@ class TestPredict:
         center, ranker = trained
         result = predict("[CH4:1]", center, ranker, k=6)
         assert result.products == [] and result.reason
+
+    def test_repeated_map_number_rejected(self, trained):
+        # load_dataset skips such a record: the edits would name two atoms
+        # by one number.
+        center, ranker = trained
+        with pytest.raises(ValueError, match="duplicate atom map number 1"):
+            predict("[CH3:1][CH2:1][OH:2]", center, ranker)
+        with pytest.raises(ValueError, match="duplicate atom map number 1"):
+            parse_reaction_line("[CH3:1][CH2:1][OH:2]>>[CH3:1][CH2:1].[OH:2]")
+
+    def test_defaults_are_run_config_defaults(self):
+        params = inspect.signature(predict).parameters
+        cfg = RunConfig()
+        assert (params["k"].default, params["max_changes"].default) == (cfg.k, cfg.max_changes)
 
     def test_atom_cap_matches_load_dataset(self, trained):
         center, ranker = trained
@@ -544,7 +591,7 @@ class TestBatchedMetrics:
         want = []
         for rec, m in zip(records, loop):
             cands, _, idx = pipeline._candidate_stage(rec.reactants, top_k_pairs(m, 4),
-                                                      cfg.gen_config(), rec.true_edits, True)
+                                                      cfg.max_changes, rec.true_edits, True)
             want.append((rec.raw, [c.edits for c in cands], idx))
         got = [(inst.record.raw, [c.edits for c in inst.candidates], inst.true_index)
                for inst in pipeline._build_instances(records, model, cfg)]

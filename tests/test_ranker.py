@@ -5,10 +5,10 @@ import pytest
 
 from helpers import graph_distance, permute_graph, random_permutation
 from rxnpred import diffengine as de
-from rxnpred.candgen import Candidate, EditSet, GenConfig, enumerate_candidates
+from rxnpred.candgen import Candidate, EditSet, enumerate_candidates
 from rxnpred.chemgraph import ATOM_FEATURE_DIM, BondType, parse_smiles
-from rxnpred.ranker import (RankerModel, difference_vectors, rank_candidates,
-                            rank_loss)
+from rxnpred.ranker import (RankerModel, difference_vectors, rank_candidates, rank_loss,
+                            rank_reactions)
 from rxnpred.wln import FIXED_METADATA, WLNParams
 
 
@@ -164,8 +164,18 @@ class TestRanking:
 
     def test_empty_candidates_rejected(self):
         model = RankerModel.create("wln", hidden=8, depth=2, seed=9)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs a nonempty candidate list"):
             rank_candidates(parse_smiles("CC"), [], model)
+
+    @pytest.mark.parametrize("variant", RankerModel.VARIANTS)
+    def test_empty_batches_score_nothing(self, variant):
+        # No candidate scores to a (0, 1) column; only rank_candidates, whose
+        # reaction then has no answer, rejects an empty list.
+        model = RankerModel.create(variant, hidden=8, depth=2, seed=9)
+        g = parse_smiles("CCO")
+        assert model.score_candidates(g, []).shape == (0, 1)
+        assert model.score_reactions([]).shape == (0, 1)
+        assert rank_reactions([], model) == []
 
 
 def full_layout_store(variant, hidden, depth, seed):
@@ -226,7 +236,7 @@ class TestCheckpointLayout:
         from_old, from_new = RankerModel.load(old), RankerModel.load(new)
         g = parse_smiles("CC(=O)Cl.NCC.O")
         cands = enumerate_candidates(g, [(1, 3), (3, 4), (1, 2), (0, 5)],
-                                     GenConfig(max_changes=2)).candidates
+                                     2).candidates
         assert len(cands) > 5
         a = from_old.score_candidates(g, cands).values
         b = from_new.score_candidates(g, cands).values

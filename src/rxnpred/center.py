@@ -34,12 +34,12 @@ __all__ = [
 
 PAIR_FEATURE_DIM = 6  # bond-type one-hot over {none,1,2,3,ar} + same-molecule flag
 # Feature row of each pair code (bond type + 5 * same-molecule flag): the
-# pair features take only these 10 values. The heads gather rows of
+# pair features take only these 10 values. The head gathers rows of
 # ``_CODE_ROWS @ Mb``, which equal the gathered rows times ``Mb`` bitwise.
 _CODE_ROWS = np.hstack([np.tile(np.eye(5), (2, 1)), np.repeat([[0.0], [1.0]], 5, axis=0)])
 _CODE_TABLE = de.constant(_CODE_ROWS)
-# Pairs per block of the inference head: its temporaries are (PAIR_BLOCK, hidden).
-PAIR_BLOCK = 512
+# Pairs per block of the pair head: its temporaries are (PAIR_BLOCK, hidden).
+PAIR_BLOCK = 256  # at hidden 64, 512 page-faulted about 6x as often in a fresh process
 
 
 def _bond_types(g: MolGraph) -> np.ndarray:
@@ -147,7 +147,7 @@ class CenterModel:
     def save(self, path) -> None:
         self.store.save(path)
 
-    # -- differentiable paths ------------------------------------------------
+    # -- scoring: recorded in training, run under no_grad at inference ------
 
     def _atom_vectors(self, g: MolGraph) -> DTensor:
         """The WLN atom vectors of ``g``."""
@@ -156,13 +156,48 @@ class CenterModel:
 
     def _head(self, c: DTensor, us: np.ndarray, vs: np.ndarray, codes: np.ndarray,
               ma: str, mb: str, bias: str, u: str) -> DTensor:
-        """Sigmoid scores of the pairs (us[i], vs[i]) over atom vectors ``c``;
-        ``codes`` gives each pair's row of ``_CODE_ROWS``."""
+        """Sigmoid scores (len(us), 1) of the pairs (us[i], vs[i]) over atom
+        vectors ``c``; ``codes`` gives each pair's row of ``_CODE_ROWS``.
+
+        Pairs gather projected atoms and feature rows, which equal projected
+        gathered rows bitwise, as a row of a :func:`diffengine._mm` product
+        does not depend on the other rows. The rest runs in blocks of
+        ``PAIR_BLOCK`` pairs (one empty block for no pairs).
+        """
         s = self.store
-        z = de.add(de.add(de.gather_matmul(c, s[ma], us), de.gather_matmul(c, s[ma], vs)),
-                   de.gather_matmul(_CODE_TABLE, s[mb], codes))
-        z = de.add(z, s[bias])
-        return de.sigmoid(de.matmul(de.relu(z), s[u]))
+        proj = de.matmul(c, s[ma])
+        feats = de.matmul(_CODE_TABLE, s[mb])
+        blocks = []
+        for start in range(0, len(us) or 1, PAIR_BLOCK):
+            b = slice(start, start + PAIR_BLOCK)
+            z = de.add(de.add(de.gather_rows(proj, us[b]), de.gather_rows(proj, vs[b])),
+                       de.gather_rows(feats, codes[b]))
+            blocks.append(de.matmul(de.relu(de.add(z, s[bias])), s[u]))
+        return de.sigmoid(blocks[0] if len(blocks) == 1 else de.stack_rows(blocks))
+
+    def _attention(self, g: MolGraph, c: DTensor) -> DTensor:
+        """The (n, n) attention matrix over atom vectors ``c``.
+
+        A pair's code and ``proj[u] + proj[v]`` do not depend on the order of
+        u and v, so the matrix is symmetric: only pairs with u <= v are
+        scored, and each ordered pair gathers its unordered pair's score.
+        """
+        n = g.n_atoms
+        us, vs = np.triu_indices(n)
+        alpha = self._head(c, us, vs, _pair_codes(g, us, vs),
+                           "att.Pa", "att.Pb", "att.bias", "att.u")
+        upper = np.empty((n, n), dtype=np.intp)
+        upper[us, vs] = upper[vs, us] = np.arange(len(us))
+        return de.reshape(de.gather_rows(alpha, upper.reshape(-1)), n, n)
+
+    def _scores(self, g: MolGraph, c: DTensor, pairs: np.ndarray) -> DTensor:
+        """Scores (n_pairs, 1) of the nonempty (n_pairs, 2) ``pairs`` over the
+        WLN atom vectors ``c`` of ``g``."""
+        if self.variant == "global":
+            c = de.matmul(self._attention(g, c), c)
+        us, vs = pairs[:, 0], pairs[:, 1]
+        return self._head(c, us, vs, _pair_codes(g, us, vs),
+                          "score.Ma", "score.Mb", "score.bias", "score.u")
 
     def pair_scores(self, g: MolGraph) -> tuple[DTensor, np.ndarray]:
         """Scores for all unordered pairs as an (n_pairs, 1) tensor, with the
@@ -171,63 +206,7 @@ class CenterModel:
         c = self._atom_vectors(g)
         if not len(pairs):
             return de.constant(np.zeros((0, 1))), pairs
-        if self.variant == "global":
-            c = self._attention_context(g, c)[0]
-        us, vs = pairs[:, 0], pairs[:, 1]
-        scores = self._head(c, us, vs, _pair_codes(g, us, vs),
-                            "score.Ma", "score.Mb", "score.bias", "score.u")
-        return scores, pairs
-
-    def _attention_context(self, g: MolGraph, c: DTensor) -> tuple[DTensor, DTensor]:
-        """Context vectors (n, hidden) and the attention matrix (n, n)."""
-        n = g.n_atoms
-        us, vs = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
-        alpha = self._head(c, us, vs, _pair_codes(g, us, vs),
-                           "att.Pa", "att.Pb", "att.bias", "att.u")
-        alpha_mat = de.reshape(alpha, n, n)
-        return de.matmul(alpha_mat, c), alpha_mat
-
-    # -- inference -------------------------------------------------------------
-
-    def _infer_head(self, c: DTensor, us: np.ndarray, vs: np.ndarray, codes: np.ndarray,
-                    ma: str, mb: str, bias: str, u: str) -> DTensor:
-        """:meth:`_head`'s scores, bitwise, without its (n_pairs, hidden) arrays.
-
-        ``codes`` gives each pair's row of ``_CODE_ROWS``. Each atom is projected
-        once and each of the 10 feature rows once; a row of a
-        :func:`diffengine._mm` product does not depend on the other rows, and a
-        feature row's product has only two nonzero addends, so gathering those
-        rows repeats ``_head``'s arithmetic.
-        The rest runs in blocks of ``PAIR_BLOCK`` pairs, in ``_head``'s order.
-        Products and the relu go through the ops, so that op patches and
-        counters see the head; callers run it under ``no_grad``.
-        """
-        s = self.store
-        proj = de.matmul(c, s[ma]).values
-        feats = de.matmul(_CODE_TABLE, s[mb]).values
-        out = np.empty((len(us), 1))
-        for start in range(0, len(us), PAIR_BLOCK):
-            b = slice(start, start + PAIR_BLOCK)
-            z = proj[us[b]]
-            z += proj[vs[b]]
-            z += feats[codes[b]]
-            z += s[bias].values
-            out[b] = de.matmul(de.relu(DTensor(z)), s[u]).values
-        return de.sigmoid(DTensor(out))
-
-    def _infer_attention(self, g: MolGraph, c: DTensor) -> np.ndarray:
-        """The attention matrix of :meth:`_attention_context`, bitwise.
-
-        A pair's code and ``proj[u] + proj[v]`` do not depend on the order of
-        u and v, so the matrix is symmetric: only pairs with u <= v are scored.
-        """
-        us, vs = np.triu_indices(g.n_atoms)
-        alpha = self._infer_head(c, us, vs, _pair_codes(g, us, vs),
-                                 "att.Pa", "att.Pb", "att.bias", "att.u").values[:, 0]
-        m = np.empty((g.n_atoms, g.n_atoms))
-        m[us, vs] = alpha
-        m[vs, us] = alpha
-        return m
+        return self._scores(g, c, pairs), pairs
 
     def score_matrix(self, g: MolGraph) -> np.ndarray:
         """Symmetric score matrix with a zero diagonal; the values of
@@ -241,29 +220,23 @@ class CenterModel:
         graphs and a row of a :func:`diffengine._mm` product does not depend
         on the other rows."""
         gi = union_inputs([(g, range(g.n_atoms)) for g in graphs])
-        matrices, start = [], 0
+        matrices = []
         with de.no_grad(), np.errstate(over="ignore", invalid="ignore"):
             c_all = embed_from_features(gi, gi.features, self.wln).values
-            for g in graphs:
-                c = DTensor(c_all[start:start + g.n_atoms])
-                start += g.n_atoms
+            for g, c in zip(graphs, np.split(c_all, np.cumsum([g.n_atoms for g in graphs])[:-1])):
                 pairs = upper_pairs(g.n_atoms)
-                if not len(pairs):
-                    matrices.append(np.zeros((g.n_atoms, g.n_atoms)))
-                    continue
-                if self.variant == "global":
-                    c = de.matmul(DTensor(self._infer_attention(g, c)), c)
-                us, vs = pairs[:, 0], pairs[:, 1]
-                scores = self._infer_head(c, us, vs, _pair_codes(g, us, vs),
-                                          "score.Ma", "score.Mb", "score.bias", "score.u")
-                matrices.append(scores_to_matrix(scores.values, pairs, g.n_atoms))
+                m = np.zeros((g.n_atoms, g.n_atoms))
+                if len(pairs):
+                    us, vs = pairs.T
+                    m[us, vs] = m[vs, us] = self._scores(g, DTensor(c), pairs).values[:, 0]
+                matrices.append(m)
         return matrices
 
     def attention_map(self, g: MolGraph) -> np.ndarray:
         if self.variant != "global":
             raise ValueError("attention is only defined for the global variant")
         with de.no_grad():
-            return self._infer_attention(g, self._atom_vectors(g))
+            return self._attention(g, self._atom_vectors(g)).values
 
 
 def _head_shapes(variant: str, hidden: int) -> dict[str, tuple[int, int]]:
@@ -274,16 +247,6 @@ def _head_shapes(variant: str, hidden: int) -> dict[str, tuple[int, int]]:
         shapes.update({"att.Pa": (hidden, hidden), "att.Pb": (PAIR_FEATURE_DIM, hidden),
                        "att.bias": (1, hidden), "att.u": (hidden, 1)})
     return shapes
-
-
-def scores_to_matrix(values: np.ndarray,
-                     pairs: Sequence[tuple[int, int]] | np.ndarray, n: int) -> np.ndarray:
-    m = np.zeros((n, n))
-    idx = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
-    flat = values.reshape(-1)
-    m[idx[:, 0], idx[:, 1]] = flat
-    m[idx[:, 1], idx[:, 0]] = flat
-    return m
 
 
 # ---------------------------------------------------------------------------

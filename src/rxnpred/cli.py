@@ -87,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     p_ranker = sub.add_parser("train-ranker", help="train the candidate ranker")
     p_predict = sub.add_parser("predict", help="predict products for reactant SMILES")
     p_predict.add_argument("smiles", help="reactant SMILES (atom maps optional)")
-    p_predict.add_argument("--top-n", type=int, help="products to print (default: predict's)")
+    p_predict.add_argument("--top-n", help="products to print (default: predict's)")
     p_eval = sub.add_parser("evaluate", help="score a test file with both models")
     p_self = sub.add_parser("selfcheck", help="run gradient and oracle suites")
     for p in (p_center, p_ranker, p_predict, p_eval, p_self):
@@ -110,6 +110,11 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
+    top_n = getattr(args, "top_n", None)  # predict's flag, read as a run setting's is
+    try:
+        top_n = {} if top_n is None else {"top_n": int(top_n)}
+    except ValueError:
+        raise ValueError(f"--top-n: takes an integer, got {top_n!r}") from None
 
     if args.command == "selfcheck":
         from .selfcheck import run_selfcheck
@@ -139,7 +144,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "predict":
         result = predict(args.smiles, center, ranker, k=cfg.k, max_changes=cfg.max_changes,
-                         **({} if args.top_n is None else {"top_n": args.top_n}))
+                         **top_n)
         if result.reason:
             print(f"no candidates: {result.reason}")
             return 1

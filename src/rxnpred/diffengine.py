@@ -33,7 +33,6 @@ __all__ = [
     "concat_cols",
     "constant",
     "dot",
-    "gather_matmul",
     "gather_rows",
     "grad_check",
     "log",
@@ -216,7 +215,8 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` in which each output row depends only on its row of ``a`` and on ``b``.
 
     ``a`` is copied into a C-contiguous buffer, padded with ``+0.0`` rows to a
-    multiple of :data:`_ROW_BLOCK`, and ``np.matmul`` runs one GEMM per block.
+    multiple of :data:`_ROW_BLOCK` (unless it already is such a buffer), and
+    ``np.matmul`` runs one GEMM per block.
     Every GEMM has the same shape whatever the number of rows, so BLAS sums
     each row the same way: a row's bits do not depend on the other rows, how
     many there are, their order, or ``a``'s memory layout (the ``blas-rows``
@@ -225,11 +225,12 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     m, k = a.shape
     padded = -(-m // _ROW_BLOCK) * _ROW_BLOCK
-    buf = np.empty((padded, k))
-    buf[:m] = a
-    buf[m:] = 0.0
+    if padded != m or not a.flags.c_contiguous:
+        buf = np.zeros((padded, k))
+        buf[:m] = a
+        a = buf
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.matmul(buf.reshape(padded // _ROW_BLOCK, _ROW_BLOCK, k), b)
+        out = np.matmul(a.reshape(padded // _ROW_BLOCK, _ROW_BLOCK, k), b)
     return out.reshape(padded, b.shape[1])[:m]
 
 
@@ -334,41 +335,24 @@ def reshape(a: DTensor, rows: int, cols: int) -> DTensor:
 
 def gather_rows(a: DTensor, indices: Sequence[int] | np.ndarray) -> DTensor:
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+    if idx.size and idx.view(np.uintp).max() >= a.shape[0]:  # negative ones read as huge
         raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
 
     def bwd(g: np.ndarray) -> None:
         if _need(a):
-            acc = np.zeros_like(a.values)
-            np.add.at(acc, idx, g)
+            # Bitwise np.add.at: one bincount over the (row, column) cells also
+            # adds each cell's values in row order onto +0.0, a few times faster.
+            # Values holding a NaN go to np.add.at, as in SegmentPlan.scatter_add.
+            rows, cols = a.shape
+            if np.isnan(g).any():
+                acc = np.zeros_like(a.values)
+                np.add.at(acc, idx, g)
+            else:
+                cells = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
+                acc = np.bincount(cells, g.reshape(-1), minlength=rows * cols).reshape(rows, cols)
             a.accumulate(acc)
 
-    return _track(a.values[idx].reshape(len(idx), a.shape[1]), (a,), bwd)
-
-
-def gather_matmul(a: DTensor, w: DTensor, indices: Sequence[int] | np.ndarray) -> DTensor:
-    """Rows ``indices`` of ``a @ w``, projecting each row of ``a`` once.
-
-    Values and gradients are bitwise equal to
-    ``matmul(gather_rows(a, indices), w)``: a row of an :func:`_mm` product
-    does not depend on the other rows, and the backward pass repeats that
-    pair's arithmetic.
-    """
-    if a.shape[1] != w.shape[0]:
-        raise ShapeError(f"gather_matmul: inner dims differ, {a.shape} @ {w.shape}")
-    idx = np.asarray(indices, dtype=np.intp).reshape(-1)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeError(f"gather_matmul: index out of range for {a.shape[0]} rows")
-
-    def bwd(g: np.ndarray) -> None:
-        if _need(a):
-            acc = np.zeros_like(a.values)
-            np.add.at(acc, idx, _mm(g, w.values.T))
-            a.accumulate(acc)
-        if _need(w):
-            w.accumulate(_mm_seq(a.values[idx].T, g))
-
-    return _track(_mm(a.values, w.values)[idx], (a, w), bwd)
+    return _track(a.values.take(idx, axis=0), (a,), bwd)
 
 
 class SegmentPlan:

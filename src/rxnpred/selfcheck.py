@@ -21,7 +21,7 @@ from . import center, ranker
 from . import diffengine as de
 from .candgen import (BOND_ALPHABET, BondEdit, Candidate, EditSet, connectivity_ok,
                       enumerate_candidates)
-from .center import PAIR_BLOCK, CenterModel, center_loss, scores_to_matrix
+from .center import PAIR_BLOCK, CenterModel, center_loss, upper_pairs
 from .chemgraph import (ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BondType, MolGraph, apply_edits,
                         atom_feature_matrix, atom_features, bond_features, edit_delta,
                         induced_subgraph, make_graph, parse_smiles, write_smiles)
@@ -35,11 +35,12 @@ from .wln import (GraphInputs, WLNParams, delta_inputs, embed_atoms, embed_from_
                   graph_inputs, union_inputs)
 
 __all__ = ["CheckResult", "batched_ranker_suite", "blas_rows_suite", "brute_force_enumerate",
-           "brute_force_ordered", "center_inference_suite", "composed_center_outputs",
-           "composed_embed", "composed_embeddings", "enumeration_instance", "gradient_suite",
-           "graph_delta_mismatches", "graph_delta_suite", "inputs_bytes", "local_product_oracle",
-           "naive_atom_vectors", "per_atom_inputs", "reference_score", "run_selfcheck",
-           "train_backward_mismatches", "train_backward_suite", "wl_soundness_suite"]
+           "brute_force_ordered", "center_gradient_error", "center_inference_suite",
+           "composed_center_head", "composed_embed", "composed_embeddings", "composed_head",
+           "enumeration_instance", "gradient_suite", "graph_delta_mismatches",
+           "graph_delta_suite", "inputs_bytes", "local_product_oracle", "naive_atom_vectors",
+           "per_atom_inputs", "reference_score", "run_selfcheck", "train_backward_mismatches",
+           "train_backward_suite", "wl_soundness_suite"]
 
 
 @dataclass
@@ -321,15 +322,15 @@ def composed_embeddings() -> Iterator[None]:
         center.embed_from_features, ranker.embed_from_features = saved
 
 
-def _gradient_bytes(model, loss_fn, item) -> list[bytes]:
-    """The bytes of ``loss_fn(model, item)`` and of every tensor's gradient
+def _loss_and_gradients(model, loss_fn, item) -> list[np.ndarray]:
+    """The value of ``loss_fn(model, item)`` and every tensor's gradient
     (empty for a tensor that got none) after one backward pass."""
     model.store.zero_grads()
     loss = loss_fn(model, item)
     de.backward(loss)
     grads = [model.store[name].grad for name in model.store.names()]
     model.store.zero_grads()
-    return [loss.values.tobytes()] + [b"" if g is None else g.tobytes() for g in grads]
+    return [loss.values] + [np.zeros(0) if g is None else g for g in grads]
 
 
 def train_backward_mismatches(lines: list[str], seed: int = 0, hidden: int = 8,
@@ -346,10 +347,10 @@ def train_backward_mismatches(lines: list[str], seed: int = 0, hidden: int = 8,
             + [(RankerModel, v, _ranker_item_loss, instances) for v in RankerModel.VARIANTS]):
         model = cls.create(variant, hidden=hidden, depth=depth, seed=seed)
         for item in items:
-            got = _gradient_bytes(model, loss_fn, item)
+            got = _loss_and_gradients(model, loss_fn, item)
             with composed_embeddings():
-                want = _gradient_bytes(model, loss_fn, item)
-            mismatches += sum(a != b for a, b in zip(got, want))
+                want = _loss_and_gradients(model, loss_fn, item)
+            mismatches += sum(a.tobytes() != b.tobytes() for a, b in zip(got, want))
             checked += len(want)
     return mismatches, checked
 
@@ -365,27 +366,62 @@ def train_backward_suite(seed: int = 19, hidden: int = 8) -> CheckResult:
                        f"models differ from the composed ops")
 
 
-def composed_center_outputs(model: CenterModel,
-                            g: MolGraph) -> tuple[np.ndarray, np.ndarray | None]:
-    """The score matrix and attention matrix (None for the local variant)
-    through the composed ``diffengine`` ops that training differentiates,
-    with the backward graph recorded."""
-    scores, pairs = model.pair_scores(g)
-    matrix = scores_to_matrix(scores.values, pairs, g.n_atoms)
-    if model.variant != "global":
-        return matrix, None
-    gi = graph_inputs(g)
-    c = embed_from_features(gi, gi.features, model.wln)
-    return matrix, model._attention_context(g, c)[1].values
+def composed_head(model: CenterModel, c: de.DTensor, us: np.ndarray, vs: np.ndarray,
+                  codes: np.ndarray, ma: str, mb: str, bias: str, u: str) -> de.DTensor:
+    """:meth:`~rxnpred.center.CenterModel._head` as the composed ``diffengine``
+    ops over all pairs at once, one recorded node each: every pair's atoms
+    and feature row are gathered, then projected, so the products and their
+    weight gradients run over (n_pairs, hidden) arrays."""
+    s = model.store
+    pu, pv = de.matmul(de.gather_rows(c, us), s[ma]), de.matmul(de.gather_rows(c, vs), s[ma])
+    z = de.add(de.add(pu, pv), de.matmul(de.gather_rows(center._CODE_TABLE, codes), s[mb]))
+    return de.sigmoid(de.matmul(de.relu(de.add(z, s[bias])), s[u]))
 
 
-def center_inference_suite(seed: int = 17, hidden: int = 8) -> CheckResult:
-    """``score_matrix`` and ``attention_map`` equal the composed ops bitwise,
-    and the attention matrix is bitwise symmetric.
+@contextmanager
+def composed_center_head(model: CenterModel) -> Iterator[None]:
+    """Within the block, ``model`` scores pairs through :func:`composed_head`,
+    and its attention matrix scores all n² ordered pairs, each on its own:
+    the oracle of its one pair head, in training and inference alike."""
+    def attention(g: MolGraph, c: de.DTensor) -> de.DTensor:
+        n = g.n_atoms
+        us, vs = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        return de.reshape(composed_head(model, c, us, vs, center._pair_codes(g, us, vs),
+                                        "att.Pa", "att.Pb", "att.bias", "att.u"), n, n)
+
+    model._head = lambda *args: composed_head(model, *args)
+    model._attention = attention
+    try:
+        yield
+    finally:
+        del model._head, model._attention
+
+
+def center_gradient_error(model: CenterModel, g: MolGraph, truth: EditSet) -> tuple[bool, float]:
+    """Whether the center loss of ``g`` under ``truth`` equals the composed
+    head's (:func:`composed_center_head`) bitwise, and the largest error of a
+    tensor's gradient against the composed head's, relative to the largest
+    entry of the latter. The weight gradients sum in another order."""
+    def loss_fn(m: CenterModel, h: MolGraph) -> de.DTensor:
+        return center_loss(*m.pair_scores(h), truth)
+
+    got = _loss_and_gradients(model, loss_fn, g)
+    with composed_center_head(model):
+        want = _loss_and_gradients(model, loss_fn, g)
+    errors = [np.max(np.abs(a - b), initial=0.0) / max(np.max(np.abs(b), initial=0.0), 1e-300)
+              if a.shape == b.shape else np.inf for a, b in zip(got[1:], want[1:])]
+    return got[0].tobytes() == want[0].tobytes(), float(max(errors, default=0.0))
+
+
+def center_inference_suite(seed: int = 17, hidden: int = 8, tol: float = 1e-12) -> CheckResult:
+    """``score_matrix``, ``attention_map`` and the center loss equal the
+    composed head's bitwise, the attention matrix is bitwise symmetric, and
+    every gradient of the loss is within ``tol`` of the composed head's,
+    relative (:func:`center_gradient_error`).
 
     Runs on toy and reagent-fixture reactants from ``datagen`` with random
     spectator molecules added until the pairs span several ``PAIR_BLOCK``
-    blocks of the inference head.
+    blocks of the head; the loss's truth is three random pairs.
     """
     rng = np.random.default_rng(seed)
     reactants = ([line.split(">")[0] for line in toy_reaction_lines(3, seed=seed)]
@@ -398,20 +434,29 @@ def center_inference_suite(seed: int = 17, hidden: int = 8) -> CheckResult:
             g = parse_smiles(smiles)
         graphs.append(g)
     mismatches = checked = 0
+    worst = 0.0
     for variant in CenterModel.VARIANTS:
         model = CenterModel.create(variant, hidden=hidden, depth=2, seed=seed)
         for g in graphs:
-            matrix, alpha = composed_center_outputs(model, g)
+            with composed_center_head(model):
+                matrix = model.score_matrix(g)
+                alpha = model.attention_map(g) if variant == "global" else None
             mismatches += int(model.score_matrix(g).tobytes() != matrix.tobytes())
-            checked += 1
             if alpha is not None:
                 got = model.attention_map(g)
                 mismatches += int(got.tobytes() != alpha.tobytes()
                                   or got.tobytes() != got.T.tobytes())
-                checked += 1
+            pairs = upper_pairs(g.n_atoms)
+            truth = EditSet.of((u, v, BondType.SINGLE) for u, v in
+                               pairs[rng.choice(len(pairs), 3, replace=False)].tolist())
+            same_loss, err = center_gradient_error(model, g, truth)
+            mismatches += int(not same_loss)
+            worst = max(worst, err)
+            checked += 2 + (alpha is not None)
     sizes = [g.n_atoms for g in graphs]
-    return CheckResult("center-inference", mismatches == 0,
-                       f"{mismatches} of {checked} matrices differ from the composed ops "
+    return CheckResult("center-inference", mismatches == 0 and worst <= tol,
+                       f"{mismatches} of {checked} matrices and losses differ from the composed "
+                       f"head; gradients within {worst:.1e} relative "
                        f"({min(sizes)}-{max(sizes)} atoms)")
 
 

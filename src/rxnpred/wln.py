@@ -69,7 +69,8 @@ class WLNParams:
     @classmethod
     def create(cls, store: ParamStore, prefix: str, in_dim: int, hidden: int,
                depth: int, rng: np.random.Generator, variant: str = "concat") -> "WLNParams":
-        _check_depth(depth, "depth")
+        _check_positive(depth, "depth")
+        _check_positive(hidden, "hidden")
         if not _projects(variant) and in_dim != hidden:
             raise ValueError(f"a gated network takes its input unprojected, so in_dim "
                              f"({in_dim}) must equal hidden ({hidden})")
@@ -94,7 +95,7 @@ class WLNParams:
                 raise ValueError(f"{store.where}metadata {prefix}.{key}={got} does not match "
                                  f"the model's {expected}")
         depth = store.meta(f"{prefix}.depth", int)
-        _check_depth(depth, f"{store.where}metadata {prefix}.depth")
+        _check_positive(depth, f"{store.where}metadata {prefix}.depth")
         store.meta(f"{prefix}.activation", allowed=("relu",))
         store.meta(f"{prefix}.project", allowed=(str(int(_projects(variant))),))
         tensors = {_FIELDS[name]: store.expect(f"{prefix}.{name}", *shape)
@@ -112,10 +113,10 @@ _FIELDS = {"U1": "u1", "U2": "u2", "W0": "w0", "W1": "w1", "W2": "w2",
            "Win": "w_in", "V": "v", "Vh": "vh", "Vf": "vf"}
 
 
-def _check_depth(depth: int, name: str) -> None:
-    """Raise ``ValueError`` unless a network runs at least one round."""
-    if depth < 1:
-        raise ValueError(f"{name} must be >= 1, got {depth}")
+def _check_positive(value: int, name: str) -> None:
+    """Raise ``ValueError`` unless a network size (rounds, width) is at least 1."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _projects(variant: str) -> bool:

@@ -14,7 +14,7 @@ from rxnpred.center import (PAIR_FEATURE_DIM, CenterModel, center_loss, coverage
 from rxnpred.chemgraph import BondType, parse_smiles, write_smiles
 from rxnpred.datagen import random_molecule, random_reaction_line
 from rxnpred.pipeline import parse_reaction_line
-from rxnpred.selfcheck import composed_center_outputs
+from rxnpred.selfcheck import center_gradient_error, composed_center_head
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -185,7 +185,8 @@ class TestScoring:
         from rxnpred.wln import embed_from_features, graph_inputs
         gi = graph_inputs(g)
         c = embed_from_features(gi, gi.features, model.wln)
-        context, alpha = model._attention_context(g, c)
+        alpha = model._attention(g, c)
+        context = de.matmul(alpha, c)
         assert np.allclose(context.values, alpha.values[0, 0] * c.values, atol=1e-15)
 
     def test_inference_records_no_graph(self, monkeypatch):
@@ -243,8 +244,11 @@ def inference_instances(draw):
 
 
 class TestInferenceHead:
-    """``score_matrix`` and ``attention_map`` skip the composed ops' graph and
-    (n_pairs, hidden) arrays; their bytes must still equal the composed ops'."""
+    """The one pair head gathers projected rows in blocks, where the composed
+    head (``selfcheck.composed_center_head``) projects gathered rows of every
+    pair at once and scores all n² ordered attention pairs. Scores, attention
+    maps and losses must equal the composed head's bytes, and gradients must
+    agree within 1e-12 relative: the weight gradients sum in another order."""
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(inference_instances())
@@ -255,7 +259,9 @@ class TestInferenceHead:
                                                                seed=3), 1))
     def test_bytes_equal_composed_ops(self, instance):
         g, model, block = instance
-        matrix, alpha = composed_center_outputs(model, g)
+        with composed_center_head(model):
+            matrix = model.score_matrix(g)
+            alpha = model.attention_map(g) if model.variant == "global" else None
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(center, "PAIR_BLOCK", block)
             got = model.score_matrix(g)
@@ -264,6 +270,20 @@ class TestInferenceHead:
                 att = model.attention_map(g)
                 assert att.shape == alpha.shape and att.tobytes() == alpha.tobytes()
                 assert alpha.tobytes() == alpha.T.tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(inference_instances(), st.integers(0, 2 ** 32 - 1))
+    @example((parse_smiles("[Na+].[Cl-]"), CenterModel.create("global", hidden=8, depth=2,
+                                                               seed=2), 1), 0)
+    def test_gradients_match_composed_ops(self, instance, seed):
+        # blocks of at most 40 pairs: most instances stack several blocks
+        g, model, block = instance
+        pairs = upper_pairs(g.n_atoms)
+        chosen = pairs[np.random.default_rng(seed).permutation(len(pairs))[:3]]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(center, "PAIR_BLOCK", block)
+            same_loss, err = center_gradient_error(model, g, truth(*map(tuple, chosen.tolist())))
+        assert same_loss and err <= 1e-12
 
 
 def truth(*pairs):

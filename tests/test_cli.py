@@ -249,6 +249,15 @@ def test_predict_top_n_below_one_exits_with_one_line(checkpoints, top_n):
                    "--top-n", top_n], f"top_n must be at least 1, got {top_n}")
 
 
+@pytest.mark.parametrize("top_n", ["x", "1.5", ""])
+def test_predict_top_n_not_an_integer_exits_with_one_line(checkpoints, top_n):
+    # The flag is checked before the checkpoints are looked for.
+    center, ranker = checkpoints
+    match = re.escape(f"--top-n: takes an integer, got {top_n!r}")
+    for models in ([], ["--model", center, "--model", ranker]):
+        one_line_exit(["predict", "CC(=O)Cl.CN", "--top-n", top_n] + models, f"^{match}$")
+
+
 def one_line_stderr(args, match):
     """Run the CLI in a fresh interpreter, expecting exit status 1 and exactly
     one line on stderr: no warning and no traceback before the message."""

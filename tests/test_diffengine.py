@@ -176,44 +176,36 @@ class TestOpGradients:
             de.stack_rows([de.constant(np.ones((1, 2))), de.constant(np.ones((1, 3)))])
 
 
-class TestGatherMatmul:
+class TestGatherRows:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 12),
-           inner=st.integers(1, 9), cols=st.integers(1, 9), m=st.integers(0, 40),
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 12), cols=st.integers(0, 9),
+           m=st.integers(0, 60), special=st.sampled_from([0.0, -0.0, np.inf, np.nan]),
            fortran=st.booleans())
-    def test_bitwise_equal_to_gather_then_matmul(self, seed, rows, inner, cols, m, fortran):
-        # Two projections of one (a, w) summed, as the center head uses them;
-        # indices repeat whenever m > rows and are empty at m == 0.
+    def test_backward_bitwise_equal_to_add_at(self, seed, rows, cols, m, special, fortran):
+        # Repeated indices, signed zeros and infinities (whose sums can make
+        # NaN) among the gradient rows, in either memory layout.
         rng = np.random.default_rng(seed)
-        a0 = rng.normal(size=(rows, inner)) * (rng.random((rows, inner)) < 0.8)
-        a0[rng.random((rows, inner)) < 0.1] = -0.0
+        idx = rng.integers(0, rows, size=m)
+        g = rng.normal(size=(m, cols)) * 10.0 ** rng.uniform(-8, 8, size=(m, 1))
+        g[rng.random(g.shape) < 0.2] = -0.0
+        g[rng.random(g.shape) < 0.05] = special
+        g[rng.random(g.shape) < 0.05] = -special
         if fortran:
-            a0 = np.asfortranarray(a0)
-        w0 = rng.normal(size=(inner, cols))
-        iu, iv = rng.integers(0, rows, size=m), rng.integers(0, rows, size=m)
-        head = de.constant(rng.normal(size=(m, cols)))
+            g = np.asfortranarray(g)
+        a = de.DTensor(np.zeros((rows, cols)), requires_grad=True)
+        want = np.zeros((rows, cols))
+        with np.errstate(invalid="ignore"):
+            de.backward(de.dot(de.gather_rows(a, idx), de.constant(g)))
+            np.add.at(want, idx, g)
+        assert a.grad.tobytes() == want.tobytes()
 
-        def run(project):
-            a = de.DTensor(a0.copy(order="A"), requires_grad=True)
-            w = de.DTensor(w0.copy(), requires_grad=True)
-            out = de.add(project(a, w, iu), project(a, w, iv))
-            de.backward(de.dot(de.relu(out), head))
-            return [x.tobytes() for x in (out.values, a.grad, w.grad)]
-
-        fused = run(de.gather_matmul)
-        reference = run(lambda a, w, idx: de.matmul(de.gather_rows(a, idx), w))
-        assert fused == reference
-
-    def test_rejects_bad_shapes_and_indices(self):
-        a, w = de.constant(np.ones((3, 2))), de.constant(np.ones((2, 4)))
-        assert de.gather_matmul(a, w, [2, 2, 0]).shape == (3, 4)
-        assert de.gather_matmul(a, w, []).shape == (0, 4)
-        with pytest.raises(de.ShapeError):
-            de.gather_matmul(a, de.constant(np.ones((3, 4))), [0])
-        with pytest.raises(de.ShapeError):
-            de.gather_matmul(a, w, [3])
-        with pytest.raises(de.ShapeError):
-            de.gather_matmul(a, w, [-1])
+    def test_rejects_indices_out_of_range(self):
+        a = de.constant(np.ones((3, 2)))
+        assert de.gather_rows(a, [2, 2, 0]).shape == (3, 2)
+        assert de.gather_rows(a, []).shape == (0, 2)
+        for bad in ([3], [-1], [0, -3]):
+            with pytest.raises(de.ShapeError, match="out of range for 3 rows"):
+                de.gather_rows(a, bad)
 
 
 class TestNoGrad:
@@ -476,8 +468,24 @@ class TestRowBlockedKernel:
         np.testing.assert_allclose(full, np.einsum("ij,jk->ik", a, b), rtol=1e-12, atol=1e-12)
         for m in range(2 * de._ROW_BLOCK + 1):
             assert de._mm(a[:m], b).tobytes() == full[:m].tobytes()
+        # A C-contiguous whole block is used in place, from any start row.
+        for start in range(1, 4):
+            block = a[start:start + de._ROW_BLOCK]
+            assert de._mm(block, b).tobytes() == de._mm(np.asfortranarray(block), b).tobytes()
         # sums start at +0.0, so products of zeros never come out -0.0
         assert not np.signbit(de._mm(np.full((3, k), -0.0), np.abs(b))).any()
+
+    @pytest.mark.parametrize("k, n", [(3, 1), (5, 2), (8, 1)])
+    def test_any_layout_of_every_length(self, k, n):
+        # Fortran-ordered and C-ordered operands of 1..2 blocks plus a tail,
+        # each row against the same row alone.
+        rng = np.random.default_rng(k * n)
+        b = rng.normal(size=(k, n))
+        for m in range(1, 2 * de._ROW_BLOCK + 2):
+            a = rng.normal(size=(m, k)) * 10.0 ** rng.uniform(-3, 3, (m, 1))
+            alone = b"".join(de._mm(row[None], b).tobytes() for row in a)
+            assert de._mm(a, b).tobytes() == alone
+            assert de._mm(np.asfortranarray(a), b).tobytes() == alone
 
     @pytest.mark.parametrize("m", [1, 31, 33, 63])
     def test_non_finite_values_warn_nothing_and_match_einsum(self, m):
@@ -753,6 +761,15 @@ class TestCheckpoints:
     def test_depth_below_one_rejected_at_create(self):
         with pytest.raises(ValueError, match=r"^depth must be >= 1, got 0$"):
             CenterModel.create("local", hidden=8, depth=0)
+
+    @pytest.mark.parametrize("model_cls", [CenterModel, RankerModel])
+    @pytest.mark.parametrize("hidden", [0, -1])
+    def test_hidden_below_one_rejected_at_create(self, model_cls, hidden):
+        # Such a width would otherwise fail inside xavier (division by zero
+        # or the square root of a negative number).
+        for variant in model_cls.VARIANTS:
+            with pytest.raises(ValueError, match=rf"^hidden must be >= 1, got {hidden}$"):
+                model_cls.create(variant, hidden=hidden, depth=2)
 
     @pytest.mark.parametrize("variant, key, value, expected", [
         ("local", "wln.in_dim", 10, ATOM_FEATURE_DIM), ("wln", "mol.in_dim", 10, ATOM_FEATURE_DIM),

@@ -39,7 +39,10 @@ PAIR_FEATURE_DIM = 6  # bond-type one-hot over {none,1,2,3,ar} + same-molecule f
 _CODE_ROWS = np.hstack([np.tile(np.eye(5), (2, 1)), np.repeat([[0.0], [1.0]], 5, axis=0)])
 _CODE_TABLE = de.constant(_CODE_ROWS)
 # Pairs per block of the pair head: its temporaries are (PAIR_BLOCK, hidden).
-PAIR_BLOCK = 256  # at hidden 64, 512 page-faulted about 6x as often in a fresh process
+# 256 is for one-shot runs (`rxnpred predict` in a fresh process, whose heap
+# has not grown yet): at hidden 64, blocks of 512 page-faulted about 6x as
+# often there. Once a process has trained, the two sizes run alike.
+PAIR_BLOCK = 256
 
 
 def _bond_types(g: MolGraph) -> np.ndarray:

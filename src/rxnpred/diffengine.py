@@ -215,8 +215,7 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` in which each output row depends only on its row of ``a`` and on ``b``.
 
     ``a`` is copied into a C-contiguous buffer, padded with ``+0.0`` rows to a
-    multiple of :data:`_ROW_BLOCK` (unless it already is such a buffer), and
-    ``np.matmul`` runs one GEMM per block.
+    multiple of :data:`_ROW_BLOCK`, and ``np.matmul`` runs one GEMM per block.
     Every GEMM has the same shape whatever the number of rows, so BLAS sums
     each row the same way: a row's bits do not depend on the other rows, how
     many there are, their order, or ``a``'s memory layout (the ``blas-rows``
@@ -225,12 +224,11 @@ def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     m, k = a.shape
     padded = -(-m // _ROW_BLOCK) * _ROW_BLOCK
-    if padded != m or not a.flags.c_contiguous:
-        buf = np.zeros((padded, k))
-        buf[:m] = a
-        a = buf
+    buf = np.empty((padded, k))
+    buf[:m] = a
+    buf[m:] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.matmul(a.reshape(padded // _ROW_BLOCK, _ROW_BLOCK, k), b)
+        out = np.matmul(buf.reshape(padded // _ROW_BLOCK, _ROW_BLOCK, k), b)
     return out.reshape(padded, b.shape[1])[:m]
 
 
@@ -340,19 +338,27 @@ def gather_rows(a: DTensor, indices: Sequence[int] | np.ndarray) -> DTensor:
 
     def bwd(g: np.ndarray) -> None:
         if _need(a):
-            # Bitwise np.add.at: one bincount over the (row, column) cells also
-            # adds each cell's values in row order onto +0.0, a few times faster.
-            # Values holding a NaN go to np.add.at, as in SegmentPlan.scatter_add.
-            rows, cols = a.shape
-            if np.isnan(g).any():
-                acc = np.zeros_like(a.values)
-                np.add.at(acc, idx, g)
-            else:
-                cells = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
-                acc = np.bincount(cells, g.reshape(-1), minlength=rows * cols).reshape(rows, cols)
-            a.accumulate(acc)
+            a.accumulate(_scatter_add(idx, g, a.shape[0]))
 
     return _track(a.values.take(idx, axis=0), (a,), bwd)
+
+
+def _scatter_add(ids: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
+    """Row ``i`` of ``values`` added onto row ``ids[i]`` of an ``(n_rows, cols)``
+    array of ``+0.0``, in row order: bitwise ``np.add.at(zeros, ids, values)``,
+    the backward of gathering rows ``ids``. One ``np.bincount`` over the
+    (row, column) cells adds each cell's values in that order, a few times
+    faster than ``np.add.at``. Values holding a NaN go to ``np.add.at`` itself:
+    which of two NaNs a sum keeps differs between numpy's vector and scalar
+    loops, while the only NaN a NaN-free sum can make, ``inf + -inf``, is
+    always the same one."""
+    cols = values.shape[1]
+    if np.isnan(values).any():
+        out = np.zeros((n_rows, cols))
+        np.add.at(out, ids, values)
+        return out
+    cells = (ids[:, None] * cols + np.arange(cols)).reshape(-1)
+    return np.bincount(cells, values.reshape(-1), minlength=n_rows * cols).reshape(n_rows, cols)
 
 
 class SegmentPlan:
@@ -405,20 +411,9 @@ class SegmentPlan:
         return out
 
     def scatter_add(self, values: np.ndarray) -> np.ndarray:
-        """Each segment's rows summed in row order onto ``+0.0``: bitwise
-        ``np.add.at(zeros, ids, values)``, the backward of gathering rows
-        ``ids``. It adds row k of every segment at once; the ``+0.0`` rows
-        past a segment's end leave its sum as it is. Values holding a NaN go
-        to ``np.add.at`` itself: which of two NaNs a sum keeps differs between
-        numpy's vector and scalar loops, while the only NaN a NaN-free sum can
-        make, ``inf + -inf``, is always the same one."""
-        out = np.zeros((self.n_segments, values.shape[1]))
-        if np.isnan(values).any():
-            np.add.at(out, self.ids, values)
-        else:
-            for row in self._padded_rows(values):
-                out += row
-        return out
+        """Each segment's rows summed in row order onto ``+0.0``; see
+        :func:`_scatter_add`."""
+        return _scatter_add(self.ids, values, self.n_segments)
 
 
 def segment_sum(a: DTensor, segments: Sequence[int] | np.ndarray | SegmentPlan,

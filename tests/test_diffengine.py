@@ -468,24 +468,8 @@ class TestRowBlockedKernel:
         np.testing.assert_allclose(full, np.einsum("ij,jk->ik", a, b), rtol=1e-12, atol=1e-12)
         for m in range(2 * de._ROW_BLOCK + 1):
             assert de._mm(a[:m], b).tobytes() == full[:m].tobytes()
-        # A C-contiguous whole block is used in place, from any start row.
-        for start in range(1, 4):
-            block = a[start:start + de._ROW_BLOCK]
-            assert de._mm(block, b).tobytes() == de._mm(np.asfortranarray(block), b).tobytes()
         # sums start at +0.0, so products of zeros never come out -0.0
         assert not np.signbit(de._mm(np.full((3, k), -0.0), np.abs(b))).any()
-
-    @pytest.mark.parametrize("k, n", [(3, 1), (5, 2), (8, 1)])
-    def test_any_layout_of_every_length(self, k, n):
-        # Fortran-ordered and C-ordered operands of 1..2 blocks plus a tail,
-        # each row against the same row alone.
-        rng = np.random.default_rng(k * n)
-        b = rng.normal(size=(k, n))
-        for m in range(1, 2 * de._ROW_BLOCK + 2):
-            a = rng.normal(size=(m, k)) * 10.0 ** rng.uniform(-3, 3, (m, 1))
-            alone = b"".join(de._mm(row[None], b).tobytes() for row in a)
-            assert de._mm(a, b).tobytes() == alone
-            assert de._mm(np.asfortranarray(a), b).tobytes() == alone
 
     @pytest.mark.parametrize("m", [1, 31, 33, 63])
     def test_non_finite_values_warn_nothing_and_match_einsum(self, m):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -40,7 +41,7 @@ __all__ = [
     "matvec",
     "mul",
     "no_grad",
-    "records_grad",
+    "read_lines",
     "relu",
     "reshape",
     "scale",
@@ -125,14 +126,10 @@ def no_grad() -> Iterator[None]:
         _grad_enabled = previous
 
 
-def records_grad(*parents: DTensor) -> bool:
-    """Whether an op over ``parents`` records a backward node: gradients are
-    enabled and some parent is a grad leaf or a recorded result."""
-    return _grad_enabled and any(_need(p) for p in parents)
-
-
 def _track(values: np.ndarray, parents: tuple, bwd: Callable) -> DTensor:
-    if records_grad(*parents):
+    """The op result ``values``, recorded as a backward node when gradients
+    are enabled and some parent is a grad leaf or a recorded result."""
+    if _grad_enabled and any(_need(p) for p in parents):
         return DTensor(values, parents=parents, bwd=bwd)
     return DTensor(values)
 
@@ -346,7 +343,7 @@ def gather_rows(a: DTensor, indices: Sequence[int] | np.ndarray) -> DTensor:
 def _scatter_add(ids: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
     """Row ``i`` of ``values`` added onto row ``ids[i]`` of an ``(n_rows, cols)``
     array of ``+0.0``, in row order: bitwise ``np.add.at(zeros, ids, values)``,
-    the backward of gathering rows ``ids``. One ``np.bincount`` over the
+    :func:`gather_rows`' backward. One ``np.bincount`` over the
     (row, column) cells adds each cell's values in that order, a few times
     faster than ``np.add.at``. Values holding a NaN go to ``np.add.at`` itself:
     which of two NaNs a sum keeps differs between numpy's vector and scalar
@@ -409,11 +406,6 @@ class SegmentPlan:
                 block.sort(axis=1)
                 out[ids] = block.sum(axis=1)
         return out
-
-    def scatter_add(self, values: np.ndarray) -> np.ndarray:
-        """Each segment's rows summed in row order onto ``+0.0``; see
-        :func:`_scatter_add`."""
-        return _scatter_add(self.ids, values, self.n_segments)
 
 
 def segment_sum(a: DTensor, segments: Sequence[int] | np.ndarray | SegmentPlan,
@@ -570,6 +562,19 @@ def xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 
+def read_lines(path, encoding: str) -> list[str]:
+    """The lines of the text file ``path`` in ``encoding``. A byte that does
+    not decode raises ``ValueError`` naming the file and the line it is on."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode(encoding).splitlines()
+    except UnicodeDecodeError as err:
+        # the line the bad byte starts, numbered as str.splitlines numbers them
+        lineno = len((data[:err.start].decode(encoding) + "_").splitlines())
+        raise ValueError(f"{path}:{lineno}: byte 0x{data[err.start]:02x} is not "
+                         f"{encoding} text") from None
+
+
 class ParamStore:
     """Named map of trainable tensors plus string metadata.
 
@@ -673,8 +678,7 @@ class ParamStore:
 
     @classmethod
     def load(cls, path) -> "ParamStore":
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+        lines = read_lines(path, "ascii")
         if not lines or lines[0] != CKPT_HEADER:
             raise ValueError(f"{path}: not a {CKPT_HEADER!r} checkpoint")
         store = cls()

@@ -15,7 +15,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -92,7 +91,7 @@ class RunConfig:
         line raises ``ValueError`` naming the file and line, a bad override
         naming its flag (``--max-changes`` for ``max_changes``)."""
         values: dict[str, tuple[str, str]] = {}
-        lines = Path(path).read_text().splitlines() if path is not None else []
+        lines = de.read_lines(path, "utf-8") if path is not None else []
         for lineno, raw in enumerate(lines, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -208,7 +207,7 @@ def load_dataset(path) -> list[ReactionRecord]:
     records: list[ReactionRecord] = []
     skipped = 0
     total = 0
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(de.read_lines(path, "utf-8"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from . import center, ranker
+from . import center
 from . import diffengine as de
 from .candgen import (BOND_ALPHABET, BondEdit, Candidate, EditSet, connectivity_ok,
                       enumerate_candidates)
@@ -27,8 +27,7 @@ from .chemgraph import (ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BondType, MolGraph, 
                         induced_subgraph, make_graph, parse_smiles, write_smiles)
 from .datagen import (higher_order_fixture_lines, random_molecule, random_reaction_line,
                       reagent_fixture_lines, toy_reaction_lines)
-from .pipeline import (RunConfig, _build_instances, _candidate_stage, _center_item_loss,
-                       _ranker_item_loss, parse_reaction_line)
+from .pipeline import _candidate_stage, parse_reaction_line
 from .ranker import RankerModel, difference_vectors, rank_loss, read_atoms, score_sumpool
 from .wliso import brute_force_isomorphic, wl_equivalent
 from .wln import (GraphInputs, WLNParams, delta_inputs, embed_atoms, embed_from_features,
@@ -36,11 +35,10 @@ from .wln import (GraphInputs, WLNParams, delta_inputs, embed_atoms, embed_from_
 
 __all__ = ["CheckResult", "batched_ranker_suite", "blas_rows_suite", "brute_force_enumerate",
            "brute_force_ordered", "center_gradient_error", "center_inference_suite",
-           "composed_center_head", "composed_embed", "composed_embeddings", "composed_head",
-           "enumeration_instance", "gradient_suite", "graph_delta_mismatches",
-           "graph_delta_suite", "inputs_bytes", "local_product_oracle", "naive_atom_vectors",
-           "per_atom_inputs", "reference_score", "run_selfcheck", "train_backward_mismatches",
-           "train_backward_suite", "wl_soundness_suite"]
+           "composed_center_head", "composed_head", "enumeration_instance", "gradient_suite",
+           "graph_delta_mismatches", "graph_delta_suite", "inputs_bytes", "local_product_oracle",
+           "naive_atom_vectors", "per_atom_inputs", "reference_score", "run_selfcheck",
+           "wl_soundness_suite"]
 
 
 @dataclass
@@ -291,37 +289,6 @@ def batched_ranker_suite(seed: int = 13, hidden: int = 8) -> CheckResult:
                        f"lists embedded a strict subset of the reactants")
 
 
-def composed_embed(gi: GraphInputs, x: de.DTensor, p: WLNParams) -> de.DTensor:
-    """:func:`~rxnpred.wln.embed_from_features` as the composed ``diffengine``
-    ops, one recorded node each: the oracle of the one-node embedding."""
-    h = de.matmul(x, p.w_in) if p.w_in is not None else x
-    fe = gi.edge_features
-    for _ in range(p.depth):
-        h_src = de.gather_rows(h, gi.src)
-        if p.variant == "concat":
-            msg = de.relu(de.matmul(de.concat_cols(h_src, fe), p.v))
-        else:
-            msg = de.relu(de.mul(de.matmul(h_src, p.vh), de.matmul(fe, p.vf)))
-        neigh = de.segment_sum(msg, gi.dst, gi.n_atoms)
-        h = de.relu(de.add(de.matmul(h, p.u1), de.matmul(neigh, p.u2)))
-    compared = de.mul(de.mul(de.matmul(de.gather_rows(h, gi.src), p.w0),
-                             de.matmul(fe, p.w1)),
-                      de.matmul(de.gather_rows(h, gi.dst), p.w2))
-    return de.segment_sum(compared, gi.dst, gi.n_atoms)
-
-
-@contextmanager
-def composed_embeddings() -> Iterator[None]:
-    """Within the block, the center and ranker models embed through
-    :func:`composed_embed` instead of the one-node embedding."""
-    saved = center.embed_from_features, ranker.embed_from_features
-    center.embed_from_features = ranker.embed_from_features = composed_embed
-    try:
-        yield
-    finally:
-        center.embed_from_features, ranker.embed_from_features = saved
-
-
 def _loss_and_gradients(model, loss_fn, item) -> list[np.ndarray]:
     """The value of ``loss_fn(model, item)`` and every tensor's gradient
     (empty for a tensor that got none) after one backward pass."""
@@ -331,39 +298,6 @@ def _loss_and_gradients(model, loss_fn, item) -> list[np.ndarray]:
     grads = [model.store[name].grad for name in model.store.names()]
     model.store.zero_grads()
     return [loss.values] + [np.zeros(0) if g is None else g for g in grads]
-
-
-def train_backward_mismatches(lines: list[str], seed: int = 0, hidden: int = 8,
-                              depth: int = 3) -> tuple[int, int]:
-    """How many loss values and gradients of the four training losses differ
-    between the one-node embedding and :func:`composed_embed`, and how many
-    were compared: every record of ``lines`` for the centers, its
-    oracle-center candidates with the truth inserted for the rankers."""
-    records = [parse_reaction_line(line) for line in lines]
-    instances = _build_instances(records, None, RunConfig(augment_truth=True))
-    mismatches = checked = 0
-    for cls, variant, loss_fn, items in (
-            [(CenterModel, v, _center_item_loss, records) for v in CenterModel.VARIANTS]
-            + [(RankerModel, v, _ranker_item_loss, instances) for v in RankerModel.VARIANTS]):
-        model = cls.create(variant, hidden=hidden, depth=depth, seed=seed)
-        for item in items:
-            got = _loss_and_gradients(model, loss_fn, item)
-            with composed_embeddings():
-                want = _loss_and_gradients(model, loss_fn, item)
-            mismatches += sum(a.tobytes() != b.tobytes() for a, b in zip(got, want))
-            checked += len(want)
-    return mismatches, checked
-
-
-def train_backward_suite(seed: int = 19, hidden: int = 8) -> CheckResult:
-    """The training losses' values and gradients through the one-node
-    embedding equal the composed ops' bitwise, on toy and reagent-fixture
-    records from ``datagen``."""
-    lines = toy_reaction_lines(4, seed=seed) + reagent_fixture_lines(2, seed=seed)
-    mismatches, checked = train_backward_mismatches(lines, seed=seed, hidden=hidden)
-    return CheckResult("train-backward", mismatches == 0,
-                       f"{mismatches} of {checked} loss values and gradients of the four "
-                       f"models differ from the composed ops")
 
 
 def composed_head(model: CenterModel, c: de.DTensor, us: np.ndarray, vs: np.ndarray,
@@ -661,7 +595,6 @@ def run_selfcheck(seed: int = 0) -> list[CheckResult]:
     results.extend(gradient_suite(seed=seed + 5))
     results.append(batched_ranker_suite(seed=seed + 13))
     results.append(center_inference_suite(seed=seed + 17))
-    results.append(train_backward_suite(seed=seed + 19))
     results.append(blas_rows_suite(seed=seed + 23))
     results.append(graph_delta_suite(seed=seed + 29))
     return results

@@ -148,14 +148,9 @@ class GraphInputs:
     edge_features: DTensor    # (2 * n_bonds, BOND_FEATURE_DIM)
 
     @cached_property
-    def src_plan(self) -> de.SegmentPlan:
-        """Directed edges grouped by sender: the backward of gathering senders."""
-        return de.SegmentPlan(self.src, self.n_atoms)
-
-    @cached_property
     def dst_plan(self) -> de.SegmentPlan:
-        """Directed edges grouped by receiver: the neighbor sums, the final
-        sum and the backward of gathering receivers."""
+        """Directed edges grouped by receiver: the neighbor sums and the
+        final sum."""
         return de.SegmentPlan(self.dst, self.n_atoms)
 
 
@@ -192,123 +187,27 @@ def embed_from_features(gi: GraphInputs, x: DTensor, p: WLNParams) -> DTensor:
     """Run the relabeling rounds and final comparison on given node features.
 
     Returns the (n_atoms, hidden) atom-vector tensor; isolated atoms come out
-    as zero rows (their neighbor sum is empty). The result is one autodiff
-    node. Its forward calls the ``diffengine`` ops under ``no_grad``, so op
-    patches and counters see each call; when a gradient is needed, it keeps
-    the arrays :func:`_embed_backward` reads, and otherwise nothing. Values
-    and gradients are bitwise those of the same ops recorded one node each
-    (``selfcheck.composed_embed``), as long as ``x``'s own graph does not
-    read ``p``'s tensors.
+    as zero rows (their neighbor sum is empty). Every step is a ``diffengine``
+    op, recorded as its own autodiff node when a gradient is needed, so op
+    patches and counters see each call and ``diffengine.backward`` gives the
+    gradients.
     """
     if x.shape[1] != p.in_dim:
         raise de.ShapeError(f"feature dim {x.shape[1]} != expected {p.in_dim}")
-    weights = p.weights()
-    record = de.records_grad(x, *weights)
+    h = de.matmul(x, p.w_in) if p.w_in is not None else x
     fe = gi.edge_features
-    hs: list[DTensor] = []        # each round's input, then the last round's output
-    rounds: list[tuple] = []      # each round's (message factors, messages, neighbor sums)
-    with de.no_grad():
-        h = de.matmul(x, p.w_in) if p.w_in is not None else x
-        for _ in range(p.depth):
-            h_src = de.gather_rows(h, gi.src)
-            if p.variant == "concat":
-                factors: tuple = ()
-                msg = de.relu(de.matmul(de.concat_cols(h_src, fe), p.v))
-            else:
-                factors = (de.matmul(h_src, p.vh), de.matmul(fe, p.vf))
-                msg = de.relu(de.mul(*factors))
-            neigh = de.segment_sum(msg, gi.dst_plan, gi.n_atoms)
-            if record:
-                hs.append(h)
-                rounds.append((factors, msg, neigh))
-            h = de.relu(de.add(de.matmul(h, p.u1), de.matmul(neigh, p.u2)))
-        c0 = de.matmul(de.gather_rows(h, gi.src), p.w0)
-        c1 = de.matmul(fe, p.w1)
-        m1 = de.mul(c0, c1)
-        c2 = de.matmul(de.gather_rows(h, gi.dst), p.w2)
-        out = de.segment_sum(de.mul(m1, c2), gi.dst_plan, gi.n_atoms)
-    if not record:
-        return out
-    hs.append(h)
-
-    def bwd(g: np.ndarray) -> None:
-        _embed_backward(g, gi, x, p, hs, rounds, (c0, c1, m1, c2))
-
-    return DTensor(out.values, parents=(x, *weights), bwd=bwd)
-
-
-def _embed_backward(g: np.ndarray, gi: GraphInputs, x: DTensor, p: WLNParams,
-                    hs: list[DTensor], rounds: list[tuple], last: tuple) -> None:
-    """The backward of :func:`embed_from_features`: each composed op's rule,
-    with the same kernels on the same array layouts, in the order in which
-    ``diffengine.backward`` runs the composed graph.
-
-    That sweep takes the final comparison first, then rounds D..1, so
-    ``U1``, ``U2``, ``V`` and ``Vh`` receive one contribution per round in
-    that order. The gated ``fe @ Vf`` products hang off constants only, so
-    the sweep reaches them last, in rounds 1..D. A round's input receives
-    the ``h @ U1`` term first and the gather's scatter-add second; the
-    gated network's input ``x`` receives them as two contributions.
-    Intermediate gradients skip accumulate's ``+ 0.0``: each reaches a leaf
-    only through ``_mm`` (input gradients), ``_mm_seq`` (weight gradients)
-    or a scatter-add, which all sum onto ``+0.0``, so the sign of a zero
-    never shows, and ``±0.0 * inf`` is the same NaN.
-    """
-    mm, mm_seq, need = de._mm, de._mm_seq, de._need
-    src, dst, fe = gi.src, gi.dst, gi.edge_features.values
-    c0, c1, m1, c2 = (t.values for t in last)
-    h = hs[-1].values
-    g_cmp = g[dst]                      # compared = (c0 * c1) * c2
-    g_m1, g_c2 = g_cmp * c2, g_cmp * m1
-    g_c0 = g_m1 * c1
-    g_h = gi.src_plan.scatter_add(mm(g_c0, p.w0.values.T))
-    if need(p.w0):
-        p.w0.accumulate(mm_seq(h[src].T, g_c0))
-    if need(p.w1):
-        p.w1.accumulate(mm_seq(fe.T, g_m1 * c0))
-    g_gd = mm(g_c2, p.w2.values.T)
-    if need(p.w2):
-        p.w2.accumulate(mm_seq(h[dst].T, g_c2))
-    g_h += gi.dst_plan.scatter_add(g_gd)
-
-    vf_terms = []
-    for r in reversed(range(p.depth)):
-        (factors, msg, neigh), h_in = rounds[r], hs[r].values
-        g_add = g_h * (hs[r + 1].values > 0)
-        inner = r > 0 or p.w_in is not None        # h_in is a result of this node
-        if inner:
-            g_h = mm(g_add, p.u1.values.T)
-        elif need(x):
-            x.accumulate(mm(g_add, p.u1.values.T))
-        if need(p.u1):
-            p.u1.accumulate(mm_seq(h_in.T, g_add))
-        if need(p.u2):
-            p.u2.accumulate(mm_seq(neigh.values.T, g_add))
-        g_msg = mm(g_add, p.u2.values.T)[dst] * (msg.values > 0)
+    for _ in range(p.depth):
+        h_src = de.gather_rows(h, gi.src)
         if p.variant == "concat":
-            g_src = mm(g_msg, p.v.values.T)[:, :p.hidden]
-            if need(p.v):
-                p.v.accumulate(mm_seq(np.concatenate([h_in[src], fe], axis=1).T, g_msg))
+            msg = de.relu(de.matmul(de.concat_cols(h_src, fe), p.v))
         else:
-            a, b = (t.values for t in factors)
-            g_a = g_msg * b
-            g_src = mm(g_a, p.vh.values.T)
-            if need(p.vh):
-                p.vh.accumulate(mm_seq(h_in[src].T, g_a))
-            if need(p.vf):
-                vf_terms.append(g_msg * a)
-        if inner:
-            g_h += gi.src_plan.scatter_add(g_src)
-        elif need(x):
-            x.accumulate(gi.src_plan.scatter_add(g_src))
-
-    if p.w_in is not None:
-        if need(x):
-            x.accumulate(mm(g_h, p.w_in.values.T))
-        if need(p.w_in):
-            p.w_in.accumulate(mm_seq(x.values.T, g_h))
-    for g_b in reversed(vf_terms):
-        p.vf.accumulate(mm_seq(fe.T, g_b))
+            msg = de.relu(de.mul(de.matmul(h_src, p.vh), de.matmul(fe, p.vf)))
+        neigh = de.segment_sum(msg, gi.dst_plan, gi.n_atoms)
+        h = de.relu(de.add(de.matmul(h, p.u1), de.matmul(neigh, p.u2)))
+    compared = de.mul(de.mul(de.matmul(de.gather_rows(h, gi.src), p.w0),
+                             de.matmul(fe, p.w1)),
+                      de.matmul(de.gather_rows(h, gi.dst), p.w2))
+    return de.segment_sum(compared, gi.dst_plan, gi.n_atoms)
 
 
 def embed_atoms(g: MolGraph, p: WLNParams) -> DTensor:

@@ -304,13 +304,40 @@ def test_diverging_training_exits_with_one_line(workdir):
     assert not out.exists()
 
 
+def test_undecodable_data_file_exits_with_one_line(workdir):
+    data = workdir / "latin1.txt"
+    data.write_bytes(b"# reactions\n[CH3:1][OH:2]\xff>>[CH4:1]\n")
+    one_line_stderr(["train-center", "--data", str(data), "--out", str(workdir / "unused.ckpt")],
+                    re.escape(f"{data}:2: byte 0xff is not utf-8 text"))
+
+
+def test_undecodable_checkpoint_exits_with_one_line(workdir, checkpoints):
+    center, ranker = checkpoints
+    lines = Path(center).read_bytes().split(b"\n")
+    lines[1] += b"\xff"
+    bad = workdir / "undecodable.ckpt"
+    bad.write_bytes(b"\n".join(lines))
+    one_line_stderr(["predict", "CCO.CC(=O)Cl", "--model", str(bad), "--model", ranker],
+                    re.escape(f"{bad}:2: byte 0xff is not ascii text"))
+
+
+def test_undecodable_config_file_exits_with_one_line(workdir):
+    cfg = workdir / "undecodable.cfg"
+    cfg.write_bytes(b"epochs=2\nk=\xff\n")
+    out = workdir / "unused.ckpt"
+    one_line_stderr(["train-center", "--data", str(workdir / "toy.txt"), "--out", str(out),
+                     "--config", str(cfg)], re.escape(f"{cfg}:2: byte 0xff is not utf-8 text"))
+    assert not out.exists()
+
+
 def test_selfcheck_command_passes_every_suite(capsys):
-    # wl-soundness, comparison-form, enumeration-oracle, four gradient
-    # checks, ranker-batched, center-inference, train-backward, blas-rows
-    # and graph-delta
     assert main(["selfcheck"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 12 and all(line.startswith("[PASS] ") for line in lines)
+    assert [line.split(":")[0] for line in lines] == [
+        f"[PASS] {name}" for name in (
+            "wl-soundness", "comparison-form", "enumeration-oracle", "grad-center-local",
+            "grad-center-global", "grad-ranker-wldn", "grad-ranker-wln", "ranker-batched",
+            "center-inference", "blas-rows", "graph-delta")]
 
 
 def test_datagen_cli(tmp_path, capsys):

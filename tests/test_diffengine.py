@@ -382,12 +382,13 @@ class TestSegmentSumOracle:
         want = np.zeros((len(sizes), cols))
         with np.errstate(over="ignore", invalid="ignore"):
             np.add.at(want, seg, vals)
-            got = de.SegmentPlan(seg, len(sizes)).scatter_add(vals)
+            got = de._scatter_add(seg, vals, len(sizes))
         assert got.tobytes() == want.tobytes()
 
     def test_one_plan_serves_finite_and_non_finite_values(self):
-        # the plan holds no choice of path: each call picks the network or
-        # np.sort, and the scatter-add or np.add.at, from its own values
+        # neither the plan nor the scatter-add holds a choice of path: each
+        # call picks the network or np.sort, and np.bincount or np.add.at,
+        # from its own values
         rng = np.random.default_rng(5)
         seg = np.array([0, 1, 0, 2, 1, 0, 3, 0])    # widths 4, 2, 1, 1 and an empty segment
         plan = de.SegmentPlan(seg, 5)
@@ -401,7 +402,7 @@ class TestSegmentSumOracle:
                 scattered = np.zeros((5, 3))
                 np.add.at(scattered, seg, vals)
                 assert by_plan.tobytes() == by_ids.tobytes(), trial
-                assert plan.scatter_add(vals).tobytes() == scattered.tobytes(), trial
+                assert de._scatter_add(seg, vals, 5).tobytes() == scattered.tobytes(), trial
                 for s in range(5):
                     want = np.sort(vals[seg == s], axis=0).sum(axis=0)
                     assert by_plan[s].tobytes() == want.tobytes(), (trial, s)

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import graph_distance, permute_graph, random_permutation
 from rxnpred import diffengine as de
 from rxnpred.candgen import Candidate, EditSet
 from rxnpred.center import CenterModel
-from rxnpred.chemgraph import BOND_FEATURE_DIM, BondType, atom_feature_matrix, parse_smiles
-from rxnpred.datagen import random_molecule, reagent_fixture_lines, toy_reaction_lines
+from rxnpred.chemgraph import BondType, atom_feature_matrix, parse_smiles
+from rxnpred.datagen import random_molecule
 from rxnpred.ranker import RankerModel
-from rxnpred.selfcheck import composed_embed, naive_atom_vectors, train_backward_mismatches
-from rxnpred.wln import GraphInputs, WLNParams, embed_atoms, embed_from_features, graph_inputs
+from rxnpred.selfcheck import naive_atom_vectors
+from rxnpred.wln import WLNParams, embed_atoms, embed_from_features, graph_inputs
 
 
 def make_params(in_dim, hidden=10, depth=3, seed=0, variant="concat"):
@@ -128,13 +126,18 @@ class TestGatedVariant:
 
 
 class TestGradients:
-    def test_embedding_norm_gradient(self):
+    @pytest.mark.parametrize("variant", ["concat", "gated"])
+    def test_embedding_norm_gradient(self, variant):
+        # every weight and the input features are finite-differenced
         rng = np.random.default_rng(15)
         g = random_molecule(rng, n_atoms=6, allow_curated=False)
-        store, p = make_params(FEAT_DIM, hidden=6, depth=2, seed=17)
+        gi = graph_inputs(g)
+        x = gi.features.values if variant == "concat" else rng.normal(size=(g.n_atoms, 6))
+        store, p = make_params(x.shape[1], hidden=6, depth=2, seed=17, variant=variant)
+        store.params["x"] = de.DTensor(x.copy(), requires_grad=True)
 
         def f(s):
-            c = embed_atoms(g, p)
+            c = embed_from_features(gi, s["x"], p)
             return de.dot(c, c)  # sum of squared vector norms
 
         err = de.grad_check(f, store, h=1e-5, rng=np.random.default_rng(0))
@@ -175,85 +178,3 @@ class TestActivation:
         RankerModel.create("wln", hidden=4, depth=1).score_candidates(g, [cand])
         # reactants, then the product's edited component, then the pooled head
         assert calls == [(4, 4), (3, 4), (4, 4), (3, 4), (1, 4)]
-
-
-@st.composite
-def edge_graphs(draw, rng):
-    """Graph inputs of 0 to 9 atoms with random bonds, so isolated atoms and
-    empty graphs occur, sometimes with a hub bonded to every other atom
-    (5 to 8 neighbours, which takes segment_sum's sort path)."""
-    n = draw(st.integers(0, 9))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    bonds = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
-    if n >= 6 and draw(st.booleans()):
-        bonds = sorted(set(bonds) | {(0, v) for v in range(1, n)})
-    src = np.array([a for u, v in bonds for a in (u, v)], dtype=np.intp)
-    dst = np.array([a for u, v in bonds for a in (v, u)], dtype=np.intp)
-    fe = de.constant(rng.normal(size=(len(src), BOND_FEATURE_DIM)).reshape(-1, BOND_FEATURE_DIM))
-    return GraphInputs(n, src, dst, de.constant(np.zeros((n, 0))), fe)
-
-
-@st.composite
-def embedding_cases(draw):
-    """A network of either message variant, two graphs, and inputs that may
-    hold an infinity or a NaN."""
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    variant = draw(st.sampled_from(["concat", "gated"]))
-    hidden = draw(st.sampled_from([2, 3, 8]))
-    in_dim = hidden if variant == "gated" else draw(st.integers(1, 5))
-    graphs = [draw(edge_graphs(rng)), draw(edge_graphs(rng))]
-    special = draw(st.sampled_from([None, np.inf, -np.inf, np.nan]))
-    inputs = []
-    for gi in graphs:
-        x = rng.normal(size=(gi.n_atoms, in_dim))
-        if special is not None:
-            x[rng.random(x.shape) < 0.2] = special
-        inputs.append(x)
-    return (variant, hidden, draw(st.integers(1, 3)), in_dim, graphs, inputs,
-            int(rng.integers(2 ** 31)))
-
-
-def embedding_bytes(embed, case):
-    """Outputs, loss and every gradient (weights and both inputs) of a loss
-    that uses one network three times, the first input twice, as bytes."""
-    variant, hidden, depth, in_dim, graphs, inputs, seed = case
-    store = de.ParamStore()
-    p = WLNParams.create(store, "wln", in_dim, hidden, depth, np.random.default_rng(seed),
-                         variant=variant)
-    xs = [de.DTensor(x.copy(), requires_grad=True) for x in inputs]
-    rng = np.random.default_rng(seed + 1)
-    with np.errstate(all="ignore"):
-        outs = [embed(gi, x, p) for gi, x in ((graphs[0], xs[0]), (graphs[1], xs[1]),
-                                              (graphs[0], xs[0]))]
-        loss = de.add(de.add(de.dot(outs[0], de.constant(rng.normal(size=outs[0].shape))),
-                             de.dot(outs[1], de.constant(rng.normal(size=outs[1].shape)))),
-                      de.dot(outs[2], de.constant(rng.normal(size=outs[2].shape))))
-        de.backward(loss)
-    grads = [t.grad for t in xs] + [store[name].grad for name in store.names()]
-    return ([t.values.tobytes() for t in outs + [loss]]
-            + [b"" if g is None else g.tobytes() for g in grads])
-
-
-class TestOneNodeEmbedding:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(embedding_cases())
-    def test_values_and_gradients_equal_composed_ops(self, case):
-        assert embedding_bytes(embed_from_features, case) == embedding_bytes(composed_embed, case)
-
-    def test_records_one_node_and_keeps_nothing_under_no_grad(self):
-        _, p = make_params(FEAT_DIM, hidden=4, depth=2)
-        gi = graph_inputs(parse_smiles("CC(=O)O"))
-        out = embed_from_features(gi, gi.features, p)
-        assert out._parents == (gi.features, *p.weights())
-        with de.no_grad():
-            plain = embed_from_features(gi, gi.features, p)
-        assert plain._bwd is None and not plain._parents
-        assert plain.values.tobytes() == out.values.tobytes()
-
-    @pytest.mark.parametrize("lines", [toy_reaction_lines(8, seed=3),
-                                       reagent_fixture_lines(4, seed=3)],
-                             ids=["toy", "reagent"])
-    @pytest.mark.parametrize("hidden", [2, 8])
-    def test_training_losses_match_composed_ops(self, lines, hidden):
-        mismatches, checked = train_backward_mismatches(lines, seed=hidden, hidden=hidden)
-        assert checked > 0 and mismatches == 0

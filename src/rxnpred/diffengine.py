@@ -1,12 +1,15 @@
 """Minimal reverse-mode autodiff over dense 2-D float64 tensors.
 
-Every operation records a backward rule on the output node; ``backward`` runs
-a reverse topological sweep from a scalar root. Reductions that sum over
-graph elements (``segment_sum``, ``sum_rows``) add their addends in value
-order per column, which makes forward results bitwise invariant under input
-row permutations. Includes Xavier initialization, an Adam optimizer with
-per-epoch learning-rate decay, a plain-text checkpoint format, and a
-finite-difference gradient checker.
+Every operation records its parents and one gradient rule on the output node,
+``bwd(g, i)``: parent ``i``'s gradient given the output's gradient ``g``.
+``backward`` runs a reverse topological sweep from a scalar root and alone
+decides which parents get a gradient (those that lead to a ``requires_grad``
+leaf; no other is computed) and how it is stored (:meth:`DTensor.accumulate`).
+Reductions that sum over graph elements (``segment_sum``, ``sum_rows``) add
+their addends in value order per column, which makes forward results bitwise
+invariant under input row permutations. Includes Xavier initialization, an
+Adam optimizer with per-epoch learning-rate decay, a plain-text checkpoint
+format, and a finite-difference gradient checker.
 
 Checkpoint format (byte-exact): first line ``REXGEN-CKPT v1``; then zero or
 more metadata lines ``# key=value`` sorted by key; then per tensor, sorted by
@@ -66,12 +69,14 @@ class ShapeError(ValueError):
 
 
 class DTensor:
-    """A 2-D float64 value node; leaves with ``requires_grad`` accumulate grads."""
+    """A 2-D float64 value node. An op result holds its ``parents`` and
+    ``bwd(g, i)``, parent ``i``'s gradient given its own gradient ``g``;
+    leaves with ``requires_grad`` keep the gradients they get."""
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_bwd")
 
-    def __init__(self, values: np.ndarray, requires_grad: bool = False,
-                 parents: tuple = (), bwd: Callable[[np.ndarray], None] | None = None):
+    def __init__(self, values: np.ndarray, requires_grad: bool = False, parents: tuple = (),
+                 bwd: Callable[[np.ndarray, int], np.ndarray] | None = None):
         if values.ndim != 2:
             raise ShapeError(f"DTensor must be 2-D, got shape {values.shape}")
         self.values = values
@@ -90,13 +95,19 @@ class DTensor:
         return float(self.values[0, 0])
 
     def accumulate(self, g: np.ndarray) -> None:
-        """Add ``g`` to the gradient. The first arrival is stored as ``g + 0.0``:
-        a copy, so later additions never write into ``g``, with ``-0.0``
-        turned into ``+0.0``, as a sum onto zeros gives."""
+        """Add ``g`` to the gradient, writing into no array another node holds.
+
+        A leaf stores its first gradient as ``g + 0.0``, a copy with ``-0.0``
+        turned into ``+0.0`` as a sum onto zeros gives, and adds later ones
+        into that copy. An op result keeps the ``g`` it gets, which its op may
+        also have handed to another parent, and adds later ones out of place.
+        """
         if self.grad is None:
-            self.grad = g + 0.0
-        else:
+            self.grad = g + 0.0 if self.requires_grad else g
+        elif self.requires_grad:
             self.grad += g
+        else:
+            self.grad = self.grad + g
 
     def __repr__(self) -> str:
         return f"DTensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -149,59 +160,27 @@ def _check_same(a: DTensor, b: DTensor, op: str) -> None:
 
 def add(a: DTensor, b: DTensor) -> DTensor:
     """Elementwise sum; also accepts a (1, c) row vector broadcast over rows."""
-    if a.shape != b.shape:
-        if b.shape == (1, a.shape[1]):
-            out = a.values + b.values
-
-            def bwd(g: np.ndarray) -> None:
-                if _need(a):
-                    a.accumulate(g)
-                if _need(b):
-                    b.accumulate(g.sum(axis=0, keepdims=True))
-
-            return _track(out, (a, b), bwd)
-        raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
-
-    def bwd(g: np.ndarray) -> None:
-        if _need(a):
-            a.accumulate(g)
-        if _need(b):
-            b.accumulate(g)
-
-    return _track(a.values + b.values, (a, b), bwd)
+    if a.shape == b.shape:
+        return _track(a.values + b.values, (a, b), lambda g, i: g)
+    if b.shape == (1, a.shape[1]):
+        return _track(a.values + b.values, (a, b),
+                      lambda g, i: g.sum(axis=0, keepdims=True) if i else g)
+    raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
 
 
 def sub(a: DTensor, b: DTensor) -> DTensor:
     _check_same(a, b, "sub")
-
-    def bwd(g: np.ndarray) -> None:
-        if _need(a):
-            a.accumulate(g)
-        if _need(b):
-            b.accumulate(-g)
-
-    return _track(a.values - b.values, (a, b), bwd)
+    return _track(a.values - b.values, (a, b), lambda g, i: -g if i else g)
 
 
 def mul(a: DTensor, b: DTensor) -> DTensor:
     """Elementwise (Hadamard) product."""
     _check_same(a, b, "mul")
-
-    def bwd(g: np.ndarray) -> None:
-        if _need(a):
-            a.accumulate(g * b.values)
-        if _need(b):
-            b.accumulate(g * a.values)
-
-    return _track(a.values * b.values, (a, b), bwd)
+    return _track(a.values * b.values, (a, b), lambda g, i: g * (a if i else b).values)
 
 
 def scale(a: DTensor, s: float) -> DTensor:
-    def bwd(g: np.ndarray) -> None:
-        if _need(a):
-            a.accumulate(g * s)
-
-    return _track(a.values * s, (a,), bwd)
+    return _track(a.values * s, (a,), lambda g, i: g * s)
 
 
 # Rows per GEMM in :func:`_mm`, a multiple of every OpenBLAS dgemm micro-kernel height.
@@ -240,14 +219,8 @@ def _mm_seq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def matmul(a: DTensor, b: DTensor) -> DTensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-
-    def bwd(g: np.ndarray) -> None:
-        if _need(a):
-            a.accumulate(_mm(g, b.values.T))
-        if _need(b):
-            b.accumulate(_mm_seq(a.values.T, g))
-
-    return _track(_mm(a.values, b.values), (a, b), bwd)
+    return _track(_mm(a.values, b.values), (a, b),
+                  lambda g, i: _mm_seq(a.values.T, g) if i else _mm(g, b.values.T))
 
 
 def matvec(a: DTensor, v: DTensor) -> DTensor:
@@ -259,12 +232,7 @@ def matvec(a: DTensor, v: DTensor) -> DTensor:
 
 def relu(a: DTensor) -> DTensor:
     mask = a.values > 0
-
-    def bwd(g: np.ndarray) -> None:
-        if _need(a):
-            a.accumulate(g * mask)
-
-    return _track(a.values * mask, (a,), bwd)
+    return _track(a.values * mask, (a,), lambda g, i: g * mask)
 
 
 def sigmoid(a: DTensor) -> DTensor:
@@ -274,70 +242,41 @@ def sigmoid(a: DTensor) -> DTensor:
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-
-    def bwd(g: np.ndarray) -> None:
-        if _need(a):
-            a.accumulate(g * out * (1.0 - out))
-
-    return _track(out, (a,), bwd)
+    return _track(out, (a,), lambda g, i: g * out * (1.0 - out))
 
 
 def tanh(a: DTensor) -> DTensor:
     out = np.tanh(a.values)
-
-    def bwd(g: np.ndarray) -> None:
-        if _need(a):
-            a.accumulate(g * (1.0 - out * out))
-
-    return _track(out, (a,), bwd)
+    return _track(out, (a,), lambda g, i: g * (1.0 - out * out))
 
 
 def log(a: DTensor) -> DTensor:
     """Natural log clamped below at 1e-12; zero gradient inside the clamp."""
     clamped = np.maximum(a.values, LOG_CLAMP)
-
-    def bwd(g: np.ndarray) -> None:
-        if _need(a):
-            a.accumulate(g * np.where(a.values >= LOG_CLAMP, 1.0 / clamped, 0.0))
-
-    return _track(np.log(clamped), (a,), bwd)
+    return _track(np.log(clamped), (a,),
+                  lambda g, i: g * np.where(a.values >= LOG_CLAMP, 1.0 / clamped, 0.0))
 
 
 def concat_cols(a: DTensor, b: DTensor) -> DTensor:
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"concat_cols: row counts differ, {a.shape} vs {b.shape}")
     ca = a.shape[1]
-
-    def bwd(g: np.ndarray) -> None:
-        if _need(a):
-            a.accumulate(g[:, :ca])
-        if _need(b):
-            b.accumulate(g[:, ca:])
-
-    return _track(np.concatenate([a.values, b.values], axis=1), (a, b), bwd)
+    return _track(np.concatenate([a.values, b.values], axis=1), (a, b),
+                  lambda g, i: g[:, ca:] if i else g[:, :ca])
 
 
 def reshape(a: DTensor, rows: int, cols: int) -> DTensor:
     if rows * cols != a.values.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as ({rows}, {cols})")
-
-    def bwd(g: np.ndarray) -> None:
-        if _need(a):
-            a.accumulate(g.reshape(a.shape))
-
-    return _track(a.values.reshape(rows, cols).copy(), (a,), bwd)
+    return _track(a.values.reshape(rows, cols).copy(), (a,), lambda g, i: g.reshape(a.shape))
 
 
 def gather_rows(a: DTensor, indices: Sequence[int] | np.ndarray) -> DTensor:
     idx = np.asarray(indices, dtype=np.intp)
     if idx.size and idx.view(np.uintp).max() >= a.shape[0]:  # negative ones read as huge
         raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
-
-    def bwd(g: np.ndarray) -> None:
-        if _need(a):
-            a.accumulate(_scatter_add(idx, g, a.shape[0]))
-
-    return _track(a.values.take(idx, axis=0), (a,), bwd)
+    return _track(a.values.take(idx, axis=0), (a,),
+                  lambda g, i: _scatter_add(idx, g, a.shape[0]))
 
 
 def _scatter_add(ids: np.ndarray, values: np.ndarray, n_rows: int) -> np.ndarray:
@@ -434,12 +373,7 @@ def segment_sum(a: DTensor, segments: Sequence[int] | np.ndarray | SegmentPlan,
     if plan.n_segments != n_segments:
         raise ShapeError(f"segment_sum: plan has {plan.n_segments} segments, "
                          f"expected {n_segments}")
-
-    def bwd(g: np.ndarray) -> None:
-        if _need(a):
-            a.accumulate(g[plan.ids])
-
-    return _track(plan.sorted_sums(a.values), (a,), bwd)
+    return _track(plan.sorted_sums(a.values), (a,), lambda g, i: g[plan.ids])
 
 
 # Compare-exchange pairs that sort a segment of 1 to 4 rows per column, up to
@@ -450,28 +384,15 @@ _SORTING_NETWORKS = {1: (), 2: (), 3: ((0, 1), (1, 2)),
 
 def sum_rows(a: DTensor) -> DTensor:
     """Column sums as a (1, cols) row; row-order invariant (value-sorted)."""
-    out = np.sort(a.values, axis=0).sum(axis=0, keepdims=True)
-
-    def bwd(g: np.ndarray) -> None:
-        if _need(a):
-            a.accumulate(np.repeat(g, a.shape[0], axis=0))
-
-    return _track(out, (a,), bwd)
+    return _track(np.sort(a.values, axis=0).sum(axis=0, keepdims=True), (a,),
+                  lambda g, i: np.repeat(g, a.shape[0], axis=0))
 
 
 def dot(a: DTensor, b: DTensor) -> DTensor:
     """Full contraction of two same-shape tensors into a 1x1 scalar."""
     _check_same(a, b, "dot")
-    out = np.array([[float(np.sum(a.values * b.values))]])
-
-    def bwd(g: np.ndarray) -> None:
-        s = g[0, 0]
-        if _need(a):
-            a.accumulate(s * b.values)
-        if _need(b):
-            b.accumulate(s * a.values)
-
-    return _track(out, (a, b), bwd)
+    return _track(np.array([[float(np.sum(a.values * b.values))]]), (a, b),
+                  lambda g, i: g[0, 0] * (a if i else b).values)
 
 
 def stack_rows(tensors: Sequence[DTensor]) -> DTensor:
@@ -482,15 +403,9 @@ def stack_rows(tensors: Sequence[DTensor]) -> DTensor:
     for t in tensors:
         if t.shape[1] != cols:
             raise ShapeError(f"stack_rows: expected {cols} columns, got {t.shape}")
-    out = np.concatenate([t.values for t in tensors], axis=0)
-    ends = np.cumsum([t.shape[0] for t in tensors])
-
-    def bwd(g: np.ndarray) -> None:
-        for t, end in zip(tensors, ends):
-            if _need(t):
-                t.accumulate(g[end - t.shape[0]:end])
-
-    return _track(out, tuple(tensors), bwd)
+    bounds = np.cumsum([0] + [t.shape[0] for t in tensors])
+    return _track(np.concatenate([t.values for t in tensors], axis=0), tuple(tensors),
+                  lambda g, i: g[bounds[i]:bounds[i + 1]])
 
 
 def softmax_logloss(scores: DTensor, target_index: int) -> DTensor:
@@ -503,15 +418,9 @@ def softmax_logloss(scores: DTensor, target_index: int) -> DTensor:
     shift = s - s.max()
     log_z = math.log(np.exp(shift).sum())
     out = np.array([[log_z - shift[target_index]]])
-    softmax = np.exp(shift - log_z)
-
-    def bwd(g: np.ndarray) -> None:
-        if _need(scores):
-            grad = softmax.copy()
-            grad[target_index] -= 1.0
-            scores.accumulate(g[0, 0] * grad.reshape(-1, 1))
-
-    return _track(out, (scores,), bwd)
+    dscores = np.exp(shift - log_z).reshape(-1, 1)     # softmax minus the one-hot target
+    dscores[target_index] -= 1.0
+    return _track(out, (scores,), lambda g, i: g[0, 0] * dscores)
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +431,11 @@ def backward(loss: DTensor) -> None:
     """Run the reverse sweep from a 1x1 root, accumulating exact gradients
     into every reachable ``requires_grad`` leaf.
 
-    Gradients on intermediate nodes are freed once consumed; leaf gradients
-    add onto whatever is already there (zero them between steps).
+    Each node hands ``bwd(g, i)`` to :meth:`DTensor.accumulate` of each
+    parent ``i`` that leads to such a leaf, in parent order, and computes no
+    other parent's gradient. Gradients on op results are freed once
+    consumed; leaf gradients add onto whatever is already there (zero them
+    between steps).
     """
     if loss.shape != (1, 1):
         raise ShapeError(f"backward: root must be 1x1, got {loss.shape}")
@@ -547,8 +459,9 @@ def backward(loss: DTensor) -> None:
     for node in reversed(topo):
         if node.grad is None:
             continue
-        if node._bwd is not None:
-            node._bwd(node.grad)
+        for i, parent in enumerate(node._parents):
+            if _need(parent):
+                parent.accumulate(node._bwd(node.grad, i))
         if not node.requires_grad:
             node.grad = None
 

@@ -102,11 +102,6 @@ class WLNParams:
                    for name, shape in _tensor_shapes(in_dim, hidden, variant).items()}
         return cls(**tensors, depth=depth, hidden=hidden, in_dim=in_dim, variant=variant)
 
-    def weights(self) -> list[DTensor]:
-        """The tensors this network has."""
-        return [t for t in (self.w_in, self.u1, self.u2, self.v, self.vh, self.vf,
-                            self.w0, self.w1, self.w2) if t is not None]
-
 
 # Tensor name suffix -> WLNParams field.
 _FIELDS = {"U1": "u1", "U2": "u2", "W0": "w0", "W1": "w1", "W2": "w2",

@@ -253,13 +253,62 @@ class TestBackwardBehavior:
 
         assert de.grad_check(f, store, h=1e-5) < 1e-6
 
-    def test_first_gradient_is_a_normalized_copy(self):
-        t = de.DTensor(np.zeros((1, 2)), requires_grad=True)
+    @pytest.mark.parametrize("leaf", [True, False], ids=["leaf", "op-result"])
+    def test_first_gradient_is_a_normalized_copy(self, leaf):
+        # a leaf copies its first gradient as g + 0.0 and adds into the copy;
+        # an op result keeps g itself and adds out of place
+        x = de.DTensor(np.zeros((1, 2)), requires_grad=True)
+        t = x if leaf else de.scale(x, 1.0)
         g = np.array([[-0.0, 1.0]])
         t.accumulate(g)
+        assert (t.grad is g) is not leaf
         t.accumulate(g)
         assert g.tobytes() == np.array([[-0.0, 1.0]]).tobytes()
-        assert t.grad.tobytes() == np.array([[0.0, 2.0]]).tobytes()
+        assert t.grad.tobytes() == np.array([[0.0 if leaf else -0.0, 2.0]]).tobytes()
+
+    def test_gradient_handed_to_two_parents_is_not_written(self):
+        # s2's add hands the array s2 gets to both s1 and p; p gets a second
+        # gradient from s1 before s1 passes its own on to q
+        x = de.DTensor(np.array([[1.0, -2.0]]), requires_grad=True)
+        y = de.DTensor(np.array([[0.5, 3.0]]), requires_grad=True)
+        p, q = de.scale(x, 2.0), de.scale(y, 3.0)
+        s1 = de.add(p, q)
+        s2 = de.add(s1, p)
+        de.backward(de.dot(s2, de.constant(np.ones((1, 2)))))
+        assert x.grad.tolist() == [[4.0, 4.0]] and y.grad.tolist() == [[3.0, 3.0]]
+
+    def test_backward_frees_every_gradient_but_the_leaves(self):
+        w = de.DTensor(np.array([[1.0, -1.0], [2.0, 0.5]]), requires_grad=True)
+        v = de.DTensor(np.array([[0.3], [-0.7]]), requires_grad=True)
+        unused = de.DTensor(np.ones((1, 1)), requires_grad=True)
+        x, ones = de.constant(np.eye(2)), de.constant(np.ones((2, 1)))
+        h = de.relu(de.matmul(x, w))
+        hv = de.matmul(h, v)
+        loss = de.dot(de.add(hv, de.matmul(de.tanh(h), v)), ones)
+        de.backward(loss)
+        assert w.grad is not None and v.grad is not None and unused.grad is None
+        for t in (x, ones, h, hv, loss):
+            assert t.grad is None
+
+    def test_no_gradient_computed_for_a_parent_that_needs_none(self, monkeypatch):
+        calls = {"_mm": 0, "_mm_seq": 0, "_scatter_add": 0}
+        for name in calls:
+            def counted(*args, _name=name, _f=getattr(de, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(de, name, counted)
+        leaf = de.DTensor(np.ones((3, 3)), requires_grad=True)
+        const = de.constant(np.arange(9.0).reshape(3, 3))
+        ones = de.constant(np.ones((3, 3)))
+
+        de.backward(de.dot(de.matmul(const, leaf), ones))
+        assert calls == {"_mm": 1, "_mm_seq": 1, "_scatter_add": 0}
+        de.backward(de.dot(de.matmul(leaf, const), ones))
+        assert calls == {"_mm": 3, "_mm_seq": 1, "_scatter_add": 0}
+        de.backward(de.dot(de.mul(de.gather_rows(const, [2, 0, 2]), leaf), ones))
+        assert calls == {"_mm": 3, "_mm_seq": 1, "_scatter_add": 0}
+        de.backward(de.dot(de.gather_rows(leaf, [2, 0, 2]), ones))
+        assert calls == {"_mm": 3, "_mm_seq": 1, "_scatter_add": 1}
 
     def test_shared_node_accumulates(self):
         x = de.DTensor(np.array([[3.0]]), requires_grad=True)

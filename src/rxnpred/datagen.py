@@ -272,7 +272,8 @@ def higher_order_fixture_lines(n: int = 40, seed: int = 1) -> list[str]:
 
 
 def write_lines(path, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """One line per record, each ending in a newline; no lines, an empty file."""
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -283,6 +284,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--kind", choices=["toy", "reagent", "higher-order"],
                         default="toy")
     args = parser.parse_args(argv)
+    if args.n < 1:
+        raise SystemExit(f"--n: must be at least 1, got {args.n}")
     if args.kind == "toy":
         lines = toy_reaction_lines(args.n, args.seed)
     elif args.kind == "reagent":

@@ -21,8 +21,8 @@ import numpy as np
 from . import diffengine as de
 from .candgen import MAX_CANDIDATES, Candidate, EditSet, enumerate_candidates
 from .center import CenterModel, center_loss, coverage, reaction_edits, top_k_pairs
-from .chemgraph import (MolGraph, apply_edits, induced_subgraph, parse_smiles, with_map_numbers,
-                        write_smiles)
+from .chemgraph import (BondType, EditDelta, MolGraph, induced_subgraph, make_graph, parse_smiles,
+                        with_map_numbers, write_smiles)
 from .ranker import RankerModel, rank_candidates, rank_loss, rank_reactions
 from .wliso import _fnv1a, wl_equivalent
 
@@ -429,7 +429,7 @@ def _ranker_p1(model: RankerModel, instances: list[_RankingInstance]) -> float:
     for batch in _atom_batches(instances, lambda inst: inst.record.reactants.n_atoms):
         ranked = rank_reactions([(inst.record.reactants, inst.candidates) for inst in batch],
                                 model)
-        hits += sum(_product_matches(inst.record, order[0])
+        hits += sum(_ProductMatcher(inst.record)(order[0])
                     for inst, order in zip(batch, ranked))
     return hits / len(instances)
 
@@ -571,33 +571,84 @@ class EvalReport:
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
-def _product_matches(rec: ReactionRecord, cand: Candidate) -> bool:
-    """Primary criterion: edit-set equality. Fallback: WL equivalence between
-    the candidate product molecule(s) holding the recorded product's atoms and
-    the recorded product graph (whole components, so a surviving bond to an
-    atom outside the recorded product still counts as a mismatch).
+class _ProductMatcher:
+    """Does a candidate make the record's product? Built once per record and
+    called once per candidate.
 
-    The fallback first counts those molecules' atoms from the local
-    component ids of the candidate's edit delta and the untouched reactant
-    components; fingerprints of graphs of different sizes never match, so
-    only an equal count builds the full product. That product is not cached
-    on the candidate, which keeps only its delta."""
-    if cand.edits == rec.true_edits:
-        return True
-    p_maps = {a.map_number for a in rec.product.atoms}
-    mapped_idx = [i for i, a in enumerate(rec.reactants.atoms) if a.map_number in p_maps]
-    local = {a: i for i, a in enumerate(cand.edited_atoms())}
-    local_comp, reactant_comp = cand.delta.component, rec.reactants.component
-    local_comps = {local_comp[local[i]] for i in mapped_idx if i in local}
-    untouched = {reactant_comp[i] for i in mapped_idx if i not in local}
-    size = (sum(local_comp.count(c) for c in local_comps)
-            + sum(reactant_comp.count(c) for c in untouched))
-    if size != rec.product.n_atoms:
-        return False
-    product = apply_edits(rec.reactants, cand.edits)
-    comps = {product.component[i] for i in mapped_idx}
-    union = induced_subgraph(product, [i for i, c in enumerate(product.component) if c in comps])
-    return wl_equivalent(union, rec.product, depth=3)
+    Primary criterion: edit-set equality. Fallback: WL equivalence between
+    the candidate product molecules that hold the recorded product's atoms
+    and the recorded product graph (whole components, so a surviving bond to
+    an atom outside the recorded product still counts as a mismatch). Those
+    molecules are the local components of the candidate's edit delta that
+    hold a mapped atom, plus the untouched reactant components that do.
+
+    Equal fingerprints imply equal atom counts and equal edge-triple
+    multisets, so the fallback first compares the molecules' atom count and
+    then their count of each bond type, read from the delta and from the
+    reactant components, with the product's. Only a candidate that passes
+    both has its molecules built, from the delta, for the WL test; no full
+    product is built.
+    """
+
+    def __init__(self, rec: ReactionRecord):
+        self.rec = rec
+        reactants = rec.reactants
+        p_maps = {a.map_number for a in rec.product.atoms}
+        self._mapped = {i for i, a in enumerate(reactants.atoms) if a.map_number in p_maps}
+        codes = reactants.codes
+        comps = sorted({reactants.component[i] for i in self._mapped})
+        self._sizes = {c: len(codes.comp_atoms[c]) for c in comps}
+        self._comp_types = {c: _type_counts(t for _, _, _, t, _ in codes.comp_bonds[c])
+                            for c in comps}
+        self._types = _type_counts(b.bond_type.value for b in rec.product.bonds)
+
+    def __call__(self, cand: Candidate) -> bool:
+        rec = self.rec
+        if cand.edits == rec.true_edits:
+            return True
+        d = cand.delta
+        comp = rec.reactants.component
+        local_comps = {c for a, c in zip(d.atoms, d.component) if a in self._mapped}
+        edited = {comp[a] for e in cand.edits for a in (e.u, e.v)}
+        untouched = [c for c in self._sizes if c not in edited]
+        size = (sum(c in local_comps for c in d.component)
+                + sum(self._sizes[c] for c in untouched))
+        if size != rec.product.n_atoms:
+            return False
+        local_bonds = [(u, v, t) for u, v, t in zip(d.bonds[0::4], d.bonds[1::4], d.bonds[2::4])
+                       if d.component[u] in local_comps]
+        types = _type_counts(t for _, _, t in local_bonds)
+        for c in untouched:
+            types = [a + b for a, b in zip(types, self._comp_types[c])]
+        if types != self._types:
+            return False
+        return wl_equivalent(self._molecules(d, local_comps, local_bonds, untouched),
+                             rec.product, depth=3)
+
+    def _molecules(self, d: EditDelta, local_comps: set[int],
+                   local_bonds: list[tuple[int, int, int]], untouched: list[int]) -> MolGraph:
+        """The candidate product molecules that hold a mapped atom: the
+        delta's components ``local_comps`` and the reactant components
+        ``untouched``, as one graph."""
+        reactants = self.rec.reactants
+        codes = reactants.codes
+        keep = [i for i, c in enumerate(d.component) if c in local_comps]
+        index = {i: n for n, i in enumerate(keep)}
+        atoms = [reactants.atoms[d.atoms[i]] for i in keep]
+        bonds = [(index[u], index[v], BondType(t)) for u, v, t in local_bonds]
+        for c in untouched:
+            index = {a: len(atoms) + n for n, a in enumerate(codes.comp_atoms[c])}
+            atoms += [reactants.atoms[a] for a in codes.comp_atoms[c]]
+            bonds += [(index[u], index[v], BondType(t)) for _, u, v, t, _ in codes.comp_bonds[c]]
+        return make_graph(atoms, bonds)
+
+
+def _type_counts(values) -> list[int]:
+    """How many bonds of each ``BondType`` value."""
+    counts = [0] * len(BondType)
+    for t in values:
+        counts[t] += 1
+    return counts
 
 
 def evaluate(records: list[ReactionRecord], center: CenterModel,
@@ -629,8 +680,9 @@ def evaluate(records: list[ReactionRecord], center: CenterModel,
         rank = None
         if candidates:
             ranked = rank_candidates(rec.reactants, candidates, ranker)
+            matches = _ProductMatcher(rec)
             for pos, cand in enumerate(ranked, 1):
-                if _product_matches(rec, cand):
+                if matches(cand):
                     rank = pos
                     break
         ranks.append(1.0 / rank if rank else 0.0)

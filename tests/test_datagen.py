@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from rxnpred import datagen
 from rxnpred.pipeline import parse_reaction_line
@@ -40,3 +41,21 @@ def test_higher_order_fixture_has_two_adjacent_edits():
         assert len(rec.true_edits) == 2
         atoms = [set((e.u, e.v)) for e in rec.true_edits]
         assert atoms[0] & atoms[1]  # the edits share an atom
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_cli_rejects_a_record_count_below_one(tmp_path, capsys, n):
+    out = tmp_path / "gen.txt"
+    with pytest.raises(SystemExit) as exc:
+        datagen.main(["--out", str(out), "--n", n])
+    assert str(exc.value) == f"--n: must be at least 1, got {n}"
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_write_lines_ends_each_line_and_writes_nothing_for_no_lines(tmp_path):
+    path = tmp_path / "lines.txt"
+    datagen.write_lines(path, [])
+    assert path.read_bytes() == b""
+    datagen.write_lines(path, ["a>b>c", "d>>e"])
+    assert path.read_bytes() == b"a>b>c\nd>>e\n"

@@ -1,6 +1,7 @@
 """Property tests: edit-local products equal the edited components of the
-full product, their edit deltas equal the graph route, and inverse edits
-restore the reactants."""
+full product, their edit deltas equal the graph route, inverse edits
+restore the reactants, and product matching from the deltas equals the
+full-product route."""
 
 import numpy as np
 import pytest
@@ -8,13 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import merge, permute_graph
-from rxnpred.candgen import Candidate, EditSet
+from rxnpred import datagen, pipeline
+from rxnpred.candgen import Candidate, EditSet, enumerate_candidates
+from rxnpred.center import CenterModel
 from rxnpred.chemgraph import (BOND_FEATURE_DIM, BondType, apply_edits, atom_feature_matrix,
                                bond_features, edit_delta, induced_subgraph, parse_smiles,
                                write_smiles)
 from rxnpred.datagen import random_molecule
+from rxnpred.pipeline import RunConfig, _ProductMatcher, evaluate, parse_reaction_line
+from rxnpred.ranker import RankerModel
 from rxnpred.selfcheck import (graph_delta_mismatches, inputs_bytes, local_product_oracle,
                                per_atom_inputs)
+from rxnpred.wliso import brute_force_isomorphic, wl_equivalent
 from rxnpred.wln import delta_inputs, graph_inputs, union_inputs
 
 FRAGMENTS = ("[NH4+]", "[O-]C(=O)C", "c1ccncc1", "C1CCC2CCCCC2C1", "O=S(=O)(O)O",
@@ -175,34 +181,168 @@ def test_inverse_edits_restore_reactants(instance):
     assert write_smiles(restored) == write_smiles(g)
 
 
+def full_product_route(rec, cand):
+    """The matching oracle: build the full product with ``apply_edits`` and
+    compare its molecules that hold a mapped atom with the recorded product."""
+    if cand.edits == rec.true_edits:
+        return True
+    product = apply_edits(rec.reactants, cand.edits)
+    return wl_equivalent(mapped_molecules(rec, product), rec.product, depth=3)
+
+
+def mapped_molecules(rec, product):
+    """The components of ``product`` (over the record's reactant atoms) that
+    hold an atom of the recorded product."""
+    p_maps = {a.map_number for a in rec.product.atoms}
+    comps = {product.component[i] for i, a in enumerate(rec.reactants.atoms)
+             if a.map_number in p_maps}
+    return induced_subgraph(product, [i for i, c in enumerate(product.component) if c in comps])
+
+
+class OracleMatcher:
+    """:class:`pipeline._ProductMatcher`'s interface over the full route."""
+
+    def __init__(self, rec):
+        self.rec = rec
+
+    def __call__(self, cand):
+        return full_product_route(self.rec, cand)
+
+
+def spectator_lines(n, seed):
+    """Toy reactions with up to three unmapped spectator molecules in the
+    reagent field. Spectators with valence warnings are skipped: a
+    pre-existing violation makes the enumerator reject every candidate."""
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(n):
+        reactants, _, product = datagen.random_reaction_line(rng).split(">")
+        mols = [random_molecule(rng) for _ in range(3)]
+        spectators = ".".join(write_smiles(m) for m in mols if not m.valence_warnings)
+        lines.append(f"{reactants}>{spectators}>{product}")
+    return lines
+
+
+SPECTATOR_LINES = spectator_lines(12, seed=2)
+MATCH_LINES = (datagen.toy_reaction_lines(30, seed=3) + datagen.reagent_fixture_lines(4, seed=1)
+               + datagen.higher_order_fixture_lines(4, seed=1) + SPECTATOR_LINES)
+
+
 def test_product_matches_equals_full_product_route():
-    # _product_matches counts atoms from the edit-local product before it
-    # builds the full product; the booleans must equal the full route's.
-    from rxnpred import datagen
-    from rxnpred.candgen import enumerate_candidates
-    from rxnpred.pipeline import _product_matches, parse_reaction_line
-    from rxnpred.wliso import wl_equivalent
-
-    def full_route(rec, cand):
-        if cand.edits == rec.true_edits:
-            return True
-        p_maps = {a.map_number for a in rec.product.atoms}
-        comps = {cand.product.component[i] for i, a in enumerate(rec.reactants.atoms)
-                 if a.map_number in p_maps}
-        union = induced_subgraph(cand.product, [i for i, c in enumerate(cand.product.component)
-                                                if c in comps])
-        return wl_equivalent(union, rec.product, depth=3)
-
-    lines = (datagen.toy_reaction_lines(30, seed=3) + datagen.reagent_fixture_lines(4, seed=1)
-             + datagen.higher_order_fixture_lines(4, seed=1))
+    # The matcher reads the candidate's edit delta and never builds the full
+    # product; its verdicts must equal the full route's, over candidates
+    # near the truth and over random pairs, which also edit spectators.
+    assert all(line.split(">")[1] for line in SPECTATOR_LINES)
+    rng = np.random.default_rng(5)
     matches = 0
-    for line in lines:
+    for line in MATCH_LINES:
         rec = parse_reaction_line(line)
         g = rec.reactants
-        pairs = sorted(set(rec.true_edits.pairs) | {
+        near = sorted(set(rec.true_edits.pairs) | {
             (min(a, b), max(a, b)) for a in rec.true_edits.atoms() for b in g.neighbors(a)})
-        for cand in enumerate_candidates(g, pairs[:6], 3):
-            fast = _product_matches(rec, cand)
-            assert fast == full_route(rec, Candidate(cand.edits, g))
-            matches += fast
-    assert matches > len(lines) // 2
+        far = [tuple(sorted(int(a) for a in rng.choice(g.n_atoms, 2, replace=False)))
+               for _ in range(4)]
+        matcher = _ProductMatcher(rec)
+        for pairs in (near[:6], far + near[:2]):
+            for cand in enumerate_candidates(g, pairs, 3):
+                fast = matcher(cand)
+                assert fast == full_product_route(rec, Candidate(cand.edits, g))
+                matches += fast
+    assert matches > len(MATCH_LINES) // 2
+
+
+@pytest.mark.parametrize("augment", [False, True])
+def test_evaluate_report_equals_the_full_product_route(monkeypatch, augment):
+    records = [parse_reaction_line(line) for line in MATCH_LINES]
+    center = CenterModel.create("local", hidden=8, depth=2, seed=1)
+    ranker = RankerModel.create("wldn", hidden=8, depth=2, seed=2)
+    cfg = RunConfig(k=6, augment_truth=augment)
+    fast = evaluate(records, center, ranker, cfg)
+    monkeypatch.setattr(pipeline, "_ProductMatcher", OracleMatcher)
+    full = evaluate(records, center, ranker, cfg)
+    assert fast.lines(include_timing=False) == full.lines(include_timing=False)
+    assert fast.mrr > 0
+
+
+def test_wl_equivalence_implies_equal_bond_types():
+    # The matcher's bond-type test is sound: equal fingerprints hold equal
+    # edge-triple multisets, so equal bond-type multisets.
+    rng = np.random.default_rng(13)
+    mols = [random_molecule(rng) for _ in range(120)]
+    mols += [permute_graph(g, [int(i) for i in rng.permutation(g.n_atoms)]) for g in mols[:20]]
+    equivalent = 0
+    for i, a in enumerate(mols):
+        for b in mols[i + 1:]:
+            if wl_equivalent(a, b, 3):
+                equivalent += 1
+                assert sorted(x.bond_type.value for x in a.bonds) == sorted(
+                    x.bond_type.value for x in b.bonds)
+    assert equivalent >= 20
+
+
+def test_matcher_keeps_the_wl_false_match():
+    # Cyclodecane closed across 0-5 is decalin; closed across 0-4 and 5-9
+    # with 4-5 broken it is bicyclopentyl. 1-WL cannot tell them apart, and
+    # the matcher keeps that verdict (bond types and sizes agree too).
+    rec = parse_reaction_line(
+        "[CH2:1]1[CH2:2][CH2:3][CH2:4][CH2:5][CH2:6][CH2:7][CH2:8][CH2:9][CH2:10]1>>"
+        "[CH2:2]1[CH2:3][CH2:4][CH2:5][CH:6]2[CH2:7][CH2:8][CH2:9][CH2:10][CH:1]12")
+    assert rec.true_edits == EditSet.of([(0, 5, BondType.SINGLE)])
+    cand = Candidate(EditSet.of([(0, 4, BondType.SINGLE), (5, 9, BondType.SINGLE),
+                                 (4, 5, BondType.NONE)]), rec.reactants)
+    candidate_product = mapped_molecules(rec, cand.product)
+    assert write_smiles(candidate_product).count("1") == 4  # two rings, one bond apart
+    assert not brute_force_isomorphic(candidate_product, rec.product)
+    assert wl_equivalent(candidate_product, rec.product, 3)
+    assert _ProductMatcher(rec)(cand) is True
+
+
+def test_matcher_reads_untouched_components():
+    # The truth opens the three-ring and joins the chain into a six-ring.
+    # The candidate closes the chain into a second three-ring and leaves the
+    # first untouched: two three-rings, which 1-WL cannot tell from a
+    # six-ring, so the match needs the untouched component's atoms and bonds.
+    rec = parse_reaction_line("[CH2:1]1[CH2:2][CH2:3]1.[CH2:4][CH2:5][CH2:6]>>"
+                              "[CH2:1]1[CH2:2][CH2:3][CH2:4][CH2:5][CH2:6]1")
+    cand = Candidate(EditSet.of([(3, 5, BondType.SINGLE)]), rec.reactants)
+    assert cand.edited_atoms() == [3, 4, 5]
+    assert full_product_route(rec, cand) is True
+    assert _ProductMatcher(rec)(cand) is True
+
+
+def test_evaluate_skips_wl_for_size_equal_candidates_of_other_bond_types(monkeypatch):
+    # Every candidate evaluate examines up to its first match that is not
+    # the truth but has the product's atom count would reach WL on a
+    # size test alone; the bond-type test must send fewer of them there.
+    records = [parse_reaction_line(line) for line in MATCH_LINES]
+    by_reactants = {id(rec.reactants): rec for rec in records}
+    ranked_lists = []
+    rank = pipeline.rank_candidates
+
+    def capture(reactants, candidates, model):
+        ranked = rank(reactants, candidates, model)
+        ranked_lists.append((by_reactants[id(reactants)], ranked))
+        return ranked
+
+    calls = []
+    wl = pipeline.wl_equivalent
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return wl(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "rank_candidates", capture)
+    monkeypatch.setattr(pipeline, "wl_equivalent", counted)
+    center = CenterModel.create("local", hidden=8, depth=2, seed=1)
+    ranker = RankerModel.create("wldn", hidden=8, depth=2, seed=2)
+    evaluate(records, center, ranker, RunConfig(k=6))
+    size_equal = 0
+    for rec, ranked in ranked_lists:
+        for cand in ranked:
+            if cand.edits == rec.true_edits:
+                break
+            size_equal += mapped_molecules(rec, cand.product).n_atoms == rec.product.n_atoms
+            if full_product_route(rec, cand):
+                break
+    assert size_equal >= 50
+    assert len(calls) < size_equal / 2

@@ -457,8 +457,8 @@ class TestPredict:
             m = rec.reactants.map_to_index()
             edits = EditSet.of([(m[u], m[v], BondType[b.upper()])
                                 for u, v, b in out.products[0].edits])
-            from rxnpred.pipeline import _product_matches
-            hits += int(_product_matches(rec, Candidate(edits, rec.reactants)))
+            from rxnpred.pipeline import _ProductMatcher
+            hits += int(_ProductMatcher(rec)(Candidate(edits, rec.reactants)))
         assert reached >= 0.8
         assert hits >= len(records) // 2
 
@@ -607,7 +607,7 @@ class TestBatchedMetrics:
         loop = [rank_candidates(inst.record.reactants, inst.candidates, model)
                 for inst in instances]
         want = [[(c.edits, float.hex(c.score)) for c in order] for order in loop]
-        hits = sum(pipeline._product_matches(inst.record, order[0])
+        hits = sum(pipeline._ProductMatcher(inst.record)(order[0])
                    for inst, order in zip(instances, loop))
         ranked = rank_reactions([(inst.record.reactants, inst.candidates)
                                  for inst in instances], model)

@@ -111,16 +111,11 @@ class Candidate:
     @property
     def local_product(self) -> MolGraph:
         """The product components that hold an edited atom; atom ``i`` is
-        reactant atom ``edited_atoms()[i]``."""
+        reactant atom ``delta.atoms[i]``. Every other component is a
+        reactant component left untouched."""
         d = self.delta
         return make_graph([self._reactants.atoms[a] for a in d.atoms],
                           zip(d.bonds[0::4], d.bonds[1::4], map(BondType, d.bonds[2::4])))
-
-    def edited_atoms(self) -> list[int]:
-        """Atoms of the product components that hold an edited atom, ascending.
-
-        Every other component is a reactant component left untouched."""
-        return self.delta.atoms
 
     def __repr__(self) -> str:
         return f"Candidate({list(self.edits)}, score={self.score})"

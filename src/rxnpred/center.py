@@ -19,7 +19,7 @@ from . import diffengine as de
 from .candgen import BondEdit, EditSet
 from .chemgraph import ATOM_FEATURE_DIM, BondType, MolGraph
 from .diffengine import DTensor, ParamStore
-from .wln import (FIXED_METADATA, WLNParams, embed_from_features, graph_inputs, model_metadata,
+from .wln import (WLNParams, embed_atoms, embed_from_features, model_header, model_metadata,
                   union_inputs)
 
 __all__ = [
@@ -126,10 +126,7 @@ class CenterModel:
         if variant not in cls.VARIANTS:
             raise ValueError(f"unknown center variant {variant!r}")
         rng = np.random.default_rng(seed)
-        store = ParamStore(metadata={
-            "kind": "center", "variant": variant, "hidden": str(hidden),
-            "seed": str(seed), "version": "1", **FIXED_METADATA,
-        })
+        store = ParamStore(metadata=model_header("center", variant, hidden, seed))
         wln = WLNParams.create(store, "wln", ATOM_FEATURE_DIM, hidden, depth, rng)
         for name, shape in _head_shapes(variant, hidden).items():
             store.create(name, *shape, rng, init="zeros" if name.endswith(".bias") else "xavier")
@@ -151,11 +148,6 @@ class CenterModel:
         self.store.save(path)
 
     # -- scoring: recorded in training, run under no_grad at inference ------
-
-    def _atom_vectors(self, g: MolGraph) -> DTensor:
-        """The WLN atom vectors of ``g``."""
-        gi = graph_inputs(g)
-        return embed_from_features(gi, gi.features, self.wln)
 
     def _head(self, c: DTensor, us: np.ndarray, vs: np.ndarray, codes: np.ndarray,
               ma: str, mb: str, bias: str, u: str) -> DTensor:
@@ -206,7 +198,7 @@ class CenterModel:
         """Scores for all unordered pairs as an (n_pairs, 1) tensor, with the
         pairs as :func:`upper_pairs` orders them."""
         pairs = upper_pairs(g.n_atoms)
-        c = self._atom_vectors(g)
+        c = embed_atoms(g, self.wln)
         if not len(pairs):
             return de.constant(np.zeros((0, 1))), pairs
         return self._scores(g, c, pairs), pairs
@@ -239,7 +231,7 @@ class CenterModel:
         if self.variant != "global":
             raise ValueError("attention is only defined for the global variant")
         with de.no_grad():
-            return self._attention(g, self._atom_vectors(g)).values
+            return self._attention(g, embed_atoms(g, self.wln)).values
 
 
 def _head_shapes(variant: str, hidden: int) -> dict[str, tuple[int, int]]:

@@ -39,8 +39,11 @@ __all__ = [
     "edit_delta",
     "induced_subgraph",
     "make_graph",
+    "merge_graphs",
     "parse_smiles",
     "union_arrays",
+    "valence_for_h",
+    "valence_limit",
     "with_map_numbers",
     "write_smiles",
 ]
@@ -915,11 +918,11 @@ def delta_union_arrays(deltas: Sequence[EditDelta]
                      bonds[:, 1] + shift, _bond_code(bonds[:, 2], bonds[:, 3], in_ring))
 
 
-def with_map_numbers(g: MolGraph, start: int = 1) -> MolGraph:
-    """``g`` with atom ``i`` mapped to ``start + i``: equal to rebuilding it
+def with_map_numbers(g: MolGraph) -> MolGraph:
+    """``g`` with atom ``i`` mapped to ``i + 1``: equal to rebuilding it
     through :func:`make_graph`, but no derived field reads map numbers, so
     only the atom records are new and every other field is shared."""
-    return replace(g, atoms=[replace(a, map_number=start + i) for i, a in enumerate(g.atoms)])
+    return replace(g, atoms=[replace(a, map_number=i + 1) for i, a in enumerate(g.atoms)])
 
 
 def induced_subgraph(g: MolGraph, atom_indices: Sequence[int]) -> MolGraph:
@@ -929,6 +932,17 @@ def induced_subgraph(g: MolGraph, atom_indices: Sequence[int]) -> MolGraph:
     bonds = [(index_of[b.u], index_of[b.v], b.bond_type)
              for b in g.bonds if b.u in index_of and b.v in index_of]
     return make_graph([g.atoms[i] for i in keep], bonds)
+
+
+def merge_graphs(graphs: Iterable[MolGraph]) -> MolGraph:
+    """The disjoint union of ``graphs``: their atoms in the given order, and
+    each graph's bonds in order, numbered after the previous graphs' atoms."""
+    atoms: list[Atom] = []
+    bonds: list[tuple[int, int, BondType]] = []
+    for g in graphs:
+        bonds += [(u + len(atoms), v + len(atoms), t) for u, v, t in g.bonds]
+        atoms += g.atoms
+    return make_graph(atoms, bonds)
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,14 @@ writes a few purpose-built fixture sets:
 from __future__ import annotations
 
 import argparse
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from .candgen import BondEdit, EditSet
-from .chemgraph import (Atom, BondType, MolGraph, apply_edits, induced_subgraph,
-                        make_graph, parse_smiles, valence_for_h, with_map_numbers,
-                        write_smiles)
+from .candgen import BondEdit, Candidate, EditSet
+from .chemgraph import (Atom, BondType, MolGraph, induced_subgraph, make_graph, merge_graphs,
+                        parse_smiles, valence_for_h, with_map_numbers, write_smiles)
 
 __all__ = [
     "higher_order_fixture_lines",
@@ -91,38 +91,21 @@ def random_molecule(rng: np.random.Generator, n_atoms: int | None = None,
     return make_graph(atoms, bonds)
 
 
-def _merge(graphs: list[MolGraph]) -> MolGraph:
-    atoms: list[Atom] = []
-    bonds: list[tuple[int, int, BondType]] = []
-    offset = 0
-    for g in graphs:
-        atoms.extend(g.atoms)
-        bonds.extend((b.u + offset, b.v + offset, b.bond_type) for b in g.bonds)
-        offset += g.n_atoms
-    return make_graph(atoms, bonds)
-
-
 def _product_smiles(reactants: MolGraph, edits: EditSet,
                     drop_detached: bool = True) -> str:
-    """Apply the edits and serialize the components holding edited atoms.
+    """Serialize the edit-local product: the product components holding
+    edited atoms.
 
     Detached single atoms (leaving groups) are kept or dropped; dropping them
     exercises the absent-from-product labeling path downstream.
     """
-    edited = apply_edits(reactants, edits)
-    touched = edits.atoms()
-    keep_components = {edited.component[a] for a in touched}
-    keep_atoms = [i for i in range(edited.n_atoms)
-                  if edited.component[i] in keep_components]
-    if drop_detached:
-        comp_size: dict[int, int] = {}
-        for i in keep_atoms:
-            comp_size[edited.component[i]] = comp_size.get(edited.component[i], 0) + 1
-        largest = max(comp_size.values())
-        big = {c for c, s in comp_size.items() if s == largest}
-        keep_atoms = [i for i in keep_atoms
-                      if edited.component[i] in big or comp_size[edited.component[i]] > 1]
-    return write_smiles(induced_subgraph(edited, keep_atoms))
+    local = Candidate(edits, reactants).local_product
+    if not drop_detached:
+        return write_smiles(local)
+    sizes = Counter(local.component)
+    largest = max(sizes.values())
+    return write_smiles(induced_subgraph(
+        local, [i for i, c in enumerate(local.component) if sizes[c] > 1 or sizes[c] == largest]))
 
 
 def _pick_edit(rng: np.random.Generator, g: MolGraph) -> EditSet | None:
@@ -171,7 +154,7 @@ def random_reaction_line(rng: np.random.Generator) -> str:
         if rng.random() < 0.5:
             parts.append(random_molecule(rng, n_atoms=int(rng.integers(2, 5)),
                                          allow_curated=False))
-        reactants = with_map_numbers(_merge(parts))
+        reactants = with_map_numbers(merge_graphs(parts))
         if reactants.n_atoms > 16 or reactants.valence_warnings:
             continue
         edits = _pick_edit(rng, reactants)
@@ -246,7 +229,7 @@ def higher_order_fixture_lines(n: int = 40, seed: int = 1) -> list[str]:
             continue
         attacker = random_molecule(rng, n_atoms=int(rng.integers(2, 5)),
                                    allow_curated=False)
-        reactants = with_map_numbers(_merge([core, attacker]))
+        reactants = with_map_numbers(merge_graphs([core, attacker]))
         if reactants.valence_warnings:
             continue
         doubles = [b for b in reactants.bonds if b.bond_type is BondType.DOUBLE]

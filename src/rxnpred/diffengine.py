@@ -32,6 +32,7 @@ __all__ = [
     "ParamStore",
     "SegmentPlan",
     "ShapeError",
+    "adam_step",
     "add",
     "backward",
     "concat_cols",
@@ -621,16 +622,18 @@ class ParamStore:
             if i + rows >= len(lines):
                 raise ValueError(f"{path}:{len(lines) + 1}: truncated, tensor {name!r} "
                                  f"has {len(lines) - 1 - i} of {rows} rows")
-            data = np.empty((rows, cols))
+            # Rows are read first, so the array is as big as the file, not the header.
+            values = []
             for r, line in enumerate(lines[i + 1:i + 1 + rows]):
                 row = line.split()
                 if len(row) != cols:
                     raise ValueError(f"{path}:{i + 2 + r}: expected {cols} values, "
                                      f"got {len(row)}")
                 try:
-                    data[r] = [float(x) for x in row]
+                    values.append([float(x) for x in row])
                 except ValueError as exc:
                     raise ValueError(f"{path}:{i + 2 + r}: bad value in {line!r}") from exc
+            data = np.array(values, dtype=float).reshape(rows, cols)
             finite = np.isfinite(data).all(axis=1)
             if not finite.all():
                 raise ValueError(f"{path}:{i + 2 + int(np.argmin(finite))}: non-finite "

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import diffengine as de
-from .candgen import MAX_CANDIDATES, Candidate, EditSet, enumerate_candidates
+from .candgen import Candidate, EditSet, enumerate_candidates
 from .center import CenterModel, center_loss, coverage, reaction_edits, top_k_pairs
-from .chemgraph import (BondType, EditDelta, MolGraph, induced_subgraph, make_graph, parse_smiles,
+from .chemgraph import (BondType, MolGraph, induced_subgraph, merge_graphs, parse_smiles,
                         with_map_numbers, write_smiles)
 from .ranker import RankerModel, rank_candidates, rank_loss, rank_reactions
 from .wliso import _fnv1a, wl_equivalent
@@ -30,8 +30,8 @@ logger = logging.getLogger(__name__)
 
 __all__ = [
     "MAX_ATOMS", "EvalReport", "PredictedProduct", "PredictResult", "ReactionRecord",
-    "RunConfig", "evaluate", "load_dataset", "predict", "split_records",
-    "train_center", "train_ranker",
+    "RecordError", "RunConfig", "TrainResult", "check_split", "evaluate", "load_dataset",
+    "parse_reaction_line", "predict", "split_records", "train_center", "train_ranker",
 ]
 
 # Largest reactant graph (reagents included) that datasets load and
@@ -243,13 +243,8 @@ def split_records(records: list[ReactionRecord],
 # Candidate stage
 # ---------------------------------------------------------------------------
 
-def _truth_index(truth: EditSet, candidates: list[Candidate]) -> int | None:
-    return next((i for i, cand in enumerate(candidates) if cand.edits == truth), None)
-
-
 def _candidate_stage(reactants: MolGraph, pairs: list[tuple[int, int]], max_changes: int,
                      truth: EditSet | None = None, augment: bool = False,
-                     max_candidates: int = MAX_CANDIDATES,
                      ) -> tuple[list[Candidate], bool, int | None]:
     """Enumerate within ``pairs`` and locate the true edit set among the results.
 
@@ -258,9 +253,9 @@ def _candidate_stage(reactants: MolGraph, pairs: list[tuple[int, int]], max_chan
     truth's index (None without a truth, or when it is missing and not
     appended).
     """
-    result = enumerate_candidates(reactants, pairs, max_changes, max_candidates)
+    result = enumerate_candidates(reactants, pairs, max_changes)
     candidates = result.candidates
-    idx = None if truth is None else _truth_index(truth, candidates)
+    idx = next((i for i, cand in enumerate(candidates) if cand.edits == truth), None)
     if idx is None and augment:
         candidates = candidates + [Candidate(truth, reactants)]
         idx = len(candidates) - 1
@@ -586,8 +581,8 @@ class _ProductMatcher:
     multisets, so the fallback first compares the molecules' atom count and
     then their count of each bond type, read from the delta and from the
     reactant components, with the product's. Only a candidate that passes
-    both has its molecules built, from the delta, for the WL test; no full
-    product is built.
+    both has its molecules built for the WL test, from its edit-local
+    product and the reactant components; no full product is built.
     """
 
     def __init__(self, rec: ReactionRecord):
@@ -607,40 +602,25 @@ class _ProductMatcher:
         if cand.edits == rec.true_edits:
             return True
         d = cand.delta
-        comp = rec.reactants.component
+        reactants = rec.reactants
         local_comps = {c for a, c in zip(d.atoms, d.component) if a in self._mapped}
-        edited = {comp[a] for e in cand.edits for a in (e.u, e.v)}
+        edited = {reactants.component[a] for e in cand.edits for a in (e.u, e.v)}
         untouched = [c for c in self._sizes if c not in edited]
         size = (sum(c in local_comps for c in d.component)
                 + sum(self._sizes[c] for c in untouched))
         if size != rec.product.n_atoms:
             return False
-        local_bonds = [(u, v, t) for u, v, t in zip(d.bonds[0::4], d.bonds[1::4], d.bonds[2::4])
-                       if d.component[u] in local_comps]
-        types = _type_counts(t for _, _, t in local_bonds)
+        types = _type_counts(t for u, t in zip(d.bonds[0::4], d.bonds[2::4])
+                             if d.component[u] in local_comps)
         for c in untouched:
             types = [a + b for a, b in zip(types, self._comp_types[c])]
         if types != self._types:
             return False
-        return wl_equivalent(self._molecules(d, local_comps, local_bonds, untouched),
-                             rec.product, depth=3)
-
-    def _molecules(self, d: EditDelta, local_comps: set[int],
-                   local_bonds: list[tuple[int, int, int]], untouched: list[int]) -> MolGraph:
-        """The candidate product molecules that hold a mapped atom: the
-        delta's components ``local_comps`` and the reactant components
-        ``untouched``, as one graph."""
-        reactants = self.rec.reactants
-        codes = reactants.codes
-        keep = [i for i, c in enumerate(d.component) if c in local_comps]
-        index = {i: n for n, i in enumerate(keep)}
-        atoms = [reactants.atoms[d.atoms[i]] for i in keep]
-        bonds = [(index[u], index[v], BondType(t)) for u, v, t in local_bonds]
-        for c in untouched:
-            index = {a: len(atoms) + n for n, a in enumerate(codes.comp_atoms[c])}
-            atoms += [reactants.atoms[a] for a in codes.comp_atoms[c]]
-            bonds += [(index[u], index[v], BondType(t)) for _, u, v, t, _ in codes.comp_bonds[c]]
-        return make_graph(atoms, bonds)
+        molecules = merge_graphs(
+            [induced_subgraph(cand.local_product,
+                              [i for i, c in enumerate(d.component) if c in local_comps])]
+            + [induced_subgraph(reactants, reactants.codes.comp_atoms[c]) for c in untouched])
+        return wl_equivalent(molecules, rec.product, depth=3)
 
 
 def _type_counts(values) -> list[int]:

@@ -22,14 +22,15 @@ from . import diffengine as de
 from .candgen import Candidate
 from .chemgraph import ATOM_FEATURE_DIM, MolGraph
 from .diffengine import DTensor, ParamStore
-from .wln import (FIXED_METADATA, WLNParams, delta_inputs, embed_from_features, graph_inputs,
+from .wln import (WLNParams, delta_inputs, embed_from_features, graph_inputs, model_header,
                   model_metadata, union_inputs)
 
 __all__ = ["MAX_UNION_CANDIDATES", "RankerModel", "difference_vectors",
            "rank_candidates", "rank_loss", "rank_reactions", "read_atoms", "score_sumpool"]
 
-# Candidates per union pass. Bounds the arrays of one pass, so that peak
-# memory under no_grad stays near the per-candidate path's.
+# Candidates per union pass. The arrays of one pass then hold at most this
+# many edit-local products, so peak memory under no_grad does not grow with
+# the length of a candidate list.
 MAX_UNION_CANDIDATES = 32
 
 
@@ -51,10 +52,7 @@ class RankerModel:
         if variant not in cls.VARIANTS:
             raise ValueError(f"unknown ranker variant {variant!r}")
         rng = np.random.default_rng(seed)
-        store = ParamStore(metadata={
-            "kind": "ranker", "variant": variant, "hidden": str(hidden),
-            "seed": str(seed), "version": "1", **FIXED_METADATA,
-        })
+        store = ParamStore(metadata=model_header("ranker", variant, hidden, seed))
         # Both variants draw every tensor in the same order, so a kept
         # tensor's initial value does not depend on the variant; the other
         # variant's tensors go to a store that is dropped.
@@ -125,7 +123,7 @@ class RankerModel:
         # each candidate with its edited atoms and the rows of c_r that embed them
         items, offset = [], 0
         for (_, candidates), read in zip(reactions, reads):
-            atoms = [cand.edited_atoms() for cand in candidates]
+            atoms = [cand.delta.atoms for cand in candidates]
             rows = offset + np.searchsorted(read, [i for a in atoms for i in a])
             ends = np.cumsum([len(a) for a in atoms], dtype=np.intp)
             items += [(cand, a, rows[end - len(a):end])
@@ -154,7 +152,7 @@ class RankerModel:
 def read_atoms(candidates: Sequence[Candidate]) -> list[int]:
     """The reactant atoms whose embeddings the candidates' scores read,
     ascending: those of every component that holds an edited atom."""
-    return sorted({a for cand in candidates for a in cand.edited_atoms()})
+    return sorted({a for cand in candidates for a in cand.delta.atoms})
 
 
 # Score head prefix of each variant.

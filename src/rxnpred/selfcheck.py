@@ -13,7 +13,7 @@ import itertools
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,10 +35,11 @@ from .wln import (GraphInputs, WLNParams, delta_inputs, embed_atoms, embed_from_
 
 __all__ = ["CheckResult", "batched_ranker_suite", "blas_rows_suite", "brute_force_enumerate",
            "brute_force_ordered", "center_gradient_error", "center_inference_suite",
-           "composed_center_head", "composed_head", "enumeration_instance", "gradient_suite",
+           "comparison_form_suite", "composed_center_head", "composed_head",
+           "enumeration_instance", "enumeration_suite", "gradient_suite",
            "graph_delta_mismatches", "graph_delta_suite", "inputs_bytes", "local_product_oracle",
-           "naive_atom_vectors", "per_atom_inputs", "reference_score", "run_selfcheck",
-           "wl_soundness_suite"]
+           "naive_atom_vectors", "per_atom_inputs", "permute_graph", "reference_score",
+           "run_selfcheck", "wl_soundness_suite"]
 
 
 @dataclass
@@ -149,16 +150,15 @@ def brute_force_ordered(reactants: MolGraph, pairs: list[tuple[int, int]], max_c
 # Suites
 # ---------------------------------------------------------------------------
 
-def wl_soundness_suite(n_molecules: int = 30, max_atoms: int = 7,
-                       depth: int = 3, seed: int = 11) -> CheckResult:
-    """Brute-force isomorphism implies WL equivalence; WL separates almost
-    every non-isomorphic pair."""
+def wl_soundness_suite(seed: int = 11) -> CheckResult:
+    """Brute-force isomorphism implies WL equivalence (depth 3); WL separates
+    almost every non-isomorphic pair of 30 molecules of at most 7 atoms."""
     rng = np.random.default_rng(seed)
     mols = []
-    while len(mols) < n_molecules:
-        g = random_molecule(rng, n_atoms=int(rng.integers(2, max_atoms + 1)),
+    while len(mols) < 30:
+        g = random_molecule(rng, n_atoms=int(rng.integers(2, 8)),
                             allow_curated=len(mols) % 3 == 0)
-        if g.n_atoms <= max_atoms:
+        if g.n_atoms <= 7:
             mols.append(g)
     start = time.perf_counter()
     unsound = 0
@@ -167,7 +167,7 @@ def wl_soundness_suite(n_molecules: int = 30, max_atoms: int = 7,
     for i in range(len(mols)):
         for j in range(i + 1, len(mols)):
             iso = brute_force_isomorphic(mols[i], mols[j])
-            wl = wl_equivalent(mols[i], mols[j], depth)
+            wl = wl_equivalent(mols[i], mols[j], 3)
             if iso and not wl:
                 unsound += 1
             if not iso:
@@ -183,7 +183,7 @@ def wl_soundness_suite(n_molecules: int = 30, max_atoms: int = 7,
         f"non-isomorphic pairs in {elapsed:.2f}s")
 
 
-def _small_instance(seed: int, max_atoms: int = 10):
+def _small_instance(seed: int):
     rng = np.random.default_rng(seed)
     while True:
         line = random_reaction_line(rng)
@@ -191,51 +191,50 @@ def _small_instance(seed: int, max_atoms: int = 10):
             rec = parse_reaction_line(line)
         except ValueError:
             continue
-        if rec.reactants.n_atoms <= max_atoms:
+        if rec.reactants.n_atoms <= 10:
             return rec
 
 
-def _ranking_instance(seed: int, min_candidates: int = 3):
-    """A small record whose enumerated candidate pool is big enough that the
-    ranking loss actually depends on the scores."""
+def _ranking_instance(seed: int):
+    """A small record whose enumerated candidate pool (at least 3) is big
+    enough that the ranking loss actually depends on the scores."""
     for attempt in range(50):
         rec = _small_instance(seed + 101 * attempt)
         cands, _, true_idx = _candidate_stage(
-            rec.reactants, list(rec.true_edits.pairs), 2, rec.true_edits, augment=True,
-            max_candidates=24)
-        if len(cands) >= min_candidates:
+            rec.reactants, list(rec.true_edits.pairs), 2, rec.true_edits, augment=True)
+        if len(cands) >= 3:
             return rec, cands, true_idx
     raise RuntimeError("no suitable ranking instance found")
 
 
-def gradient_suite(h: float = 1e-5, tol: float = 1e-4, seed: int = 5,
-                   hidden: int = 8) -> list[CheckResult]:
-    """Finite-difference checks of all four training losses."""
+def gradient_suite(seed: int = 5) -> list[CheckResult]:
+    """Finite-difference checks (step 1e-5, relative error below 1e-4) of
+    all four training losses, at hidden 8."""
     rec = _small_instance(seed)
     out = []
 
     for variant in CenterModel.VARIANTS:
-        model = CenterModel.create(variant, hidden=hidden, depth=2, seed=seed)
+        model = CenterModel.create(variant, hidden=8, depth=2, seed=seed)
 
         def loss_fn(_store, model=model):
             return center_loss(*model.pair_scores(rec.reactants), rec.true_edits)
 
-        err = de.grad_check(loss_fn, model.store, h=h,
+        err = de.grad_check(loss_fn, model.store, h=1e-5,
                             rng=np.random.default_rng(seed + 1))
-        out.append(CheckResult(f"grad-center-{variant}", err < tol,
+        out.append(CheckResult(f"grad-center-{variant}", err < 1e-4,
                                f"max rel err {err:.2e}"))
 
     rec, cands, true_idx = _ranking_instance(seed)
 
     for variant in RankerModel.VARIANTS:
-        model = RankerModel.create(variant, hidden=hidden, depth=2, seed=seed)
+        model = RankerModel.create(variant, hidden=8, depth=2, seed=seed)
 
         def loss_fn(_store, model=model):
             return rank_loss(model.score_candidates(rec.reactants, cands), true_idx)
 
-        err = de.grad_check(loss_fn, model.store, h=h,
+        err = de.grad_check(loss_fn, model.store, h=1e-5,
                             rng=np.random.default_rng(seed + 2))
-        out.append(CheckResult(f"grad-ranker-{variant}", err < tol,
+        out.append(CheckResult(f"grad-ranker-{variant}", err < 1e-4,
                                f"max rel err {err:.2e}"))
     return out
 
@@ -253,20 +252,20 @@ def reference_score(model: RankerModel, reactants: MolGraph,
     return score_sumpool(d, model.store["wldn.M"], model.store["wldn.u"])
 
 
-def batched_ranker_suite(seed: int = 13, hidden: int = 8) -> CheckResult:
+def batched_ranker_suite(seed: int = 13) -> CheckResult:
     """Batched, component-local scores equal the full-graph reference bitwise.
 
     Runs on the reagent, higher-order and toy fixtures from ``datagen``, whose
     reagents and second reactants leave untouched components behind, with an
     empty-edit candidate added to each list. The detail also counts the
     candidate lists whose scores read only some reactant components, so
-    that only those were embedded.
+    that only those were embedded. The models have hidden size 8.
     """
     lines = (reagent_fixture_lines(2, seed=seed) + higher_order_fixture_lines(4, seed=seed)
              + toy_reaction_lines(6, seed=seed))
     mismatches = scored = subsets = 0
     for variant in RankerModel.VARIANTS:
-        model = RankerModel.create(variant, hidden=hidden, depth=2, seed=seed)
+        model = RankerModel.create(variant, hidden=8, depth=2, seed=seed)
         for line in lines:
             rec = parse_reaction_line(line)
             g = rec.reactants
@@ -347,11 +346,11 @@ def center_gradient_error(model: CenterModel, g: MolGraph, truth: EditSet) -> tu
     return got[0].tobytes() == want[0].tobytes(), float(max(errors, default=0.0))
 
 
-def center_inference_suite(seed: int = 17, hidden: int = 8, tol: float = 1e-12) -> CheckResult:
+def center_inference_suite(seed: int = 17) -> CheckResult:
     """``score_matrix``, ``attention_map`` and the center loss equal the
     composed head's bitwise, the attention matrix is bitwise symmetric, and
-    every gradient of the loss is within ``tol`` of the composed head's,
-    relative (:func:`center_gradient_error`).
+    every gradient of the loss is within 1e-12 of the composed head's,
+    relative (:func:`center_gradient_error`). The models have hidden size 8.
 
     Runs on toy and reagent-fixture reactants from ``datagen`` with random
     spectator molecules added until the pairs span several ``PAIR_BLOCK``
@@ -370,7 +369,7 @@ def center_inference_suite(seed: int = 17, hidden: int = 8, tol: float = 1e-12) 
     mismatches = checked = 0
     worst = 0.0
     for variant in CenterModel.VARIANTS:
-        model = CenterModel.create(variant, hidden=hidden, depth=2, seed=seed)
+        model = CenterModel.create(variant, hidden=8, depth=2, seed=seed)
         for g in graphs:
             with composed_center_head(model):
                 matrix = model.score_matrix(g)
@@ -388,18 +387,18 @@ def center_inference_suite(seed: int = 17, hidden: int = 8, tol: float = 1e-12) 
             worst = max(worst, err)
             checked += 2 + (alpha is not None)
     sizes = [g.n_atoms for g in graphs]
-    return CheckResult("center-inference", mismatches == 0 and worst <= tol,
+    return CheckResult("center-inference", mismatches == 0 and worst <= 1e-12,
                        f"{mismatches} of {checked} matrices and losses differ from the composed "
                        f"head; gradients within {worst:.1e} relative "
                        f"({min(sizes)}-{max(sizes)} atoms)")
 
 
-def comparison_form_suite(seed: int = 3, tol: float = 1e-10,
-                          trials: int = 5) -> CheckResult:
-    """Vectorized atom vectors match the reference-tensor oracle."""
+def comparison_form_suite(seed: int = 3) -> CheckResult:
+    """Vectorized atom vectors match the reference-tensor oracle within 1e-10
+    on 8 random molecules."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for t in range(trials):
+    for _ in range(8):
         g = random_molecule(rng)
         store = de.ParamStore()
         p = WLNParams.create(store, "wln", atom_feature_matrix(g).shape[1],
@@ -407,7 +406,7 @@ def comparison_form_suite(seed: int = 3, tol: float = 1e-10,
         fast = embed_atoms(g, p).values
         slow = naive_atom_vectors(g, p)
         worst = max(worst, float(np.max(np.abs(fast - slow))) if fast.size else 0.0)
-    return CheckResult("comparison-form", worst < tol, f"max abs diff {worst:.2e}")
+    return CheckResult("comparison-form", worst < 1e-10, f"max abs diff {worst:.2e}")
 
 
 # Fragments that enumeration instances may add: charged atoms, aromatic atoms
@@ -444,30 +443,31 @@ def enumeration_instance(rng: np.random.Generator
     return g, pairs, limits
 
 
-def enumeration_suite(n_instances: int = 20, seed: int = 9) -> CheckResult:
+def enumeration_suite(seed: int = 9) -> CheckResult:
     """Pruned enumeration equals generate-then-filter, in order and in the
-    truncation flag (:func:`brute_force_ordered`)."""
+    truncation flag (:func:`brute_force_ordered`), on 20 instances."""
     rng = np.random.default_rng(seed)
     mismatches = 0
-    for _ in range(n_instances):
+    for _ in range(20):
         g, pairs, limits = enumeration_instance(rng)
         fast = enumerate_candidates(g, pairs, *limits)
         slow = brute_force_ordered(g, pairs, *limits)
         mismatches += int(([c.edits for c in fast], fast.truncated) != slow)
     return CheckResult("enumeration-oracle", mismatches == 0,
-                       f"{mismatches} mismatching instances of {n_instances}")
+                       f"{mismatches} mismatching instances of 20")
 
 
-def blas_rows_suite(seed: int = 23, hidden: int = 64, trials: int = 12) -> CheckResult:
+def blas_rows_suite(seed: int = 23) -> CheckResult:
     """``diffengine._mm`` computes each output row on its own on this machine's BLAS.
 
     OpenBLAS picks its kernels per CPU, so this runs the model's product
     shapes (forward, and input gradients against transposed weights): each
     of 10 rows, and each row of the 10-row pair-code table, must come out
     bitwise as it does alone when computed among up to 100 foreign rows of
-    scales 1e-5..1e4 in a random order, in C or Fortran layout.
+    scales 1e-5..1e4 in a random order, in C or Fortran layout, in 12 trials.
     """
     rng = np.random.default_rng(seed)
+    hidden = 64
     shapes = [(ATOM_FEATURE_DIM, hidden, False), (hidden, hidden, False),
               (hidden + BOND_FEATURE_DIM, hidden, False), (hidden, 1, False),
               (hidden, ATOM_FEATURE_DIM, True), (hidden, hidden + BOND_FEATURE_DIM, True)]
@@ -479,7 +479,7 @@ def blas_rows_suite(seed: int = 23, hidden: int = 64, trials: int = 12) -> Check
     mismatches = checked = 0
     for rows, b in cases:
         alone = [de._mm(row[None], b).tobytes() for row in rows]
-        for t in range(trials):
+        for t in range(12):
             foreign = rng.normal(size=(int(rng.integers(0, 101)), rows.shape[1]))
             mixed = np.concatenate([rows, foreign * 10.0 ** rng.uniform(-5, 4, (len(foreign), 1))])
             order = rng.permutation(len(mixed))
@@ -521,6 +521,14 @@ def inputs_bytes(gi: GraphInputs) -> tuple:
         gi.src, gi.dst, gi.features.values, gi.edge_features.values)))
 
 
+def permute_graph(g: MolGraph, perm: Sequence[int]) -> MolGraph:
+    """``g`` with its atoms relabeled: new index ``perm[i]`` hosts old atom ``i``."""
+    atoms: list = [None] * g.n_atoms
+    for old, new in enumerate(perm):
+        atoms[new] = g.atoms[old]
+    return make_graph(atoms, [(perm[b.u], perm[b.v], b.bond_type) for b in g.bonds])
+
+
 def local_product_oracle(reactants: MolGraph, edits: EditSet) -> tuple[MolGraph, list[int]]:
     """The edit-local product through the full product:
     ``induced_subgraph(apply_edits(reactants, edits), atoms)`` over the
@@ -551,25 +559,22 @@ def graph_delta_mismatches(parts: list[tuple[MolGraph, EditSet]]) -> int:
                      for part in [(g, range(g.n_atoms)) for g in graphs] + local_parts)
 
 
-def graph_delta_suite(seed: int = 29, n_passes: int = 30) -> CheckResult:
+def graph_delta_suite(seed: int = 29) -> CheckResult:
     """Candidates' edit deltas equal the graph route (:func:`graph_delta_mismatches`).
 
-    Each pass takes every candidate, the empty edit set and three sets of
+    Each of 30 passes takes every candidate, the empty edit set and three sets of
     one to four random edits (which may create several bonds at once) of
     one to three :func:`enumeration_instance` reactants (aromatic, charged
     and over-valent fragments among them) under a random atom order.
     """
     rng = np.random.default_rng(seed)
     mismatches = parts_checked = 0
-    for _ in range(n_passes):
+    for _ in range(30):
         parts = []
         for _ in range(int(rng.integers(1, 4))):
             g, pairs, limits = enumeration_instance(rng)
             perm = [int(i) for i in rng.permutation(g.n_atoms)]
-            atoms = [None] * g.n_atoms
-            for old, new in enumerate(perm):
-                atoms[new] = g.atoms[old]
-            h = make_graph(atoms, [(perm[b.u], perm[b.v], b.bond_type) for b in g.bonds])
+            h = permute_graph(g, perm)
             pairs = [(perm[u], perm[v]) for u, v in pairs]
             parts += [(h, EditSet.of([]))] + [(h, c.edits)
                                               for c in enumerate_candidates(h, pairs, *limits)]
@@ -584,7 +589,7 @@ def graph_delta_suite(seed: int = 29, n_passes: int = 30) -> CheckResult:
         mismatches += graph_delta_mismatches(parts)
         parts_checked += len(parts)
     return CheckResult("graph-delta", mismatches == 0,
-                       f"{mismatches} mismatches over {n_passes} passes of "
+                       f"{mismatches} mismatches over 30 passes of "
                        f"{parts_checked} edit sets against the graph route")
 
 

@@ -30,12 +30,20 @@ from .chemgraph import (BOND_FEATURE_DIM, EditDelta, MolGraph, delta_union_array
 from .diffengine import DTensor, ParamStore
 
 __all__ = ["FIXED_METADATA", "GraphInputs", "WLNParams", "delta_inputs", "embed_atoms",
-           "embed_from_features", "graph_inputs", "model_metadata", "union_inputs"]
+           "embed_from_features", "graph_inputs", "model_header", "model_metadata",
+           "union_inputs"]
 
 # Single-valued settings that model checkpoints record (each network adds
 # ``<prefix>.activation`` and ``<prefix>.project``). Loading refuses any other
 # value, so a file made for another network fails instead of scoring as this one.
 FIXED_METADATA = {"activation": "relu", "include_charge": "0"}
+
+
+def model_header(kind: str, variant: str, hidden: int, seed: int) -> dict[str, str]:
+    """The metadata a new model checkpoint of ``kind`` starts with; its
+    networks add their own. :func:`model_metadata` reads it back."""
+    return {"kind": kind, "variant": variant, "hidden": str(hidden), "seed": str(seed),
+            "version": "1", **FIXED_METADATA}
 
 
 def model_metadata(store: ParamStore, kind: str, variants: tuple[str, str]) -> tuple[str, int]:

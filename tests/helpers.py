@@ -1,29 +1,10 @@
-"""Shared test utilities: graph permutation and small independent oracles."""
+"""Shared test utilities: random permutations and small independent oracles."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from rxnpred.chemgraph import MolGraph, make_graph
-
-
-def permute_graph(g: MolGraph, perm: list[int]) -> MolGraph:
-    """Relabel atoms: new index perm[i] hosts old atom i."""
-    atoms = [None] * g.n_atoms
-    for old, new in enumerate(perm):
-        atoms[new] = g.atoms[old]
-    bonds = [(perm[b.u], perm[b.v], b.bond_type) for b in g.bonds]
-    return make_graph(atoms, bonds)
-
-
-def merge(graphs: list[MolGraph]) -> MolGraph:
-    """Disjoint union of ``graphs``, atoms in the given order."""
-    atoms, bonds, offset = [], [], 0
-    for g in graphs:
-        atoms += g.atoms
-        bonds += [(b.u + offset, b.v + offset, b.bond_type) for b in g.bonds]
-        offset += g.n_atoms
-    return make_graph(atoms, bonds)
+from rxnpred.chemgraph import MolGraph
 
 
 def random_permutation(rng: np.random.Generator, n: int) -> list[int]:

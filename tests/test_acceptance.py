@@ -35,13 +35,13 @@ def toy_file(tmp_path_factory):
 
 
 def test_criterion_01_wl_soundness():
-    result = wl_soundness_suite(n_molecules=30, max_atoms=7, depth=3, seed=11)
+    result = wl_soundness_suite(seed=11)
     _report(1, "wl-soundness", result.passed, result.detail)
 
 
 def test_criterion_02_gradient_fidelity():
     start = time.perf_counter()
-    results = gradient_suite(h=1e-5, tol=1e-4, seed=5)
+    results = gradient_suite(seed=5)
     elapsed = time.perf_counter() - start
     ok = all(r.passed for r in results) and elapsed < 60.0
     detail = ", ".join(f"{r.name} {r.detail}" for r in results) + f"; {elapsed:.1f}s"
@@ -49,7 +49,7 @@ def test_criterion_02_gradient_fidelity():
 
 
 def test_criterion_03_comparison_form_equivalence():
-    result = comparison_form_suite(seed=3, tol=1e-10, trials=8)
+    result = comparison_form_suite(seed=3)
     _report(3, "equation-form-equivalence", result.passed, result.detail)
 
 

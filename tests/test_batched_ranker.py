@@ -7,16 +7,15 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import merge, permute_graph
 from rxnpred import datagen
 from rxnpred import diffengine as de
 from rxnpred import ranker, selfcheck
 from rxnpred.candgen import Candidate, EditSet, enumerate_candidates
-from rxnpred.chemgraph import BondType
+from rxnpred.chemgraph import BondType, merge_graphs
 from rxnpred.datagen import random_molecule
 from rxnpred.pipeline import RunConfig, _build_instances, parse_reaction_line, train_ranker
 from rxnpred.ranker import MAX_UNION_CANDIDATES, RankerModel, rank_candidates, rank_loss
-from rxnpred.selfcheck import batched_ranker_suite
+from rxnpred.selfcheck import batched_ranker_suite, permute_graph
 from rxnpred.wln import graph_inputs
 
 VARIANTS = ("wln", "wldn")
@@ -30,7 +29,7 @@ def instances(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     core = random_molecule(rng, n_atoms=draw(st.integers(3, 9)), allow_curated=False)
     spectators = [random_molecule(rng) for _ in range(draw(st.integers(0, 3)))]
-    g = merge([core] + spectators)
+    g = merge_graphs([core] + spectators)
     n = g.n_atoms
     all_pairs = [(u, v) for u in range(core.n_atoms) for v in range(u + 1, n)]
     picks = draw(st.lists(st.sampled_from(all_pairs), min_size=1, max_size=4, unique=True))
@@ -123,7 +122,7 @@ def test_batched_loss_gradients_match_per_candidate(instance, pick):
 
 
 def test_rank_candidates_keeps_no_graph_and_matches_training_scores():
-    g = merge([random_molecule(np.random.default_rng(s), n_atoms=6, allow_curated=False)
+    g = merge_graphs([random_molecule(np.random.default_rng(s), n_atoms=6, allow_curated=False)
                for s in (1, 2)])
     pairs = [(b.u, b.v) for b in g.bonds][:4]
     cands = enumerate_candidates(g, pairs, 2).candidates
@@ -164,7 +163,7 @@ def full_reactant_scores(model, g, cands):
     gi = graph_inputs(g)
     c_r = ranker.embed_from_features(gi, gi.features, model.wln)
     # row i of c_r embeds atom i
-    items = [(c, c.edited_atoms(), np.array(c.edited_atoms(), dtype=np.intp)) for c in cands]
+    items = [(c, c.delta.atoms, np.array(c.delta.atoms, dtype=np.intp)) for c in cands]
     chunks = [model._score_union(c_r, items[i:i + MAX_UNION_CANDIDATES])
               for i in range(0, len(items), MAX_UNION_CANDIDATES)]
     return chunks[0] if len(chunks) == 1 else de.stack_rows(chunks)
@@ -179,7 +178,7 @@ def component_lists(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     parts = [random_molecule(rng, n_atoms=int(rng.integers(2, 7)), allow_curated=False)
              for _ in range(draw(st.integers(3, 5)))]
-    g = merge(parts)
+    g = merge_graphs(parts)
     ends = np.cumsum([p.n_atoms for p in parts])
     edited = [enumerate_candidates(g, [(u, v) for u in range(end - p.n_atoms, end)
                                       for v in range(u + 1, end)][:6],
@@ -201,7 +200,7 @@ def test_unread_components_change_no_score_or_gradient(instance):
     for variant in VARIANTS:
         model = RankerModel.create(variant, **model_args)
         for cands in lists:
-            read = {a for c in cands for a in c.edited_atoms()}
+            read = {a for c in cands for a in c.delta.atoms}
             assert len(read) < g.n_atoms
             reference = np.array([selfcheck.reference_score(model, g, c).item() for c in cands])
             batched = model.score_candidates(g, cands)

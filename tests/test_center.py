@@ -5,16 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import merge, permute_graph
 from rxnpred import center
 from rxnpred import diffengine as de
 from rxnpred.candgen import BondEdit, EditSet
 from rxnpred.center import (PAIR_FEATURE_DIM, CenterModel, center_loss, coverage,
                             reaction_edits, top_k_pairs, upper_pairs)
-from rxnpred.chemgraph import BondType, parse_smiles, write_smiles
+from rxnpred.chemgraph import BondType, merge_graphs, parse_smiles, write_smiles
 from rxnpred.datagen import random_molecule, random_reaction_line
 from rxnpred.pipeline import parse_reaction_line
-from rxnpred.selfcheck import center_gradient_error, composed_center_head
+from rxnpred.selfcheck import center_gradient_error, composed_center_head, permute_graph
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -135,7 +134,7 @@ class TestPairFeatures:
     @given(seed=st.integers(0, 2 ** 32 - 1), parts=st.integers(1, 4))
     def test_equal_to_loop_reference(self, seed, parts):
         rng = np.random.default_rng(seed)
-        g = merge([random_molecule(rng) for _ in range(parts)])
+        g = merge_graphs([random_molecule(rng) for _ in range(parts)])
         pairs = [(u, v) for u in range(g.n_atoms) for v in range(g.n_atoms)]
         expected = loop_pair_features(g, pairs)
         assert pair_feature_matrix(g, pairs).tobytes() == expected.tobytes()
@@ -235,7 +234,7 @@ def inference_instances(draw):
     parts = [random_molecule(rng) for _ in range(draw(st.integers(1, 4)))]
     parts += [parse_smiles(s) for s in draw(st.lists(st.sampled_from(CHARGED_AROMATIC),
                                                     max_size=2))]
-    g = merge(parts)
+    g = merge_graphs(parts)
     g = permute_graph(g, [int(i) for i in draw(st.permutations(range(g.n_atoms)))])
     model = CenterModel.create(draw(st.sampled_from(["local", "global"])),
                                hidden=draw(st.sampled_from([3, 8, 16])), depth=2,

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import permute_graph, random_permutation
+from helpers import random_permutation
 from rxnpred.chemgraph import (_DEGREE, ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BondType,
                                SmilesError, apply_edits, atom_features,
                                bond_features, induced_subgraph, make_graph,
-                               parse_smiles, valence_for_h, valence_limit,
+                               merge_graphs, parse_smiles, valence_for_h, valence_limit,
                                with_map_numbers, write_smiles)
 from rxnpred.candgen import Candidate
 from rxnpred.datagen import random_molecule
+from rxnpred.selfcheck import permute_graph
 from test_edit_locality import FRAGMENTS, edited_reactants
 from rxnpred.wliso import brute_force_isomorphic, wl_equivalent, wl_fingerprint
 
@@ -203,11 +204,10 @@ class TestWrite:
         graphs = [random_molecule(rng) for _ in range(40)]
         graphs += [parse_smiles(s) for s in ("[NH4+].[O-]C(=O)C", "c1ccncc1.C1CC1", "[CH3:7]CO")]
         for g in graphs:
-            for start in (1, 10):
-                atoms = [replace(a, map_number=start + i) for i, a in enumerate(g.atoms)]
-                rebuilt = make_graph(atoms, [(b.u, b.v, b.bond_type) for b in g.bonds])
-                assert with_map_numbers(g, start) == rebuilt
-                assert write_smiles(with_map_numbers(g, start)) == write_smiles(rebuilt)
+            atoms = [replace(a, map_number=i + 1) for i, a in enumerate(g.atoms)]
+            rebuilt = make_graph(atoms, [(b.u, b.v, b.bond_type) for b in g.bonds])
+            assert with_map_numbers(g) == rebuilt
+            assert write_smiles(with_map_numbers(g)) == write_smiles(rebuilt)
         assert all(a.map_number is None for a in graphs[0].atoms)  # input untouched
 
 
@@ -431,6 +431,22 @@ def snapshot(g):
             [bond_features(g, bi).tolist() for bi in range(g.n_bonds)])
 
 
+def test_merge_graphs_is_the_disjoint_union_in_order():
+    parts = [parse_smiles(s) for s in ("CC(=O)O", "c1ccncc1", "[NH4+]", "C1CC1.N")]
+    before = [snapshot(g) for g in parts]
+    merged = merge_graphs(parts)
+    offsets = [0, 4, 10, 11]
+    assert merged.atoms == [a for g in parts for a in g.atoms]
+    assert merged.bonds == [(b.u + off, b.v + off, b.bond_type)
+                            for g, off in zip(parts, offsets) for b in g.bonds]
+    assert merged.component == [0] * 4 + [1] * 6 + [2] + [3] * 3 + [4]
+    # atoms, counts and atom and bond feature rows are each part's, in order
+    for column in (0, 2, 3, 4):
+        assert snapshot(merged)[column] == sum((snap[column] for snap in before), [])
+    assert [snapshot(g) for g in parts] == before
+    assert merge_graphs([]).n_atoms == 0
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(edited_reactants())
 def test_graph_builders_leave_their_input_unchanged(instance):
@@ -439,7 +455,7 @@ def test_graph_builders_leave_their_input_unchanged(instance):
     product = apply_edits(g, edits)
     rebuilt = make_graph(g.atoms, [(b.u, b.v, b.bond_type) for b in g.bonds])
     sub = induced_subgraph(g, list(range(0, g.n_atoms, 2)))
-    mapped = with_map_numbers(g, 7)
+    mapped = with_map_numbers(g)
     local = Candidate(edits, g).local_product
     assert snapshot(g) == before
     assert snapshot(rebuilt) == before

@@ -159,6 +159,14 @@ def test_missing_checkpoint_file_exits_with_one_line(workdir, checkpoints):
                       "No such file or directory")
 
 
+def test_checkpoint_wider_than_its_rows_exits_with_one_line(workdir):
+    # the header's width is checked against the rows before any array is made
+    wide = workdir / "wide.ckpt"
+    wide.write_text("REXGEN-CKPT v1\nx 1 100000000000000\n1.0\n")
+    one_line_exit(["predict", "CC", "--model", str(wide)],
+                  re.escape(f"{wide}:3: expected 100000000000000 values, got 1"))
+
+
 def test_evaluate_bad_data_exits_with_one_line(workdir, checkpoints):
     center, ranker = checkpoints
     models = ["--model", center, "--model", ranker]

@@ -1,7 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from rxnpred import datagen
+from rxnpred.candgen import EditSet
+from rxnpred.chemgraph import BondType, apply_edits, induced_subgraph, parse_smiles, write_smiles
 from rxnpred.pipeline import parse_reaction_line
 
 
@@ -41,6 +45,39 @@ def test_higher_order_fixture_has_two_adjacent_edits():
         assert len(rec.true_edits) == 2
         atoms = [set((e.u, e.v)) for e in rec.true_edits]
         assert atoms[0] & atoms[1]  # the edits share an atom
+
+
+def full_product_route(reactants, edits, drop_detached):
+    """The product SMILES through the full product: the components of
+    ``apply_edits``'s product that hold an edited atom, less (with
+    ``drop_detached``) every single atom but those of a largest component."""
+    full = apply_edits(reactants, edits)
+    comps = {full.component[a] for a in edits.atoms()}
+    kept = [i for i, c in enumerate(full.component) if c in comps]
+    if drop_detached:
+        sizes = Counter(full.component[i] for i in kept)
+        largest = max(sizes.values())
+        kept = [i for i in kept if sizes[full.component[i]] > 1
+                or sizes[full.component[i]] == largest]
+    return write_smiles(induced_subgraph(full, kept))
+
+
+@pytest.mark.parametrize("drop_detached", [False, True])
+def test_product_smiles_equals_the_full_product_route(drop_detached):
+    # every single-bond deletion (splits and detached atoms among them) and
+    # random edits as the generators pick them, on toy and two-reactant records
+    rng = np.random.default_rng(6)
+    lines = datagen.toy_reaction_lines(30, seed=2) + datagen.higher_order_fixture_lines(10, seed=2)
+    splits = 0
+    for line in lines:
+        g = parse_smiles(line.split(">")[0])
+        edit_sets = [EditSet.of([(b.u, b.v, BondType.NONE)]) for b in g.bonds]
+        edit_sets += filter(None, (datagen._pick_edit(rng, g) for _ in range(5)))
+        for edits in edit_sets:
+            assert (datagen._product_smiles(g, edits, drop_detached)
+                    == full_product_route(g, edits, drop_detached))
+            splits += apply_edits(g, edits).n_components > g.n_components
+    assert splits > 50
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

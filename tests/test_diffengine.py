@@ -695,8 +695,9 @@ class TestCheckpoints:
     @pytest.mark.parametrize("text, line, message", [
         ("w 1 1\n1.0\nw 1 1\n2.0\n", 4, "duplicate tensor 'w'"),
         ("# kind=center\n# kind=ranker\nw 1 1\n1.0\n", 3, "duplicate metadata key 'kind'"),
-        ("# novalue\nw 1 1\n1.0\n", 2, "expected '# key=value', got '# novalue'")],
-        ids=["duplicate-tensor", "duplicate-key", "key-without-value"])
+        ("# novalue\nw 1 1\n1.0\n", 2, "expected '# key=value', got '# novalue'"),
+        ("x 1 100000000000000\n1.0\n", 3, "expected 100000000000000 values, got 1")],
+        ids=["duplicate-tensor", "duplicate-key", "key-without-value", "header-wider-than-rows"])
     def test_malformed_checkpoint_names_file_and_line(self, tmp_path, text, line, message):
         # save never writes these, so a file holding one was not made by it
         path = tmp_path / "bad.ckpt"

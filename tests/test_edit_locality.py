@@ -8,18 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import merge, permute_graph
 from rxnpred import datagen, pipeline
 from rxnpred.candgen import Candidate, EditSet, enumerate_candidates
 from rxnpred.center import CenterModel
 from rxnpred.chemgraph import (BOND_FEATURE_DIM, BondType, apply_edits, atom_feature_matrix,
-                               bond_features, edit_delta, induced_subgraph, parse_smiles,
-                               write_smiles)
+                               bond_features, edit_delta, induced_subgraph, merge_graphs,
+                               parse_smiles, write_smiles)
 from rxnpred.datagen import random_molecule
 from rxnpred.pipeline import RunConfig, _ProductMatcher, evaluate, parse_reaction_line
 from rxnpred.ranker import RankerModel
 from rxnpred.selfcheck import (graph_delta_mismatches, inputs_bytes, local_product_oracle,
-                               per_atom_inputs)
+                               per_atom_inputs, permute_graph)
 from rxnpred.wliso import brute_force_isomorphic, wl_equivalent
 from rxnpred.wln import delta_inputs, graph_inputs, union_inputs
 
@@ -35,7 +34,7 @@ def edited_reactants(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     parts = [random_molecule(rng) for _ in range(draw(st.integers(1, 3)))]
     parts += [parse_smiles(s) for s in draw(st.lists(st.sampled_from(FRAGMENTS), max_size=2))]
-    g = merge(parts)
+    g = merge_graphs(parts)
     g = permute_graph(g, [int(i) for i in draw(st.permutations(range(g.n_atoms)))])
     return g, draw_edits(draw, g)
 
@@ -67,7 +66,7 @@ def delta_passes(draw):
 def assert_local_product_equal(g, edits):
     expected, expected_atoms = local_product_oracle(g, edits)
     cand = Candidate(edits, g)
-    assert cand.edited_atoms() == expected_atoms
+    assert cand.delta.atoms == expected_atoms
     # Dataclass equality: every atom and bond field, bonds in order,
     # adjacency, counts, components and valence warnings.
     local = cand.local_product
@@ -96,7 +95,7 @@ def test_local_product_on_splits_and_joins(smiles, edits):
 
 def test_empty_edit_set_has_empty_local_product():
     cand = Candidate(EditSet.of([]), parse_smiles("CCO.N"))
-    assert cand.edited_atoms() == [] and cand.local_product.n_atoms == 0
+    assert cand.delta.atoms == [] and cand.local_product.n_atoms == 0
     assert delta_inputs([cand.delta]).n_atoms == 0
 
 
@@ -305,7 +304,7 @@ def test_matcher_reads_untouched_components():
     rec = parse_reaction_line("[CH2:1]1[CH2:2][CH2:3]1.[CH2:4][CH2:5][CH2:6]>>"
                               "[CH2:1]1[CH2:2][CH2:3][CH2:4][CH2:5][CH2:6]1")
     cand = Candidate(EditSet.of([(3, 5, BondType.SINGLE)]), rec.reactants)
-    assert cand.edited_atoms() == [3, 4, 5]
+    assert cand.delta.atoms == [3, 4, 5]
     assert full_product_route(rec, cand) is True
     assert _ProductMatcher(rec)(cand) is True
 

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import graph_distance, permute_graph, random_permutation
+from helpers import graph_distance, random_permutation
 from rxnpred import diffengine as de
 from rxnpred.candgen import Candidate, EditSet, enumerate_candidates
 from rxnpred.chemgraph import ATOM_FEATURE_DIM, BondType, parse_smiles
 from rxnpred.ranker import (RankerModel, difference_vectors, rank_candidates, rank_loss,
                             rank_reactions)
+from rxnpred.selfcheck import permute_graph
 from rxnpred.wln import FIXED_METADATA, WLNParams
 
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import permute_graph, random_permutation, structural_wl_labels
+from helpers import random_permutation, structural_wl_labels
 from rxnpred.chemgraph import parse_smiles
 from rxnpred.datagen import random_molecule
+from rxnpred.selfcheck import permute_graph
 from rxnpred.wliso import (brute_force_isomorphic, wl_equivalent,
                            wl_fingerprint, wl_labels)
 

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import graph_distance, permute_graph, random_permutation
+from helpers import graph_distance, random_permutation
 from rxnpred import diffengine as de
 from rxnpred.candgen import Candidate, EditSet
 from rxnpred.center import CenterModel
 from rxnpred.chemgraph import BondType, atom_feature_matrix, parse_smiles
 from rxnpred.datagen import random_molecule
 from rxnpred.ranker import RankerModel
-from rxnpred.selfcheck import naive_atom_vectors
+from rxnpred.selfcheck import naive_atom_vectors, permute_graph
 from rxnpred.wln import WLNParams, embed_atoms, embed_from_features, graph_inputs
 
 

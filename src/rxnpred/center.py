@@ -89,8 +89,7 @@ def reaction_edits(reactants: MolGraph, product: MolGraph) -> EditSet:
 def upper_pairs(n: int) -> np.ndarray:
     """Canonical unordered pair order as an (n(n-1)/2, 2) index array:
     (0,1), (0,2), ..., (n-2, n-1)."""
-    r = np.arange(n)
-    return np.argwhere(r[:, None] < r)
+    return np.column_stack(_triu(n, 1))
 
 
 def _pair_codes(g: MolGraph, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -170,28 +169,43 @@ class CenterModel:
             blocks.append(de.matmul(de.relu(de.add(z, s[bias])), s[u]))
         return de.sigmoid(blocks[0] if len(blocks) == 1 else de.stack_rows(blocks))
 
-    def _attention(self, g: MolGraph, c: DTensor) -> DTensor:
-        """The (n, n) attention matrix over atom vectors ``c``.
+    def _attention(self, graphs: Sequence[MolGraph], c: DTensor) -> list[DTensor]:
+        """Each graph's (n, n) attention matrix over the rows of ``c`` that
+        embed it, ``c`` holding the graphs' atoms in order.
 
         A pair's code and ``proj[u] + proj[v]`` do not depend on the order of
-        u and v, so the matrix is symmetric: only pairs with u <= v are
-        scored, and each ordered pair gathers its unordered pair's score.
+        u and v, so each matrix is symmetric: only pairs with u <= v are
+        scored, all graphs' in one head, and each ordered pair gathers its
+        unordered pair's score.
         """
-        n = g.n_atoms
-        us, vs = np.triu_indices(n)
-        alpha = self._head(c, us, vs, _pair_codes(g, us, vs),
-                           "att.Pa", "att.Pb", "att.bias", "att.u")
-        upper = np.empty((n, n), dtype=np.intp)
-        upper[us, vs] = upper[vs, us] = np.arange(len(us))
-        return de.reshape(de.gather_rows(alpha, upper.reshape(-1)), n, n)
+        alpha = self._head(c, *_union_pairs(graphs, 0), "att.Pa", "att.Pb", "att.bias", "att.u")
+        out, start = [], 0
+        for g in graphs:
+            n = g.n_atoms
+            us, vs = _triu(n, 0)
+            upper = np.empty((n, n), dtype=np.intp)
+            upper[us, vs] = upper[vs, us] = start + np.arange(len(us))
+            out.append(de.reshape(de.gather_rows(alpha, upper.reshape(-1)), n, n))
+            start += len(us)
+        return out
 
-    def _scores(self, g: MolGraph, c: DTensor, pairs: np.ndarray) -> DTensor:
-        """Scores (n_pairs, 1) of the nonempty (n_pairs, 2) ``pairs`` over the
-        WLN atom vectors ``c`` of ``g``."""
+    def _scores(self, graphs: Sequence[MolGraph], c: DTensor) -> DTensor:
+        """Scores (all pairs, 1) of each graph's :func:`upper_pairs` in turn,
+        over the WLN atom vectors ``c`` of the graphs' disjoint union.
+
+        The global variant first replaces each graph's rows by its context
+        rows ``A_g @ c_g``, which stay within the graph. Every step is
+        row-wise or within one graph, so a graph scores as it would alone.
+        """
         if self.variant == "global":
-            c = de.matmul(self._attention(g, c), c)
-        us, vs = pairs[:, 0], pairs[:, 1]
-        return self._head(c, us, vs, _pair_codes(g, us, vs),
+            alphas = self._attention(graphs, c)
+            if len(graphs) == 1:
+                c = de.matmul(alphas[0], c)
+            else:
+                bounds = np.cumsum([0] + [g.n_atoms for g in graphs])
+                c = de.stack_rows([de.matmul(a, de.gather_rows(c, np.arange(lo, hi)))
+                                   for a, lo, hi in zip(alphas, bounds, bounds[1:])])
+        return self._head(c, *_union_pairs(graphs, 1),
                           "score.Ma", "score.Mb", "score.bias", "score.u")
 
     def pair_scores(self, g: MolGraph) -> tuple[DTensor, np.ndarray]:
@@ -201,7 +215,7 @@ class CenterModel:
         c = embed_atoms(g, self.wln)
         if not len(pairs):
             return de.constant(np.zeros((0, 1))), pairs
-        return self._scores(g, c, pairs), pairs
+        return self._scores([g], c), pairs
 
     def score_matrix(self, g: MolGraph) -> np.ndarray:
         """Symmetric score matrix with a zero diagonal; the values of
@@ -211,27 +225,49 @@ class CenterModel:
 
     def score_matrices(self, graphs: Sequence[MolGraph]) -> list[np.ndarray]:
         """:meth:`score_matrix` of each graph, from one embedding of their
-        disjoint union. Finite scores are bitwise equal: messages never cross
-        graphs and a row of a :func:`diffengine._mm` product does not depend
-        on the other rows."""
+        disjoint union and one head pass over all their pairs (for the global
+        variant, one attention head pass too). Finite scores are bitwise
+        equal: messages never cross graphs, attention pairs and context
+        products stay within their graph, and a row of a
+        :func:`diffengine._mm` product does not depend on the other rows."""
+        if not graphs:
+            return []
         gi = union_inputs([(g, range(g.n_atoms)) for g in graphs])
-        matrices = []
         with de.no_grad(), np.errstate(over="ignore", invalid="ignore"):
-            c_all = embed_from_features(gi, gi.features, self.wln).values
-            for g, c in zip(graphs, np.split(c_all, np.cumsum([g.n_atoms for g in graphs])[:-1])):
-                pairs = upper_pairs(g.n_atoms)
-                m = np.zeros((g.n_atoms, g.n_atoms))
-                if len(pairs):
-                    us, vs = pairs.T
-                    m[us, vs] = m[vs, us] = self._scores(g, DTensor(c), pairs).values[:, 0]
-                matrices.append(m)
+            scores = self._scores(graphs, embed_from_features(gi, gi.features, self.wln))
+        matrices, start = [], 0
+        for g in graphs:
+            us, vs = _triu(g.n_atoms, 1)
+            m = np.zeros((g.n_atoms, g.n_atoms))
+            m[us, vs] = m[vs, us] = scores.values[start:start + len(us), 0]
+            matrices.append(m)
+            start += len(us)
         return matrices
 
     def attention_map(self, g: MolGraph) -> np.ndarray:
         if self.variant != "global":
             raise ValueError("attention is only defined for the global variant")
         with de.no_grad():
-            return self._attention(g, embed_atoms(g, self.wln)).values
+            return self._attention([g], embed_atoms(g, self.wln))[0].values
+
+
+def _triu(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k)`` for k = 0 (self pairs kept) or 1, at a
+    fraction of its cost."""
+    r = np.arange(n)
+    return np.nonzero(r[:, None] <= r - k)
+
+
+def _union_pairs(graphs: Sequence[MolGraph], k: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each of the nonempty list of graphs' pairs ``_triu(n, k)`` in turn,
+    as rows (us, vs) of the graphs' disjoint union, and their codes."""
+    parts, start = [], 0
+    for g in graphs:
+        us, vs = _triu(g.n_atoms, k)
+        parts.append((us + start, vs + start, _pair_codes(g, us, vs)))
+        start += g.n_atoms
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))  # type: ignore
 
 
 def _head_shapes(variant: str, hidden: int) -> dict[str, tuple[int, int]]:

@@ -926,8 +926,11 @@ def with_map_numbers(g: MolGraph) -> MolGraph:
 
 
 def induced_subgraph(g: MolGraph, atom_indices: Sequence[int]) -> MolGraph:
-    """The subgraph on the given atoms (order preserved) with bonds between them."""
+    """The subgraph on the given atoms (order preserved) with bonds between
+    them: ``g`` itself when that is all of its atoms in order."""
     keep = list(dict.fromkeys(atom_indices))
+    if keep == list(range(g.n_atoms)):
+        return g
     index_of = {old: new for new, old in enumerate(keep)}
     bonds = [(index_of[b.u], index_of[b.v], b.bond_type)
              for b in g.bonds if b.u in index_of and b.v in index_of]
@@ -936,7 +939,11 @@ def induced_subgraph(g: MolGraph, atom_indices: Sequence[int]) -> MolGraph:
 
 def merge_graphs(graphs: Iterable[MolGraph]) -> MolGraph:
     """The disjoint union of ``graphs``: their atoms in the given order, and
-    each graph's bonds in order, numbered after the previous graphs' atoms."""
+    each graph's bonds in order, numbered after the previous graphs' atoms.
+    The union of one graph is that graph."""
+    graphs = list(graphs)
+    if len(graphs) == 1:
+        return graphs[0]
     atoms: list[Atom] = []
     bonds: list[tuple[int, int, BondType]] = []
     for g in graphs:

@@ -22,15 +22,17 @@ from . import diffengine as de
 from .candgen import Candidate
 from .chemgraph import ATOM_FEATURE_DIM, MolGraph
 from .diffengine import DTensor, ParamStore
-from .wln import (WLNParams, delta_inputs, embed_from_features, graph_inputs, model_header,
-                  model_metadata, union_inputs)
+from .wln import (GraphInputs, WLNParams, delta_inputs, embed_from_features, join_inputs,
+                  model_header, model_metadata, union_inputs)
 
-__all__ = ["MAX_UNION_CANDIDATES", "RankerModel", "difference_vectors",
-           "rank_candidates", "rank_loss", "rank_reactions", "read_atoms", "score_sumpool"]
+__all__ = ["MAX_UNION_CANDIDATES", "RankerModel", "rank_candidates", "rank_loss",
+           "rank_reactions", "read_atoms"]
 
 # Candidates per union pass. The arrays of one pass then hold at most this
-# many edit-local products, so peak memory under no_grad does not grow with
-# the length of a candidate list.
+# many edit-local products (the first pass also holds the read reactant
+# components), so peak memory under no_grad does not grow with the length of
+# a candidate list. 32 is also the fastest of 16/32/64/128 per small-serve
+# request (median 12.1/10.5/11.2/10.8 ms on a 2-core Xeon).
 MAX_UNION_CANDIDATES = 32
 
 
@@ -94,55 +96,68 @@ class RankerModel:
         """Scores of the candidates of each ``(reactants, candidates)`` pair,
         stacked in order, shape (total candidates, 1).
 
-        The reactant components that hold an edited atom of any candidate
-        (:func:`read_atoms`) are embedded once, all reactions' in one union;
-        the others are never read. Each pass then embeds the disjoint union of
-        up to :data:`MAX_UNION_CANDIDATES` candidates' edit-local products
-        (:attr:`Candidate.local_product`), which may belong to several
-        reactions, and pools per candidate with
-        :func:`~rxnpred.diffengine.segment_sum`. Scores, and for one reaction
-        their gradients, are bitwise equal to the full-graph
-        :func:`difference_vectors` / :func:`score_sumpool` route, one reaction
-        at a time. No message
+        The candidates run in passes of up to :data:`MAX_UNION_CANDIDATES`,
+        which may mix reactions; a pass holds the disjoint union of its
+        candidates' edit-local products (:attr:`Candidate.local_product`).
+        The molecule network runs once over the union of the reactant
+        components that hold an edited atom of any candidate
+        (:func:`read_atoms`), all reactions' in order, and the first pass's
+        products; the others are never read. Each later pass embeds its own
+        products and gathers the reactant rows of that first union. Scores
+        pool per candidate with :func:`~rxnpred.diffengine.segment_sum`.
+
+        Scores are bitwise equal to those of each reaction alone and to
+        embedding the reactants and each full product one candidate at a time
+        (:func:`~rxnpred.selfcheck.reference_score`). Gradients are bitwise
+        equal to those of the same passes over every reactant atom. No message
         crosses components and a row of a :func:`~rxnpred.diffengine._mm`
-        product does not depend on the other rows, so a read component embeds
-        as in the whole graph; an unread one would add only zero terms to the
-        weight gradients' sequential sums (:func:`~rxnpred.diffengine._mm_seq`).
-        An untouched component's product rows equal its
-        reactant rows, so their differences are ``+0.0``; the gated
-        difference network maps zero rows to zero rows; and a sorted column
-        sum, which starts at ``+0.0``, is unchanged by zero addends. (The last
-        step needs ``hidden >= 2``: numpy sums a single column pairwise.)
-        With no candidate at all the scores are a (0, 1) tensor.
+        product does not depend on the other rows, so a read component and a
+        product embed as in their own graphs; an unread component would add
+        only zero terms to the weight gradients' sequential sums
+        (:func:`~rxnpred.diffengine._mm_seq`). An untouched component's
+        product rows equal its reactant rows, so their differences are
+        ``+0.0``; the gated difference network maps zero rows to zero rows;
+        and a sorted column sum, which starts at ``+0.0``, is unchanged by
+        zero addends. (The last step needs ``hidden >= 2``: numpy sums a
+        single column pairwise.) With no candidate at all the
+        scores are a (0, 1) tensor.
         """
         if not any(candidates for _, candidates in reactions):
             return DTensor(np.zeros((0, 1)))
         reads = [read_atoms(candidates) for _, candidates in reactions]
-        gi_r = union_inputs([(reactants, read) for (reactants, _), read in zip(reactions, reads)])
-        c_r = embed_from_features(gi_r, gi_r.features, self.wln)
-        # each candidate with its edited atoms and the rows of c_r that embed them
+        # each candidate with the rows of the reactant union that embed its edited atoms
         items, offset = [], 0
         for (_, candidates), read in zip(reactions, reads):
             atoms = [cand.delta.atoms for cand in candidates]
             rows = offset + np.searchsorted(read, [i for a in atoms for i in a])
             ends = np.cumsum([len(a) for a in atoms], dtype=np.intp)
-            items += [(cand, a, rows[end - len(a):end])
+            items += [(cand, rows[end - len(a):end])
                       for cand, a, end in zip(candidates, atoms, ends)]
             offset += len(read)
-        chunks = [self._score_union(c_r, items[i:i + MAX_UNION_CANDIDATES])
-                  for i in range(0, len(items), MAX_UNION_CANDIDATES)]
+        chunks = []
+        for start in range(0, len(items), MAX_UNION_CANDIDATES):
+            batch = items[start:start + MAX_UNION_CANDIDATES]
+            gi_p = delta_inputs([cand.delta for cand, _ in batch])
+            if not start:  # the reactant union and the first pass, in one embedding
+                gi = join_inputs(union_inputs([(reactants, read) for (reactants, _), read
+                                               in zip(reactions, reads)]), gi_p)
+                c = embed_from_features(gi, gi.features, self.wln)
+                c_p = de.gather_rows(c, np.arange(offset, gi.n_atoms))
+            else:
+                c_p = embed_from_features(gi_p, gi_p.features, self.wln)
+            chunks.append(self._score_pass(c, batch, gi_p, c_p))
         return chunks[0] if len(chunks) == 1 else de.stack_rows(chunks)
 
-    def _score_union(self, c_r: DTensor,
-                     items: Sequence[tuple[Candidate, list[int], np.ndarray]]) -> DTensor:
-        """Scores of the candidates of ``items``, each given with its edited
-        atoms and the rows of ``c_r`` that embed them in the reactants."""
-        gi = delta_inputs([cand.delta for cand, _, _ in items])
-        owner = np.repeat(np.arange(len(items)), [len(a) for _, a, _ in items])
-        rows = np.concatenate([r for _, _, r in items])
-        d = de.sub(embed_from_features(gi, gi.features, self.wln), de.gather_rows(c_r, rows))
+    def _score_pass(self, c: DTensor, items: Sequence[tuple[Candidate, np.ndarray]],
+                    gi_p: GraphInputs, c_p: DTensor) -> DTensor:
+        """Scores of the candidates of ``items``, each given with the rows of
+        ``c`` that embed its edited atoms in the reactants; ``gi_p`` holds
+        their edit-local products and ``c_p`` embeds them."""
+        owner = np.repeat(np.arange(len(items)), [len(r) for _, r in items])
+        rows = np.concatenate([r for _, r in items])
+        d = de.sub(c_p, de.gather_rows(c, rows))
         if self.diff_wln is not None:
-            d = embed_from_features(gi, d, self.diff_wln)
+            d = embed_from_features(gi_p, d, self.diff_wln)
         head = _HEAD[self.variant]
         m, u = self.store[f"{head}.M"], self.store[f"{head}.u"]
         pooled = de.segment_sum(d, owner, len(items))
@@ -162,24 +177,6 @@ _HEAD = {"wln": "sum", "wldn": "wldn"}
 def _head_shapes(head: str, hidden: int) -> dict[str, tuple[int, int]]:
     """Shapes of one score head's tensors, in creation order."""
     return {f"{head}.M": (hidden, hidden), f"{head}.u": (hidden, 1)}
-
-
-def difference_vectors(reactants: MolGraph, candidate: Candidate, wln: WLNParams) -> DTensor:
-    """Per-atom difference vectors (candidate minus reactant embedding).
-
-    Candidate product graphs keep the reactant atom indexing, so the
-    subtraction is row-aligned. Atoms whose neighborhood the edits never
-    touch come out exactly zero.
-    """
-    gi_r = graph_inputs(reactants)
-    c_r = embed_from_features(gi_r, gi_r.features, wln)
-    gi_p = graph_inputs(candidate.product)
-    return de.sub(embed_from_features(gi_p, gi_p.features, wln), c_r)
-
-
-def score_sumpool(d: DTensor, m: DTensor, u: DTensor) -> DTensor:
-    """Head ``u' relu(M sum_v d_v)`` over per-atom difference vectors."""
-    return de.matmul(de.relu(de.matmul(de.sum_rows(d), m)), u)
 
 
 def rank_loss(scores: DTensor, true_index: int) -> DTensor:

@@ -28,7 +28,7 @@ from .chemgraph import (ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BondType, MolGraph, 
 from .datagen import (higher_order_fixture_lines, random_molecule, random_reaction_line,
                       reagent_fixture_lines, toy_reaction_lines)
 from .pipeline import _candidate_stage, parse_reaction_line
-from .ranker import RankerModel, difference_vectors, rank_loss, read_atoms, score_sumpool
+from .ranker import RankerModel, rank_loss, read_atoms
 from .wliso import brute_force_isomorphic, wl_equivalent
 from .wln import (GraphInputs, WLNParams, delta_inputs, embed_atoms, embed_from_features,
                   graph_inputs, union_inputs)
@@ -36,10 +36,10 @@ from .wln import (GraphInputs, WLNParams, delta_inputs, embed_atoms, embed_from_
 __all__ = ["CheckResult", "batched_ranker_suite", "blas_rows_suite", "brute_force_enumerate",
            "brute_force_ordered", "center_gradient_error", "center_inference_suite",
            "comparison_form_suite", "composed_center_head", "composed_head",
-           "enumeration_instance", "enumeration_suite", "gradient_suite",
+           "difference_vectors", "enumeration_instance", "enumeration_suite", "gradient_suite",
            "graph_delta_mismatches", "graph_delta_suite", "inputs_bytes", "local_product_oracle",
            "naive_atom_vectors", "per_atom_inputs", "permute_graph", "reference_score",
-           "run_selfcheck", "wl_soundness_suite"]
+           "run_selfcheck", "score_sumpool", "wl_soundness_suite"]
 
 
 @dataclass
@@ -239,6 +239,24 @@ def gradient_suite(seed: int = 5) -> list[CheckResult]:
     return out
 
 
+def difference_vectors(reactants: MolGraph, candidate: Candidate, wln: WLNParams) -> de.DTensor:
+    """Per-atom difference vectors (candidate minus reactant embedding).
+
+    Candidate product graphs keep the reactant atom indexing, so the
+    subtraction is row-aligned. Atoms whose neighborhood the edits never
+    touch come out exactly zero.
+    """
+    gi_r = graph_inputs(reactants)
+    c_r = embed_from_features(gi_r, gi_r.features, wln)
+    gi_p = graph_inputs(candidate.product)
+    return de.sub(embed_from_features(gi_p, gi_p.features, wln), c_r)
+
+
+def score_sumpool(d: de.DTensor, m: de.DTensor, u: de.DTensor) -> de.DTensor:
+    """Head ``u' relu(M sum_v d_v)`` over per-atom difference vectors."""
+    return de.matmul(de.relu(de.matmul(de.sum_rows(d), m)), u)
+
+
 def reference_score(model: RankerModel, reactants: MolGraph,
                     candidate: Candidate) -> de.DTensor:
     """One candidate's (1, 1) score through full-graph embeddings: both
@@ -314,13 +332,19 @@ def composed_head(model: CenterModel, c: de.DTensor, us: np.ndarray, vs: np.ndar
 @contextmanager
 def composed_center_head(model: CenterModel) -> Iterator[None]:
     """Within the block, ``model`` scores pairs through :func:`composed_head`,
-    and its attention matrix scores all n² ordered pairs, each on its own:
-    the oracle of its one pair head, in training and inference alike."""
-    def attention(g: MolGraph, c: de.DTensor) -> de.DTensor:
-        n = g.n_atoms
-        us, vs = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
-        return de.reshape(composed_head(model, c, us, vs, center._pair_codes(g, us, vs),
-                                        "att.Pa", "att.Pb", "att.bias", "att.u"), n, n)
+    and each graph's attention matrix scores all its n² ordered pairs, each
+    on its own: the oracle of its one pair head, in training and inference
+    alike."""
+    def attention(graphs: Sequence[MolGraph], c: de.DTensor) -> list[de.DTensor]:
+        out, start = [], 0
+        for g in graphs:
+            n = g.n_atoms
+            us, vs = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+            out.append(de.reshape(composed_head(model, c, us + start, vs + start,
+                                                center._pair_codes(g, us, vs),
+                                                "att.Pa", "att.Pb", "att.bias", "att.u"), n, n))
+            start += n
+        return out
 
     model._head = lambda *args: composed_head(model, *args)
     model._attention = attention

@@ -30,8 +30,8 @@ from .chemgraph import (BOND_FEATURE_DIM, EditDelta, MolGraph, delta_union_array
 from .diffengine import DTensor, ParamStore
 
 __all__ = ["FIXED_METADATA", "GraphInputs", "WLNParams", "delta_inputs", "embed_atoms",
-           "embed_from_features", "graph_inputs", "model_header", "model_metadata",
-           "union_inputs"]
+           "embed_from_features", "graph_inputs", "join_inputs", "model_header",
+           "model_metadata", "union_inputs"]
 
 # Single-valued settings that model checkpoints record (each network adds
 # ``<prefix>.activation`` and ``<prefix>.project``). Loading refuses any other
@@ -178,6 +178,16 @@ def delta_inputs(deltas: Sequence[EditDelta]) -> GraphInputs:
     their reactants' codes and the edits
     (:func:`~rxnpred.chemgraph.delta_union_arrays`) without any graph."""
     return _inputs(*delta_union_arrays(deltas))
+
+
+def join_inputs(first: GraphInputs, second: GraphInputs) -> GraphInputs:
+    """The disjoint union of two inputs, ``second``'s atoms numbered after
+    ``first``'s: one network pass then embeds both."""
+    n = first.n_atoms
+    return _inputs(np.concatenate([first.features.values, second.features.values]),
+                   np.concatenate([first.src, second.src + n]),
+                   np.concatenate([first.dst, second.dst + n]),
+                   np.concatenate([first.edge_features.values, second.edge_features.values]))
 
 
 def _inputs(features: np.ndarray, src: np.ndarray, dst: np.ndarray,

@@ -16,7 +16,6 @@ from rxnpred.datagen import random_molecule
 from rxnpred.pipeline import RunConfig, _build_instances, parse_reaction_line, train_ranker
 from rxnpred.ranker import MAX_UNION_CANDIDATES, RankerModel, rank_candidates, rank_loss
 from rxnpred.selfcheck import batched_ranker_suite, permute_graph
-from rxnpred.wln import graph_inputs
 
 VARIANTS = ("wln", "wldn")
 
@@ -159,14 +158,10 @@ def test_selfcheck_batched_suite_passes():
 
 def full_reactant_scores(model, g, cands):
     """:meth:`RankerModel.score_candidates` with every reactant atom
-    embedded, unread components included."""
-    gi = graph_inputs(g)
-    c_r = ranker.embed_from_features(gi, gi.features, model.wln)
-    # row i of c_r embeds atom i
-    items = [(c, c.delta.atoms, np.array(c.delta.atoms, dtype=np.intp)) for c in cands]
-    chunks = [model._score_union(c_r, items[i:i + MAX_UNION_CANDIDATES])
-              for i in range(0, len(items), MAX_UNION_CANDIDATES)]
-    return chunks[0] if len(chunks) == 1 else de.stack_rows(chunks)
+    embedded, unread components included: the same one-union route over
+    another read set."""
+    with mock.patch.object(ranker, "read_atoms", lambda _: list(range(g.n_atoms))):
+        return model.score_reactions([(g, cands)])
 
 
 @st.composite

@@ -10,7 +10,7 @@ from rxnpred import diffengine as de
 from rxnpred.candgen import BondEdit, EditSet
 from rxnpred.center import (PAIR_FEATURE_DIM, CenterModel, center_loss, coverage,
                             reaction_edits, top_k_pairs, upper_pairs)
-from rxnpred.chemgraph import BondType, merge_graphs, parse_smiles, write_smiles
+from rxnpred.chemgraph import BondType, make_graph, merge_graphs, parse_smiles, write_smiles
 from rxnpred.datagen import random_molecule, random_reaction_line
 from rxnpred.pipeline import parse_reaction_line
 from rxnpred.selfcheck import center_gradient_error, composed_center_head, permute_graph
@@ -184,7 +184,7 @@ class TestScoring:
         from rxnpred.wln import embed_from_features, graph_inputs
         gi = graph_inputs(g)
         c = embed_from_features(gi, gi.features, model.wln)
-        alpha = model._attention(g, c)
+        alpha, = model._attention([g], c)
         context = de.matmul(alpha, c)
         assert np.allclose(context.values, alpha.values[0, 0] * c.values, atol=1e-15)
 
@@ -283,6 +283,34 @@ class TestInferenceHead:
             mp.setattr(center, "PAIR_BLOCK", block)
             same_loss, err = center_gradient_error(model, g, truth(*map(tuple, chosen.tolist())))
         assert same_loss and err <= 1e-12
+
+
+@st.composite
+def graph_unions(draw):
+    """One to six graphs for one batched pass, random molecules mixed with
+    graphs of 0, 1 and 2 atoms, a model seed and a head block size."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tiny = {"empty": make_graph([], []), "C": parse_smiles("C"), "CO": parse_smiles("CO"),
+            "[Na+].[Cl-]": parse_smiles("[Na+].[Cl-]")}
+    names = draw(st.lists(st.sampled_from([*tiny, "random"]), min_size=1, max_size=6))
+    graphs = [random_molecule(rng) if name == "random" else tiny[name] for name in names]
+    return graphs, draw(st.integers(0, 1000)), draw(st.integers(1, 40))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(graph_unions())
+def test_batched_matrices_equal_each_graph_alone(instance):
+    # blocks of 1 to 40 pairs, so most blocks hold pairs of several graphs
+    graphs, seed, block = instance
+    for variant in CenterModel.VARIANTS:
+        model = CenterModel.create(variant, hidden=8, depth=2, seed=seed)
+        alone = [model.score_matrix(g) for g in graphs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(center, "PAIR_BLOCK", block)
+            together = model.score_matrices(graphs)
+        assert [m.shape for m in together] == [m.shape for m in alone]
+        assert [m.tobytes() for m in together] == [m.tobytes() for m in alone]
+        assert model.score_matrices([]) == []
 
 
 def truth(*pairs):

@@ -447,6 +447,22 @@ def test_merge_graphs_is_the_disjoint_union_in_order():
     assert merge_graphs([]).n_atoms == 0
 
 
+def test_whole_graph_builders_return_their_input():
+    # MolGraph is immutable, so the union of one graph and the subgraph on
+    # all atoms in order are the graph itself; any other atom list builds.
+    for g in (parse_smiles("CC(=O)O"), parse_smiles("C1CC1.N.[Na+]")):
+        n = g.n_atoms
+        assert merge_graphs([g]) is g
+        assert merge_graphs(iter([g])) is g
+        assert induced_subgraph(g, range(n)) is g
+        assert induced_subgraph(g, list(range(n)) + [0]) is g
+        for atoms in (list(range(n - 1)), list(range(1, n)) + [0]):
+            sub = induced_subgraph(g, atoms)
+            assert sub is not g and sub.atoms == [g.atoms[i] for i in atoms]
+        merged = merge_graphs([g, make_graph([], [])])
+        assert merged is not g and snapshot(merged) == snapshot(g)
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(edited_reactants())
 def test_graph_builders_leave_their_input_unchanged(instance):

@@ -12,15 +12,15 @@ from rxnpred import datagen, pipeline
 from rxnpred.candgen import Candidate, EditSet, enumerate_candidates
 from rxnpred.center import CenterModel
 from rxnpred.chemgraph import (BOND_FEATURE_DIM, BondType, apply_edits, atom_feature_matrix,
-                               bond_features, edit_delta, induced_subgraph, merge_graphs,
-                               parse_smiles, write_smiles)
+                               bond_features, edit_delta, induced_subgraph, make_graph,
+                               merge_graphs, parse_smiles, write_smiles)
 from rxnpred.datagen import random_molecule
 from rxnpred.pipeline import RunConfig, _ProductMatcher, evaluate, parse_reaction_line
 from rxnpred.ranker import RankerModel
 from rxnpred.selfcheck import (graph_delta_mismatches, inputs_bytes, local_product_oracle,
                                per_atom_inputs, permute_graph)
 from rxnpred.wliso import brute_force_isomorphic, wl_equivalent
-from rxnpred.wln import delta_inputs, graph_inputs, union_inputs
+from rxnpred.wln import delta_inputs, graph_inputs, join_inputs, union_inputs
 
 FRAGMENTS = ("[NH4+]", "[O-]C(=O)C", "c1ccncc1", "C1CCC2CCCCC2C1", "O=S(=O)(O)O",
              "FC(F)(F)(F)C")
@@ -103,12 +103,16 @@ def test_empty_edit_set_has_empty_local_product():
 @given(delta_passes())
 def test_delta_inputs_equal_union_inputs_over_local_products(parts):
     # A pass's inputs from the reactants' codes and the edits are bitwise
-    # those of the edit-local product graphs; the delta's local atoms and
+    # those of the edit-local product graphs, also joined after reactant
+    # inputs as the ranker's first pass is; the delta's local atoms and
     # component ids are the oracle's.
     oracle = [local_product_oracle(g, edits) for g, edits in parts]
     deltas = [Candidate(edits, g).delta for g, edits in parts]
-    want = union_inputs([(local, range(local.n_atoms)) for local, _ in oracle])
-    assert inputs_bytes(delta_inputs(deltas)) == inputs_bytes(want)
+    products = [(local, range(local.n_atoms)) for local, _ in oracle]
+    assert inputs_bytes(delta_inputs(deltas)) == inputs_bytes(union_inputs(products))
+    reactants = [(g, range(g.n_atoms)) for g, _ in parts]
+    joined = join_inputs(union_inputs(reactants), delta_inputs(deltas))
+    assert inputs_bytes(joined) == inputs_bytes(union_inputs(reactants + products))
     for delta, (local, atoms) in zip(deltas, oracle):
         assert delta.atoms == atoms and delta.component == local.component
     assert graph_delta_mismatches(parts) == 0
@@ -248,6 +252,41 @@ def test_product_matches_equals_full_product_route():
                 assert fast == full_product_route(rec, Candidate(cand.edits, g))
                 matches += fast
     assert matches > len(MATCH_LINES) // 2
+
+
+def test_whole_graph_builders_change_no_record_or_verdict(monkeypatch, tmp_path):
+    # Parsing and the matcher's WL step get their input back from
+    # induced_subgraph over all atoms and merge_graphs of one graph; records
+    # and verdicts equal those of builders that always build a new graph.
+    path = tmp_path / "match.txt"
+    datagen.write_lines(path, MATCH_LINES)
+
+    def facts(g):
+        return (g.atoms, g.bonds, g.counts, g.in_ring, g.component)
+
+    def run():
+        out = []
+        for rec in pipeline.load_dataset(path):
+            near = sorted({(min(a, b), max(a, b)) for a in rec.true_edits.atoms()
+                           for b in rec.reactants.neighbors(a)})
+            matcher = _ProductMatcher(rec)
+            out.append((facts(rec.reactants), facts(rec.product), rec.true_edits,
+                        [matcher(c) for c in enumerate_candidates(rec.reactants, near[:6], 3)]))
+        return out
+
+    def rebuilding(build):
+        def rebuilt(*args):
+            built.append(build.__name__)
+            g = build(*args)
+            return make_graph(g.atoms, [(b.u, b.v, b.bond_type) for b in g.bonds])
+        return rebuilt
+
+    shared = run()
+    built = []
+    for name in ("induced_subgraph", "merge_graphs"):
+        monkeypatch.setattr(pipeline, name, rebuilding(getattr(pipeline, name)))
+    assert run() == shared
+    assert built.count("merge_graphs") > 0 and built.count("induced_subgraph") > len(MATCH_LINES)
 
 
 @pytest.mark.parametrize("augment", [False, True])

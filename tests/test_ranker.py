@@ -7,9 +7,8 @@ from helpers import graph_distance, random_permutation
 from rxnpred import diffengine as de
 from rxnpred.candgen import Candidate, EditSet, enumerate_candidates
 from rxnpred.chemgraph import ATOM_FEATURE_DIM, BondType, parse_smiles
-from rxnpred.ranker import (RankerModel, difference_vectors, rank_candidates, rank_loss,
-                            rank_reactions)
-from rxnpred.selfcheck import permute_graph
+from rxnpred.ranker import RankerModel, rank_candidates, rank_loss, rank_reactions
+from rxnpred.selfcheck import difference_vectors, permute_graph
 from rxnpred.wln import FIXED_METADATA, WLNParams
 
 

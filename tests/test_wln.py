@@ -176,5 +176,6 @@ class TestActivation:
         calls.clear()
         cand = Candidate(EditSet.of([(0, 1, BondType.DOUBLE)]), g)
         RankerModel.create("wln", hidden=4, depth=1).score_candidates(g, [cand])
-        # reactants, then the product's edited component, then the pooled head
-        assert calls == [(4, 4), (3, 4), (4, 4), (3, 4), (1, 4)]
+        # one round over the union of the reactants and the product's edited
+        # component (6 atoms, 8 directed edges), then the pooled head
+        assert calls == [(8, 4), (6, 4), (1, 4)]

@@ -115,7 +115,7 @@ class Candidate:
         reactant component left untouched."""
         d = self.delta
         return make_graph([self._reactants.atoms[a] for a in d.atoms],
-                          zip(d.bonds[0::4], d.bonds[1::4], map(BondType, d.bonds[2::4])))
+                          ((u, v, BondType(t)) for u, v, t in d.bond_triples()))
 
     def __repr__(self) -> str:
         return f"Candidate({list(self.edits)}, score={self.score})"

@@ -19,8 +19,8 @@ from . import diffengine as de
 from .candgen import BondEdit, EditSet
 from .chemgraph import ATOM_FEATURE_DIM, BondType, MolGraph
 from .diffengine import DTensor, ParamStore
-from .wln import (WLNParams, embed_atoms, embed_from_features, model_header, model_metadata,
-                  union_inputs)
+from .wln import (WLNParams, embed_atoms, embed_from_features, inputs, model_header,
+                  model_metadata)
 
 __all__ = [
     "PAIR_FEATURE_DIM",
@@ -225,14 +225,16 @@ class CenterModel:
 
     def score_matrices(self, graphs: Sequence[MolGraph]) -> list[np.ndarray]:
         """:meth:`score_matrix` of each graph, from one embedding of their
-        disjoint union and one head pass over all their pairs (for the global
-        variant, one attention head pass too). Finite scores are bitwise
+        disjoint union (:func:`~rxnpred.wln.inputs` of each graph's cached
+        :attr:`~rxnpred.chemgraph.GraphCodes.inputs`) and one head pass over
+        all their pairs (for the global variant, one attention head pass
+        too). Finite scores are bitwise
         equal: messages never cross graphs, attention pairs and context
         products stay within their graph, and a row of a
         :func:`diffengine._mm` product does not depend on the other rows."""
         if not graphs:
             return []
-        gi = union_inputs([(g, range(g.n_atoms)) for g in graphs])
+        gi = inputs(*(g.codes.inputs for g in graphs))
         with de.no_grad(), np.errstate(over="ignore", invalid="ignore"):
             scores = self._scores(graphs, embed_from_features(gi, gi.features, self.wln))
         matrices, start = [], 0

@@ -41,7 +41,7 @@ __all__ = [
     "make_graph",
     "merge_graphs",
     "parse_smiles",
-    "union_arrays",
+    "part_arrays",
     "valence_for_h",
     "valence_limit",
     "with_map_numbers",
@@ -817,26 +817,17 @@ def _directed(features: np.ndarray, u: np.ndarray, v: np.ndarray, codes: np.ndar
     return features, src, dst, np.repeat(bond_feature_rows(codes), 2, axis=0)
 
 
-def union_arrays(parts: Iterable[tuple[MolGraph, Sequence[int]]]
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_directed` arrays of the disjoint union of ``(graph, atoms)``
-    parts, sliced from each graph's :attr:`GraphCodes.inputs`. Each part
-    contributes the listed atoms, whole components, in order, numbered
-    after the previous parts' atoms."""
-    selected, offset = [], 0
-    for g, atoms in parts:
-        features, src, dst, edges = g.codes.inputs
-        idx = np.asarray(atoms, dtype=np.intp)
-        local = np.full(g.n_atoms, -1, dtype=np.intp)
-        local[idx] = np.arange(offset, offset + len(idx))
-        kept = local[src] >= 0  # whole components: a kept sender keeps its receiver
-        selected.append((features[idx], local[src[kept]], local[dst[kept]], edges[kept]))
-        offset += len(idx)
-    if len(selected) == 1:
-        return selected[0]
-    empty = (np.zeros((0, ATOM_FEATURE_DIM)), np.zeros(0, np.intp), np.zeros(0, np.intp),
-             np.zeros((0, BOND_FEATURE_DIM)))
-    return tuple(np.concatenate(arrays) for arrays in zip(empty, *selected))  # type: ignore
+def part_arrays(g: MolGraph, atoms: Sequence[int]
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_directed` arrays of the listed atoms of ``g``, whole
+    components, numbered in the given order from 0, sliced from the graph's
+    :attr:`GraphCodes.inputs`."""
+    features, src, dst, edges = g.codes.inputs
+    idx = np.asarray(atoms, dtype=np.intp)
+    local = np.full(g.n_atoms, -1, dtype=np.intp)
+    local[idx] = np.arange(len(idx))
+    kept = local[src] >= 0  # whole components: a kept sender keeps its receiver
+    return features[idx], local[src[kept]], local[dst[kept]], edges[kept]
 
 
 class EditDelta(NamedTuple):
@@ -852,6 +843,10 @@ class EditDelta(NamedTuple):
     bonds: list[int]          # local u, local v, type value, conjugated: per bond, in order
     in_ring: list[bool]       # per bond
     component: list[int]      # local component id of each local atom
+
+    def bond_triples(self) -> Iterable[tuple[int, int, int]]:
+        """Each bond's local u, local v and ``BondType`` value, in order."""
+        return zip(self.bonds[0::4], self.bonds[1::4], self.bonds[2::4])
 
 
 def edit_delta(reactants: MolGraph, edits: Iterable) -> EditDelta:
@@ -905,7 +900,8 @@ def edit_delta(reactants: MolGraph, edits: Iterable) -> EditDelta:
 
 def delta_union_arrays(deltas: Sequence[EditDelta]
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`union_arrays` of the deltas' edit-local products, from their
+    """:func:`_directed` arrays of the disjoint union of the deltas'
+    edit-local products, each numbered after the previous ones, from their
     codes: one concatenation of the atoms' feature columns and one of the
     bonds, then one one-hot."""
     columns = np.fromiter(chain.from_iterable(d.columns for d in deltas), np.intp)

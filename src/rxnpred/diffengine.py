@@ -479,14 +479,15 @@ def xavier(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 def read_lines(path, encoding: str) -> list[str]:
     """The lines of the text file ``path`` in ``encoding``. A byte that does
     not decode raises ``ValueError`` naming the file and the line it is on."""
-    data = Path(path).read_bytes()
     try:
-        return data.decode(encoding).splitlines()
+        return Path(path).read_bytes().decode(encoding).splitlines()
     except UnicodeDecodeError as err:
+        # the bytes the codec read (after a "utf-8-sig" byte-order mark) and
         # the line the bad byte starts, numbered as str.splitlines numbers them
-        lineno = len((data[:err.start].decode(encoding) + "_").splitlines())
+        data = err.object
+        lineno = len((data[:err.start].decode(err.encoding) + "_").splitlines())
         raise ValueError(f"{path}:{lineno}: byte 0x{data[err.start]:02x} is not "
-                         f"{encoding} text") from None
+                         f"{err.encoding} text") from None
 
 
 class ParamStore:

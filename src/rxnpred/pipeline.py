@@ -86,12 +86,13 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path=None, **overrides: str) -> "RunConfig":
-        """The key=value lines ('#' comments) of ``path``, if given, under
-        ``overrides`` (text, as a line's value is), over the defaults. A bad
-        line raises ``ValueError`` naming the file and line, a bad override
-        naming its flag (``--max-changes`` for ``max_changes``)."""
+        """The key=value lines ('#' comments) of ``path``, if given (UTF-8, a
+        leading byte-order mark dropped), under ``overrides`` (text, as a
+        line's value is), over the defaults. A bad line raises ``ValueError``
+        naming the file and line, a bad override naming its flag
+        (``--max-changes`` for ``max_changes``)."""
         values: dict[str, tuple[str, str]] = {}
-        lines = de.read_lines(path, "utf-8") if path is not None else []
+        lines = de.read_lines(path, "utf-8-sig") if path is not None else []
         for lineno, raw in enumerate(lines, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -198,8 +199,9 @@ def parse_reaction_line(line: str) -> ReactionRecord:
 
 
 def load_dataset(path) -> list[ReactionRecord]:
-    """Parse and validate a reaction file, skipping malformed lines and
-    records of more than :data:`MAX_ATOMS` reactant atoms.
+    """Parse and validate a reaction file (UTF-8, a leading byte-order mark
+    dropped), skipping malformed lines and records of more than
+    :data:`MAX_ATOMS` reactant atoms.
 
     Raises if the file is unreadable or if more than half of the non-comment
     lines fail to parse.
@@ -207,7 +209,7 @@ def load_dataset(path) -> list[ReactionRecord]:
     records: list[ReactionRecord] = []
     skipped = 0
     total = 0
-    for lineno, raw in enumerate(de.read_lines(path, "utf-8"), 1):
+    for lineno, raw in enumerate(de.read_lines(path, "utf-8-sig"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -610,8 +612,7 @@ class _ProductMatcher:
                 + sum(self._sizes[c] for c in untouched))
         if size != rec.product.n_atoms:
             return False
-        types = _type_counts(t for u, t in zip(d.bonds[0::4], d.bonds[2::4])
-                             if d.component[u] in local_comps)
+        types = _type_counts(t for u, _, t in d.bond_triples() if d.component[u] in local_comps)
         for c in untouched:
             types = [a + b for a, b in zip(types, self._comp_types[c])]
         if types != self._types:

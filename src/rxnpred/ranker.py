@@ -20,10 +20,10 @@ import numpy as np
 
 from . import diffengine as de
 from .candgen import Candidate
-from .chemgraph import ATOM_FEATURE_DIM, MolGraph
+from .chemgraph import ATOM_FEATURE_DIM, MolGraph, delta_union_arrays, part_arrays
 from .diffengine import DTensor, ParamStore
-from .wln import (GraphInputs, WLNParams, delta_inputs, embed_from_features, join_inputs,
-                  model_header, model_metadata, union_inputs)
+from .wln import (GraphInputs, WLNParams, embed_from_features, inputs, model_header,
+                  model_metadata)
 
 __all__ = ["MAX_UNION_CANDIDATES", "RankerModel", "rank_candidates", "rank_loss",
            "rank_reactions", "read_atoms"]
@@ -98,11 +98,14 @@ class RankerModel:
 
         The candidates run in passes of up to :data:`MAX_UNION_CANDIDATES`,
         which may mix reactions; a pass holds the disjoint union of its
-        candidates' edit-local products (:attr:`Candidate.local_product`).
-        The molecule network runs once over the union of the reactant
+        candidates' edit-local products (:attr:`Candidate.local_product`),
+        whose arrays are built once from the edit deltas
+        (:func:`~rxnpred.chemgraph.delta_union_arrays`). The molecule network
+        runs once over :func:`~rxnpred.wln.inputs` of the reactant
         components that hold an edited atom of any candidate
-        (:func:`read_atoms`), all reactions' in order, and the first pass's
-        products; the others are never read. Each later pass embeds its own
+        (:func:`read_atoms`; :func:`~rxnpred.chemgraph.part_arrays` of each
+        reaction's, in order) followed by the first pass's products; the
+        other components are never read. Each later pass embeds its own
         products and gathers the reactant rows of that first union. Scores
         pool per candidate with :func:`~rxnpred.diffengine.segment_sum`.
 
@@ -137,10 +140,11 @@ class RankerModel:
         chunks = []
         for start in range(0, len(items), MAX_UNION_CANDIDATES):
             batch = items[start:start + MAX_UNION_CANDIDATES]
-            gi_p = delta_inputs([cand.delta for cand, _ in batch])
+            products = delta_union_arrays([cand.delta for cand, _ in batch])
+            gi_p = inputs(products)
             if not start:  # the reactant union and the first pass, in one embedding
-                gi = join_inputs(union_inputs([(reactants, read) for (reactants, _), read
-                                               in zip(reactions, reads)]), gi_p)
+                gi = inputs(*(part_arrays(reactants, read) for (reactants, _), read
+                              in zip(reactions, reads)), products)
                 c = embed_from_features(gi, gi.features, self.wln)
                 c_p = de.gather_rows(c, np.arange(offset, gi.n_atoms))
             else:

@@ -23,15 +23,15 @@ from .candgen import (BOND_ALPHABET, BondEdit, Candidate, EditSet, connectivity_
                       enumerate_candidates)
 from .center import PAIR_BLOCK, CenterModel, center_loss, upper_pairs
 from .chemgraph import (ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BondType, MolGraph, apply_edits,
-                        atom_feature_matrix, atom_features, bond_features, edit_delta,
-                        induced_subgraph, make_graph, parse_smiles, write_smiles)
+                        atom_feature_matrix, atom_features, bond_features, delta_union_arrays,
+                        edit_delta, induced_subgraph, make_graph, parse_smiles, write_smiles)
 from .datagen import (higher_order_fixture_lines, random_molecule, random_reaction_line,
                       reagent_fixture_lines, toy_reaction_lines)
 from .pipeline import _candidate_stage, parse_reaction_line
 from .ranker import RankerModel, rank_loss, read_atoms
 from .wliso import brute_force_isomorphic, wl_equivalent
-from .wln import (GraphInputs, WLNParams, delta_inputs, embed_atoms, embed_from_features,
-                  graph_inputs, union_inputs)
+from .wln import (GraphInputs, WLNParams, embed_atoms, embed_from_features, graph_inputs,
+                  inputs)
 
 __all__ = ["CheckResult", "batched_ranker_suite", "blas_rows_suite", "brute_force_enumerate",
            "brute_force_ordered", "center_gradient_error", "center_inference_suite",
@@ -518,7 +518,8 @@ def blas_rows_suite(seed: int = 23) -> CheckResult:
 
 
 def per_atom_inputs(parts) -> GraphInputs:
-    """:func:`~rxnpred.wln.union_inputs` through the per-atom route: one
+    """:func:`~rxnpred.wln.inputs` of ``(graph, atoms)`` parts, whole
+    components, through the per-atom route: one
     :func:`~rxnpred.chemgraph.atom_features` call per atom and one
     :func:`~rxnpred.chemgraph.bond_features` call per bond."""
     feats: list[np.ndarray] = []
@@ -567,20 +568,21 @@ def local_product_oracle(reactants: MolGraph, edits: EditSet) -> tuple[MolGraph,
 def graph_delta_mismatches(parts: list[tuple[MolGraph, EditSet]]) -> int:
     """How often the delta route of one pass over ``(reactants, edits)``
     parts differs from the graph route: the pass's
-    :func:`~rxnpred.wln.delta_inputs` against :func:`per_atom_inputs` over
-    the :func:`local_product_oracle` graphs (bytes), each part's local atoms
-    and component ids against the oracle's, and
-    :func:`~rxnpred.wln.union_inputs` against :func:`per_atom_inputs` on
-    each reactant graph and local product."""
+    :func:`~rxnpred.chemgraph.delta_union_arrays` inputs against
+    :func:`per_atom_inputs` over the :func:`local_product_oracle` graphs
+    (bytes), each part's local atoms and component ids against the
+    oracle's, and :func:`~rxnpred.wln.graph_inputs` against
+    :func:`per_atom_inputs` on each reactant graph and local product."""
     oracle = [local_product_oracle(g, edits) for g, edits in parts]
     deltas = [edit_delta(g, edits) for g, edits in parts]
     local_parts = [(local, range(local.n_atoms)) for local, _ in oracle]
-    bad = int(inputs_bytes(delta_inputs(deltas)) != inputs_bytes(per_atom_inputs(local_parts)))
+    bad = int(inputs_bytes(inputs(delta_union_arrays(deltas)))
+              != inputs_bytes(per_atom_inputs(local_parts)))
     bad += sum((d.atoms, d.component) != (atoms, local.component)
                for d, (local, atoms) in zip(deltas, oracle))
-    graphs = {id(g): g for g, _ in parts}.values()
-    return bad + sum(inputs_bytes(union_inputs([part])) != inputs_bytes(per_atom_inputs([part]))
-                     for part in [(g, range(g.n_atoms)) for g in graphs] + local_parts)
+    graphs = [*{id(g): g for g, _ in parts}.values(), *(local for local, _ in oracle)]
+    return bad + sum(inputs_bytes(graph_inputs(g))
+                     != inputs_bytes(per_atom_inputs([(g, range(g.n_atoms))])) for g in graphs)
 
 
 def graph_delta_suite(seed: int = 29) -> CheckResult:

@@ -20,18 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import accumulate
 
 import numpy as np
 
 from . import diffengine as de
-from .chemgraph import (BOND_FEATURE_DIM, EditDelta, MolGraph, delta_union_arrays,
-                        union_arrays)
+from .chemgraph import BOND_FEATURE_DIM, MolGraph
 from .diffengine import DTensor, ParamStore
 
-__all__ = ["FIXED_METADATA", "GraphInputs", "WLNParams", "delta_inputs", "embed_atoms",
-           "embed_from_features", "graph_inputs", "join_inputs", "model_header",
-           "model_metadata", "union_inputs"]
+__all__ = ["FIXED_METADATA", "GraphInputs", "WLNParams", "embed_atoms", "embed_from_features",
+           "graph_inputs", "inputs", "model_header", "model_metadata"]
 
 # Single-valued settings that model checkpoints record (each network adds
 # ``<prefix>.activation`` and ``<prefix>.project``). Loading refuses any other
@@ -157,43 +155,24 @@ class GraphInputs:
         return de.SegmentPlan(self.dst, self.n_atoms)
 
 
+def inputs(*parts: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]) -> GraphInputs:
+    """Inputs for the disjoint union of ``parts``, each the directed-edge
+    arrays (atom features, senders, receivers, edge features) of whole
+    components: :attr:`~rxnpred.chemgraph.GraphCodes.inputs` of a graph,
+    :func:`~rxnpred.chemgraph.part_arrays` of some of its components or
+    :func:`~rxnpred.chemgraph.delta_union_arrays` of edit-local products.
+    Each part's atoms are numbered after the previous parts' atoms. No bond
+    leaves a part, so messages never cross parts and every atom embeds
+    exactly as it would in its own graph."""
+    features, src, dst, edges = zip(*parts)
+    shifts = list(accumulate(map(len, features), initial=0))
+    return GraphInputs(shifts[-1], np.concatenate([s + k for s, k in zip(src, shifts)]),
+                       np.concatenate([d + k for d, k in zip(dst, shifts)]),
+                       de.constant(np.concatenate(features)), de.constant(np.concatenate(edges)))
+
+
 def graph_inputs(g: MolGraph) -> GraphInputs:
-    return union_inputs([(g, range(g.n_atoms))])
-
-
-def union_inputs(parts: Iterable[tuple[MolGraph, Sequence[int]]]) -> GraphInputs:
-    """Inputs for the disjoint union of ``(graph, atoms)`` parts.
-
-    Each part contributes the listed atoms of its graph, in order, numbered
-    after the previous parts' atoms. The atoms must form whole connected
-    components, so no bond leaves a part; messages never cross parts and
-    every atom embeds exactly as it would in its own graph. The rows come
-    from each graph's codes (:func:`~rxnpred.chemgraph.union_arrays`).
-    """
-    return _inputs(*union_arrays(parts))
-
-
-def delta_inputs(deltas: Sequence[EditDelta]) -> GraphInputs:
-    """:func:`union_inputs` of the deltas' edit-local products, built from
-    their reactants' codes and the edits
-    (:func:`~rxnpred.chemgraph.delta_union_arrays`) without any graph."""
-    return _inputs(*delta_union_arrays(deltas))
-
-
-def join_inputs(first: GraphInputs, second: GraphInputs) -> GraphInputs:
-    """The disjoint union of two inputs, ``second``'s atoms numbered after
-    ``first``'s: one network pass then embeds both."""
-    n = first.n_atoms
-    return _inputs(np.concatenate([first.features.values, second.features.values]),
-                   np.concatenate([first.src, second.src + n]),
-                   np.concatenate([first.dst, second.dst + n]),
-                   np.concatenate([first.edge_features.values, second.edge_features.values]))
-
-
-def _inputs(features: np.ndarray, src: np.ndarray, dst: np.ndarray,
-            edge_features: np.ndarray) -> GraphInputs:
-    return GraphInputs(len(features), src, dst, de.constant(features),
-                       de.constant(edge_features))
+    return inputs(g.codes.inputs)
 
 
 def embed_from_features(gi: GraphInputs, x: DTensor, p: WLNParams) -> DTensor:

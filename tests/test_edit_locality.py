@@ -12,15 +12,16 @@ from rxnpred import datagen, pipeline
 from rxnpred.candgen import Candidate, EditSet, enumerate_candidates
 from rxnpred.center import CenterModel
 from rxnpred.chemgraph import (BOND_FEATURE_DIM, BondType, apply_edits, atom_feature_matrix,
-                               bond_features, edit_delta, induced_subgraph, make_graph,
-                               merge_graphs, parse_smiles, write_smiles)
+                               bond_features, delta_union_arrays, edit_delta, induced_subgraph,
+                               make_graph, merge_graphs, parse_smiles, part_arrays,
+                               write_smiles)
 from rxnpred.datagen import random_molecule
 from rxnpred.pipeline import RunConfig, _ProductMatcher, evaluate, parse_reaction_line
 from rxnpred.ranker import RankerModel
 from rxnpred.selfcheck import (graph_delta_mismatches, inputs_bytes, local_product_oracle,
                                per_atom_inputs, permute_graph)
 from rxnpred.wliso import brute_force_isomorphic, wl_equivalent
-from rxnpred.wln import delta_inputs, graph_inputs, join_inputs, union_inputs
+from rxnpred.wln import graph_inputs, inputs
 
 FRAGMENTS = ("[NH4+]", "[O-]C(=O)C", "c1ccncc1", "C1CCC2CCCCC2C1", "O=S(=O)(O)O",
              "FC(F)(F)(F)C")
@@ -96,7 +97,7 @@ def test_local_product_on_splits_and_joins(smiles, edits):
 def test_empty_edit_set_has_empty_local_product():
     cand = Candidate(EditSet.of([]), parse_smiles("CCO.N"))
     assert cand.delta.atoms == [] and cand.local_product.n_atoms == 0
-    assert delta_inputs([cand.delta]).n_atoms == 0
+    assert inputs(delta_union_arrays([cand.delta])).n_atoms == 0
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -108,14 +109,38 @@ def test_delta_inputs_equal_union_inputs_over_local_products(parts):
     # component ids are the oracle's.
     oracle = [local_product_oracle(g, edits) for g, edits in parts]
     deltas = [Candidate(edits, g).delta for g, edits in parts]
-    products = [(local, range(local.n_atoms)) for local, _ in oracle]
-    assert inputs_bytes(delta_inputs(deltas)) == inputs_bytes(union_inputs(products))
-    reactants = [(g, range(g.n_atoms)) for g, _ in parts]
-    joined = join_inputs(union_inputs(reactants), delta_inputs(deltas))
-    assert inputs_bytes(joined) == inputs_bytes(union_inputs(reactants + products))
+    products = [local.codes.inputs for local, _ in oracle]
+    assert inputs_bytes(inputs(delta_union_arrays(deltas))) == inputs_bytes(inputs(*products))
+    reactants = [g.codes.inputs for g, _ in parts]
+    joined = inputs(*reactants, delta_union_arrays(deltas))
+    assert inputs_bytes(joined) == inputs_bytes(inputs(*reactants, *products))
     for delta, (local, atoms) in zip(deltas, oracle):
         assert delta.atoms == atoms and delta.component == local.component
     assert graph_delta_mismatches(parts) == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(delta_passes(), st.randoms(use_true_random=False))
+def test_inputs_over_interleaved_parts_equal_per_atom_inputs(parts, rnd):
+    # Reactant parts (a whole graph or some of its components, in any order)
+    # and passes of edit-local products, interleaved, number their atoms in
+    # sequence exactly as the per-atom route over the same molecules does.
+    arrays, molecules = [], []
+    for g, edits in parts:
+        comps = [c for c in g.codes.comp_atoms if rnd.random() < 0.6]
+        rnd.shuffle(comps)
+        atoms = [a for c in comps for a in c]
+        if rnd.random() < 0.3:
+            arrays.append(g.codes.inputs)
+            molecules.append((g, range(g.n_atoms)))
+        else:
+            arrays.append(part_arrays(g, atoms))
+            molecules.append((g, atoms))
+        copies = rnd.randint(1, 2)
+        arrays.append(delta_union_arrays([Candidate(edits, g).delta] * copies))
+        local, _ = local_product_oracle(g, edits)
+        molecules += [(local, range(local.n_atoms))] * copies
+    assert inputs_bytes(inputs(*arrays)) == inputs_bytes(per_atom_inputs(molecules))
 
 
 def test_feature_rows_equal_per_atom_features():

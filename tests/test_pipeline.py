@@ -184,6 +184,14 @@ class TestLoading:
         with pytest.raises(ValueError):
             load_dataset(path)
 
+    def test_byte_order_mark_keeps_the_first_record(self, tmp_path, caplog):
+        path = tmp_path / "bom.txt"
+        path.write_text("\n".join(HAND_LINES) + "\n", encoding="utf-8-sig")
+        with caplog.at_level(logging.WARNING):
+            records = load_dataset(path)
+        assert [r.raw for r in records] == HAND_LINES
+        assert not caplog.records
+
 
 class TestSplit:
     def test_fractions_and_determinism(self):
@@ -219,6 +227,15 @@ class TestConfig:
         assert cfg.k == 8 and cfg.variant == "global" and cfg.augment_truth
         assert cfg.lr == 0.5
         assert cfg.split == (0.9, 0.05, 0.05)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_text("k=8\nlr=0.01\n", encoding="utf-8-sig")
+        assert RunConfig.from_file(path) == RunConfig(k=8, lr=0.01)
+        # a byte that does not decode after the mark names its own line
+        path.write_bytes("k=8\n".encode("utf-8-sig") + b"lr=\xff\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: byte 0xff is not utf-8 text")):
+            RunConfig.from_file(path)
 
     def test_overrides_without_a_file(self):
         # Flags reach RunConfig as text through the config-line parser.

@@ -13,7 +13,7 @@ from .chemgraph import (Atom, Bond, BondType, MolGraph, SmilesError, apply_edits
                         atom_features, bond_features, parse_smiles, write_smiles)
 from .pipeline import (EvalReport, PredictResult, ReactionRecord, RunConfig,
                        evaluate, load_dataset, predict, train_center, train_ranker)
-from .ranker import RankerModel, rank_candidates, rank_loss
+from .ranker import RankerModel, rank_candidates
 from .wliso import WLFingerprint, brute_force_isomorphic, wl_equivalent, wl_fingerprint, wl_labels
 from .wln import WLNParams, embed_atoms
 

@@ -189,9 +189,11 @@ class CenterModel:
             start += len(us)
         return out
 
-    def _scores(self, graphs: Sequence[MolGraph], c: DTensor) -> DTensor:
-        """Scores (all pairs, 1) of each graph's :func:`upper_pairs` in turn,
-        over the WLN atom vectors ``c`` of the graphs' disjoint union.
+    def _scores(self, graphs: Sequence[MolGraph], c: DTensor, us: np.ndarray,
+                vs: np.ndarray, codes: np.ndarray) -> DTensor:
+        """Scores (len(us), 1) of the pairs (us[i], vs[i]) of the graphs'
+        disjoint union, whose WLN atom vectors are ``c``, each pair within one
+        graph; ``codes`` gives each pair's row of ``_CODE_ROWS``.
 
         The global variant first replaces each graph's rows by its context
         rows ``A_g @ c_g``, which stay within the graph. Every step is
@@ -205,17 +207,22 @@ class CenterModel:
                 bounds = np.cumsum([0] + [g.n_atoms for g in graphs])
                 c = de.stack_rows([de.matmul(a, de.gather_rows(c, np.arange(lo, hi)))
                                    for a, lo, hi in zip(alphas, bounds, bounds[1:])])
-        return self._head(c, *_union_pairs(graphs, 1),
-                          "score.Ma", "score.Mb", "score.bias", "score.u")
+        return self._head(c, us, vs, codes, "score.Ma", "score.Mb", "score.bias", "score.u")
 
-    def pair_scores(self, g: MolGraph) -> tuple[DTensor, np.ndarray]:
-        """Scores for all unordered pairs as an (n_pairs, 1) tensor, with the
-        pairs as :func:`upper_pairs` orders them."""
-        pairs = upper_pairs(g.n_atoms)
-        c = embed_atoms(g, self.wln)
-        if not len(pairs):
-            return de.constant(np.zeros((0, 1))), pairs
-        return self._scores([g], c), pairs
+    def pair_scores(self, graphs: Sequence[MolGraph]) -> tuple[DTensor, np.ndarray]:
+        """Scores (n_pairs, 1) of each graph's :func:`upper_pairs` in turn,
+        and those pairs as an (n_pairs, 2) array of atoms of the nonempty list
+        of graphs' disjoint union, embedded once (:func:`~rxnpred.wln.inputs`
+        of their cached :attr:`~rxnpred.chemgraph.GraphCodes.inputs`). All
+        pairs go through one head pass, and one attention pass for the global
+        variant. Finite scores are bitwise each graph's alone: messages,
+        attention pairs and context products stay within a graph, and a row
+        of a :func:`diffengine._mm` product does not depend on the other
+        rows."""
+        us, vs, codes = _union_pairs(graphs, 1)
+        gi = inputs(*(g.codes.inputs for g in graphs))
+        c = embed_from_features(gi, gi.features, self.wln)
+        return self._scores(graphs, c, us, vs, codes), np.column_stack([us, vs])
 
     def score_matrix(self, g: MolGraph) -> np.ndarray:
         """Symmetric score matrix with a zero diagonal; the values of
@@ -224,19 +231,12 @@ class CenterModel:
         return self.score_matrices([g])[0]
 
     def score_matrices(self, graphs: Sequence[MolGraph]) -> list[np.ndarray]:
-        """:meth:`score_matrix` of each graph, from one embedding of their
-        disjoint union (:func:`~rxnpred.wln.inputs` of each graph's cached
-        :attr:`~rxnpred.chemgraph.GraphCodes.inputs`) and one head pass over
-        all their pairs (for the global variant, one attention head pass
-        too). Finite scores are bitwise
-        equal: messages never cross graphs, attention pairs and context
-        products stay within their graph, and a row of a
-        :func:`diffengine._mm` product does not depend on the other rows."""
+        """:meth:`score_matrix` of each graph, from one :meth:`pair_scores`
+        pass over all of them."""
         if not graphs:
             return []
-        gi = inputs(*(g.codes.inputs for g in graphs))
         with de.no_grad(), np.errstate(over="ignore", invalid="ignore"):
-            scores = self._scores(graphs, embed_from_features(gi, gi.features, self.wln))
+            scores, _ = self.pair_scores(graphs)
         matrices, start = [], 0
         for g in graphs:
             us, vs = _triu(g.n_atoms, 1)

@@ -32,7 +32,7 @@ SETTING_FLAGS = {
     "hidden": "hidden width",
     "max_changes": "max simultaneous bond edits per candidate",
     "epochs": "training epochs",
-    "batch": "reactions per optimizer step",
+    "batch": "reactions per optimizer step, scored as one union",
     "lr": "learning rate",
     "decay": "per-epoch learning-rate decay factor",
     "seed": "random seed",

@@ -409,19 +409,27 @@ def stack_rows(tensors: Sequence[DTensor]) -> DTensor:
                   lambda g, i: g[bounds[i]:bounds[i + 1]])
 
 
-def softmax_logloss(scores: DTensor, target_index: int) -> DTensor:
-    """Negative log softmax probability of ``target_index`` over a column of scores."""
-    if scores.shape[1] != 1 or scores.shape[0] == 0:
-        raise ShapeError(f"softmax_logloss: need a nonempty column, got {scores.shape}")
-    if not 0 <= target_index < scores.shape[0]:
-        raise ShapeError(f"softmax_logloss: target {target_index} out of range")
-    s = scores.values[:, 0]
-    shift = s - s.max()
-    log_z = math.log(np.exp(shift).sum())
-    out = np.array([[log_z - shift[target_index]]])
-    dscores = np.exp(shift - log_z).reshape(-1, 1)     # softmax minus the one-hot target
-    dscores[target_index] -= 1.0
-    return _track(out, (scores,), lambda g, i: g[0, 0] * dscores)
+def softmax_logloss(scores: DTensor, lists: Sequence[tuple[int, int]]) -> DTensor:
+    """Negative log softmax probability of each list's target within its
+    list, summed over the lists. ``lists`` gives each list's (target, length)
+    in order, and the lists cut the column of scores into consecutive rows."""
+    rows = sum(length for _, length in lists)
+    if scores.shape != (rows, 1) or not rows:
+        raise ShapeError(f"softmax_logloss: need a nonempty column of the lists' {rows} rows, "
+                         f"got {scores.shape}")
+    out, start = 0.0, 0
+    dscores = np.empty_like(scores.values)           # softmax minus the one-hot target
+    for target, length in lists:
+        if not 0 <= target < length:
+            raise ShapeError(f"softmax_logloss: target {target} is outside its list of {length}")
+        s = scores.values[start:start + length, 0]
+        shift = s - s.max()
+        log_z = math.log(np.exp(shift).sum())
+        out += log_z - shift[target]
+        dscores[start:start + length, 0] = np.exp(shift - log_z)
+        dscores[start + target, 0] -= 1.0
+        start += length
+    return _track(np.array([[out]]), (scores,), lambda g, i: g[0, 0] * dscores)
 
 
 # ---------------------------------------------------------------------------

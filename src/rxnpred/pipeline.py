@@ -15,6 +15,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, fields, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -23,8 +24,9 @@ from .candgen import Candidate, EditSet, enumerate_candidates
 from .center import CenterModel, center_loss, coverage, reaction_edits, top_k_pairs
 from .chemgraph import (BondType, MolGraph, induced_subgraph, merge_graphs, parse_smiles,
                         with_map_numbers, write_smiles)
-from .ranker import RankerModel, rank_candidates, rank_loss, rank_reactions
+from .ranker import RankerModel, rank_candidates, rank_reactions
 from .wliso import _fnv1a, wl_equivalent
+from .wln import MAX_DEPTH
 
 logger = logging.getLogger(__name__)
 
@@ -70,6 +72,8 @@ class RunConfig:
         for name in ("k", "max_changes", "hidden", "depth", "epochs", "batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"config field {name} must be positive")
+        if self.depth > MAX_DEPTH:
+            raise ValueError(f"config field depth must be at most {MAX_DEPTH}, got {self.depth}")
         for name in ("lr", "decay"):
             value = getattr(self, name)
             if not 0 < value < math.inf:  # NaN fails both comparisons
@@ -282,8 +286,9 @@ def _fit(cfg: RunConfig, kind: str, model_cls, prepare,
     training items, then save the values of the best epoch.
 
     ``prepare(train, dev)`` turns the split records into training items,
-    ``loss_fn(model, item)`` is one item's loss and ``metric_fn(model, items)``
-    the per-epoch score, recorded as ``train_<metric>``/``dev_<metric>``.
+    ``loss_fn(model, items)`` is the summed loss of one step's items, one
+    union and one backward pass, and ``metric_fn(model, items)`` the per-epoch
+    score, recorded as ``train_<metric>``/``dev_<metric>``.
     Best means the highest dev score (train score when there are no dev
     items). ``log_format`` takes the epoch, loss, train score and dev score;
     training stops early once the train score reaches ``target``. The model
@@ -314,10 +319,9 @@ def _fit(cfg: RunConfig, kind: str, model_cls, prepare,
         epoch_loss = 0.0
         for start in range(0, len(order), cfg.batch):
             model.store.zero_grads()
-            for idx in order[start:start + cfg.batch]:
-                loss = loss_fn(model, train[idx])
-                de.backward(loss)
-                epoch_loss += loss.item()
+            loss = loss_fn(model, [train[idx] for idx in order[start:start + cfg.batch]])
+            de.backward(loss)
+            epoch_loss += loss.item()
             de.adam_step(model.store, adam)
         if not np.isfinite(epoch_loss):
             raise FloatingPointError(f"training diverged at epoch {epoch} "
@@ -368,9 +372,14 @@ def _center_coverage(model: CenterModel, records: list[ReactionRecord], k: int) 
     return hits / len(records)
 
 
-def _center_item_loss(model: CenterModel, rec: ReactionRecord) -> de.DTensor:
-    """One record's center training loss."""
-    return center_loss(*model.pair_scores(rec.reactants), rec.true_edits)
+def _center_loss(model: CenterModel, records: list[ReactionRecord]) -> de.DTensor:
+    """The records' summed center loss over one :meth:`CenterModel.pair_scores`
+    union of their reactants, each record's truth moved to its atoms there."""
+    scores, pairs = model.pair_scores([rec.reactants for rec in records])
+    shifts = accumulate((rec.reactants.n_atoms for rec in records), initial=0)
+    truth = EditSet.of((e.u + k, e.v + k, e.bond_type)
+                       for rec, k in zip(records, shifts) for e in rec.true_edits)
+    return center_loss(scores, pairs, truth)
 
 
 def train_center(cfg: RunConfig) -> TrainResult:
@@ -382,7 +391,7 @@ def train_center(cfg: RunConfig) -> TrainResult:
     """
     return _fit(
         cfg, "center", CenterModel, lambda train, dev: (train, dev),
-        loss_fn=_center_item_loss,
+        loss_fn=_center_loss,
         metric_fn=lambda model, records: _center_coverage(model, records, cfg.k),
         metric="coverage",
         log_format=f"center epoch %d: loss %.4f train cov@{cfg.k} %.3f dev cov %s",
@@ -431,10 +440,13 @@ def _ranker_p1(model: RankerModel, instances: list[_RankingInstance]) -> float:
     return hits / len(instances)
 
 
-def _ranker_item_loss(model: RankerModel, inst: _RankingInstance) -> de.DTensor:
-    """One instance's ranker training loss."""
-    return rank_loss(model.score_candidates(inst.record.reactants, inst.candidates),
-                     inst.true_index)
+def _ranker_loss(model: RankerModel, instances: list[_RankingInstance]) -> de.DTensor:
+    """The instances' summed ranker training loss: one softmax log loss per
+    candidate list, over one :meth:`RankerModel.score_reactions` union."""
+    scores = model.score_reactions([(inst.record.reactants, inst.candidates)
+                                    for inst in instances])
+    return de.softmax_logloss(scores, [(inst.true_index, len(inst.candidates))
+                                       for inst in instances])
 
 
 def train_ranker(cfg: RunConfig) -> TrainResult:
@@ -457,7 +469,7 @@ def train_ranker(cfg: RunConfig) -> TrainResult:
 
     return _fit(
         cfg, "ranker", RankerModel, prepare,
-        loss_fn=_ranker_item_loss,
+        loss_fn=_ranker_loss,
         metric_fn=_ranker_p1,
         metric="p1",
         log_format="ranker epoch %d: loss %.4f train P@1 %.3f dev P@1 %s",

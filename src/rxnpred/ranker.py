@@ -25,8 +25,8 @@ from .diffengine import DTensor, ParamStore
 from .wln import (GraphInputs, WLNParams, embed_from_features, inputs, model_header,
                   model_metadata)
 
-__all__ = ["MAX_UNION_CANDIDATES", "RankerModel", "rank_candidates", "rank_loss",
-           "rank_reactions", "read_atoms"]
+__all__ = ["MAX_UNION_CANDIDATES", "RankerModel", "rank_candidates", "rank_reactions",
+           "read_atoms"]
 
 # Candidates per union pass. The arrays of one pass then hold at most this
 # many edit-local products (the first pass also holds the read reactant
@@ -84,12 +84,6 @@ class RankerModel:
 
     def save(self, path) -> None:
         self.store.save(path)
-
-    def score_candidates(self, reactants: MolGraph,
-                         candidates: Sequence[Candidate]) -> DTensor:
-        """Differentiable scores of all candidates of one reaction, shape (n, 1):
-        :meth:`score_reactions` of that one reaction."""
-        return self.score_reactions([(reactants, candidates)])
 
     def score_reactions(self, reactions: Sequence[tuple[MolGraph, Sequence[Candidate]]]
                         ) -> DTensor:
@@ -183,12 +177,6 @@ def _head_shapes(head: str, hidden: int) -> dict[str, tuple[int, int]]:
     return {f"{head}.M": (hidden, hidden), f"{head}.u": (hidden, 1)}
 
 
-def rank_loss(scores: DTensor, true_index: int) -> DTensor:
-    """Softmax log loss over the (n, 1) score column, with the true candidate
-    as the target. An empty column raises ``ValueError``."""
-    return de.softmax_logloss(scores, true_index)
-
-
 def rank_candidates(reactants: MolGraph, candidates: Sequence[Candidate],
                     model: RankerModel) -> list[Candidate]:
     """Candidates sorted by descending score; ties keep enumeration order.
@@ -197,27 +185,20 @@ def rank_candidates(reactants: MolGraph, candidates: Sequence[Candidate],
     backward graph. A non-finite score raises ``ValueError``, as it has no
     place in the order; numpy's overflow warnings are silenced in its favour.
     """
-    return _rank([candidates], lambda: model.score_candidates(reactants, candidates))[0]
+    return rank_reactions([(reactants, candidates)], model)[0]
 
 
 def rank_reactions(reactions: Sequence[tuple[MolGraph, Sequence[Candidate]]],
                    model: RankerModel) -> list[list[Candidate]]:
     """:func:`rank_candidates` of each ``(reactants, candidates)`` pair, from
-    one :meth:`RankerModel.score_reactions` pass: the same lists, scores and
-    errors. The first reaction with a non-finite score raises."""
-    return _rank([candidates for _, candidates in reactions],
-                 lambda: model.score_reactions(reactions))
-
-
-def _rank(lists: list[Sequence[Candidate]], score) -> list[list[Candidate]]:
-    """Each candidate list sorted by its rows of ``score()``, the (n, 1)
-    scores of all lists stacked in order."""
-    if any(not candidates for candidates in lists):
+    one :meth:`RankerModel.score_reactions` pass. The first reaction with a
+    non-finite score raises."""
+    if any(not candidates for _, candidates in reactions):
         raise ValueError("rank_candidates needs a nonempty candidate list")
     with de.no_grad(), np.errstate(over="ignore", invalid="ignore"):
-        scores = score().values[:, 0]
+        scores = model.score_reactions(reactions).values[:, 0]
     ranked, start = [], 0
-    for candidates in lists:
+    for _, candidates in reactions:
         own = scores[start:start + len(candidates)]
         start += len(candidates)
         bad = np.flatnonzero(~np.isfinite(own))

@@ -27,8 +27,9 @@ from .chemgraph import (ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BondType, MolGraph, 
                         edit_delta, induced_subgraph, make_graph, parse_smiles, write_smiles)
 from .datagen import (higher_order_fixture_lines, random_molecule, random_reaction_line,
                       reagent_fixture_lines, toy_reaction_lines)
-from .pipeline import _candidate_stage, parse_reaction_line
-from .ranker import RankerModel, rank_loss, read_atoms
+from .pipeline import (_candidate_stage, _center_loss, _RankingInstance, _ranker_loss,
+                       parse_reaction_line)
+from .ranker import RankerModel, read_atoms
 from .wliso import brute_force_isomorphic, wl_equivalent
 from .wln import (GraphInputs, WLNParams, embed_atoms, embed_from_features, graph_inputs,
                   inputs)
@@ -203,37 +204,30 @@ def _ranking_instance(seed: int):
         cands, _, true_idx = _candidate_stage(
             rec.reactants, list(rec.true_edits.pairs), 2, rec.true_edits, augment=True)
         if len(cands) >= 3:
-            return rec, cands, true_idx
+            return _RankingInstance(rec, cands, true_idx)
     raise RuntimeError("no suitable ranking instance found")
 
 
 def gradient_suite(seed: int = 5) -> list[CheckResult]:
     """Finite-difference checks (step 1e-5, relative error below 1e-4) of
-    all four training losses, at hidden 8."""
-    rec = _small_instance(seed)
+    all four training losses, each over a minibatch of two items, at
+    hidden 8."""
+    records = [_small_instance(seed), _small_instance(seed + 1)]
     out = []
 
     for variant in CenterModel.VARIANTS:
         model = CenterModel.create(variant, hidden=8, depth=2, seed=seed)
-
-        def loss_fn(_store, model=model):
-            return center_loss(*model.pair_scores(rec.reactants), rec.true_edits)
-
-        err = de.grad_check(loss_fn, model.store, h=1e-5,
-                            rng=np.random.default_rng(seed + 1))
+        err = de.grad_check(lambda _store, model=model: _center_loss(model, records),
+                            model.store, h=1e-5, rng=np.random.default_rng(seed + 1))
         out.append(CheckResult(f"grad-center-{variant}", err < 1e-4,
                                f"max rel err {err:.2e}"))
 
-    rec, cands, true_idx = _ranking_instance(seed)
+    instances = [_ranking_instance(seed), _ranking_instance(seed + 1)]
 
     for variant in RankerModel.VARIANTS:
         model = RankerModel.create(variant, hidden=8, depth=2, seed=seed)
-
-        def loss_fn(_store, model=model):
-            return rank_loss(model.score_candidates(rec.reactants, cands), true_idx)
-
-        err = de.grad_check(loss_fn, model.store, h=1e-5,
-                            rng=np.random.default_rng(seed + 2))
+        err = de.grad_check(lambda _store, model=model: _ranker_loss(model, instances),
+                            model.store, h=1e-5, rng=np.random.default_rng(seed + 2))
         out.append(CheckResult(f"grad-ranker-{variant}", err < 1e-4,
                                f"max rel err {err:.2e}"))
     return out
@@ -294,7 +288,7 @@ def batched_ranker_suite(seed: int = 13) -> CheckResult:
                 for b in g.neighbors(a)})
             cands = [Candidate(EditSet.of([]), g)] + enumerate_candidates(
                 g, pairs, 2, max_candidates=60).candidates
-            batched = model.score_candidates(g, cands).values[:, 0]
+            batched = model.score_reactions([(g, cands)]).values[:, 0]
             subsets += len(read_atoms(cands)) < g.n_atoms
             for cand, score in zip(cands, batched):
                 ref = reference_score(model, g, cand).values[0, 0]
@@ -360,7 +354,7 @@ def center_gradient_error(model: CenterModel, g: MolGraph, truth: EditSet) -> tu
     tensor's gradient against the composed head's, relative to the largest
     entry of the latter. The weight gradients sum in another order."""
     def loss_fn(m: CenterModel, h: MolGraph) -> de.DTensor:
-        return center_loss(*m.pair_scores(h), truth)
+        return center_loss(*m.pair_scores([h]), truth)
 
     got = _loss_and_gradients(model, loss_fn, g)
     with composed_center_head(model):

@@ -28,13 +28,16 @@ from . import diffengine as de
 from .chemgraph import BOND_FEATURE_DIM, MolGraph
 from .diffengine import DTensor, ParamStore
 
-__all__ = ["FIXED_METADATA", "GraphInputs", "WLNParams", "embed_atoms", "embed_from_features",
-           "graph_inputs", "inputs", "model_header", "model_metadata"]
+__all__ = ["FIXED_METADATA", "MAX_DEPTH", "GraphInputs", "WLNParams", "embed_atoms",
+           "embed_from_features", "graph_inputs", "inputs", "model_header", "model_metadata"]
 
 # Single-valued settings that model checkpoints record (each network adds
 # ``<prefix>.activation`` and ``<prefix>.project``). Loading refuses any other
 # value, so a file made for another network fails instead of scoring as this one.
 FIXED_METADATA = {"activation": "relu", "include_charge": "0"}
+# Most relabeling rounds: a message moves one bond per round, and no molecule that
+# ``predict`` or ``load_dataset`` accepts (150 atoms) has a path longer than 149 bonds.
+MAX_DEPTH = 149
 
 
 def model_header(kind: str, variant: str, hidden: int, seed: int) -> dict[str, str]:
@@ -75,8 +78,8 @@ class WLNParams:
     @classmethod
     def create(cls, store: ParamStore, prefix: str, in_dim: int, hidden: int,
                depth: int, rng: np.random.Generator, variant: str = "concat") -> "WLNParams":
-        _check_positive(depth, "depth")
-        _check_positive(hidden, "hidden")
+        _check_size(depth, "depth", MAX_DEPTH)
+        _check_size(hidden, "hidden")
         if not _projects(variant) and in_dim != hidden:
             raise ValueError(f"a gated network takes its input unprojected, so in_dim "
                              f"({in_dim}) must equal hidden ({hidden})")
@@ -101,7 +104,7 @@ class WLNParams:
                 raise ValueError(f"{store.where}metadata {prefix}.{key}={got} does not match "
                                  f"the model's {expected}")
         depth = store.meta(f"{prefix}.depth", int)
-        _check_positive(depth, f"{store.where}metadata {prefix}.depth")
+        _check_size(depth, f"{store.where}metadata {prefix}.depth", MAX_DEPTH)
         store.meta(f"{prefix}.activation", allowed=("relu",))
         store.meta(f"{prefix}.project", allowed=(str(int(_projects(variant))),))
         tensors = {_FIELDS[name]: store.expect(f"{prefix}.{name}", *shape)
@@ -114,10 +117,11 @@ _FIELDS = {"U1": "u1", "U2": "u2", "W0": "w0", "W1": "w1", "W2": "w2",
            "Win": "w_in", "V": "v", "Vh": "vh", "Vf": "vf"}
 
 
-def _check_positive(value: int, name: str) -> None:
-    """Raise ``ValueError`` unless a network size (rounds, width) is at least 1."""
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+def _check_size(value: int, name: str, most: float = float("inf")) -> None:
+    """Raise ``ValueError`` unless a network size (rounds, width) is in 1..most."""
+    if not 1 <= value <= most:
+        bound = ">= 1" if value < 1 else f"<= {most}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def _projects(variant: str) -> bool:

@@ -14,7 +14,7 @@ from rxnpred.candgen import Candidate, EditSet, enumerate_candidates
 from rxnpred.chemgraph import BondType, merge_graphs
 from rxnpred.datagen import random_molecule
 from rxnpred.pipeline import RunConfig, _build_instances, parse_reaction_line, train_ranker
-from rxnpred.ranker import MAX_UNION_CANDIDATES, RankerModel, rank_candidates, rank_loss
+from rxnpred.ranker import MAX_UNION_CANDIDATES, RankerModel, rank_candidates
 from rxnpred.selfcheck import batched_ranker_suite, permute_graph
 
 VARIANTS = ("wln", "wldn")
@@ -61,11 +61,11 @@ def test_batched_scores_equal_full_graph_reference(instance):
     for variant in VARIANTS:
         model = RankerModel.create(variant, **model_args)
         reference = np.array([selfcheck.reference_score(model, g, c).item() for c in cands])
-        batched = model.score_candidates(g, cands).values[:, 0]
+        batched = model.score_reactions([(g, cands)]).values[:, 0]
         assert bits(batched) == bits(reference)
-        assert model.score_candidates(g, cands[:1]).item() == 0.0
+        assert model.score_reactions([(g, cands[:1])]).item() == 0.0
         with de.no_grad():
-            assert bits(model.score_candidates(g, cands).values[:, 0]) == bits(reference)
+            assert bits(model.score_reactions([(g, cands)]).values[:, 0]) == bits(reference)
 
 
 def gradients(model, loss):
@@ -95,9 +95,10 @@ def test_batched_loss_gradients_match_per_candidate(instance, pick):
     for variant in VARIANTS:
         model = RankerModel.create(variant, **model_args)
         batched, largest_b = gradients(
-            model, rank_loss(model.score_candidates(g, cands), target))
-        reference, largest_r = gradients(model, rank_loss(
-            de.stack_rows([selfcheck.reference_score(model, g, c) for c in cands]), target))
+            model, de.softmax_logloss(model.score_reactions([(g, cands)]), [(target, len(cands))]))
+        reference, largest_r = gradients(model, de.softmax_logloss(
+            de.stack_rows([selfcheck.reference_score(model, g, c) for c in cands]),
+            [(target, len(cands))]))
         # The two routes add the same terms in different orders, so they
         # agree only up to rounding. A gradient entry sums, per embedded
         # graph, one term per atom or directed edge per round. The reference
@@ -126,12 +127,12 @@ def test_rank_candidates_keeps_no_graph_and_matches_training_scores():
     pairs = [(b.u, b.v) for b in g.bonds][:4]
     cands = enumerate_candidates(g, pairs, 2).candidates
     model = RankerModel.create("wldn", hidden=6, depth=2, seed=3)
-    expected = model.score_candidates(g, cands).values[:, 0]
+    expected = model.score_reactions([(g, cands)]).values[:, 0]
     ranked = rank_candidates(g, cands, model)
     assert bits([c.score for c in cands]) == bits(expected)
     assert [c.score for c in ranked] == sorted(expected, reverse=True)
     with de.no_grad():
-        scores = model.score_candidates(g, cands)
+        scores = model.score_reactions([(g, cands)])
     assert not scores._parents and scores._bwd is None
 
 
@@ -146,7 +147,7 @@ def test_reactions_score_as_each_reaction_alone():
         with de.no_grad():
             together = model.score_reactions([(inst.record.reactants, inst.candidates)
                                               for inst in instances])
-        alone = [model.score_candidates(inst.record.reactants, inst.candidates).values
+        alone = [model.score_reactions([(inst.record.reactants, inst.candidates)]).values
                  for inst in instances]
         assert bits(together.values) == bits(np.concatenate(alone))
 
@@ -156,12 +157,16 @@ def test_selfcheck_batched_suite_passes():
     assert result.passed, result.detail
 
 
-def full_reactant_scores(model, g, cands):
-    """:meth:`RankerModel.score_candidates` with every reactant atom
+score_reactions = RankerModel.score_reactions
+
+
+def full_reactant_scores(model, reactions):
+    """:meth:`RankerModel.score_reactions` with every reactant atom
     embedded, unread components included: the same one-union route over
     another read set."""
-    with mock.patch.object(ranker, "read_atoms", lambda _: list(range(g.n_atoms))):
-        return model.score_reactions([(g, cands)])
+    reads = iter([list(range(g.n_atoms)) for g, _ in reactions])
+    with mock.patch.object(ranker, "read_atoms", lambda _: next(reads)):
+        return score_reactions(model, reactions)
 
 
 @st.composite
@@ -198,12 +203,13 @@ def test_unread_components_change_no_score_or_gradient(instance):
             read = {a for c in cands for a in c.delta.atoms}
             assert len(read) < g.n_atoms
             reference = np.array([selfcheck.reference_score(model, g, c).item() for c in cands])
-            batched = model.score_candidates(g, cands)
+            batched = model.score_reactions([(g, cands)])
             assert bits(batched.values[:, 0]) == bits(reference)
-            full = full_reactant_scores(model, g, cands)
+            full = full_reactant_scores(model, [(g, cands)])
             assert bits(full.values) == bits(batched.values)
-            got, _ = gradients(model, rank_loss(batched, len(cands) - 1))
-            want, _ = gradients(model, rank_loss(full, len(cands) - 1))
+            last = [(len(cands) - 1, len(cands))]
+            got, _ = gradients(model, de.softmax_logloss(batched, last))
+            want, _ = gradients(model, de.softmax_logloss(full, last))
             for name in want:
                 assert (got[name] is None) == (want[name] is None), name
                 if want[name] is not None:
@@ -230,7 +236,7 @@ def test_training_with_unread_reagents_matches_full_reactant_route(tmp_path):
         return out.read_bytes(), result.history, sum(embedded)
 
     ckpt, history, atoms = run("read-components")
-    with mock.patch.object(RankerModel, "score_candidates", full_reactant_scores):
+    with mock.patch.object(RankerModel, "score_reactions", full_reactant_scores):
         full_ckpt, full_history, full_atoms = run("full-reactants")
     assert atoms < full_atoms
     assert ckpt == full_ckpt

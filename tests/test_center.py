@@ -353,7 +353,7 @@ class TestLoss:
         g = parse_smiles("CC(=O)N")
 
         def f(_):
-            return center_loss(*model.pair_scores(g), truth((0, 1), (2, 3)))
+            return center_loss(*model.pair_scores([g]), truth((0, 1), (2, 3)))
 
         assert de.grad_check(f, model.store, h=1e-5,
                              rng=np.random.default_rng(0)) < 1e-4

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from rxnpred import diffengine as de
 from rxnpred.center import CenterModel
 from rxnpred.chemgraph import ATOM_FEATURE_DIM
+from rxnpred.pipeline import MAX_ATOMS, RunConfig
 from rxnpred.ranker import RankerModel
+from rxnpred.wln import MAX_DEPTH
 
 
 def fd_check_unary(op, rng, nudge=0.0, rows=None, cols=None, h=1e-6):
@@ -52,8 +54,64 @@ class TestForwardValues:
 
     def test_uniform_softmax_logloss(self):
         for target in range(4):
-            loss = de.softmax_logloss(de.constant(np.zeros((4, 1))), target)
+            loss = de.softmax_logloss(de.constant(np.zeros((4, 1))), [(target, 4)])
             assert abs(loss.item() - math.log(4)) < 1e-15
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(-30, 30), min_size=1, max_size=12), st.integers(0, 10 ** 6))
+    def test_one_list_is_bitwise_the_single_target_form(self, values, pick):
+        def single_target(scores, target):
+            """The loss of one list as a single-target op computes it."""
+            s = scores[:, 0]
+            shift = s - s.max()
+            log_z = math.log(np.exp(shift).sum())
+            grad = np.exp(shift - log_z).reshape(-1, 1)
+            grad[target] -= 1.0
+            return np.array([[log_z - shift[target]]]), grad
+
+        target = pick % len(values)
+        s = de.DTensor(np.array(values).reshape(-1, 1), requires_grad=True)
+        loss = de.softmax_logloss(s, [(target, len(values))])
+        de.backward(loss)
+        want_loss, want_grad = single_target(s.values, target)
+        assert loss.values.tobytes() == want_loss.tobytes()
+        assert s.grad.tobytes() == want_grad.tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 10 ** 6)), min_size=1,
+                    max_size=5), st.integers(0, 2 ** 32 - 1))
+    def test_lists_sum_their_losses_and_keep_their_rows(self, shapes, seed):
+        # Each list's gradient rows are bitwise its own loss's, and the loss
+        # adds the lists' losses in order.
+        lists = [(pick % length, length) for length, pick in shapes]
+        values = np.random.default_rng(seed).normal(scale=5.0, size=(sum(n for _, n in lists), 1))
+        s = de.DTensor(values.copy(), requires_grad=True)
+        loss = de.softmax_logloss(s, lists)
+        de.backward(loss)
+        total, start = 0.0, 0
+        for target, length in lists:
+            own = de.DTensor(values[start:start + length].copy(), requires_grad=True)
+            part = de.softmax_logloss(own, [(target, length)])
+            de.backward(part)
+            total += part.item()
+            assert s.grad[start:start + length].tobytes() == own.grad.tobytes()
+            start += length
+        assert loss.item() == total
+
+    def test_list_targets_and_lengths_are_checked(self):
+        s = de.constant(np.zeros((5, 1)))
+        # a target that would be a row of the next list
+        with pytest.raises(de.ShapeError, match="target 2 is outside its list of 2"):
+            de.softmax_logloss(s, [(2, 2), (0, 3)])
+        with pytest.raises(de.ShapeError, match="target -1 is outside its list of 3"):
+            de.softmax_logloss(s, [(0, 2), (-1, 3)])
+        for lists in ([(0, 2), (0, 2)], [(0, 2), (0, 4)], []):
+            with pytest.raises(de.ShapeError, match=r"column of the lists' \d+ rows, got \(5, 1\)"):
+                de.softmax_logloss(s, lists)
+        with pytest.raises(de.ShapeError, match="need a nonempty column"):
+            de.softmax_logloss(de.constant(np.zeros((0, 1))), [])
+        with pytest.raises(de.ShapeError, match="need a nonempty column"):
+            de.softmax_logloss(de.constant(np.zeros((2, 2))), [(0, 2)])
 
     def test_relu_backward_sign_cases(self):
         x = de.DTensor(np.array([[-1.0, 2.0]]), requires_grad=True)
@@ -145,7 +203,7 @@ class TestOpGradients:
 
         def build(sv):
             s = de.DTensor(sv.copy(), requires_grad=True)
-            return s, de.softmax_logloss(s, 2)
+            return s, de.softmax_logloss(s, [(2, 5)])
 
         s, loss = build(s0)
         de.backward(loss)
@@ -796,6 +854,29 @@ class TestCheckpoints:
     def test_depth_below_one_rejected_at_create(self):
         with pytest.raises(ValueError, match=r"^depth must be >= 1, got 0$"):
             CenterModel.create("local", hidden=8, depth=0)
+
+    @pytest.mark.parametrize("variant, key", [
+        ("global", "wln.depth"), ("wln", "mol.depth"), ("wldn", "diff.depth")])
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 10 ** 9])
+    def test_depth_above_max_rejected_at_load(self, tmp_path, variant, key, depth):
+        # Such a file would otherwise run that many rounds per embedding.
+        model_cls, path = self.saved_with(tmp_path, variant, key, str(depth))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: metadata {key} must be <= {MAX_DEPTH}, got {depth}")):
+            model_cls.load(path)
+
+    def test_depth_bound_at_create_and_in_config(self, tmp_path):
+        # One round per bond of the longest path an accepted molecule can have.
+        assert MAX_DEPTH == MAX_ATOMS - 1
+        for model_cls in (CenterModel, RankerModel):
+            with pytest.raises(ValueError, match=rf"^depth must be <= {MAX_DEPTH}, got 150$"):
+                model_cls.create(model_cls.VARIANTS[0], hidden=2, depth=MAX_DEPTH + 1)
+            path = tmp_path / f"{model_cls.__name__}.ckpt"
+            model_cls.create(model_cls.VARIANTS[-1], hidden=2, depth=MAX_DEPTH).save(path)
+            assert model_cls.load(path).store.metadata  # the bound itself loads
+        assert RunConfig(depth=MAX_DEPTH).depth == MAX_DEPTH
+        with pytest.raises(ValueError, match=f"depth must be at most {MAX_DEPTH}, got 150"):
+            RunConfig(depth=MAX_DEPTH + 1)
 
     @pytest.mark.parametrize("model_cls", [CenterModel, RankerModel])
     @pytest.mark.parametrize("hidden", [0, -1])

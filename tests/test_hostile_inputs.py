@@ -8,9 +8,8 @@ CLI command that reads it, must then succeed or raise ``ValueError``; the
 CLI must end with status 0 or 1, or with one line (a ``SystemExit`` text,
 which the interpreter prints to stderr with status 1). A file that differs
 from the original only by a leading UTF-8 byte-order mark reads as the
-original does. A network depth is
-not mutated: a valid checkpoint of any depth scores, in time proportional to
-the depth.
+original does. The sizes include network depths, which
+``rxnpred.wln.MAX_DEPTH`` bounds, so every mutation scores in bounded time.
 """
 
 import codecs
@@ -33,7 +32,8 @@ from rxnpred.ranker import RankerModel, rank_candidates
 
 REACTANTS = "[CH3:1][C:2](=[O:3])[Cl:4].[NH3:5]"
 DATA = ("\n".join(datagen.toy_reaction_lines(4, seed=0) + ["# toy"]) + "\n").encode()
-CONFIG = "# run settings\nk=4\nmax_changes=2\nhidden=8\nepochs=2\nlr=0.01\nsplit=0.5,0.25,0.25\n"
+CONFIG = ("# run settings\nk=4\nmax_changes=2\nhidden=8\ndepth=2\nepochs=2\nlr=0.01\n"
+          "split=0.5,0.25,0.25\n")
 NON_ASCII = ("\u00e9", "\u2028", "\x85", "\ufeff", "\u0663", "\u00a0")
 SIZES = ("0", "-3", "2.5", "x", "1e3", "9" * 19, "1" + "0" * 40)
 HYPOTHESIS = settings(max_examples=40, deadline=None, derandomize=True, database=None,
@@ -83,15 +83,15 @@ def mutations(original: bytes, sizes: str):
 
 def checkpoint_mutations(path):
     """:func:`mutations` of a checkpoint, plus its first tensor header
-    renamed to each later tensor's name. Sizes: tensor headers and the
-    hidden and input widths."""
+    renamed to each later tensor's name. Sizes: tensor headers, the hidden
+    and input widths and the network depths."""
     original = path.read_bytes()
     lines = original.decode().split("\n")
     first, *later = [i for i, line in enumerate(lines) if re.fullmatch(r"\S+ \d+ \d+", line)]
     _, rows, cols = lines[first].split()
     renamed = ["\n".join(lines[:first] + [f"{lines[i].split()[0]} {rows} {cols}"]
                          + lines[first + 1:]).encode() for i in later]
-    return st.one_of(mutations(original, r"^\S+ \d+ \d+$|hidden=|in_dim="),
+    return st.one_of(mutations(original, r"^\S+ \d+ \d+$|hidden=|in_dim=|depth="),
                      st.sampled_from(renamed))
 
 
@@ -151,8 +151,8 @@ def test_mutated_config_parses_or_raises_value_error(files, data):
     bad = files / "mutated.cfg"
     bad.write_bytes(data)
     if is_original(data, CONFIG.encode()):
-        assert RunConfig.from_file(bad) == RunConfig(k=4, max_changes=2, hidden=8, epochs=2,
-                                                     lr=0.01, split=(0.5, 0.25, 0.25))
+        assert RunConfig.from_file(bad) == RunConfig(k=4, max_changes=2, hidden=8, depth=2,
+                                                     epochs=2, lr=0.01, split=(0.5, 0.25, 0.25))
     assert_value_error_or_success(lambda: RunConfig.from_file(bad))
     assert_cli_contract(["predict", REACTANTS, "--config", str(bad), "--model",
                          str(files / "center.ckpt"), "--model", str(files / "ranker.ckpt")])

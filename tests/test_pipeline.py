@@ -489,7 +489,8 @@ class TestEvaluate:
         assert records and len(records) < len(all_records)
 
         class OracleRanker:
-            def score_candidates(self, g, cands):
+            def score_reactions(self, reactions):
+                (g, cands), = reactions
                 truth = next(r.true_edits for r in all_records if r.reactants is g)
                 return de.constant([[1.0 if c.edits == truth else 0.0] for c in cands])
 
@@ -506,7 +507,8 @@ class TestEvaluate:
         targets = {id(r): rank for r, rank in zip(records, (1, 2, 4))}
 
         class RiggedRanker:
-            def score_candidates(self, g, cands):
+            def score_reactions(self, reactions):
+                (g, cands), = reactions
                 rec = next(r for r in records if r.reactants is g)
                 target = targets[id(rec)]
                 others = iter(range(1, len(cands) + 1))

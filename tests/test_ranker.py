@@ -7,7 +7,7 @@ from helpers import graph_distance, random_permutation
 from rxnpred import diffengine as de
 from rxnpred.candgen import Candidate, EditSet, enumerate_candidates
 from rxnpred.chemgraph import ATOM_FEATURE_DIM, BondType, parse_smiles
-from rxnpred.ranker import RankerModel, rank_candidates, rank_loss, rank_reactions
+from rxnpred.ranker import RankerModel, rank_candidates, rank_reactions
 from rxnpred.selfcheck import difference_vectors, permute_graph
 from rxnpred.wln import FIXED_METADATA, WLNParams
 
@@ -53,7 +53,7 @@ class TestScoring:
         g = parse_smiles("CC(=O)c1ccccc1.OCC")
         for variant in ("wln", "wldn"):
             model = RankerModel.create(variant, hidden=8, depth=3, seed=3)
-            score = model.score_candidates(g, [identity_candidate(g)]).item()
+            score = model.score_reactions([(g, [identity_candidate(g)])]).item()
             assert score == 0.0
 
     def test_joint_permutation_invariance_exact(self):
@@ -62,23 +62,23 @@ class TestScoring:
         edits = EditSet.of([(1, 2, BondType.SINGLE), (1, 6, BondType.SINGLE)])
         for variant in ("wln", "wldn"):
             model = RankerModel.create(variant, hidden=8, depth=2, seed=5)
-            base = model.score_candidates(g, [Candidate(edits, g)]).item()
+            base = model.score_reactions([(g, [Candidate(edits, g)])]).item()
             for _ in range(5):
                 perm = random_permutation(rng, g.n_atoms)
                 pg = permute_graph(g, perm)
                 p_edits = EditSet.of([(perm[e.u], perm[e.v], e.bond_type)
                                       for e in edits])
-                score = model.score_candidates(pg, [Candidate(p_edits, pg)]).item()
+                score = model.score_reactions([(pg, [Candidate(p_edits, pg)])]).item()
                 assert score == base
 
     def test_wldn_and_sumpool_disagree_on_adjacent_changes(self):
         g = parse_smiles("CC=CCCC")
         cand = Candidate(EditSet.of([(1, 2, BondType.SINGLE),
                                      (2, 3, BondType.DOUBLE)]), g)
-        wln_score = RankerModel.create("wln", hidden=8, depth=2, seed=6).score_candidates(
-            g, [cand]).item()
-        wldn_score = RankerModel.create("wldn", hidden=8, depth=2, seed=6).score_candidates(
-            g, [cand]).item()
+        wln_score = RankerModel.create("wln", hidden=8, depth=2, seed=6).score_reactions(
+            [(g, [cand])]).item()
+        wldn_score = RankerModel.create("wldn", hidden=8, depth=2, seed=6).score_reactions(
+            [(g, [cand])]).item()
         assert wln_score != wldn_score
 
     def test_sumpool_twins_with_matching_differences_score_equal(self):
@@ -89,28 +89,29 @@ class TestScoring:
         g = parse_smiles("CC=CCCC.CC=CCCC")
         edit_a = Candidate(EditSet.of([(1, 2, BondType.SINGLE)]), g)
         edit_b = Candidate(EditSet.of([(7, 8, BondType.SINGLE)]), g)
-        score_a = model.score_candidates(g, [edit_a]).item()
-        score_b = model.score_candidates(g, [edit_b]).item()
+        score_a = model.score_reactions([(g, [edit_a])]).item()
+        score_b = model.score_reactions([(g, [edit_b])]).item()
         assert score_a == score_b
 
 
 class TestRankLoss:
     def test_single_candidate_zero_loss(self):
-        assert rank_loss(de.constant([[2.5]]), 0).item() == 0.0
+        assert de.softmax_logloss(de.constant([[2.5]]), [(0, 1)]).item() == 0.0
 
     def test_uniform_scores(self):
         for m in (1, 3, 7):
             scores = de.constant(np.full((m + 1, 1), 0.4))
-            assert abs(rank_loss(scores, 0).item() - math.log(m + 1)) < 1e-12
+            assert abs(de.softmax_logloss(scores, [(0, m + 1)]).item()
+                       - math.log(m + 1)) < 1e-12
 
     def test_hand_computed_value(self):
         scores = de.constant([[1.0], [0.0], [0.0]])
         expected = math.log(1.0 + 2.0 * math.exp(-1.0))
-        assert abs(rank_loss(scores, 0).item() - expected) < 1e-12
+        assert abs(de.softmax_logloss(scores, [(0, 3)]).item() - expected) < 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            rank_loss(de.constant(np.zeros((0, 1))), 0)
+            de.softmax_logloss(de.constant(np.zeros((0, 1))), [(0, 0)])
 
     def test_loss_decreases_under_overfit_steps(self):
         model = RankerModel.create("wln", hidden=8, depth=2, seed=7)
@@ -122,7 +123,7 @@ class TestRankLoss:
         losses = []
         for _ in range(30):
             model.store.zero_grads()
-            loss = rank_loss(model.score_candidates(g, cands), 0)
+            loss = de.softmax_logloss(model.score_reactions([(g, cands)]), [(0, len(cands))])
             losses.append(loss.item())
             de.backward(loss)
             de.adam_step(model.store, adam)
@@ -133,8 +134,8 @@ class TestRankLoss:
 class TestRanking:
     def test_stable_order_on_equal_scores(self):
         class FlatModel:
-            def score_candidates(self, g, cands):
-                return de.constant(np.ones((len(cands), 1)))
+            def score_reactions(self, reactions):
+                return de.constant(np.ones((sum(len(cands) for _, cands in reactions), 1)))
 
         g = parse_smiles("CCO")
         cands = [Candidate(EditSet.of([(0, 1, BondType.NONE)]), g),
@@ -173,7 +174,7 @@ class TestRanking:
         # reaction then has no answer, rejects an empty list.
         model = RankerModel.create(variant, hidden=8, depth=2, seed=9)
         g = parse_smiles("CCO")
-        assert model.score_candidates(g, []).shape == (0, 1)
+        assert model.score_reactions([(g, [])]).shape == (0, 1)
         assert model.score_reactions([]).shape == (0, 1)
         assert rank_reactions([], model) == []
 
@@ -238,8 +239,8 @@ class TestCheckpointLayout:
         cands = enumerate_candidates(g, [(1, 3), (3, 4), (1, 2), (0, 5)],
                                      2).candidates
         assert len(cands) > 5
-        a = from_old.score_candidates(g, cands).values
-        b = from_new.score_candidates(g, cands).values
+        a = from_old.score_reactions([(g, cands)]).values
+        b = from_new.score_reactions([(g, cands)]).values
         assert a.tobytes() == b.tobytes()
         from_old.save(again)
         assert again.read_bytes() == old.read_bytes()

@@ -9,17 +9,18 @@ by size then position, assignments in bond-alphabet order.
 
 The cost follows the edited atoms, not the molecule: an edit set is built
 only for an assignment that passes, and a candidate's product only as a
-delta over the reactant components that hold an edited atom, on first use.
+delta over the reactant components that hold an edited atom, for its whole
+list at once, on first use.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .chemgraph import (BondType, EditDelta, MolGraph, apply_edits, edit_delta, make_graph,
-                        valence_limit)
+from .chemgraph import (BondType, EditDelta, EditDeltas, MolGraph, apply_edits, edit_deltas,
+                        make_graph, valence_limit)
 
 __all__ = [
     "BOND_ALPHABET",
@@ -28,6 +29,7 @@ __all__ = [
     "EditSet",
     "EnumerationResult",
     "MAX_CANDIDATES",
+    "candidate_deltas",
     "connectivity_ok",
     "enumerate_candidates",
 ]
@@ -81,18 +83,20 @@ class EditSet:
 class Candidate:
     """One candidate outcome: an edit set over the reactants.
 
-    Its :class:`~rxnpred.chemgraph.EditDelta` (the edit-local product as
-    changes to the reactants' codes), which the ranker embeds, is built on
-    first use and cached, and so is the full product graph. The edit-local
-    product graph, which ``predict`` writes, is built from the delta on
-    each access: the one builder of that graph."""
+    Its edit-local product as changes to the reactants' codes, which the
+    ranker embeds, is built for the candidate's whole list at once
+    (:func:`candidate_deltas`) and cached; :attr:`delta` is the
+    candidate's slice. The full product graph is built on first use and
+    cached. The edit-local product graph, which ``predict`` writes, is
+    built from the delta on each access: the one builder of that graph."""
 
-    __slots__ = ("edits", "_reactants", "_delta", "_product", "score")
+    __slots__ = ("edits", "_reactants", "_deltas", "_index", "_product", "score")
 
     def __init__(self, edits: EditSet, reactants: MolGraph):
         self.edits = edits
         self._reactants = reactants
-        self._delta: EditDelta | None = None
+        self._deltas: EditDeltas | None = None
+        self._index = 0  # the candidate's row of _deltas
         self._product: MolGraph | None = None
         self.score: float | None = None
 
@@ -104,9 +108,11 @@ class Candidate:
 
     @property
     def delta(self) -> EditDelta:
-        if self._delta is None:
-            self._delta = edit_delta(self._reactants, self.edits)
-        return self._delta
+        """This candidate's :class:`~rxnpred.chemgraph.EditDelta`, from
+        its list's deltas, or a list of its own when it has none."""
+        if self._deltas is None:
+            candidate_deltas(self._reactants, [self])
+        return self._deltas[self._index]
 
     @property
     def local_product(self) -> MolGraph:
@@ -115,10 +121,25 @@ class Candidate:
         reactant component left untouched."""
         d = self.delta
         return make_graph([self._reactants.atoms[a] for a in d.atoms],
-                          ((u, v, BondType(t)) for u, v, t in d.bond_triples()))
+                          ((u, v, BondType(t)) for u, v, t in d.bonds))
 
     def __repr__(self) -> str:
         return f"Candidate({list(self.edits)}, score={self.score})"
+
+
+def candidate_deltas(reactants: MolGraph, candidates: Sequence[Candidate]) -> EditDeltas:
+    """The :class:`~rxnpred.chemgraph.EditDeltas` of ``candidates``, in
+    order, over ``reactants``: the candidates' own when they hold one list's
+    deltas in this order, otherwise one :func:`~rxnpred.chemgraph.edit_deltas`
+    call over the list, which the candidates then hold."""
+    deltas = candidates[0]._deltas if candidates else None
+    if deltas is not None and len(deltas) == len(candidates) and all(
+            cand._deltas is deltas and cand._index == i for i, cand in enumerate(candidates)):
+        return deltas
+    deltas = edit_deltas(reactants, [cand.edits for cand in candidates])
+    for i, cand in enumerate(candidates):
+        cand._deltas, cand._index = deltas, i
+    return deltas
 
 
 @dataclass

@@ -322,8 +322,11 @@ def top_k_pairs(scores: np.ndarray, k: int) -> list[tuple[int, int]]:
     if not np.isfinite(s).all():
         raise ValueError("top_k_pairs: non-finite pair score")
     # upper_pairs lists pairs lexicographically, so a stable sort on the
-    # score alone breaks ties by index.
-    top = np.argsort(-s, kind="stable")[:k]
+    # score alone breaks ties by index. Only the scores at or above the k-th
+    # highest can be among the top k: they are sorted, in index order.
+    keep = (np.flatnonzero(s >= np.partition(s, len(s) - k)[len(s) - k]) if k < len(s)
+            else np.arange(len(s)))
+    top = keep[np.argsort(-s[keep], kind="stable")[:k]]
     return [tuple(p) for p in pairs[top].tolist()]
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -26,6 +25,7 @@ __all__ = [
     "Bond",
     "BondType",
     "EditDelta",
+    "EditDeltas",
     "GraphCodes",
     "MolGraph",
     "SmilesError",
@@ -35,8 +35,7 @@ __all__ = [
     "atom_feature_matrix",
     "bond_feature_rows",
     "bond_features",
-    "delta_union_arrays",
-    "edit_delta",
+    "edit_deltas",
     "induced_subgraph",
     "make_graph",
     "merge_graphs",
@@ -270,11 +269,11 @@ def _implicit_h(row: Sequence[int]) -> int:
     return max(0, row[_H_BUDGET] - row[_HALF] // 2)
 
 
-def _conjugated(bond_type: int, row_u: Sequence[int], row_v: Sequence[int]) -> bool:
+def _conjugated(bond_type, multiple_u, multiple_v):
     """The conjugation flag of a bond of type value ``bond_type`` between
-    atoms with counts ``row_u`` and ``row_v``: aromatic, or both atoms carry
-    a multiple bond."""
-    return bond_type == _AROMATIC_TYPE or (row_u[_MULTIPLE] > 0 and row_v[_MULTIPLE] > 0)
+    atoms with ``multiple_u`` and ``multiple_v`` multiple bonds: aromatic, or
+    both atoms carry a multiple bond. Takes ints or arrays."""
+    return (bond_type == _AROMATIC_TYPE) | ((multiple_u > 0) & (multiple_v > 0))
 
 
 def _rings_and_components(adjacency: list[list[tuple[int, int]]], n_bonds: int
@@ -707,7 +706,8 @@ def bond_features(g: MolGraph, bond_index: int) -> np.ndarray:
     u, v, bond_type = g.bonds[bond_index]
     f = np.zeros(BOND_FEATURE_DIM)
     f[bond_type.value - 1] = 1.0
-    f[4] = 1.0 if _conjugated(bond_type.value, g.counts[u], g.counts[v]) else 0.0
+    f[4] = 1.0 if _conjugated(bond_type.value, g.counts[u][_MULTIPLE],
+                              g.counts[v][_MULTIPLE]) else 0.0
     f[5] = 1.0 if g.in_ring[bond_index] else 0.0
     return f
 
@@ -734,16 +734,18 @@ _BOND_ROWS = np.array([[float(t == k % 4) for t in range(4)] + [float(k // 4 % 2
                        for k in range(16)])
 
 
-def _atom_columns(row: Sequence[int]) -> tuple[int, int, int, int, int]:
-    """The five feature columns that an atom's :func:`atom_features` row sets
-    to 1.0, from its counts; the last is :data:`_NO_COLUMN` for a
-    non-aromatic atom. An edit changes an atom's columns through its degree
-    and half-order sum alone."""
-    implicit = _implicit_h(row)
-    return (row[_ELEMENT], _DEGREE_BASE + min(row[_DEGREE], _DEGREE_SLOTS - 1),
-            _TOTAL_H_BASE + min(row[_EXPLICIT_H] + implicit, _TOTAL_H_SLOTS - 1),
-            _IMPLICIT_BASE + min(implicit, _IMPLICIT_SLOTS - 1),
-            ATOM_FEATURE_DIM - 1 if row[_AROMATIC] else _NO_COLUMN)
+def _atom_columns(counts: np.ndarray) -> np.ndarray:
+    """The five feature columns that each atom's :func:`atom_features` row
+    sets to 1.0, from its counts (one row of :attr:`MolGraph.counts` each);
+    the last is :data:`_NO_COLUMN` for a non-aromatic atom. An edit changes
+    an atom's columns through its degree and half-order sum alone."""
+    implicit = np.maximum(0, counts[:, _H_BUDGET] - counts[:, _HALF] // 2)
+    return np.stack([
+        counts[:, _ELEMENT],
+        _DEGREE_BASE + np.minimum(counts[:, _DEGREE], _DEGREE_SLOTS - 1),
+        _TOTAL_H_BASE + np.minimum(counts[:, _EXPLICIT_H] + implicit, _TOTAL_H_SLOTS - 1),
+        _IMPLICIT_BASE + np.minimum(implicit, _IMPLICIT_SLOTS - 1),
+        np.where(counts[:, _AROMATIC] > 0, ATOM_FEATURE_DIM - 1, _NO_COLUMN)], axis=1)
 
 
 def _bond_code(bond_type, conjugated, in_ring):
@@ -754,42 +756,48 @@ def _bond_code(bond_type, conjugated, in_ring):
 
 @dataclass(frozen=True, eq=False)
 class GraphCodes:
-    """A graph as integer codes: what feature rows and edit deltas read,
-    with the graph's :attr:`MolGraph.counts`.
+    """A graph as integer arrays: what feature rows and edit deltas read.
 
-    ``columns[i]`` lists atom i's feature columns (:func:`_atom_columns`). ``bonds``
-    is (m, 4): u, v, ``BondType`` value and feature code (:func:`_bond_code`).
-    ``comp_atoms[c]`` lists component c's atoms ascending, and
-    ``comp_bonds[c]`` its bonds in bond order as (bond, u, v, type value,
-    conjugated).
+    ``counts`` is (n, 7), the graph's :attr:`MolGraph.counts`; ``columns``
+    is (n, 5), each atom's feature columns (:func:`_atom_columns`);
+    ``component`` holds each atom's component id; ``bonds`` is (m, 4): u,
+    v, ``BondType`` value and feature code (:func:`_bond_code`); and
+    ``comp_atoms[c]`` lists component c's atoms ascending.
     """
 
-    columns: list[tuple[int, int, int, int, int]]
+    counts: np.ndarray
+    columns: np.ndarray
+    component: np.ndarray
     bonds: np.ndarray
     comp_atoms: list[list[int]]
-    comp_bonds: list[list[tuple[int, int, int, int, bool]]]
 
     @classmethod
     def of(cls, g: MolGraph) -> "GraphCodes":
+        counts = np.array(g.counts, dtype=np.intp).reshape(-1, 7)
+        u, v, t = np.array([(u, v, bt.value) for u, v, bt in g.bonds],
+                           dtype=np.intp).reshape(-1, 3).T
+        conj = _conjugated(t, counts[u, _MULTIPLE], counts[v, _MULTIPLE])
+        code = _bond_code(t, conj, np.array(g.in_ring, dtype=np.intp))
         comp_atoms: list[list[int]] = [[] for _ in range(g.n_components)]
         for i, c in enumerate(g.component):
             comp_atoms[c].append(i)
-        comp_bonds: list[list[tuple[int, int, int, int, bool]]] = [[] for _ in comp_atoms]
-        bonds = []
-        for bi, (u, v, bond_type) in enumerate(g.bonds):
-            t = bond_type.value
-            conj = _conjugated(t, g.counts[u], g.counts[v])
-            comp_bonds[g.component[u]].append((bi, u, v, t, conj))
-            bonds.append((u, v, t, _bond_code(t, conj, g.in_ring[bi])))
-        return cls([_atom_columns(row) for row in g.counts],
-                   np.array(bonds, dtype=np.intp).reshape(-1, 4), comp_atoms, comp_bonds)
+        return cls(counts, _atom_columns(counts), np.array(g.component, dtype=np.intp),
+                   np.stack([u, v, t, code], axis=1), comp_atoms)
 
     @cached_property
     def inputs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The :func:`_directed` arrays of the whole graph, built on first use."""
-        columns = np.array(self.columns, dtype=np.intp).reshape(-1, 5)
         b = self.bonds
-        return _directed(atom_feature_rows(columns), b[:, 0], b[:, 1], b[:, 3])
+        return _directed(atom_feature_rows(self.columns), b[:, 0], b[:, 1], b[:, 3])
+
+    @cached_property
+    def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each bonded pair's key ``u * n + v``, ascending, and its bond; a
+        last key ``n * n``, above every pair's, has bond -1."""
+        n = len(self.counts)
+        keys = self.bonds[:, 0] * n + self.bonds[:, 1]
+        order = np.argsort(keys)
+        return np.append(keys[order], n * n), np.append(order, -1)
 
 
 def atom_feature_rows(columns: np.ndarray) -> np.ndarray:
@@ -831,87 +839,172 @@ def part_arrays(g: MolGraph, atoms: Sequence[int]
 
 
 class EditDelta(NamedTuple):
-    """An edit set's edit-local product, the components of
-    :func:`apply_edits`'s product that hold an edited atom, as codes derived
-    from the reactants' codes and counts, without a graph: the local atoms
-    with their feature columns, the product's bonds over them, and the local
-    component ids. Only edited atoms get new counts and columns, only edited
-    pairs new types, and only bonds at edited atoms new conjugation flags."""
+    """One edit set's slice of :class:`EditDeltas`, numbered from 0: the
+    reactant atom of each local atom, the product's bonds over the local
+    atoms as (u, v, ``BondType`` value) in order, and each local atom's
+    local component id."""
 
-    atoms: list[int]          # reactant atom of each local atom, ascending
-    columns: list[int]        # five feature columns per local atom
-    bonds: list[int]          # local u, local v, type value, conjugated: per bond, in order
-    in_ring: list[bool]       # per bond
-    component: list[int]      # local component id of each local atom
-
-    def bond_triples(self) -> Iterable[tuple[int, int, int]]:
-        """Each bond's local u, local v and ``BondType`` value, in order."""
-        return zip(self.bonds[0::4], self.bonds[1::4], self.bonds[2::4])
+    atoms: list[int]
+    bonds: list[tuple[int, int, int]]
+    component: list[int]
 
 
-def edit_delta(reactants: MolGraph, edits: Iterable) -> EditDelta:
-    """The :class:`EditDelta` of ``edits`` over ``reactants``.
+@dataclass(frozen=True, eq=False)
+class EditDeltas:
+    """The edit-local products of a list of edit sets over one reactant
+    graph (:func:`edit_deltas`), stacked: set i's local atoms are rows
+    ``atom_offsets[i]:atom_offsets[i + 1]`` of ``atoms``, ``columns`` and
+    ``component``, and its bonds rows ``bond_offsets[i]:bond_offsets[i + 1]``
+    of ``bonds``, whose endpoints index the stacked local atoms."""
 
-    Its local atoms are those of the reactant components that hold an
-    edited atom, found from the component ids: each piece of a split
-    component keeps an endpoint of a deleted bond, and an untouched
-    component stays as it was. Bonds keep the reactants' order and created
-    bonds follow, sorted by pair, as in :func:`apply_edits`. Ring flags and
-    component ids come from a bridge search over the local bonds alone.
-    Validates as :func:`apply_edits` does.
+    atom_offsets: np.ndarray  # (sets + 1,)
+    atoms: np.ndarray         # reactant atom of each local atom, ascending per set
+    columns: np.ndarray       # (local atoms, 5): feature columns
+    component: np.ndarray     # local component id of each local atom
+    bond_offsets: np.ndarray  # (sets + 1,)
+    bonds: np.ndarray         # (bonds, 4): u, v, BondType value, feature code
+
+    def __len__(self) -> int:
+        return len(self.atom_offsets) - 1
+
+    def __getitem__(self, i: int) -> EditDelta:
+        a0 = self.atom_offsets[i]
+        b = self.bonds[self.bond_offsets[i]:self.bond_offsets[i + 1]]
+        return EditDelta(self.atoms[a0:self.atom_offsets[i + 1]].tolist(),
+                         list(zip((b[:, 0] - a0).tolist(), (b[:, 1] - a0).tolist(),
+                                  b[:, 2].tolist())),
+                         self.component[a0:self.atom_offsets[i + 1]].tolist())
+
+    def arrays(self, start: int = 0, stop: int | None = None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`_directed` arrays of the disjoint union of sets
+        ``start:stop``'s edit-local products, each numbered after the
+        previous ones: slices of the stacked arrays and one one-hot."""
+        stop = len(self) if stop is None else stop
+        a0, a1 = self.atom_offsets[start], self.atom_offsets[stop]
+        b = self.bonds[self.bond_offsets[start]:self.bond_offsets[stop]]
+        return _directed(atom_feature_rows(self.columns[a0:a1]), b[:, 0] - a0, b[:, 1] - a0,
+                         b[:, 3])
+
+
+# Per BondType value: is a bond, half order, is a multiple bond.
+_BOND_STEPS = np.array([[int(t > 0), _HALF_BY_VALUE[t], _MULTIPLE_BY_VALUE[t]]
+                        for t in range(5)])
+
+
+def edit_deltas(reactants: MolGraph, edit_sets: Sequence[Iterable]) -> EditDeltas:
+    """The :class:`EditDeltas` of ``edit_sets`` over ``reactants``, from
+    the reactants' codes in one pass over the whole list: each set's
+    edit-local product, the components of :func:`apply_edits`'s product
+    that hold an edited atom.
+
+    A set's local atoms are those of the reactant components that hold an
+    edited atom: each piece of a split component keeps an endpoint of a
+    deleted bond, and an untouched component stays as it was. Bonds keep
+    the reactants' order and created bonds follow, sorted by pair, as in
+    :func:`apply_edits`. Edited atoms get new counts, hence new feature
+    columns and conjugation flags at their bonds. Component ids come from
+    :func:`_lowest_atoms` and ring flags from :func:`_ring_flags`, over the
+    stacked bonds of all sets at once. Validates as :func:`apply_edits`
+    does: the first invalid edit raises its message.
     """
-    changes = {pair: t.value for pair, t in _bond_changes(reactants, edits).items()}
-    codes, counts = reactants.codes, reactants.counts
-    comps = sorted({reactants.component[a] for pair in changes for a in pair})
-    if len(comps) == 1:
-        atoms, comp_bonds = codes.comp_atoms[comps[0]], codes.comp_bonds[comps[0]]
-    else:
-        atoms = sorted(chain.from_iterable(codes.comp_atoms[c] for c in comps))
-        comp_bonds = sorted(chain.from_iterable(codes.comp_bonds[c] for c in comps))
-    edited: dict[int, list[int]] = {}  # edited atom -> its counts after the edits
-    for (u, v), new in changes.items():
-        old = reactants.bond_type_between(u, v).value
-        for a in (u, v):
-            row = edited.get(a) or edited.setdefault(a, counts[a].copy())
-            row[_DEGREE] += (new != 0) - (old != 0)
-            row[_HALF] += _HALF_BY_VALUE[new] - _HALF_BY_VALUE[old]
-            row[_MULTIPLE] += _MULTIPLE_BY_VALUE[new] - _MULTIPLE_BY_VALUE[old]
-    created = [(-1, u, v, 0, False) for u, v in sorted(changes)
-               if (u, v) not in reactants.bond_index]
-    index = {a: i for i, a in enumerate(atoms)}
-    flat: list[int] = []
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in atoms]
-    for _, u, v, bond_type, conj in chain(comp_bonds, created):
-        bond_type = changes.get((u, v), bond_type)
-        if not bond_type:
-            continue
-        if u in edited or v in edited:
-            conj = _conjugated(bond_type, edited.get(u) or counts[u], edited.get(v) or counts[v])
-        a, b = index[u], index[v]
-        adjacency[a].append((b, len(flat) // 4))
-        adjacency[b].append((a, len(flat) // 4))
-        flat += (a, b, bond_type, conj)
-    in_ring, component = _rings_and_components(adjacency, len(flat) // 4)
-    columns = list(chain.from_iterable(map(codes.columns.__getitem__, atoms)))
-    for a, row in edited.items():
-        columns[5 * index[a]:5 * index[a] + 5] = _atom_columns(row)
-    return EditDelta(atoms, columns, flat, in_ring, component)
+    codes, n = reactants.codes, reactants.n_atoms
+    flat = [(i, u, v, t.value) for i, edits in enumerate(edit_sets) for u, v, t in edits]
+    owner, a, b, new = np.array(flat, dtype=np.intp).reshape(-1, 4).T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keys, bond_of = codes.pair_index
+    pair = lo * n + hi
+    at = np.searchsorted(keys, pair)
+    bond = np.where(keys[at] == pair, bond_of[at], -1)
+    old = np.append(codes.bonds[:, 2], 0)[bond]
+    # Sorted by set, then pair: a set's repeated pairs are neighbors.
+    key = owner * (n * n) + pair
+    order = np.argsort(key, kind="stable")
+    repeated = np.zeros(len(flat), dtype=bool)
+    repeated[order[1:]] = np.diff(key[order]) == 0
+    bad = (lo < 0) | (hi >= n) | (lo == hi) | (new == old) | repeated
+    if bad.any():  # the first bad set's own check raises its first bad edit's message
+        _bond_changes(reactants, edit_sets[owner[bad.argmax()]])
+
+    touched = np.zeros((len(edit_sets), reactants.n_components), dtype=bool)
+    touched[owner, codes.component[lo]] = touched[owner, codes.component[hi]] = True
+    local = touched[:, codes.component]           # (sets, n): each set's local atoms
+    index = (np.cumsum(local) - 1).reshape(local.shape)  # their rows in the stack
+    atom_owner, atoms = np.nonzero(local)
+    counts = codes.counts[atoms]
+    step = _BOND_STEPS[new] - _BOND_STEPS[old]
+    np.add.at(counts, (np.concatenate([index[owner, lo], index[owner, hi]])[:, None],
+                       [_DEGREE, _HALF, _MULTIPLE]), np.concatenate([step, step]))
+
+    bu, bv = codes.bonds[:, 0], codes.bonds[:, 1]
+    types = np.where(local[:, bu], codes.bonds[:, 2], 0)  # (sets, m), 0 where deleted
+    retyped = bond >= 0
+    types[owner[retyped], bond[retyped]] = new[retyped]
+    kept_owner, kept = np.nonzero(types)
+    created = order[bond[order] < 0]
+    # Kept bonds first, in the reactants' order, then created ones, by pair.
+    bond_owner = np.concatenate([kept_owner, owner[created]])
+    by_set = np.argsort(bond_owner, kind="stable")
+    u = np.concatenate([index[kept_owner, bu[kept]], index[owner[created], lo[created]]])[by_set]
+    v = np.concatenate([index[kept_owner, bv[kept]], index[owner[created], hi[created]]])[by_set]
+    t = np.concatenate([types[kept_owner, kept], new[created]])[by_set]
+    conj = _conjugated(t, counts[u, _MULTIPLE], counts[v, _MULTIPLE])
+    root = _lowest_atoms(len(atoms), u, v)
+    in_ring = _ring_flags(len(atoms), u, v, root)
+    sets = np.arange(len(edit_sets) + 1)
+    atom_offsets = np.searchsorted(atom_owner, sets)
+    # Components are numbered by their lowest atom, a set's first atom lowest of all.
+    number = np.cumsum(root == np.arange(len(atoms))) - 1
+    component = number[root] - number[atom_offsets[atom_owner]]
+    return EditDeltas(atom_offsets, atoms, _atom_columns(counts), component,
+                      np.searchsorted(bond_owner[by_set], sets),
+                      np.stack([u, v, t, _bond_code(t, conj, in_ring)], axis=1))
 
 
-def delta_union_arrays(deltas: Sequence[EditDelta]
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_directed` arrays of the disjoint union of the deltas'
-    edit-local products, each numbered after the previous ones, from their
-    codes: one concatenation of the atoms' feature columns and one of the
-    bonds, then one one-hot."""
-    columns = np.fromiter(chain.from_iterable(d.columns for d in deltas), np.intp)
-    bonds = np.fromiter(chain.from_iterable(d.bonds for d in deltas), np.intp).reshape(-1, 4)
-    in_ring = np.fromiter(chain.from_iterable(d.in_ring for d in deltas), np.intp)
-    offsets = np.array(list(accumulate((len(d.atoms) for d in deltas), initial=0))[:-1],
-                       dtype=np.intp)
-    shift = np.repeat(offsets, [len(d.in_ring) for d in deltas])
-    return _directed(atom_feature_rows(columns.reshape(-1, 5)), bonds[:, 0] + shift,
-                     bonds[:, 1] + shift, _bond_code(bonds[:, 2], bonds[:, 3], in_ring))
+def _lowest_atoms(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per atom of the graph of ``n`` atoms and bonds ``(u, v)``, the lowest
+    atom of its component: each atom takes the lowest label among its own
+    and its neighbors', then its label's label, until no label moves."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[u], label[v])
+        hooked = label.copy()
+        np.minimum.at(hooked, u, low)
+        np.minimum.at(hooked, v, low)
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
+
+
+def _ring_flags(n: int, u: np.ndarray, v: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """Per bond of the graph of ``n`` atoms and bonds ``(u, v)``, whether it
+    lies on a ring; ``root`` holds each atom's :func:`_lowest_atoms`.
+
+    Leaf pruning strips every bond off a ring, except bridges between
+    cycles: what remains of a component with one independent cycle is that
+    cycle. A component with more than one (bonds - atoms + 1 > 1) gets a
+    bridge search (:func:`_rings_and_components`) over its remaining bonds.
+    """
+    ring = np.ones(len(u), dtype=bool)
+    degree = np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+    while True:
+        leaf = ring & ((degree[u] == 1) | (degree[v] == 1))
+        if not leaf.any():
+            break
+        ring &= ~leaf
+        degree -= np.bincount(u[leaf], minlength=n) + np.bincount(v[leaf], minlength=n)
+    cycles = np.bincount(root[u], minlength=n) - np.bincount(root, minlength=n) + 1
+    hard = ring & (cycles[root[u]] > 1)
+    if hard.any():
+        atoms, ends = np.unique(np.concatenate([u[hard], v[hard]]), return_inverse=True)
+        m = int(hard.sum())
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in atoms]
+        for bi, (x, y) in enumerate(zip(ends[:m].tolist(), ends[m:].tolist())):
+            adjacency[x].append((y, bi))
+            adjacency[y].append((x, bi))
+        ring[hard] = _rings_and_components(adjacency, m)[0]
+    return ring
 
 
 def with_map_numbers(g: MolGraph) -> MolGraph:
@@ -974,7 +1067,7 @@ def apply_edits(reactants: MolGraph, edits: Iterable) -> MolGraph:
 
 def _bond_changes(reactants: MolGraph, edits: Iterable) -> dict[tuple[int, int], BondType]:
     """Validated edits as (u, v) with u < v -> new bond type: the one check
-    of :func:`apply_edits` and :func:`edit_delta`."""
+    of :func:`apply_edits`, and the messages of :func:`edit_deltas`."""
     n = reactants.n_atoms
     changes: dict[tuple[int, int], BondType] = {}
     for u, v, new_type in edits:

@@ -607,8 +607,11 @@ class _ProductMatcher:
         codes = reactants.codes
         comps = sorted({reactants.component[i] for i in self._mapped})
         self._sizes = {c: len(codes.comp_atoms[c]) for c in comps}
-        self._comp_types = {c: _type_counts(t for _, _, _, t, _ in codes.comp_bonds[c])
-                            for c in comps}
+        self._comp_types = {c: [0] * len(BondType) for c in comps}
+        for bond in reactants.bonds:
+            types = self._comp_types.get(reactants.component[bond.u])
+            if types is not None:
+                types[bond.bond_type.value] += 1
         self._types = _type_counts(b.bond_type.value for b in rec.product.bonds)
 
     def __call__(self, cand: Candidate) -> bool:
@@ -624,7 +627,7 @@ class _ProductMatcher:
                 + sum(self._sizes[c] for c in untouched))
         if size != rec.product.n_atoms:
             return False
-        types = _type_counts(t for u, _, t in d.bond_triples() if d.component[u] in local_comps)
+        types = _type_counts(t for u, _, t in d.bonds if d.component[u] in local_comps)
         for c in untouched:
             types = [a + b for a, b in zip(types, self._comp_types[c])]
         if types != self._types:

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from . import diffengine as de
-from .candgen import Candidate
-from .chemgraph import ATOM_FEATURE_DIM, MolGraph, delta_union_arrays, part_arrays
+from .candgen import Candidate, candidate_deltas
+from .chemgraph import ATOM_FEATURE_DIM, EditDeltas, MolGraph, part_arrays
 from .diffengine import DTensor, ParamStore
 from .wln import (GraphInputs, WLNParams, embed_from_features, inputs, model_header,
                   model_metadata)
@@ -93,8 +93,9 @@ class RankerModel:
         The candidates run in passes of up to :data:`MAX_UNION_CANDIDATES`,
         which may mix reactions; a pass holds the disjoint union of its
         candidates' edit-local products (:attr:`Candidate.local_product`),
-        whose arrays are built once from the edit deltas
-        (:func:`~rxnpred.chemgraph.delta_union_arrays`). The molecule network
+        whose arrays are slices of each list's edit deltas
+        (:func:`~rxnpred.candgen.candidate_deltas`, built once per list:
+        :meth:`~rxnpred.chemgraph.EditDeltas.arrays`). The molecule network
         runs once over :func:`~rxnpred.wln.inputs` of the reactant
         components that hold an edited atom of any candidate
         (:func:`read_atoms`; :func:`~rxnpred.chemgraph.part_arrays` of each
@@ -121,51 +122,69 @@ class RankerModel:
         """
         if not any(candidates for _, candidates in reactions):
             return DTensor(np.zeros((0, 1)))
-        reads = [read_atoms(candidates) for _, candidates in reactions]
-        # each candidate with the rows of the reactant union that embed its edited atoms
-        items, offset = [], 0
-        for (_, candidates), read in zip(reactions, reads):
-            atoms = [cand.delta.atoms for cand in candidates]
-            rows = offset + np.searchsorted(read, [i for a in atoms for i in a])
-            ends = np.cumsum([len(a) for a in atoms], dtype=np.intp)
-            items += [(cand, rows[end - len(a):end])
-                      for cand, a, end in zip(candidates, atoms, ends)]
+        lists = [candidate_deltas(reactants, candidates) for reactants, candidates in reactions]
+        reads = [read_atoms(deltas) for deltas in lists]
+        # the rows of the reactant union that embed each list's local atoms
+        rows, offset = [], 0
+        for deltas, read in zip(lists, reads):
+            rows.append(offset + np.searchsorted(read, deltas.atoms))
             offset += len(read)
         chunks = []
-        for start in range(0, len(items), MAX_UNION_CANDIDATES):
-            batch = items[start:start + MAX_UNION_CANDIDATES]
-            products = delta_union_arrays([cand.delta for cand, _ in batch])
-            gi_p = inputs(products)
-            if not start:  # the reactant union and the first pass, in one embedding
+        for n, part in enumerate(_passes([len(deltas) for deltas in lists])):
+            products = [lists[r].arrays(start, stop) for r, start, stop in part]
+            pass_rows = [rows[r][lists[r].atom_offsets[start]:lists[r].atom_offsets[stop]]
+                         for r, start, stop in part]
+            sizes = [np.diff(lists[r].atom_offsets[start:stop + 1]) for r, start, stop in part]
+            gi_p = inputs(*products)
+            if not n:  # the reactant union and the first pass, in one embedding
                 gi = inputs(*(part_arrays(reactants, read) for (reactants, _), read
-                              in zip(reactions, reads)), products)
+                              in zip(reactions, reads)), *products)
                 c = embed_from_features(gi, gi.features, self.wln)
                 c_p = de.gather_rows(c, np.arange(offset, gi.n_atoms))
             else:
                 c_p = embed_from_features(gi_p, gi_p.features, self.wln)
-            chunks.append(self._score_pass(c, batch, gi_p, c_p))
+            chunks.append(self._score_pass(c, np.concatenate(pass_rows),
+                                           np.concatenate(sizes), gi_p, c_p))
         return chunks[0] if len(chunks) == 1 else de.stack_rows(chunks)
 
-    def _score_pass(self, c: DTensor, items: Sequence[tuple[Candidate, np.ndarray]],
+    def _score_pass(self, c: DTensor, rows: np.ndarray, sizes: np.ndarray,
                     gi_p: GraphInputs, c_p: DTensor) -> DTensor:
-        """Scores of the candidates of ``items``, each given with the rows of
-        ``c`` that embed its edited atoms in the reactants; ``gi_p`` holds
-        their edit-local products and ``c_p`` embeds them."""
-        owner = np.repeat(np.arange(len(items)), [len(r) for _, r in items])
-        rows = np.concatenate([r for _, r in items])
+        """Scores of a pass's candidates, of ``sizes`` local atoms each,
+        embedded by ``c_p`` over their edit-local products ``gi_p``; their
+        local atoms' reactant embeddings are ``rows`` of ``c``, in order."""
+        owner = np.repeat(np.arange(len(sizes)), sizes)
         d = de.sub(c_p, de.gather_rows(c, rows))
         if self.diff_wln is not None:
             d = embed_from_features(gi_p, d, self.diff_wln)
         head = _HEAD[self.variant]
         m, u = self.store[f"{head}.M"], self.store[f"{head}.u"]
-        pooled = de.segment_sum(d, owner, len(items))
+        pooled = de.segment_sum(d, owner, len(sizes))
         return de.matmul(de.relu(de.matmul(pooled, m)), u)
 
 
-def read_atoms(candidates: Sequence[Candidate]) -> list[int]:
-    """The reactant atoms whose embeddings the candidates' scores read,
-    ascending: those of every component that holds an edited atom."""
-    return sorted({a for cand in candidates for a in cand.delta.atoms})
+def _passes(lengths: Sequence[int]) -> list[list[tuple[int, int, int]]]:
+    """Lists of ``lengths`` candidates, in order, cut into passes of
+    :data:`MAX_UNION_CANDIDATES`: each pass as (list, start, stop) runs."""
+    passes: list[list[tuple[int, int, int]]] = []
+    room = 0
+    for r, length in enumerate(lengths):
+        start = 0
+        while start < length:
+            if not room:
+                passes.append([])
+                room = MAX_UNION_CANDIDATES
+            stop = min(length, start + room)
+            passes[-1].append((r, start, stop))
+            room -= stop - start
+            start = stop
+    return passes
+
+
+def read_atoms(deltas: EditDeltas) -> np.ndarray:
+    """The reactant atoms whose embeddings the scores of the candidates of
+    ``deltas`` read, ascending: those of every component that holds an
+    edited atom."""
+    return np.unique(deltas.atoms)
 
 
 # Score head prefix of each variant.

@@ -19,12 +19,12 @@ import numpy as np
 
 from . import center
 from . import diffengine as de
-from .candgen import (BOND_ALPHABET, BondEdit, Candidate, EditSet, connectivity_ok,
-                      enumerate_candidates)
+from .candgen import (BOND_ALPHABET, BondEdit, Candidate, EditSet, candidate_deltas,
+                      connectivity_ok, enumerate_candidates)
 from .center import PAIR_BLOCK, CenterModel, center_loss, upper_pairs
 from .chemgraph import (ATOM_FEATURE_DIM, BOND_FEATURE_DIM, BondType, MolGraph, apply_edits,
-                        atom_feature_matrix, atom_features, bond_features, delta_union_arrays,
-                        edit_delta, induced_subgraph, make_graph, parse_smiles, write_smiles)
+                        atom_feature_matrix, atom_features, bond_features, edit_deltas,
+                        induced_subgraph, make_graph, parse_smiles, write_smiles)
 from .datagen import (higher_order_fixture_lines, random_molecule, random_reaction_line,
                       reagent_fixture_lines, toy_reaction_lines)
 from .pipeline import (_candidate_stage, _center_loss, _RankingInstance, _ranker_loss,
@@ -289,7 +289,7 @@ def batched_ranker_suite(seed: int = 13) -> CheckResult:
             cands = [Candidate(EditSet.of([]), g)] + enumerate_candidates(
                 g, pairs, 2, max_candidates=60).candidates
             batched = model.score_reactions([(g, cands)]).values[:, 0]
-            subsets += len(read_atoms(cands)) < g.n_atoms
+            subsets += len(read_atoms(candidate_deltas(g, cands))) < g.n_atoms
             for cand, score in zip(cands, batched):
                 ref = reference_score(model, g, cand).values[0, 0]
                 mismatches += int(ref.tobytes() != score.tobytes())
@@ -561,19 +561,21 @@ def local_product_oracle(reactants: MolGraph, edits: EditSet) -> tuple[MolGraph,
 
 def graph_delta_mismatches(parts: list[tuple[MolGraph, EditSet]]) -> int:
     """How often the delta route of one pass over ``(reactants, edits)``
-    parts differs from the graph route: the pass's
-    :func:`~rxnpred.chemgraph.delta_union_arrays` inputs against
+    parts differs from the graph route. Each run of parts over one reactant
+    graph is one :func:`~rxnpred.chemgraph.edit_deltas` call. Compared are
+    the pass's inputs from those calls' arrays against
     :func:`per_atom_inputs` over the :func:`local_product_oracle` graphs
     (bytes), each part's local atoms and component ids against the
     oracle's, and :func:`~rxnpred.wln.graph_inputs` against
     :func:`per_atom_inputs` on each reactant graph and local product."""
     oracle = [local_product_oracle(g, edits) for g, edits in parts]
-    deltas = [edit_delta(g, edits) for g, edits in parts]
+    runs = [list(run) for _, run in itertools.groupby(parts, key=lambda part: id(part[0]))]
+    lists = [edit_deltas(run[0][0], [edits for _, edits in run]) for run in runs]
     local_parts = [(local, range(local.n_atoms)) for local, _ in oracle]
-    bad = int(inputs_bytes(inputs(delta_union_arrays(deltas)))
+    bad = int(inputs_bytes(inputs(*(deltas.arrays() for deltas in lists)))
               != inputs_bytes(per_atom_inputs(local_parts)))
-    bad += sum((d.atoms, d.component) != (atoms, local.component)
-               for d, (local, atoms) in zip(deltas, oracle))
+    bad += sum((d.atoms, d.component) != (atoms, local.component) for d, (local, atoms)
+               in zip((deltas[i] for deltas in lists for i in range(len(deltas))), oracle))
     graphs = [*{id(g): g for g, _ in parts}.values(), *(local for local, _ in oracle)]
     return bad + sum(inputs_bytes(graph_inputs(g))
                      != inputs_bytes(per_atom_inputs([(g, range(g.n_atoms))])) for g in graphs)
@@ -585,7 +587,9 @@ def graph_delta_suite(seed: int = 29) -> CheckResult:
     Each of 30 passes takes every candidate, the empty edit set and three sets of
     one to four random edits (which may create several bonds at once) of
     one to three :func:`enumeration_instance` reactants (aromatic, charged
-    and over-valent fragments among them) under a random atom order.
+    and over-valent fragments among them) under a random atom order. Each
+    reactant's list goes through one :func:`~rxnpred.chemgraph.edit_deltas`
+    call, as the ranker builds it.
     """
     rng = np.random.default_rng(seed)
     mismatches = parts_checked = 0

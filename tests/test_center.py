@@ -404,6 +404,19 @@ class TestTopKAndCoverage:
             assert top_k_pairs(m, k) == ranked[:k]
 
     @PROPERTY
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 30), levels=st.integers(1, 4))
+    def test_equals_full_stable_argsort_at_every_k(self, seed, n, levels):
+        # The selection partitions around the k-th score and sorts only what
+        # is at or above it; with many ties at the k-th score, every k from
+        # 1 to past the pair count returns the full stable sort's prefix.
+        m = np.random.default_rng(seed).integers(0, levels, size=(n, n)).astype(float)
+        pairs = upper_pairs(n)
+        full = [tuple(p) for p in pairs[np.argsort(-m[pairs[:, 0], pairs[:, 1]],
+                                                   kind="stable")].tolist()]
+        for k in range(1, len(pairs) + 3):
+            assert top_k_pairs(m, k) == full[:k]
+
+    @PROPERTY
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 40),
            k=st.integers(1, 900), extra=st.integers(0, 900))
     def test_shorter_list_is_prefix_of_longer(self, seed, n, k, extra):

@@ -40,10 +40,10 @@ def checkpoints(workdir):
 
 def test_training_commands_write_checkpoints(workdir, checkpoints, capsys):
     center, ranker = checkpoints
-    header = open(center).readline().strip()
+    header = Path(center).read_text().splitlines()[0].strip()
     assert header == "REXGEN-CKPT v1"
-    assert "kind=center" in open(center).read()
-    assert "kind=ranker" in open(ranker).read()
+    assert "kind=center" in Path(center).read_text()
+    assert "kind=ranker" in Path(ranker).read_text()
 
 
 def test_evaluate_command(workdir, checkpoints, capsys):
@@ -55,7 +55,7 @@ def test_evaluate_command(workdir, checkpoints, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "coverage@6" in stdout and "mrr=" in stdout
-    assert "records=16" in open(out).read()
+    assert "records=16" in Path(out).read_text()
 
 
 def test_predict_command(workdir, checkpoints, capsys):

@@ -3,18 +3,19 @@ full product, their edit deltas equal the graph route, inverse edits
 restore the reactants, and product matching from the deltas equals the
 full-product route."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rxnpred import datagen, pipeline
-from rxnpred.candgen import Candidate, EditSet, enumerate_candidates
+from rxnpred import candgen, chemgraph, datagen, pipeline
+from rxnpred.candgen import Candidate, EditSet, candidate_deltas, enumerate_candidates
 from rxnpred.center import CenterModel
 from rxnpred.chemgraph import (BOND_FEATURE_DIM, BondType, apply_edits, atom_feature_matrix,
-                               bond_features, delta_union_arrays, edit_delta, induced_subgraph,
-                               make_graph, merge_graphs, parse_smiles, part_arrays,
-                               write_smiles)
+                               bond_features, edit_deltas, induced_subgraph, make_graph,
+                               merge_graphs, parse_smiles, part_arrays, write_smiles)
 from rxnpred.datagen import random_molecule
 from rxnpred.pipeline import RunConfig, _ProductMatcher, evaluate, parse_reaction_line
 from rxnpred.ranker import RankerModel
@@ -95,9 +96,10 @@ def test_local_product_on_splits_and_joins(smiles, edits):
 
 
 def test_empty_edit_set_has_empty_local_product():
-    cand = Candidate(EditSet.of([]), parse_smiles("CCO.N"))
+    g = parse_smiles("CCO.N")
+    cand = Candidate(EditSet.of([]), g)
     assert cand.delta.atoms == [] and cand.local_product.n_atoms == 0
-    assert inputs(delta_union_arrays([cand.delta])).n_atoms == 0
+    assert inputs(edit_deltas(g, [cand.edits]).arrays()).n_atoms == 0
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -110,9 +112,10 @@ def test_delta_inputs_equal_union_inputs_over_local_products(parts):
     oracle = [local_product_oracle(g, edits) for g, edits in parts]
     deltas = [Candidate(edits, g).delta for g, edits in parts]
     products = [local.codes.inputs for local, _ in oracle]
-    assert inputs_bytes(inputs(delta_union_arrays(deltas))) == inputs_bytes(inputs(*products))
+    arrays = [edit_deltas(g, [edits]).arrays() for g, edits in parts]
+    assert inputs_bytes(inputs(*arrays)) == inputs_bytes(inputs(*products))
     reactants = [g.codes.inputs for g, _ in parts]
-    joined = inputs(*reactants, delta_union_arrays(deltas))
+    joined = inputs(*reactants, *arrays)
     assert inputs_bytes(joined) == inputs_bytes(inputs(*reactants, *products))
     for delta, (local, atoms) in zip(deltas, oracle):
         assert delta.atoms == atoms and delta.component == local.component
@@ -137,10 +140,132 @@ def test_inputs_over_interleaved_parts_equal_per_atom_inputs(parts, rnd):
             arrays.append(part_arrays(g, atoms))
             molecules.append((g, atoms))
         copies = rnd.randint(1, 2)
-        arrays.append(delta_union_arrays([Candidate(edits, g).delta] * copies))
+        arrays.append(edit_deltas(g, [edits] * copies).arrays())
         local, _ = local_product_oracle(g, edits)
         molecules += [(local, range(local.n_atoms))] * copies
     assert inputs_bytes(inputs(*arrays)) == inputs_bytes(per_atom_inputs(molecules))
+
+
+# Ring-rich fragments: fused, bridged, spiro and caged rings and rings
+# joined by a chain of bridges (more than one independent cycle each), and
+# one plain ring.
+RING_FRAGMENTS = ("C1CCC2CCCCC2C1", "c1ccc2ccccc2c1", "C1CC2CCC1C2", "C1CCC2(CC1)CC2",
+                  "C12C3C4C1C5C2C3C45", "C1CC1CCC1CC1", "c1ccccc1-c1ccccc1", "C1CCCCC1")
+
+
+@st.composite
+def delta_lists(draw):
+    """A ring-rich graph of two to five components under a random atom
+    order, and a list of edit sets over it in random order: ring-bond
+    deletions, a bond created inside a component, two bonds created between
+    the same two components, cross-component joins, the empty edit set and
+    random edits, so one- and two-component candidates mix."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = [parse_smiles(s) for s in draw(st.lists(st.sampled_from(RING_FRAGMENTS),
+                                                    min_size=1, max_size=3))]
+    parts += [random_molecule(rng) for _ in range(draw(st.integers(1, 2)))]
+    g = merge_graphs(parts)
+    g = permute_graph(g, [int(i) for i in draw(st.permutations(range(g.n_atoms)))])
+    comps = g.codes.comp_atoms
+
+    def pick(atoms, count):
+        return [int(a) for a in rng.choice(atoms, count, replace=False)]
+
+    def free_pair(first, second):
+        """An unbonded pair, one atom from each list, or None."""
+        pairs = [(min(a, b), max(a, b)) for a in first for b in second
+                 if a != b and g.bond_between(a, b) is None]
+        return pairs[int(rng.integers(len(pairs)))] if pairs else None
+
+    def created():
+        return BondType(int(rng.integers(1, 5)))
+
+    sets = [EditSet.of([])]
+    ring = [(b.u, b.v) for b, flag in zip(g.bonds, g.in_ring) if flag]
+    for count in (1, 2, 3):
+        if len(ring) >= count:
+            chosen = rng.choice(len(ring), count, replace=False)
+            sets.append(EditSet.of((*ring[i], BondType.NONE) for i in chosen))
+    for atoms in comps:
+        pair = free_pair(atoms, atoms)
+        if pair:
+            sets.append(EditSet.of([(*pair, created())]))
+    for c1, c2 in zip(comps, comps[1:]):
+        first = free_pair(c1, c2)
+        sets.append(EditSet.of([(*first, created())]))
+        second = free_pair([a for a in c1 if a not in first], [b for b in c2 if b not in first])
+        if second:
+            sets.append(EditSet.of([(*first, created()), (*second, created())]))
+    sets += [draw_edits(draw, g) for _ in range(draw(st.integers(0, 4)))]
+    return g, [sets[i] for i in rng.permutation(len(sets))]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(delta_lists())
+def test_one_edit_deltas_call_equals_the_oracle_per_candidate(instance):
+    # One builder call over the whole list; each candidate's slice holds the
+    # oracle's local atoms, component ids and graph, and the list's pass
+    # inputs are bitwise those of the oracle's local products.
+    g, sets = instance
+    candidates = [Candidate(edits, g) for edits in sets]
+    with mock.patch.object(candgen, "edit_deltas", wraps=chemgraph.edit_deltas) as builder:
+        deltas = candidate_deltas(g, candidates)
+        oracle = [local_product_oracle(g, edits) for edits in sets]
+        for cand, (local, atoms) in zip(candidates, oracle):
+            assert cand.delta.atoms == atoms
+            assert cand.delta.component == local.component
+            assert cand.local_product == local
+        assert candidate_deltas(g, candidates) is deltas
+    assert builder.call_count == 1
+    products = [(local, range(local.n_atoms)) for local, _ in oracle]
+    assert inputs_bytes(inputs(deltas.arrays())) == inputs_bytes(per_atom_inputs(products))
+    cut = len(sets) // 2
+    assert inputs_bytes(inputs(deltas.arrays(0, cut), deltas.arrays(cut))) == inputs_bytes(
+        inputs(*(local.codes.inputs for local, _ in oracle)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(delta_lists(), st.data())
+def test_edit_deltas_raise_the_first_invalid_edits_message(instance, data):
+    # An invalid set anywhere in a list raises the message apply_edits
+    # raises for it: an atom out of range, u == v, a no-op type or two edits
+    # on one pair; the first invalid set and edit win.
+    g, sets = instance
+    n = g.n_atoms
+    u, v = g.bonds[0].u, g.bonds[0].v
+    kinds = [[(u, n, BondType.SINGLE)], [(-1, v, BondType.NONE)], [(u, u, BondType.SINGLE)],
+             [(v, u, g.bonds[0].bond_type)], [(u, v, BondType.NONE), (v, u, BondType.DOUBLE)],
+             [(u, v, BondType.NONE), (u, u, BondType.SINGLE), (v, n + 2, BondType.SINGLE)]]
+    bad = data.draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=2))
+    where = sorted(data.draw(st.lists(st.integers(0, len(sets)), min_size=len(bad),
+                                      max_size=len(bad))))
+    mixed = list(sets)
+    for at, edits in reversed(list(zip(where, bad))):
+        mixed.insert(at, edits)
+    with pytest.raises(ValueError) as full:
+        apply_edits(g, bad[0])
+    with pytest.raises(ValueError) as listed:
+        edit_deltas(g, mixed)
+    assert str(listed.value) == str(full.value)
+
+
+def test_each_candidate_list_builds_its_deltas_once():
+    # predict and evaluate build each record's list in one builder call,
+    # and ranker training once per instance, not once per epoch.
+    records = [parse_reaction_line(line) for line in MATCH_LINES[:8]]
+    center = CenterModel.create("local", hidden=8, depth=2, seed=1)
+    ranker = RankerModel.create("wldn", hidden=8, depth=2, seed=2)
+    with mock.patch.object(candgen, "edit_deltas", wraps=chemgraph.edit_deltas) as builder:
+        for rec in records:
+            pipeline.predict(write_smiles(rec.reactants), center, ranker, k=6)
+        assert builder.call_count == len(records)
+        evaluate(records, center, ranker, RunConfig(k=6, augment_truth=True))
+        assert builder.call_count == 2 * len(records)
+        instances = pipeline._build_instances(records, None, RunConfig(augment_truth=True))
+        for _ in range(3):
+            pipeline._ranker_loss(ranker, instances)
+            pipeline._ranker_p1(ranker, instances)
+        assert builder.call_count == 2 * len(records) + len(instances)
 
 
 def test_feature_rows_equal_per_atom_features():
@@ -169,7 +294,7 @@ def test_delta_rejects_what_apply_edits_rejects(smiles, edits):
     with pytest.raises(ValueError) as full:
         apply_edits(g, edits)
     with pytest.raises(ValueError) as delta:
-        edit_delta(g, edits)
+        edit_deltas(g, [[], edits])
     assert str(delta.value) == str(full.value)
 
 
